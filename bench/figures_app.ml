@@ -300,7 +300,7 @@ let extra_small_platforms () =
           let mk holder : Ssync_platform.Cost_model.view =
             {
               state = Arch.Modified;
-              owner = Some holder;
+              owner = holder;
               sharers = Ssync_platform.Coreset.of_list [];
               home = topo.Topology.mem_node_of_core holder;
               llc_dirty = false;

@@ -59,14 +59,16 @@ type addr = int
 
 type line = {
   mutable state : Arch.cstate;
-  mutable owner : int option;   (* core holding Modified/Owned/Exclusive *)
+  mutable owner : int;          (* core holding Modified/Owned/Exclusive,
+                                   -1 = none *)
   sharers : Coreset.t;          (* cores holding Shared copies *)
   mutable home : int;           (* home node (directory / home tile / memory);
                                    mutable only so disposed memories can
                                    recycle line records in place *)
   mutable busy_until : int;     (* virtual time the line is occupied until *)
-  mutable pfw_owner : int option;
-      (* core holding an exclusive-prefetch reservation (section 5.3):
+  mutable pfw_owner : int;
+      (* core holding an exclusive-prefetch reservation (-1 = none;
+         section 5.3):
          set by a prefetchw probe, cleared by any other real access.
          While a foreign reservation holds, other prefetchw probes
          degrade to directed read snoops that steal nothing. *)
@@ -148,10 +150,10 @@ type slot = {
 type jline = {
   jl_li : int;
   jl_state : Arch.cstate;
-  jl_owner : int option;
+  jl_owner : int;
   jl_sharers : Coreset.t;       (* private copy *)
   jl_busy : int;
-  jl_pfw : int option;
+  jl_pfw : int;
   jl_casp : int;
   jl_llc : bool;
   jl_stamp_t : int;
@@ -259,14 +261,14 @@ let set_exec_sid s = Domain.DLS.set exec_sid_key s
 let exec_sid () = Domain.DLS.get exec_sid_key
 
 let dummy_line =
-  { state = Arch.Invalid; owner = None; sharers = Coreset.create (); home = 0;
-    busy_until = 0; pfw_owner = None; cas_pending = -1; llc_dirty = false;
+  { state = Arch.Invalid; owner = -1; sharers = Coreset.create (); home = 0;
+    busy_until = 0; pfw_owner = -1; cas_pending = -1; llc_dirty = false;
     waiters = [] }
 
 let make_slot () =
   {
     scratch =
-      { Cost_model.state = Arch.Invalid; owner = None;
+      { Cost_model.state = Arch.Invalid; owner = -1;
         sharers = Coreset.create (); home = 0; llc_dirty = false };
     path = Array.make Cost_model.max_path_len 0;
     last_result = 0;
@@ -358,7 +360,10 @@ let create platform =
     jword_gen;
     trace;
     strace = trace;
-    msince = (if metrics = None then [||] else Array.make (Array.length lines) 0);
+    msince =
+      (match metrics with
+      | None -> [||]
+      | Some _ -> Array.make (Array.length lines) 0);
   }
 
 (* Return the memory's recyclable arrays to the domain pool.  The
@@ -368,10 +373,7 @@ let create platform =
    parked-probe replay closures can retain an entire dead simulation. *)
 let dispose t =
   for li = 0 to t.n_lines - 1 do
-    let l = t.lines.(li) in
-    l.waiters <- [];
-    l.owner <- None;
-    l.pfw_owner <- None
+    t.lines.(li).waiters <- []
   done;
   t.ckpt <- None;
   t.n_lines <- 0;
@@ -410,7 +412,7 @@ let slot_metrics sl = sl.macc
 (* Ensure [n] slots exist (fresh stats in slots >= 1 each call, so a
    sharded run's per-shard tallies start from zero). *)
 let set_slots t n =
-  let n = max 1 n in
+  let n = Int.max 1 n in
   let old = Array.length t.slots in
   if n <> old then begin
     let slots =
@@ -484,23 +486,23 @@ let new_line t ~home =
     t.stamp_tid <- grow_tags t.stamp_tid;
     t.peek_gens <- grow_tags t.peek_gens;
     t.jline_gen <- grow_tags t.jline_gen;
-    if t.msince <> [||] then t.msince <- grow_tags t.msince
+    if Array.length t.msince > 0 then t.msince <- grow_tags t.msince
   end;
   let li = t.n_lines in
   let l = t.lines.(li) in
   if l == dummy_line then
     t.lines.(li) <-
-      { state = Arch.Invalid; owner = None; sharers = Coreset.create (); home;
-        busy_until = 0; pfw_owner = None; cas_pending = -1; llc_dirty = false;
+      { state = Arch.Invalid; owner = -1; sharers = Coreset.create (); home;
+        busy_until = 0; pfw_owner = -1; cas_pending = -1; llc_dirty = false;
         waiters = [] }
   else begin
     (* recycled record: reset in place, sparing the allocation *)
     l.state <- Arch.Invalid;
-    l.owner <- None;
+    l.owner <- -1;
     Coreset.clear l.sharers;
     l.home <- home;
     l.busy_until <- 0;
-    l.pfw_owner <- None;
+    l.pfw_owner <- -1;
     l.cas_pending <- -1;
     l.llc_dirty <- false;
     l.waiters <- []
@@ -510,7 +512,7 @@ let new_line t ~home =
   t.stamp_tid.(li) <- -1;
   t.peek_gens.(li) <- -1;
   t.jline_gen.(li) <- 0;
-  if t.msince <> [||] then t.msince.(li) <- 0;
+  if Array.length t.msince > 0 then t.msince.(li) <- 0;
   t.n_lines <- li + 1;
   li
 
@@ -564,7 +566,7 @@ let alloc_packed ?(home_core = 0) ?(value = 0) t n : addr =
   let remaining = ref n in
   while !remaining > 0 do
     let li = new_line t ~home in
-    let k = min wpl !remaining in
+    let k = Int.min wpl !remaining in
     for _ = 1 to k do
       let a = new_word t ~line:li ~value in
       if !base < 0 then base := a
@@ -619,7 +621,7 @@ let journal_line_slow t (c : checkpoint) li =
         jl_llc = l.llc_dirty;
         jl_stamp_t = t.stamp_t.(li);
         jl_stamp_tid = t.stamp_tid.(li);
-        jl_msince = (if t.msince = [||] then 0 else t.msince.(li));
+        jl_msince = (if Array.length t.msince = 0 then 0 else t.msince.(li));
       }
       :: c.c_jlines
   end
@@ -692,7 +694,7 @@ let restore t =
           l.waiters <- [];
           t.stamp_t.(j.jl_li) <- j.jl_stamp_t;
           t.stamp_tid.(j.jl_li) <- j.jl_stamp_tid;
-          if t.msince <> [||] then t.msince.(j.jl_li) <- j.jl_msince)
+          if Array.length t.msince > 0 then t.msince.(j.jl_li) <- j.jl_msince)
         c.c_jlines;
       List.iter (fun (a, v) -> t.values.(a) <- v) c.c_jwords;
       c.c_jlines <- [];
@@ -826,15 +828,15 @@ let view_of_line (sl : slot) (l : line) : Cost_model.view =
   v.Cost_model.llc_dirty <- l.llc_dirty;
   v
 
-let holds l core = l.owner = Some core || Coreset.mem l.sharers core
+let holds l core = l.owner = core || Coreset.mem l.sharers core
 
 (* Is this access served entirely from the requester's own cache (no
    global transaction, no serialization)? *)
 let is_local_hit (l : line) core (op : Arch.memop) =
   match op with
   | Arch.Load -> holds l core
-  | Arch.Store -> l.owner = Some core
-  | Arch.Cas | Arch.Fai | Arch.Tas | Arch.Swap -> l.owner = Some core
+  | Arch.Store -> l.owner = core
+  | Arch.Cas | Arch.Fai | Arch.Tas | Arch.Swap -> l.owner = core
 
 (* A fetch-and-add of 0 is an exclusive-prefetch probe (prefetchw +
    load, section 5.3): it costs a store-intent transfer, not a locked
@@ -852,7 +854,8 @@ let is_pfw_probe (op : Arch.memop) ~operand ~operand2 =
    against this probe? *)
 let foreign_reservation (l : line) ~core op ~operand ~operand2 =
   is_pfw_probe op ~operand ~operand2
-  && (match l.pfw_owner with Some o -> o <> core | None -> false)
+  && l.pfw_owner >= 0
+  && l.pfw_owner <> core
 
 (* Cycles a [Store] retires in when it drains through the store buffer
    instead of stalling the thread (the transfer itself still runs in
@@ -860,21 +863,20 @@ let foreign_reservation (l : line) ~core op ~operand ~operand2 =
 let store_buffer_retire = 12
 
 
-(* What the next probe of this spin would cost, and whether it is a
-   foreign-reservation directed read.  Shared between [access],
-   [try_park] (the parked poll grid must charge the same per-probe cost
-   the literal loop would) and [wake_disturbed] (a parked waiter whose
-   probe cost changed must replay for real to stay on the polled
-   schedule). *)
+(* What the next probe of this spin would cost (a foreign-reservation
+   probe is a directed read, costed as a load).  Shared between
+   [access], [try_park] (the parked poll grid must charge the same
+   per-probe cost the literal loop would) and [wake_disturbed] (a parked
+   waiter whose probe cost changed must replay for real to stay on the
+   polled schedule). *)
 let probe_cost t (sl : slot) (l : line) ~core (op : Arch.memop) ~operand
     ~operand2 =
-  let foreign = foreign_reservation l ~core op ~operand ~operand2 in
   let cost_op =
-    if foreign then Arch.Load else cost_op_of op ~operand ~operand2
+    if foreign_reservation l ~core op ~operand ~operand2 then Arch.Load
+    else cost_op_of op ~operand ~operand2
   in
-  ( foreign,
-    t.platform.Platform.op_latency cost_op ~requester:core (view_of_line sl l)
-  )
+  Cost_model.op_latency t.platform.Platform.topo cost_op ~requester:core
+    (view_of_line sl l)
 
 (* Protocol state transition after [core] performs [op].  MOESI
    (Opteron) keeps a dirty line in the previous owner's cache in Owned
@@ -892,40 +894,35 @@ let transition t (l : line) core (op : Arch.memop) =
   | Arch.Load ->
       if holds l core then 0
       else begin
-        (match (l.state, l.owner) with
-        | (Arch.Modified, Some o) when moesi ->
+        let o = l.owner in
+        (match l.state with
+        | Arch.Modified when moesi && o >= 0 ->
             (* owner keeps its dirty copy in Owned state *)
             l.state <- Arch.Owned;
-            l.owner <- Some o;
             Coreset.add l.sharers core
-        | ((Arch.Modified | Arch.Exclusive), Some o) ->
+        | (Arch.Modified | Arch.Exclusive) when o >= 0 ->
             l.state <- Arch.Shared;
-            l.owner <- None;
+            l.owner <- -1;
             Coreset.add l.sharers core;
             Coreset.add l.sharers o
-        | (Arch.Owned, Some _) -> Coreset.add l.sharers core
-        | ((Arch.Shared | Arch.Forward), _) -> Coreset.add l.sharers core
-        | (Arch.Invalid, _) ->
+        | Arch.Owned when o >= 0 -> Coreset.add l.sharers core
+        | Arch.Shared | Arch.Forward -> Coreset.add l.sharers core
+        | Arch.Invalid | Arch.Modified | Arch.Exclusive | Arch.Owned ->
+            (* a fresh exclusive fill — or, for an ownerless
+               Modified/Exclusive/Owned line (inconsistent), its repair *)
             l.state <- Arch.Exclusive;
-            l.owner <- Some core;
-            Coreset.clear l.sharers
-        | ((Arch.Modified | Arch.Exclusive), None)
-        | (Arch.Owned, None) ->
-            (* inconsistent: repair as a fresh exclusive fill *)
-            l.state <- Arch.Exclusive;
-            l.owner <- Some core;
-            Coreset.clear l.sharers)
-        ;
+            l.owner <- core;
+            Coreset.clear l.sharers);
         0
       end
   | Arch.Store | Arch.Cas | Arch.Fai | Arch.Tas | Arch.Swap ->
       let killed =
         Coreset.cardinal l.sharers
         - (if Coreset.mem l.sharers core then 1 else 0)
-        + (match l.owner with Some o when o <> core -> 1 | _ -> 0)
+        + if l.owner >= 0 && l.owner <> core then 1 else 0
       in
       l.state <- Arch.Modified;
-      l.owner <- Some core;
+      l.owner <- core;
       Coreset.clear l.sharers;
       killed
 
@@ -984,7 +981,7 @@ let probe_inert (l : line) ~value ~core (op : Arch.memop) ~operand ~operand2
          prober with no sharer left to invalidate — or a prefetchw
          probe under another waiter's reservation, which degrades to a
          directed read that changes neither state nor value *)
-      (l.state = Arch.Modified && l.owner = Some core
+      (l.state = Arch.Modified && l.owner = core
        && Coreset.is_empty l.sharers)
       || foreign_reservation l ~core op ~operand ~operand2
 
@@ -1003,7 +1000,8 @@ let try_park_in t ~slot:sl ~core ~now (op : Arch.memop) (a : addr) ~operand
     (* parking mutates the waiter list: journal so a rollback drops the
        parked spinner with the rest of the attempt *)
     journal_line t li;
-    let foreign, hit = probe_cost t sl l ~core op ~operand ~operand2 in
+    let foreign = foreign_reservation l ~core op ~operand ~operand2 in
+    let hit = probe_cost t sl l ~core op ~operand ~operand2 in
     let w =
       {
         w_core = core;
@@ -1075,9 +1073,8 @@ let wake_disturbed t (sl : slot) ~line:li (l : line) =
           (fun w ->
             probe_inert l ~value:t.values.(w.w_addr) ~core:w.w_core w.w_op
               ~operand:w.w_operand ~operand2:w.w_operand2 ~while_:w.w_while
-            && snd
-                 (probe_cost t sl l ~core:w.w_core w.w_op ~operand:w.w_operand
-                    ~operand2:w.w_operand2)
+            && probe_cost t sl l ~core:w.w_core w.w_op ~operand:w.w_operand
+                 ~operand2:w.w_operand2
                = w.w_hit)
           ws
       in
@@ -1100,10 +1097,8 @@ let wake_disturbed t (sl : slot) ~line:li (l : line) =
    exists, to the line's home otherwise.  Trace-only; must run before
    [transition] mutates the line (and its aliased sharer set). *)
 let dist_of t (sl : slot) ~core (l : line) : Arch.distance =
-  let topo = t.platform.Platform.topo in
-  match Cost_model.source_core topo ~requester:core (view_of_line sl l) with
-  | Some src -> Cost_model.class_to_core topo ~requester:core src
-  | None -> Cost_model.class_to_home topo ~requester:core (view_of_line sl l)
+  Cost_model.source_class t.platform.Platform.topo ~requester:core
+    (view_of_line sl l)
 
 (* Sharded-execution guard for the resource path in [sl.path]:
    - inside a window, only the shard owning a resource (the shard of
@@ -1159,10 +1154,12 @@ let guard_resources t (sl : slot) ~core ~now ~line:li npath =
    the line exclusively and reserves it, or — under another core's
    reservation — degrades to a directed read snoop.  [slot] selects the
    shard's scratch/stats slot; serial callers use the [access_lat]
-   wrapper on slot 0. *)
-let access_lat_in ?(operand = 0) ?(operand2 = 0) ?(fetch = false) t
-    ~slot:(sl : slot) ~core ~now (op : Arch.memop) (a : addr) : int =
-  Topology.check t.platform.Platform.topo core;
+   wrapper on slot 0.  The operands are required labels: optional ones
+   would box a [Some] per call on the engine's per-operation path. *)
+let access_lat_in t ~slot:(sl : slot) ~core ~now (op : Arch.memop) (a : addr)
+    ~operand ~operand2 ~fetch : int =
+  let topo = t.platform.Platform.topo in
+  Topology.check topo core;
   let li = line_id t a in
   let l = t.lines.(li) in
   if foreign_reservation l ~core op ~operand ~operand2 then begin
@@ -1173,8 +1170,7 @@ let access_lat_in ?(operand = 0) ?(operand2 = 0) ?(fetch = false) t
        reservation nor serialize on the line (section 5.3's directed
        handoff).  Nothing mutates, so parked waiters are untouched. *)
     let service =
-      t.platform.Platform.op_latency Arch.Load ~requester:core
-        (view_of_line sl l)
+      Cost_model.op_latency topo Arch.Load ~requester:core (view_of_line sl l)
     in
     Stats.record sl.stats op ~latency:service ~queued:0 ~rqueued:0
       ~local:false ~invalidated:0;
@@ -1195,7 +1191,7 @@ let access_lat_in ?(operand = 0) ?(operand2 = 0) ?(fetch = false) t
        snapshots wholesale) *)
     journal_line t li;
     journal_word t a;
-    if l.waiters <> [] then settle_elided t sl l ~now;
+    (match l.waiters with [] -> () | _ -> settle_elided t sl l ~now);
     let is_pfw = is_pfw_probe op ~operand ~operand2 in
     let posted = op = Arch.Store && operand2 = 1 in
     let cost_op = cost_op_of op ~operand ~operand2 in
@@ -1207,15 +1203,13 @@ let access_lat_in ?(operand = 0) ?(operand2 = 0) ?(fetch = false) t
     (* an exclusive-prefetch probe rides the in-flight transfer's data
        return instead of queueing behind its serialized phase *)
     let bypass = local || is_pfw || favored in
-    let start_line = if bypass then now else max now l.busy_until in
+    let start_line = if bypass then now else Int.max now l.busy_until in
     let service =
-      t.platform.Platform.op_latency cost_op ~requester:core
-        (view_of_line sl l)
+      Cost_model.op_latency topo cost_op ~requester:core (view_of_line sl l)
     in
     (* the interconnect resources this transfer crosses: queue behind
        them (unless bypassing) and hold them for the transfer's service
        below *)
-    let topo = t.platform.Platform.topo in
     let n_nodes = topo.Topology.n_nodes in
     let npath =
       if local then 0
@@ -1268,7 +1262,7 @@ let access_lat_in ?(operand = 0) ?(operand2 = 0) ?(fetch = false) t
         end;
         let pop =
           Coreset.cardinal l.sharers
-          + (match l.owner with Some _ -> 1 | None -> 0)
+          + if l.owner >= 0 then 1 else 0
         in
         if start > t.msince.(li) then begin
           Metrics.span m ~kind:Metrics.k_line_sharers ~id:li
@@ -1279,15 +1273,14 @@ let access_lat_in ?(operand = 0) ?(operand2 = 0) ?(fetch = false) t
     if not local then begin
       let nb =
         start
-        + t.platform.Platform.occupancy cost_op ~state:pre_state
-            ~latency:service
+        + Cost_model.occupancy topo cost_op ~state:pre_state ~latency:service
       in
       (match sl.macc with
       | Some m when nb > l.busy_until ->
           Metrics.span m ~kind:Metrics.k_line_occ ~id:li
-            ~t0:(max start l.busy_until) ~t1:nb ~weight:1
+            ~t0:(Int.max start l.busy_until) ~t1:nb ~weight:1
       | _ -> ());
-      l.busy_until <- max l.busy_until nb;
+      l.busy_until <- Int.max l.busy_until nb;
       for i = 0 to npath - 1 do
         let r = sl.path.(i) in
         let held =
@@ -1301,7 +1294,8 @@ let access_lat_in ?(operand = 0) ?(operand2 = 0) ?(fetch = false) t
                 if r < n_nodes then (Metrics.k_dir_busy, r)
                 else (Metrics.k_link_busy, r - n_nodes)
               in
-              Metrics.span m ~kind ~id ~t0:(max start prev) ~t1:held ~weight:1
+              Metrics.span m ~kind ~id ~t0:(Int.max start prev) ~t1:held
+                ~weight:1
           | None -> ());
           t.rbusy.(r) <- held
         end
@@ -1311,7 +1305,7 @@ let access_lat_in ?(operand = 0) ?(operand2 = 0) ?(fetch = false) t
     let observed = t.values.(a) in
     let result = apply_data t a op ~operand ~operand2 in
     let result = if fetch && op = Arch.Cas then observed else result in
-    l.pfw_owner <- (if is_pfw then Some core else None);
+    l.pfw_owner <- (if is_pfw then core else -1);
     (* pending-request arbitration: this access satisfies any request
        [core] had posted; a CAS that just lost (non-locally) posts its
        requester for the next grant.  The first posted loser keeps the
@@ -1327,7 +1321,7 @@ let access_lat_in ?(operand = 0) ?(operand2 = 0) ?(fetch = false) t
     | Arch.Cas | Arch.Fai | Arch.Tas | Arch.Swap -> l.llc_dirty <- false
     | Arch.Load -> ());
     let latency =
-      if posted then min service store_buffer_retire else queued + service
+      if posted then Int.min service store_buffer_retire else queued + service
     in
     Stats.record sl.stats op ~latency
       ~queued:(if posted then 0 else queued)
@@ -1345,13 +1339,14 @@ let access_lat_in ?(operand = 0) ?(operand2 = 0) ?(fetch = false) t
                  rq = (if posted then 0 else rqueued);
                  rq_dir = (!qres >= 0 && !qres < n_nodes) })
     | None -> ());
-    if l.waiters <> [] then wake_disturbed t sl ~line:li l;
+    (match l.waiters with [] -> () | _ -> wake_disturbed t sl ~line:li l);
     sl.last_result <- result;
     latency
   end
 
-let access_lat ?operand ?operand2 ?fetch t ~core ~now op a =
-  access_lat_in ?operand ?operand2 ?fetch t ~slot:t.slots.(0) ~core ~now op a
+let access_lat ?(operand = 0) ?(operand2 = 0) ?(fetch = false) t ~core ~now op
+    a =
+  access_lat_in t ~slot:t.slots.(0) ~core ~now op a ~operand ~operand2 ~fetch
 
 let last_result t = t.slots.(0).last_result
 let last_result_in (sl : slot) = sl.last_result
@@ -1364,9 +1359,8 @@ let access ?operand ?operand2 ?fetch t ~core ~now (op : Arch.memop) (a : addr)
 (* Expected latency of [op] issued by [core] right now, without doing
    it — used by ccbench to report best-case protocol latencies. *)
 let probe_latency t ~core (op : Arch.memop) (a : addr) : int =
-  let l = line t a in
-  t.platform.Platform.op_latency op ~requester:core
-    (view_of_line t.slots.(0) l)
+  Cost_model.op_latency t.platform.Platform.topo op ~requester:core
+    (view_of_line t.slots.(0) (line t a))
 
 (* Time resource [r] (a [Cost_model] resource id) is held until
    (tests/metrics). *)
@@ -1385,10 +1379,10 @@ let force_state t ~holder ?(second = -1) (st : Arch.cstate) (a : addr) =
   let l = line t a in
   (* wipe: back to invalid *)
   l.state <- Arch.Invalid;
-  l.owner <- None;
+  l.owner <- -1;
   Coreset.clear l.sharers;
   l.busy_until <- 0;
-  l.pfw_owner <- None;
+  l.pfw_owner <- -1;
   l.cas_pending <- -1;
   l.llc_dirty <- false;
   reset_resources t;

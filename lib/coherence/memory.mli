@@ -33,16 +33,18 @@ type addr = int
 
 type line = {
   mutable state : Arch.cstate;
-  mutable owner : int option;  (** core holding Modified/Owned/Exclusive *)
+  mutable owner : int;
+      (** core holding Modified/Owned/Exclusive ([-1] = none) *)
   sharers : Coreset.t;  (** cores holding Shared copies *)
   mutable home : int;
       (** home node (directory / home tile / memory); mutable only so
           disposed memories can recycle line records in place *)
   mutable busy_until : int;  (** virtual time the line is occupied until *)
-  mutable pfw_owner : int option;
-      (** core holding the exclusive-prefetch reservation: set by a
-          prefetchw probe, cleared by any other real access; foreign
-          prefetchw probes degrade to directed read snoops meanwhile *)
+  mutable pfw_owner : int;
+      (** core holding the exclusive-prefetch reservation ([-1] = none):
+          set by a prefetchw probe, cleared by any other real access;
+          foreign prefetchw probes degrade to directed read snoops
+          meanwhile *)
   mutable cas_pending : int;
       (** core whose CAS just lost on this line ([-1] = none): its
           request stays posted at the line and wins the next grant
@@ -260,9 +262,11 @@ val clear_stamps : t -> unit
     arms the resource ownership/stamp guards for this memory. *)
 
 val access_lat_in :
-  ?operand:int -> ?operand2:int -> ?fetch:bool -> t -> slot:slot ->
-  core:int -> now:int -> Arch.memop -> addr -> int
-(** {!access_lat} against an explicit shard slot. *)
+  t -> slot:slot -> core:int -> now:int -> Arch.memop -> addr ->
+  operand:int -> operand2:int -> fetch:bool -> int
+(** {!access_lat} against an explicit shard slot, with every operand
+    explicit: the engine's per-operation path, which allocates nothing
+    (optional arguments would box a [Some] per call). *)
 
 val last_result_in : slot -> int
 

@@ -410,7 +410,7 @@ let lookahead_of (platform : Platform.t) =
       let v =
         {
           Cost_model.state = Arch.Modified;
-          owner = None;
+          owner = -1;
           sharers = Coreset.create ();
           home = 0;
           llc_dirty = false;
@@ -421,13 +421,13 @@ let lookahead_of (platform : Platform.t) =
       for c2 = 0 to topo.Topology.n_cores - 1 do
         let n2 = topo.Topology.node_of_core c2 in
         if n2 <> n0 then begin
-          v.Cost_model.owner <- Some c2;
+          v.Cost_model.owner <- c2;
           v.Cost_model.home <- n2;
           let l = Cost_model.op_latency topo Arch.Load ~requester:0 v in
           if l < !best then best := l
         end
       done;
-      let scan = if !best = max_int then 64 else max 1 !best in
+      let scan = if !best = max_int then 64 else Int.max 1 !best in
       Hashtbl.replace cache platform.Platform.name scan;
       scan
 
@@ -459,7 +459,7 @@ let create ?(faults = Fault.none) ?parking ?shards platform =
       || (trace <> None && not !Trace.allow_sharded)
       || faults.Fault.crashes <> []
     then 1
-    else min requested topo.Topology.n_nodes
+    else Int.min requested topo.Topology.n_nodes
   in
   let mem = Memory.create platform in
   Memory.set_slots mem nshards;
@@ -874,7 +874,7 @@ let fault_extra t st ~mem_op =
 let crash_sched t st ~at f =
   let sh = st.sh in
   if st.crash_at >= 0 && (not st.crashed) && at >= st.crash_at then
-    sched_on sh ~at:(max sh.s_now st.crash_at) (fun () ->
+    sched_on sh ~at:(Int.max sh.s_now st.crash_at) (fun () ->
         if not st.crashed then begin
           st.crashed <- true;
           t.crashed_tids <- st.tid :: t.crashed_tids;
@@ -1052,7 +1052,7 @@ let spin_loop t st (k : (int, unit) Effect.Deep.continuation) op a ~operand
         in
         let latency =
           Memory.access_lat_in t.mem ~slot:sh.slot ~core ~now:sh.s_now op a
-            ~operand ~operand2
+            ~operand ~operand2 ~fetch:false
         in
         let x = Memory.last_result_in sh.slot in
         let latency =
@@ -1138,7 +1138,7 @@ let spin_loop t st (k : (int, unit) Effect.Deep.continuation) op a ~operand
       end
       else if poll = 0 then probe ()
       else begin
-        let cy = max 1 poll + fault_extra t st ~mem_op:false in
+        let cy = Int.max 1 poll + fault_extra t st ~mem_op:false in
         sched_step t st ~at:(sh.s_now + cy) probe
       end
     end
@@ -1183,7 +1183,7 @@ let park_seat t st (k : (unit, unit) Effect.Deep.continuation) pk poll =
   end
   else begin
     (* literal polling: one pause quantum, the caller's loop re-checks *)
-    let cy = max 1 poll + fault_extra t st ~mem_op:false in
+    let cy = Int.max 1 poll + fault_extra t st ~mem_op:false in
     resume_unit t st k ~at:(sh.s_now + cy)
   end
 
@@ -1193,7 +1193,7 @@ let unpark_wake t st pk =
       pk.seat <- None;
       (* first poll-grid point after the state change *)
       let dt = st.sh.s_now - pk.seat_at in
-      let steps = max 1 ((dt + pk.seat_poll - 1) / pk.seat_poll) in
+      let steps = Int.max 1 ((dt + pk.seat_poll - 1) / pk.seat_poll) in
       let wake_at = pk.seat_at + (steps * pk.seat_poll) in
       st.sh.s_wakeups <- st.sh.s_wakeups + 1;
       m_bump t ~kind:Metrics.k_wakes ~ts:wake_at;
@@ -1275,6 +1275,7 @@ let spawn t ~core body =
                     let latency =
                       Memory.access_lat_in t.mem ~slot:sh.slot ~core
                         ~now:sh.s_now op a ~operand:op1 ~operand2:op2
+                        ~fetch:false
                     in
                     let v = Memory.last_result_in sh.slot in
                     let latency = latency + fault_extra t st ~mem_op:true in
@@ -1310,7 +1311,7 @@ let spawn t ~core body =
           | E_pause cycles ->
               Some
                 (fun (k : (a, unit) continuation) ->
-                  let cycles = max 1 cycles + fault_extra t st ~mem_op:false in
+                  let cycles = Int.max 1 cycles + fault_extra t st ~mem_op:false in
                   resume_unit_direct t st k ~at:(sh.s_now + cycles))
           | E_now ->
               Some (fun (k : (a, unit) continuation) -> continue k sh.s_now)

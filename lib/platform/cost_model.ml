@@ -7,17 +7,23 @@
    tables: it covers local hits, requester-held upgrades, atomic
    operations on states the paper does not report, sharer-count effects
    on invalidations, and the Opteron's remote-directory penalty
-   (section 5.2). *)
+   (section 5.2).
+
+   Everything [op_latency] and [fill_path] reach runs once per simulated
+   access, so it allocates nothing and makes no C call: owners are ints,
+   topology queries read [Topology]'s tables, sharer sets are scanned
+   bit by bit, and comparisons are [Int] ones. *)
 
 (* What the memory model knows about a cache line when an operation is
-   issued.  [owner] holds the line in Modified/Owned/Exclusive; [sharers]
-   are cores with Shared/Forward copies (never including [owner]);
-   [home] is the node of the line's directory / home tile / memory.
-   Fields are mutable so the memory model can refill one scratch view
-   per access instead of allocating a record on every operation. *)
+   issued.  [owner] holds the line in Modified/Owned/Exclusive ([-1] =
+   none); [sharers] are cores with Shared/Forward copies (never
+   including [owner]); [home] is the node of the line's directory /
+   home tile / memory.  Fields are mutable so the memory model can
+   refill one scratch view per access instead of allocating a record on
+   every operation. *)
 type view = {
   mutable state : Arch.cstate;
-  mutable owner : int option;
+  mutable owner : int;
   mutable sharers : Coreset.t;
   mutable home : int;
   mutable llc_dirty : bool;
@@ -27,28 +33,13 @@ type view = {
          round trip.  Cleared by any non-posted write. *)
 }
 
-let uncached v = v.owner = None && Coreset.is_empty v.sharers
-let n_holders v = Coreset.cardinal v.sharers + if v.owner = None then 0 else 1
-let holds v core = v.owner = Some core || Coreset.mem v.sharers core
+let uncached v = v.owner < 0 && Coreset.is_empty v.sharers
+let n_holders v = Coreset.cardinal v.sharers + if v.owner < 0 then 0 else 1
+let holds v core = v.owner = core || Coreset.mem v.sharers core
 
 (* Distance class between two *nodes* of a topology. *)
 let node_class (t : Topology.t) n1 n2 : Arch.distance =
-  match t.id with
-  | Arch.Niagara -> if n1 = n2 then Same_core else Same_die
-  | Arch.Opteron | Arch.Opteron2 ->
-      if n1 = n2 then Same_die
-      else if Topology.opteron_same_mcm n1 n2 then Same_mcm
-      else if t.node_hops n1 n2 = 1 then One_hop
-      else Two_hops
-  | Arch.Xeon | Arch.Xeon2 ->
-      let h = t.node_hops n1 n2 in
-      if h = 0 then Same_die else if h = 1 then One_hop else Two_hops
-  | Arch.Tilera ->
-      let h = t.node_hops n1 n2 in
-      if h = 0 then Same_core
-      else if h = 1 then One_hop
-      else if h >= 9 then Max_hops
-      else Two_hops
+  t.class_tab.((n1 * t.n_nodes) + n2)
 
 let rank_of_class : Arch.distance -> int = function
   | Same_core -> 0
@@ -58,34 +49,63 @@ let rank_of_class : Arch.distance -> int = function
   | Two_hops -> 4
   | Max_hops -> 5
 
+let class_of_rank : Arch.distance array =
+  [| Same_core; Same_die; Same_mcm; One_hop; Two_hops; Max_hops |]
+
+(* Core ids live in two bitset words (Coreset): bit [i] of [w0] is core
+   [i], bit [i] of [w1] is core [63 + i].  The scans below walk one word
+   from its lowest set bit up, so cores come in ascending id order. *)
+
+(* Least [rank * 128 + core] over the sharers in word [w] (cores from
+   [base]) as seen from the node-pair row [row]: the closest sharer by
+   distance class, ties to the lowest id (core ids are below 128). *)
+let rec closest_in_word (t : Topology.t) row w base best =
+  if w = 0 then best
+  else
+    let b = w land -w in
+    let c = base + Coreset.bit_index b in
+    let key = (rank_of_class t.class_tab.(row + t.core_node.(c)) * 128) + c in
+    closest_in_word t row (w lxor b) base (Int.min best key)
+
 (* The core whose cached copy the protocol reaches for: the owner if one
-   exists, otherwise the closest sharer.  [None] for uncached lines. *)
+   exists, otherwise the closest sharer — ties keep the lowest id, since
+   any same-class representative yields the same latency.  [-1] for
+   uncached lines. *)
 let source_core (t : Topology.t) ~requester v =
-  match v.owner with
-  | Some o -> Some o
-  | None ->
-      if Coreset.is_empty v.sharers then None
-      else begin
-        (* closest sharer by distance class; ties keep the lowest id —
-           any same-class representative yields the same latency *)
-        let rnode = t.node_of_core requester in
-        let best = ref (-1) and best_rank = ref max_int in
-        Coreset.iter
-          (fun s ->
-            let r = rank_of_class (node_class t rnode (t.node_of_core s)) in
-            if r < !best_rank then begin
-              best_rank := r;
-              best := s
-            end)
-          v.sharers;
-        Some !best
-      end
+  if v.owner >= 0 then v.owner
+  else if Coreset.is_empty v.sharers then -1
+  else begin
+    let row = t.core_node.(requester) * t.n_nodes in
+    let s = v.sharers in
+    let best = closest_in_word t row s.Coreset.w0 0 max_int in
+    let best = closest_in_word t row s.Coreset.w1 63 best in
+    best land 127
+  end
 
-let class_to_core t ~requester core =
-  node_class t (t.node_of_core requester) (t.node_of_core core)
+let class_to_core (t : Topology.t) ~requester core =
+  node_class t t.core_node.(requester) t.core_node.(core)
 
-let class_to_home t ~requester v =
-  node_class t (t.node_of_core requester) v.home
+let class_to_home (t : Topology.t) ~requester v =
+  node_class t t.core_node.(requester) v.home
+
+(* Distance class of the transfer serving [requester]: to the data
+   source when a cached copy exists, to the line's home otherwise. *)
+let source_class t ~requester v =
+  let s = source_core t ~requester v in
+  if s >= 0 then class_to_core t ~requester s else class_to_home t ~requester v
+
+(* Highest distance rank from row [row] over the cores of word [w]
+   other than [requester]. *)
+let rec worst_in_word (t : Topology.t) row ~requester w base worst =
+  if w = 0 then worst
+  else
+    let b = w land -w in
+    let c = base + Coreset.bit_index b in
+    let worst =
+      if c = requester then worst
+      else Int.max worst (rank_of_class t.class_tab.(row + t.core_node.(c)))
+    in
+    worst_in_word t row ~requester (w lxor b) base worst
 
 (* An exclusive request on a multi-copy line completes only when the
    farthest remote copy has acknowledged its invalidation, so the
@@ -95,17 +115,16 @@ let class_to_home t ~requester v =
    remote row even when the releaser itself shares the line. *)
 let invalidation_class (t : Topology.t) ~requester v (base : Arch.distance) :
     Arch.distance =
-  let rnode = t.node_of_core requester in
-  let worst = ref base in
-  let consider c =
-    if c <> requester then begin
-      let d = node_class t rnode (t.node_of_core c) in
-      if rank_of_class d > rank_of_class !worst then worst := d
-    end
+  let row = t.core_node.(requester) * t.n_nodes in
+  let r0 = rank_of_class base in
+  let r =
+    if v.owner >= 0 && v.owner <> requester then
+      Int.max r0 (rank_of_class t.class_tab.(row + t.core_node.(v.owner)))
+    else r0
   in
-  (match v.owner with Some o -> consider o | None -> ());
-  Coreset.iter consider v.sharers;
-  !worst
+  let r = worst_in_word t row ~requester v.sharers.Coreset.w0 0 r in
+  let r = worst_in_word t row ~requester v.sharers.Coreset.w1 63 r in
+  if r = r0 then base else class_of_rank.(r)
 
 (* -------------------------------------------------------------- *)
 (* Opteron: MOESI, broadcast protocol assisted by an *incomplete*
@@ -126,21 +145,32 @@ let opteron_row4 (d : Arch.distance) (v : int array) =
   | Same_core -> v.(0)
   | Max_hops -> v.(3)
 
+(* Does any core of bitset word [w] (cores from [base]) live on [node]? *)
+let rec word_has_node (t : Topology.t) node w base =
+  w <> 0
+  &&
+  let b = w land -w in
+  t.core_node.(base + Coreset.bit_index b) = node
+  || word_has_node t node (w lxor b) base
+
 (* Extra cycles when the probe-filter lookup happens on a node that is
    neither the requester's nor the owner's (section 5.2: the worst case
    raises a 252-cycle transfer to 312). *)
 let opteron_directory_penalty (t : Topology.t) ~requester v =
   if uncached v then 0 (* the home node itself supplies the data *)
   else
-  let rnode = t.node_of_core requester in
+  let rnode = t.core_node.(requester) in
+  let home = v.home in
   let home_involved =
-    v.home = rnode
+    home = rnode
     ||
-    match v.owner with
-    | Some o -> t.node_of_core o = v.home
-    | None -> Coreset.exists (fun s -> t.node_of_core s = v.home) v.sharers
+    if v.owner >= 0 then t.core_node.(v.owner) = home
+    else
+      word_has_node t home v.sharers.Coreset.w0 0
+      || word_has_node t home v.sharers.Coreset.w1 63
   in
-  if home_involved then 0 else 30 * max 1 (t.node_hops rnode v.home)
+  if home_involved then 0
+  else 30 * Int.max 1 t.hops_tab.((rnode * t.n_nodes) + home)
 
 (* Latency rows hoisted to toplevel: building a [| ... |] literal (or a
    [row] partial application) inside the function would allocate on
@@ -159,44 +189,39 @@ let o_atomic_shared = [| 272; 283; 312; 332 |]
 
 let opteron_latency (t : Topology.t) (op : Arch.memop) ~requester v =
   let dir_pen = opteron_directory_penalty t ~requester v in
-  let class_of_source =
-    match source_core t ~requester v with
-    | Some c -> class_to_core t ~requester c
-    | None -> class_to_home t ~requester v
-  in
-  let load_cached st =
-    match st with
-    | Arch.Modified -> opteron_row4 class_of_source o_load_modified
-    | Arch.Owned -> opteron_row4 class_of_source o_load_owned
-    | Arch.Exclusive -> opteron_row4 class_of_source o_load_exclusive
-    | Arch.Shared | Arch.Forward -> opteron_row4 class_of_source o_load_shared
-    | Arch.Invalid -> opteron_row4 class_of_source o_fill
-  in
-  let broadcast_store st =
-    (* Invalidation broadcast; grows slightly with the sharer count
-       (storing on a line shared by all 48 cores costs 296). *)
-    let base =
-      opteron_row4
-        (invalidation_class t ~requester v class_of_source)
-        (match st with Arch.Owned -> o_store_owned | _ -> o_store_shared)
-    in
-    base + (n_holders v / 12 * 10)
-  in
+  let class_of_source = source_class t ~requester v in
   match op with
   | Arch.Load ->
       if holds v requester then 3 (* L1 hit *)
-      else load_cached v.state + dir_pen
+      else
+        opteron_row4 class_of_source
+          (match v.state with
+          | Arch.Modified -> o_load_modified
+          | Arch.Owned -> o_load_owned
+          | Arch.Exclusive -> o_load_exclusive
+          | Arch.Shared | Arch.Forward -> o_load_shared
+          | Arch.Invalid -> o_fill)
+        + dir_pen
   | Arch.Store -> (
       match v.state with
       | Arch.Modified | Arch.Exclusive ->
-          if v.owner = Some requester then 3
+          if v.owner = requester then 3
           else opteron_row4 class_of_source o_store_me + dir_pen
-      | Arch.Owned | Arch.Shared | Arch.Forward -> broadcast_store v.state + dir_pen
+      | Arch.Owned | Arch.Shared | Arch.Forward ->
+          (* Invalidation broadcast; grows slightly with the sharer count
+             (storing on a line shared by all 48 cores costs 296). *)
+          opteron_row4
+            (invalidation_class t ~requester v class_of_source)
+            (match v.state with
+            | Arch.Owned -> o_store_owned
+            | _ -> o_store_shared)
+          + (n_holders v / 12 * 10)
+          + dir_pen
       | Arch.Invalid -> opteron_row4 class_of_source o_fill + 10 + dir_pen)
   | Arch.Cas | Arch.Fai | Arch.Tas | Arch.Swap -> (
       match v.state with
       | Arch.Modified | Arch.Exclusive ->
-          if v.owner = Some requester then 20
+          if v.owner = requester then 20
           else opteron_row4 class_of_source o_atomic_me + dir_pen
       | Arch.Owned | Arch.Shared | Arch.Forward ->
           opteron_row4
@@ -237,11 +262,7 @@ let x_atomic_me = [| 120; 324; 430 |]
 let x_atomic_shared = [| 113; 312; 423 |]
 
 let xeon_latency (t : Topology.t) (op : Arch.memop) ~requester v =
-  let class_of_source =
-    match source_core t ~requester v with
-    | Some c -> class_to_core t ~requester c
-    | None -> class_to_home t ~requester v
-  in
+  let class_of_source = source_class t ~requester v in
   let invalidation_growth =
     (* storing on a line shared by all 80 cores costs 445 *)
     Coreset.cardinal v.sharers / 5
@@ -261,16 +282,16 @@ let xeon_latency (t : Topology.t) (op : Arch.memop) ~requester v =
   | Arch.Store -> (
       match v.state with
       | Arch.Modified ->
-          if v.owner = Some requester then 5 else xeon_row3 class_of_source x_store_modified
+          if v.owner = requester then 5 else xeon_row3 class_of_source x_store_modified
       | Arch.Exclusive ->
-          if v.owner = Some requester then 5 else xeon_row3 class_of_source x_store_exclusive
+          if v.owner = requester then 5 else xeon_row3 class_of_source x_store_exclusive
       | Arch.Shared | Arch.Forward | Arch.Owned ->
           xeon_row3 (invalidation_class t ~requester v class_of_source) x_store_shared + invalidation_growth
       | Arch.Invalid -> xeon_row3 class_of_source x_fill + 10)
   | Arch.Cas | Arch.Fai | Arch.Tas | Arch.Swap -> (
       match v.state with
       | Arch.Modified | Arch.Exclusive ->
-          if v.owner = Some requester then 20 else xeon_row3 class_of_source x_atomic_me
+          if v.owner = requester then 20 else xeon_row3 class_of_source x_atomic_me
       | Arch.Shared | Arch.Forward | Arch.Owned ->
           xeon_row3 (invalidation_class t ~requester v class_of_source) x_atomic_shared + invalidation_growth
       | Arch.Invalid -> xeon_row3 class_of_source x_fill + 25)
@@ -293,18 +314,17 @@ let nia_fai = ((108, 99), (99, 99))
 let nia_tas = ((64, 55), (67, 55))
 let nia_swap = ((95, 90), (93, 90))
 
+(* Same physical core as the data source, or across the crossbar. *)
+let niagara_class (t : Topology.t) ~requester v : Arch.distance =
+  let s = source_core t ~requester v in
+  if s >= 0 then class_to_core t ~requester s else Same_die
+
 let niagara_latency (t : Topology.t) (op : Arch.memop) ~requester v =
   match op with
   | Arch.Load ->
       if holds v requester then 3
       else if uncached v || v.state = Arch.Invalid then 176
-      else
-        let d =
-          match source_core t ~requester v with
-          | Some c -> class_to_core t ~requester c
-          | None -> Same_die
-        in
-        niagara_pair d nia_load
+      else niagara_pair (niagara_class t ~requester v) nia_load
   | Arch.Store -> 24
   | Arch.Cas | Arch.Fai | Arch.Tas | Arch.Swap -> (
       let m_row, s_row =
@@ -318,19 +338,9 @@ let niagara_latency (t : Topology.t) (op : Arch.memop) ~requester v =
       match v.state with
       | Arch.Invalid -> 176 + 20
       | Arch.Modified | Arch.Exclusive | Arch.Owned ->
-          let d =
-            match source_core t ~requester v with
-            | Some c -> class_to_core t ~requester c
-            | None -> Same_die
-          in
-          niagara_pair d m_row
+          niagara_pair (niagara_class t ~requester v) m_row
       | Arch.Shared | Arch.Forward ->
-          let d =
-            match source_core t ~requester v with
-            | Some c -> class_to_core t ~requester c
-            | None -> Same_die
-          in
-          niagara_pair d s_row)
+          niagara_pair (niagara_class t ~requester v) s_row)
 
 (* -------------------------------------------------------------- *)
 (* Tilera: distributed directory; each line has a home tile whose L2
@@ -341,13 +351,15 @@ let niagara_latency (t : Topology.t) (op : Arch.memop) ~requester v =
    executed at the home tile and is the fastest atomic (section 5.4). *)
 
 let tilera_home_hops (t : Topology.t) ~requester v =
-  t.node_hops (t.node_of_core requester) v.home
+  t.hops_tab.((t.core_node.(requester) * t.n_nodes) + v.home)
 
 let tilera_scale ~at1 ~at10 h =
   (* Linear interpolation anchored at the paper's one-hop and max-hop
-     (10 mesh hops) measurements. *)
-  let slope = float_of_int (at10 - at1) /. 9. in
-  int_of_float (Float.round (float_of_int at1 +. (slope *. float_of_int (h - 1))))
+     (10 mesh hops) measurements, rounded to the nearest cycle: the
+     exact value is [x / 9] with [x] below, which is never a half, so
+     integer rounding agrees with rounding the float interpolation. *)
+  let x = (9 * at1) + ((at10 - at1) * (h - 1)) in
+  ((2 * x) + 9) / 18
 
 let til_cas = ((77, 98), (124, 142))
 let til_fai = ((51, 71), (82, 102))
@@ -356,7 +368,7 @@ let til_swap = ((63, 84), (95, 115))
 
 let tilera_latency (t : Topology.t) (op : Arch.memop) ~requester v =
   let h = tilera_home_hops t ~requester v in
-  let inval_growth = 3 * max 0 (Coreset.cardinal v.sharers - 1) in
+  let inval_growth = 3 * Int.max 0 (Coreset.cardinal v.sharers - 1) in
   match op with
   | Arch.Load ->
       if holds v requester then 2 (* local L1 *)
@@ -367,7 +379,7 @@ let tilera_latency (t : Topology.t) (op : Arch.memop) ~requester v =
   | Arch.Store -> (
       match v.state with
       | Arch.Modified | Arch.Exclusive ->
-          if v.owner = Some requester then 11
+          if v.owner = requester then 11
           else if h = 0 then 20
           else tilera_scale ~at1:57 ~at10:77 h
       | Arch.Shared | Arch.Forward | Arch.Owned ->
@@ -404,23 +416,22 @@ let scaled_small big_latency (t : Topology.t) ratio op ~requester v =
      this yields the intra-socket cost, which the measured cross/intra
      ratio then scales when the transaction crosses the socket link. *)
   let remap c = if c = requester then 0 else 1 in
-  let fake_owner = Option.map remap v.owner in
+  let fake_owner = if v.owner < 0 then -1 else remap v.owner in
   let fake_sharers = Coreset.create () in
   Coreset.iter
     (fun s ->
       let m = remap s in
-      if Some m <> fake_owner then Coreset.add fake_sharers m)
+      if m <> fake_owner then Coreset.add fake_sharers m)
     v.sharers;
   let fake =
     { state = v.state; owner = fake_owner; sharers = fake_sharers; home = 0;
       llc_dirty = v.llc_dirty }
   in
   let intra = big_latency op ~requester:0 fake in
-  let rnode = t.node_of_core requester in
   let cross =
-    match source_core t ~requester v with
-    | Some c -> t.node_hops rnode (t.node_of_core c) > 0
-    | None -> t.node_hops rnode v.home > 0
+    let s = source_core t ~requester v in
+    let snode = if s >= 0 then t.core_node.(s) else v.home in
+    t.hops_tab.((t.core_node.(requester) * t.n_nodes) + snode) > 0
   in
   let local_hit = holds v requester && op = Arch.Load in
   if cross && not local_hit then
@@ -453,7 +464,7 @@ let op_latency (t : Topology.t) (op : Arch.memop) ~requester (v : view) : int =
       | Arch.Xeon | Arch.Xeon2 -> 5
       | Arch.Tilera -> 2)
   | Arch.Store
-    when v.owner = Some requester
+    when v.owner = requester
          && (v.state = Arch.Modified || v.state = Arch.Exclusive) -> (
       match t.id with
       | Arch.Opteron | Arch.Opteron2 -> 3
@@ -461,7 +472,7 @@ let op_latency (t : Topology.t) (op : Arch.memop) ~requester (v : view) : int =
       | Arch.Niagara -> 24
       | Arch.Tilera -> 11)
   | (Arch.Cas | Arch.Fai | Arch.Tas | Arch.Swap)
-    when v.owner = Some requester
+    when v.owner = requester
          && (v.state = Arch.Modified || v.state = Arch.Exclusive)
          && (match t.id with
             | Arch.Opteron | Arch.Opteron2 | Arch.Xeon | Arch.Xeon2 -> true
@@ -506,19 +517,19 @@ let occupancy (t : Topology.t) (op : Arch.memop) ~(state : Arch.cstate)
       | Arch.Modified | Arch.Owned | Arch.Exclusive ->
           (* serialized owner probe; only the tail of the data return
              overlaps with the next request *)
-          max 1 (latency * 4 / 5)
+          Int.max 1 (latency * 4 / 5)
       | Arch.Shared | Arch.Forward | Arch.Invalid ->
           (* served by LLC/memory; readers overlap *)
-          min latency 30)
+          Int.min latency 30)
   | ((Arch.Opteron | Arch.Xeon | Arch.Opteron2 | Arch.Xeon2), Arch.Store) ->
       (* ownership change only; the invalidation broadcast overlaps *)
-      min latency (max 20 (latency * 3 / 10))
+      Int.min latency (Int.max 20 (latency * 3 / 10))
   | ((Arch.Opteron | Arch.Xeon | Arch.Opteron2 | Arch.Xeon2), _) -> latency
-  | (Arch.Niagara, Arch.Load) -> min latency 8
+  | (Arch.Niagara, Arch.Load) -> Int.min latency 8
   | (Arch.Niagara, Arch.Store) -> 12
-  | (Arch.Niagara, _) -> min latency 60
-  | (Arch.Tilera, Arch.Load) -> min latency 12
-  | (Arch.Tilera, _) -> min latency 90
+  | (Arch.Niagara, _) -> Int.min latency 60
+  | (Arch.Tilera, Arch.Load) -> Int.min latency 12
+  | (Arch.Tilera, _) -> Int.min latency 90
 
 (* ------------------------------------------------------------------ *)
 (* Finite-bandwidth interconnect & directory resources.
@@ -551,7 +562,7 @@ let occupancy (t : Topology.t) (op : Arch.memop) ~(state : Arch.cstate)
 let n_resources (t : Topology.t) = t.n_nodes + (t.n_nodes * t.n_nodes)
 
 let link_resource (t : Topology.t) a b =
-  let lo = min a b and hi = max a b in
+  let lo = Int.min a b and hi = Int.max a b in
   t.n_nodes + (lo * t.n_nodes) + hi
 
 (* A path is at most: home directory + 10 mesh links (opposite Tilera
@@ -578,7 +589,7 @@ let fill_path (t : Topology.t) ~requester (v : view) (path : int array) : int =
   match t.id with
   | Arch.Niagara -> 0
   | Arch.Tilera ->
-      let rnode = t.node_of_core requester in
+      let rnode = t.core_node.(requester) in
       let dst = v.home in
       if rnode = dst then 0
       else begin
@@ -607,26 +618,29 @@ let fill_path (t : Topology.t) ~requester (v : view) (path : int array) : int =
       !n
       end
   | Arch.Opteron | Arch.Opteron2 | Arch.Xeon | Arch.Xeon2 ->
-      let rnode = t.node_of_core requester in
+      let n_nodes = t.n_nodes in
+      let rnode = t.core_node.(requester) in
       let snode =
-        match source_core t ~requester v with
-        | Some c -> t.node_of_core c
-        | None -> v.home
+        let s = source_core t ~requester v in
+        if s >= 0 then t.core_node.(s) else v.home
       in
       if rnode = snode && rnode = v.home then 0
       else begin
       path.(0) <- v.home;
       let n = ref 1 in
-      let h = t.node_hops rnode snode in
+      let h = t.hops_tab.((rnode * n_nodes) + snode) in
       if h = 1 then begin
         path.(1) <- link_resource t rnode snode;
         n := 2
       end
       else if h >= 2 then begin
         let best = ref rnode and best_cost = ref max_int in
-        for m = 0 to t.n_nodes - 1 do
+        for m = 0 to n_nodes - 1 do
           if m <> rnode && m <> snode then begin
-            let c = t.node_hops rnode m + t.node_hops m snode in
+            let c =
+              t.hops_tab.((rnode * n_nodes) + m)
+              + t.hops_tab.((m * n_nodes) + snode)
+            in
             if c < !best_cost then begin
               best_cost := c;
               best := m

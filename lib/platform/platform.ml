@@ -6,9 +6,8 @@ type t = {
   name : string;
   topo : Topology.t;
   local : Arch.cache_level -> int option;
-      (* Table 3: local cache / memory latencies *)
-  op_latency : Arch.memop -> requester:int -> Cost_model.view -> int;
-  occupancy : Arch.memop -> state:Arch.cstate -> latency:int -> int;
+      (* Table 3: local cache / memory latencies; coherence costs come
+         from [Cost_model] applied to [topo] *)
   hw_mp_latency : (int -> int -> int) option;
       (* Tilera only: hardware message-passing one-way latency between
          two cores (Figure 9: ~61 cycles, nearly distance-insensitive) *)
@@ -23,8 +22,6 @@ let make id =
     name = topo.Topology.name;
     topo;
     local = Latencies.table3 id;
-    op_latency = (fun op ~requester v -> Cost_model.op_latency topo op ~requester v);
-    occupancy = (fun op ~state ~latency -> Cost_model.occupancy topo op ~state ~latency);
     hw_mp_latency =
       (match id with
       | Arch.Tilera -> Some (tilera_hw_mp topo)

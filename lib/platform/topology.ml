@@ -27,6 +27,14 @@ type t = {
      the single-thread performance differences of section 5.4: the
      in-order 1.2 GHz Niagara and Tilera do much less work per cycle than
      the x86 multi-sockets. *)
+  core_node : int array;
+  (* The closures above, tabulated once per topology by [tabulate]:
+     [core_node.(c)] is [node_of_core c], and [hops_tab]/[class_tab]
+     hold [node_hops] and the distance class of every node pair at
+     index [n1 * n_nodes + n2].  The cost model reads these on every
+     access instead of calling the closures. *)
+  hops_tab : int array;
+  class_tab : Arch.distance array;
 }
 
 let check t core =
@@ -36,12 +44,12 @@ let check t core =
 
 let node_of t core =
   check t core;
-  t.node_of_core core
+  t.core_node.(core)
 
 let hops t c1 c2 =
   check t c1;
   check t c2;
-  t.node_hops (t.node_of_core c1) (t.node_of_core c2)
+  t.hops_tab.((t.core_node.(c1) * t.n_nodes) + t.core_node.(c2))
 
 let same_node t c1 c2 = node_of t c1 = node_of t c2
 
@@ -62,7 +70,53 @@ let opteron_die_hops d1 d2 =
 (* Whether two Opteron dies belong to the same multi-chip module. *)
 let opteron_same_mcm d1 d2 = d1 <> d2 && d1 / 2 = d2 / 2
 
+(* Distance classification of two *nodes* (Table 2 / Figure 6 columns).
+   [Same_core] only exists on the Niagara, [Same_mcm] only on the
+   Opteron.  The one copy of the per-platform rules: [tabulate] stores
+   it for every node pair, and both the core-level [distance_class] and
+   the cost model read that table. *)
+let classify_nodes t n1 n2 : Arch.distance =
+  match t.id with
+  | Arch.Niagara -> if n1 = n2 then Same_core else Same_die
+  | Arch.Opteron | Arch.Opteron2 ->
+      if n1 = n2 then Same_die
+      else if opteron_same_mcm n1 n2 then Same_mcm
+      else if t.node_hops n1 n2 = 1 then One_hop
+      else Two_hops
+  | Arch.Xeon | Arch.Xeon2 ->
+      let h = t.node_hops n1 n2 in
+      if h = 0 then Same_die else if h = 1 then One_hop else Two_hops
+  | Arch.Tilera ->
+      let h = t.node_hops n1 n2 in
+      if h = 0 then Same_core
+      else if h = 1 then One_hop
+      else if h >= 9 then Max_hops
+      else Two_hops
+
+(* Fill the lookup tables from the closures.  Every topology value goes
+   through this after its record literal — including the [{ t with ... }]
+   derivations, which would otherwise inherit their parent's tables.
+   Plain loops: this runs for all six topologies at every process
+   start. *)
+let tabulate t =
+  let n = t.n_nodes in
+  let hops_tab = Array.make (n * n) 0 in
+  let class_tab = Array.make (n * n) Arch.Same_die in
+  for n1 = 0 to n - 1 do
+    for n2 = 0 to n - 1 do
+      hops_tab.((n1 * n) + n2) <- t.node_hops n1 n2;
+      class_tab.((n1 * n) + n2) <- classify_nodes t n1 n2
+    done
+  done;
+  {
+    t with
+    core_node = Array.init t.n_cores t.node_of_core;
+    hops_tab;
+    class_tab;
+  }
+
 let opteron =
+  tabulate
   {
     id = Arch.Opteron;
     name = "Opteron";
@@ -75,9 +129,13 @@ let opteron =
     line_words = 8;
     clock_ghz = 2.1;
     local_work_cycles = 40;
+    core_node = [||];
+    hops_tab = [||];
+    class_tab = [||];
   }
 
 let opteron2 =
+  tabulate
   {
     opteron with
     id = Arch.Opteron2;
@@ -103,6 +161,7 @@ let xeon_socket_hops s1 s2 =
   if s1 = s2 then 0 else if popcount (s1 lxor s2) = 1 then 1 else 2
 
 let xeon =
+  tabulate
   {
     id = Arch.Xeon;
     name = "Xeon";
@@ -115,9 +174,13 @@ let xeon =
     line_words = 8;
     clock_ghz = 2.13;
     local_work_cycles = 40;
+    core_node = [||];
+    hops_tab = [||];
+    class_tab = [||];
   }
 
 let xeon2 =
+  tabulate
   {
     xeon with
     id = Arch.Xeon2;
@@ -137,6 +200,7 @@ let xeon2 =
    evenly among the physical cores, i.e. round-robin placement. *)
 
 let niagara =
+  tabulate
   {
     id = Arch.Niagara;
     name = "Niagara";
@@ -149,6 +213,9 @@ let niagara =
     line_words = 8;
     clock_ghz = 1.2;
     local_work_cycles = 240;
+    core_node = [||];
+    hops_tab = [||];
+    class_tab = [||];
   }
 
 (* ------------------------------------------------------------------ *)
@@ -163,6 +230,7 @@ let tilera_tile_hops t1 t2 =
   abs (x1 - x2) + abs (y1 - y2)
 
 let tilera =
+  tabulate
   {
     id = Arch.Tilera;
     name = "Tilera";
@@ -175,6 +243,9 @@ let tilera =
     line_words = 8;
     clock_ghz = 1.2;
     local_work_cycles = 120;
+    core_node = [||];
+    hops_tab = [||];
+    class_tab = [||];
   }
 
 let of_platform = function
@@ -185,29 +256,12 @@ let of_platform = function
   | Arch.Opteron2 -> opteron2
   | Arch.Xeon2 -> xeon2
 
-(* Distance classification used for reporting (Table 2 / Figure 6
-   columns).  [Same_core] only exists on the Niagara, [Same_mcm] only on
-   the Opteron. *)
+(* Distance class between the nodes of two cores (reporting and the
+   cost model alike; see [classify_nodes]). *)
 let distance_class t c1 c2 : Arch.distance =
   check t c1;
   check t c2;
-  match t.id with
-  | Arch.Niagara -> if t.node_of_core c1 = t.node_of_core c2 then Same_core else Same_die
-  | Arch.Opteron | Arch.Opteron2 ->
-      let d1 = t.node_of_core c1 and d2 = t.node_of_core c2 in
-      if d1 = d2 then Same_die
-      else if opteron_same_mcm d1 d2 then Same_mcm
-      else if t.node_hops d1 d2 = 1 then One_hop
-      else Two_hops
-  | Arch.Xeon | Arch.Xeon2 ->
-      let h = t.node_hops (t.node_of_core c1) (t.node_of_core c2) in
-      if h = 0 then Same_die else if h = 1 then One_hop else Two_hops
-  | Arch.Tilera ->
-      let h = t.node_hops (t.node_of_core c1) (t.node_of_core c2) in
-      if h = 0 then Same_core
-      else if h = 1 then One_hop
-      else if h >= 9 then Max_hops
-      else Two_hops
+  t.class_tab.((t.core_node.(c1) * t.n_nodes) + t.core_node.(c2))
 
 (* A representative pair of cores at a given distance class, used by the
    uncontested-lock and message-passing benchmarks (Figures 6 and 9).

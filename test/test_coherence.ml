@@ -29,7 +29,7 @@ let test_moesi_owned_on_opteron () =
   ignore (Memory.access m ~core:6 ~now:0 Arch.Load a);
   (* MOESI: the dirty copy stays with core 0 in Owned state *)
   Alcotest.(check string) "owned after remote load" "Owned" (state_name m a);
-  check_bool "owner kept" true ((Memory.line m a).Memory.owner = Some 0);
+  check_bool "owner kept" true ((Memory.line m a).Memory.owner = 0);
   check_bool "reader became sharer" true
     (Coreset.mem (Memory.line m a).Memory.sharers 6)
 
@@ -39,7 +39,7 @@ let test_mesi_shared_on_xeon () =
   ignore (Memory.access m ~core:0 ~now:0 Arch.Store a ~operand:7);
   ignore (Memory.access m ~core:1 ~now:0 Arch.Load a);
   Alcotest.(check string) "shared after remote load" "Shared" (state_name m a);
-  check_bool "no owner" true ((Memory.line m a).Memory.owner = None);
+  check_bool "no owner" true ((Memory.line m a).Memory.owner = -1);
   check_int "two sharers" 2 (Coreset.cardinal (Memory.line m a).Memory.sharers)
 
 let test_store_invalidates_sharers () =
@@ -51,7 +51,7 @@ let test_store_invalidates_sharers () =
   ignore (Memory.access m ~core:3 ~now:0 Arch.Store a ~operand:9);
   let l = Memory.line m a in
   Alcotest.(check string) "modified" "Modified" (state_name m a);
-  check_bool "owner is 3" true (l.Memory.owner = Some 3);
+  check_bool "owner is 3" true (l.Memory.owner = 3);
   check_int "no sharers" 0 (Coreset.cardinal l.Memory.sharers);
   check_int "value stored" 9 (Memory.peek m a)
 
@@ -198,16 +198,15 @@ let qcheck_protocol_invariants =
           let swmr =
             match l.Memory.state with
             | Arch.Modified | Arch.Exclusive ->
-                l.Memory.owner <> None && Coreset.is_empty l.Memory.sharers
-            | Arch.Owned -> l.Memory.owner <> None
+                l.Memory.owner >= 0 && Coreset.is_empty l.Memory.sharers
+            | Arch.Owned -> l.Memory.owner >= 0
             | Arch.Shared | Arch.Forward ->
-                l.Memory.owner = None && not (Coreset.is_empty l.Memory.sharers)
-            | Arch.Invalid -> l.Memory.owner = None && Coreset.is_empty l.Memory.sharers
+                l.Memory.owner = -1 && not (Coreset.is_empty l.Memory.sharers)
+            | Arch.Invalid -> l.Memory.owner = -1 && Coreset.is_empty l.Memory.sharers
           in
           let owner_not_sharer =
-            match l.Memory.owner with
-            | Some o -> not (Coreset.mem l.Memory.sharers o)
-            | None -> true
+            l.Memory.owner < 0
+            || not (Coreset.mem l.Memory.sharers l.Memory.owner)
           in
           ok_value && swmr && owner_not_sharer)
         ops)
@@ -224,6 +223,95 @@ let qcheck_latency_monotone_queueing =
       let l2, _ = Memory.access m ~core:c2 ~now:100 Arch.Fai a ~operand:1 in
       (* the second atomic can never be cheaper than its own service *)
       l1 > 0 && l2 > 0)
+
+(* ------------------------- allocation guard ---------------------- *)
+
+(* The per-access path allocates nothing: no [Some] owners, no cost-model
+   closures or option results, no boxed optional operands.  Each access
+   is measured on its own, so unmeasured setup may allocate freely. *)
+
+let n_guard = 10_000
+
+(* Minor-heap words allocated while [f] runs. *)
+let minor_words_during f =
+  let w0 = Gc.minor_words () in
+  f ();
+  int_of_float (Gc.minor_words () -. w0)
+
+(* Words allocated by [n_guard] calls of [access i], each preceded by an
+   unmeasured [setup i], beyond the measurement's own overhead. *)
+let guarded_words ~setup ~access =
+  let overhead = minor_words_during ignore in
+  let words = ref 0 in
+  for i = 1 to n_guard do
+    setup i;
+    words := !words + minor_words_during (fun () -> access i) - overhead
+  done;
+  !words
+
+let test_access_allocation_free () =
+  List.iter
+    (fun pid ->
+      let m = mem_on pid in
+      let sl = Memory.slot m 0 in
+      let topo = Topology.of_platform pid in
+      let classes = Latencies.distance_classes pid in
+      let c1, c2 =
+        Option.get
+          (Topology.pair_at_distance topo
+             (List.nth classes (List.length classes - 1)))
+      in
+      (* a requester holding no copy, for the Shared-line CAS *)
+      let c3 =
+        List.find (fun c -> c <> c1 && c <> c2)
+          [ topo.Topology.n_cores - 1; topo.Topology.n_cores - 2 ]
+      in
+      let access a ~core op ~operand i =
+        ignore
+          (Memory.access_lat_in m ~slot:sl ~core ~now:(i * 100_000) op a
+             ~operand ~operand2:0 ~fetch:false)
+      in
+      let check kind ~setup ~access =
+        check_int
+          (Printf.sprintf "%s %s: minor words" (Arch.platform_name pid) kind)
+          0
+          (guarded_words ~setup ~access)
+      in
+      let a = Memory.alloc ~home_core:c1 m in
+      Memory.force_state m ~holder:c1 Arch.Modified a;
+      let no_setup _ = () in
+      check "local load hit" ~setup:no_setup
+        ~access:(fun i -> access a ~core:c1 Arch.Load ~operand:0 i);
+      check "local store hit" ~setup:no_setup
+        ~access:(fun i -> access a ~core:c1 Arch.Store ~operand:i i);
+      check "far-pair Modified transfer" ~setup:no_setup ~access:(fun i ->
+          access a ~core:(if i land 1 = 0 then c1 else c2) Arch.Store ~operand:i
+            i);
+      check "Shared-line CAS"
+        ~setup:(fun _ -> Memory.force_state m ~holder:c1 ~second:c2 Arch.Shared a)
+        ~access:(fun i ->
+          ignore
+            (Memory.access_lat_in m ~slot:sl ~core:c3 ~now:(i * 100_000)
+               Arch.Cas a ~operand:(Memory.peek m a) ~operand2:i ~fetch:false));
+      Alcotest.(check string)
+        "CAS invalidated the sharers" "Modified" (state_name m a);
+      Memory.dispose m)
+    Arch.paper_platform_ids
+
+let test_event_queue_allocation_free () =
+  let module Q = Ssync_engine.Event_queue in
+  let q = Q.create () and p = Q.make_popped () in
+  for i = 0 to 15 do
+    Q.push q ~time:i ignore
+  done;
+  let words =
+    minor_words_during (fun () ->
+        for i = 1 to n_guard do
+          ignore (Q.pop_into q p);
+          Q.push q ~time:(p.Q.p_time + 1 + (i land 15)) p.Q.p_run
+        done)
+  in
+  check_int "push + pop at depth 16: minor words" 0 words
 
 let suite =
   [
@@ -247,4 +335,8 @@ let suite =
       test_force_state;
     QCheck_alcotest.to_alcotest qcheck_protocol_invariants;
     QCheck_alcotest.to_alcotest qcheck_latency_monotone_queueing;
+    Alcotest.test_case "access hot path allocates nothing" `Quick
+      test_access_allocation_free;
+    Alcotest.test_case "event queue allocates nothing" `Quick
+      test_event_queue_allocation_free;
   ]

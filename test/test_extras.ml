@@ -45,7 +45,7 @@ let test_faa_zero_leaves_modified () =
   ignore (Memory.access m ~core:5 ~now:0 Arch.Store a ~operand:7);
   ignore (Memory.access m ~core:0 ~now:100 Arch.Fai a ~operand:0);
   let l = Memory.line m a in
-  check_bool "line Modified at prober" true (l.Memory.owner = Some 0);
+  check_bool "line Modified at prober" true (l.Memory.owner = 0);
   check_int "value untouched" 7 (Memory.peek m a)
 
 let test_faa_zero_costs_store_class () =

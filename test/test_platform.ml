@@ -100,11 +100,11 @@ let view_for topo ~holder ?(second = None) (st : Arch.cstate) :
   let home = topo.Topology.mem_node_of_core holder in
   match st with
   | Arch.Modified | Arch.Exclusive ->
-      { state = st; owner = Some holder; sharers = Coreset.of_list []; home; llc_dirty = false }
+      { state = st; owner = holder; sharers = Coreset.of_list []; home; llc_dirty = false }
   | Arch.Owned ->
       {
         state = st;
-        owner = Some holder;
+        owner = holder;
         sharers = Coreset.of_list (match second with Some s -> [ s ] | None -> []);
         home;
         llc_dirty = false;
@@ -112,14 +112,14 @@ let view_for topo ~holder ?(second = None) (st : Arch.cstate) :
   | Arch.Shared | Arch.Forward ->
       {
         state = Arch.Shared;
-        owner = None;
+        owner = -1;
         sharers =
           Coreset.of_list
             (holder :: (match second with Some s -> [ s ] | None -> []));
         home;
         llc_dirty = false;
       }
-  | Arch.Invalid -> { state = st; owner = None; sharers = Coreset.of_list []; home; llc_dirty = false }
+  | Arch.Invalid -> { state = st; owner = -1; sharers = Coreset.of_list []; home; llc_dirty = false }
 
 let tolerance_ok ~expected ~actual =
   let e = float_of_int expected and a = float_of_int actual in
@@ -174,7 +174,7 @@ let test_local_hits_cheap () =
       let v : Cost_model.view =
         {
           state = Arch.Modified;
-          owner = Some 0;
+          owner = 0;
           sharers = Coreset.of_list [];
           home = topo.Topology.mem_node_of_core 0;
           llc_dirty = false;
@@ -192,10 +192,10 @@ let test_opteron_store_shared_broadcast () =
   let topo = Topology.opteron in
   let home = 0 in
   let shared : Cost_model.view =
-    { state = Arch.Shared; owner = None; sharers = Coreset.of_list [ 1; 2 ]; home; llc_dirty = false }
+    { state = Arch.Shared; owner = -1; sharers = Coreset.of_list [ 1; 2 ]; home; llc_dirty = false }
   in
   let excl : Cost_model.view =
-    { state = Arch.Exclusive; owner = Some 1; sharers = Coreset.of_list []; home; llc_dirty = false }
+    { state = Arch.Exclusive; owner = 1; sharers = Coreset.of_list []; home; llc_dirty = false }
   in
   let s_lat = Cost_model.op_latency topo Arch.Store ~requester:0 shared in
   let e_lat = Cost_model.op_latency topo Arch.Store ~requester:0 excl in
@@ -209,7 +209,7 @@ let test_xeon_intra_socket_locality () =
   let mk holder : Cost_model.view =
     {
       state = Arch.Shared;
-      owner = None;
+      owner = -1;
       sharers = Coreset.of_list [ holder ];
       home = topo.Topology.mem_node_of_core holder;
       llc_dirty = false;
@@ -226,10 +226,10 @@ let test_opteron_directory_penalty () =
      2-hop transfer grows from 252 toward ~312 cycles. *)
   let topo = Topology.opteron in
   let best : Cost_model.view =
-    { state = Arch.Modified; owner = Some 18; sharers = Coreset.of_list []; home = 3; llc_dirty = false }
+    { state = Arch.Modified; owner = 18; sharers = Coreset.of_list []; home = 3; llc_dirty = false }
   in
   let worst : Cost_model.view =
-    { state = Arch.Modified; owner = Some 18; sharers = Coreset.of_list []; home = 5; llc_dirty = false }
+    { state = Arch.Modified; owner = 18; sharers = Coreset.of_list []; home = 5; llc_dirty = false }
   in
   (* requester 0 is die 0; owner 18 is die 3; die 5 is 2 hops from die 0 *)
   let b = Cost_model.op_latency topo Arch.Load ~requester:0 best in
@@ -243,7 +243,7 @@ let test_niagara_uniformity () =
   List.iter
     (fun sharers ->
       let v : Cost_model.view =
-        { state = Arch.Shared; owner = None; sharers = Coreset.of_list sharers; home = 0; llc_dirty = false }
+        { state = Arch.Shared; owner = -1; sharers = Coreset.of_list sharers; home = 0; llc_dirty = false }
       in
       check_int "niagara store" 24
         (Cost_model.op_latency topo Arch.Store ~requester:3 v))
@@ -252,7 +252,7 @@ let test_niagara_uniformity () =
 let test_tilera_distance_sensitivity () =
   let topo = Topology.tilera in
   let mk home : Cost_model.view =
-    { state = Arch.Modified; owner = Some home; sharers = Coreset.of_list []; home; llc_dirty = false }
+    { state = Arch.Modified; owner = home; sharers = Coreset.of_list []; home; llc_dirty = false }
   in
   let near = Cost_model.op_latency topo Arch.Load ~requester:0 (mk 1) in
   let far = Cost_model.op_latency topo Arch.Load ~requester:0 (mk 35) in
@@ -269,7 +269,7 @@ let test_small_platform_ratios () =
       let mk holder : Cost_model.view =
         {
           state = Arch.Modified;
-          owner = Some holder;
+          owner = holder;
           sharers = Coreset.of_list [];
           home = topo.Topology.mem_node_of_core holder;
           llc_dirty = false;
@@ -306,7 +306,10 @@ let test_occupancy_bounds () =
     (fun p ->
       List.iter
         (fun op ->
-          let occ = p.Platform.occupancy op ~state:Arch.Modified ~latency:100 in
+          let occ =
+            Cost_model.occupancy p.Platform.topo op ~state:Arch.Modified
+              ~latency:100
+          in
           check_bool
             (Printf.sprintf "%s %s occupancy in (0;latency]" p.Platform.name
                (Arch.memop_name op))
@@ -346,6 +349,127 @@ let qcheck_latency_positive =
       let lat = Cost_model.op_latency topo op ~requester v in
       lat >= 1 && lat < 5000)
 
+(* ------------------------- topology tables ---------------------- *)
+
+let all_topologies = List.map Topology.of_platform Arch.all_platform_ids
+
+(* Every table cell equals the closure it tabulates — including on the
+   [{ opteron with ... }] / [{ xeon with ... }] small platforms, which
+   must not inherit their parent's tables. *)
+let test_tables_match_closures () =
+  List.iter
+    (fun (t : Topology.t) ->
+      let n = t.Topology.n_nodes in
+      check_int (t.Topology.name ^ " core table size") t.Topology.n_cores
+        (Array.length t.Topology.core_node);
+      for c = 0 to t.Topology.n_cores - 1 do
+        check_int
+          (Printf.sprintf "%s node of core %d" t.Topology.name c)
+          (t.Topology.node_of_core c) t.Topology.core_node.(c)
+      done;
+      check_int (t.Topology.name ^ " pair table size") (n * n)
+        (Array.length t.Topology.hops_tab);
+      for n1 = 0 to n - 1 do
+        for n2 = 0 to n - 1 do
+          check_int
+            (Printf.sprintf "%s hops %d %d" t.Topology.name n1 n2)
+            (t.Topology.node_hops n1 n2)
+            t.Topology.hops_tab.((n1 * n) + n2);
+          Alcotest.(check string)
+            (Printf.sprintf "%s class %d %d" t.Topology.name n1 n2)
+            (Arch.distance_name (Topology.classify_nodes t n1 n2))
+            (Arch.distance_name t.Topology.class_tab.((n1 * n) + n2))
+        done
+      done)
+    all_topologies
+
+(* The Tilera interpolation rounds in integers; the float formula it
+   replaced is the reference. *)
+let test_tilera_scale_matches_float () =
+  let reference ~at1 ~at10 h =
+    let slope = float_of_int (at10 - at1) /. 9. in
+    int_of_float
+      (Float.round (float_of_int at1 +. (slope *. float_of_int (h - 1))))
+  in
+  for at1 = 0 to 200 do
+    for at10 = at1 to at1 + 100 do
+      for h = 1 to 10 do
+        if Cost_model.tilera_scale ~at1 ~at10 h <> reference ~at1 ~at10 h then
+          Alcotest.failf "tilera_scale %d %d %d" at1 at10 h
+      done
+    done
+  done
+
+(* Naive list-based references for the cost model's bit-scanning
+   queries, classifying through the topology closures, not the tables. *)
+let ref_class (t : Topology.t) c1 c2 =
+  Topology.classify_nodes t (t.Topology.node_of_core c1)
+    (t.Topology.node_of_core c2)
+
+let rank = Cost_model.rank_of_class
+
+let ref_source_core t ~requester (v : Cost_model.view) =
+  if v.owner >= 0 then v.owner
+  else
+    (* closest sharer by class; the first (lowest-id) of equals wins *)
+    List.fold_left
+      (fun best c ->
+        if best < 0 || rank (ref_class t requester c) < rank (ref_class t requester best)
+        then c
+        else best)
+      (-1)
+      (Coreset.elements v.sharers)
+
+let ref_invalidation_class t ~requester (v : Cost_model.view) base =
+  let holders =
+    (if v.owner >= 0 then [ v.owner ] else []) @ Coreset.elements v.sharers
+  in
+  List.fold_left
+    (fun worst c ->
+      if c = requester then worst
+      else
+        let d = ref_class t requester c in
+        if rank d > rank worst then d else worst)
+    base holders
+
+let qcheck_tables_match_references =
+  let gen =
+    QCheck.Gen.(
+      let* pid = oneofl Arch.all_platform_ids in
+      let n = (Topology.of_platform pid).Topology.n_cores in
+      let* requester = int_range 0 (n - 1) in
+      let* other = int_range 0 (n - 1) in
+      let* owner = oneof [ return (-1); int_range 0 (n - 1) ] in
+      let* sharers = list_size (int_range 0 12) (int_range 0 (n - 1)) in
+      let* home = int_range 0 ((Topology.of_platform pid).Topology.n_nodes - 1) in
+      let* base =
+        oneofl
+          [ Arch.Same_core; Arch.Same_die; Arch.Same_mcm; Arch.One_hop;
+            Arch.Two_hops; Arch.Max_hops ]
+      in
+      return (pid, requester, other, owner, sharers, home, base))
+  in
+  QCheck.Test.make ~count:2000
+    ~name:"source/invalidation/distance class match list references"
+    (QCheck.make gen)
+    (fun (pid, requester, other, owner, sharers, home, base) ->
+      let t = Topology.of_platform pid in
+      let v : Cost_model.view =
+        {
+          state = (if owner >= 0 then Arch.Modified else Arch.Shared);
+          owner;
+          sharers = Coreset.of_list (List.filter (( <> ) owner) sharers);
+          home;
+          llc_dirty = false;
+        }
+      in
+      Cost_model.source_core t ~requester v = ref_source_core t ~requester v
+      && Cost_model.invalidation_class t ~requester v base
+         = ref_invalidation_class t ~requester v base
+      && Topology.distance_class t requester other
+         = Cost_model.class_to_core t ~requester other
+      && Topology.distance_class t requester other = ref_class t requester other)
+
 let suite =
   [
     Alcotest.test_case "core counts" `Quick test_core_counts;
@@ -371,4 +495,9 @@ let suite =
     Alcotest.test_case "Mops conversion" `Quick test_platform_mops;
     Alcotest.test_case "occupancy bounds" `Quick test_occupancy_bounds;
     QCheck_alcotest.to_alcotest qcheck_latency_positive;
+    Alcotest.test_case "topology tables match closures" `Quick
+      test_tables_match_closures;
+    QCheck_alcotest.to_alcotest qcheck_tables_match_references;
+    Alcotest.test_case "Tilera integer interpolation" `Quick
+      test_tilera_scale_matches_float;
   ]
