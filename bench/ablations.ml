@@ -131,8 +131,6 @@ let max_pass_render got () =
 (* -------------- placement: packed vs scattered threads ------------- *)
 
 let placement_throughput pid ~threads ~scattered ~duration =
-  Sim.serial_fallback ~policy_key:("placement:" ^ Arch.platform_name pid)
-  @@ fun () ->
   let p = Platform.get pid in
   let place =
     if not scattered then Platform.place p

@@ -16,8 +16,6 @@ let hr title = Printf.printf "\n==== %s ====\n%!" title
 (* Lock-based ssht throughput: [threads] workers over the 80/10/10 mix. *)
 let ssht_lock_throughput pid algo ~threads ~n_buckets ~capacity ~duration :
     float =
-  Sim.serial_fallback ~policy_key:("ssht-lock:" ^ Arch.platform_name pid)
-  @@ fun () ->
   let p = Platform.get pid in
   let sim = Sim.create p in
   let mem = Sim.memory sim in
@@ -54,8 +52,6 @@ let ssht_lock_throughput pid algo ~threads ~n_buckets ~capacity ~duration :
 
 (* Message-passing ssht: one server per three threads (paper's best). *)
 let ssht_mp_throughput pid ~threads ~n_buckets ~capacity ~duration : float =
-  Sim.serial_fallback ~policy_key:("ssht-mp:" ^ Arch.platform_name pid)
-  @@ fun () ->
   let p = Platform.get pid in
   let n_servers = max 1 (threads / 3) in
   let n_clients = max 1 (threads - n_servers) in
@@ -319,8 +315,6 @@ let extra_small_platforms () =
 
 (* STM bank benchmark: lock-based vs message-passing TM2C backends. *)
 let stm_throughput pid backend ~threads ~accounts ~duration : float =
-  Sim.serial_fallback ~policy_key:("stm:" ^ Arch.platform_name pid)
-  @@ fun () ->
   let p = Platform.get pid in
   let sim = Sim.create p in
   let mem = Sim.memory sim in

@@ -7,8 +7,8 @@
    pressure the utilization heatmaps exist to make visible at a
    glance.  Each job runs with a fresh metrics sink
    ([Metrics.requested]), and every render below is a pure function of
-   the sampled grids, so stdout is byte-identical at any --jobs and
-   --shards count.
+   the sampled grids, so stdout is byte-identical at any --jobs
+   count.
 
    The closing reconciliation proves the samples are the engine's own
    truth rather than a parallel bookkeeping free to drift: the summed
@@ -232,17 +232,10 @@ let run ~quick ~jobs () =
   Printf.eprintf "\n(heatmap wall time: %.1fs, %d jobs)\n"
     (Unix.gettimeofday () -. t0)
     jobs;
-  (* PDES health from the strategy-dependent kinds (all zero on serial
-     runs; excluded from the deterministic dumps, shown here) *)
   let tot k =
     List.fold_left (fun a m -> a + Metrics.total m ~kind:k) 0 sinks
   in
   let p = (Pool.total_stats results).Pool.perf in
-  Printf.printf
-    "\nPDES health: %d windows, %d speculative replays, %d promoted \
-     lines, %d serial escalations\n"
-    (tot Metrics.k_windows) (tot Metrics.k_replays)
-    (tot Metrics.k_promoted) p.Sim.serial_escalations;
   (* the samples must be the engine's truth, not a parallel count *)
   let ok = ref true in
   let check name sampled engine =

@@ -18,11 +18,6 @@
      bench/main.exe --jobs N   fan simulation jobs across N domains
                                (default: the machine's recommended
                                domain count; --jobs 1 is fully serial)
-     bench/main.exe --shards N run every simulation sharded (PDES)
-                               across N shards (default 1 = serial).
-                               Output is byte-identical to --shards 1:
-                               workloads the conservative windows
-                               cannot order abort and re-run serially
      bench/main.exe --list     list section names
      bench/main.exe --json     also write per-section engine counters
                                (cpu time, events, parked waiters,
@@ -35,15 +30,6 @@
                                --jobs count).  When --metrics is also
                                given, the sampled timelines ride along
                                as Perfetto counter tracks
-     bench/main.exe --trace-spec FILE
-                               like --trace, but keeps sharded (PDES)
-                               execution enabled and records the
-                               speculation lifecycle — window open/
-                               close, conflict aborts, checkpoint/
-                               restore, line promotions, replays,
-                               serial escalations — instead of
-                               per-thread events.  Combine with
-                               --shards N
      bench/main.exe --metrics FILE
                                sample every job's virtual-time metric
                                timelines (interconnect busy/queued,
@@ -51,17 +37,16 @@
                                depth, thread run states) onto a
                                virtual-cycle grid and dump them to FILE
                                (JSON if it ends in .json, else CSV);
-                               byte-identical at any --jobs and any
-                               --shards count
+                               byte-identical at any --jobs count
      bench/main.exe heatmap    per-platform saturation workload rendered
                                as ASCII heatmaps from the sampled
                                metrics: interconnect utilization and
                                wait-cycle attribution by node pair,
                                thread run-state strips over virtual
-                               time, hottest lines, PDES health; the
-                               samples are reconciled exactly against
-                               Sim.perf (exit 1 on drift).  Combines
-                               with --quick/--jobs/--shards
+                               time, hottest lines; the samples are
+                               reconciled exactly against Sim.perf
+                               (exit 1 on drift).  Combines with
+                               --quick/--jobs
      bench/main.exe profile [SECTIONS]
                                run the sections traced (default fig3;
                                tables are not rendered) and print the
@@ -168,16 +153,13 @@ let perf_json_fields sp =
   Printf.sprintf
     "\"cpu_s\":%.3f,\"events\":%d,\"parks\":%d,\"wakeups\":%d,\
      \"elided_probes\":%d,\"link_queued_cycles\":%d,\"sim_cycles\":%d,\
-     \"sim_mcycles_per_s\":%.1f,\"speculative_replays\":%d,\
-     \"serial_escalations\":%d"
+     \"sim_mcycles_per_s\":%.1f"
     sp.sp_cpu_s p.Ssync_engine.Sim.events p.Ssync_engine.Sim.parks
     p.Ssync_engine.Sim.wakeups p.Ssync_engine.Sim.elided_probes
     p.Ssync_engine.Sim.link_queued_cycles p.Ssync_engine.Sim.sim_cycles
     (sim_mcps ~cpu_s:sp.sp_cpu_s ~sim_cycles:p.Ssync_engine.Sim.sim_cycles)
-    p.Ssync_engine.Sim.speculative_replays
-    p.Ssync_engine.Sim.serial_escalations
 
-let write_perf_json ~quick ~jobs ~shards ~total_wall sps =
+let write_perf_json ~quick ~jobs ~total_wall sps =
   let oc = open_out "BENCH_PERF.json" in
   let total =
     List.fold_left
@@ -191,9 +173,9 @@ let write_perf_json ~quick ~jobs ~shards ~total_wall sps =
       sps
   in
   output_string oc "[\n";
-  Printf.fprintf oc "{\"mode\":%S,\"jobs\":%d,\"shards\":%d},\n"
+  Printf.fprintf oc "{\"mode\":%S,\"jobs\":%d},\n"
     (if quick then "quick" else "full")
-    jobs shards;
+    jobs;
   List.iter
     (fun sp ->
       Printf.fprintf oc "{\"section\":%S,%s},\n" sp.sp_name
@@ -451,9 +433,8 @@ let export_trace path planned results =
 
 (* --metrics: dump every job's sampled metric grid, labeled like the
    trace.  The dump is byte-identical at any --jobs (per-job sinks in
-   submission order) and any --shards (samples are keyed by virtual
-   time and stable ids; strategy-dependent kinds are excluded by the
-   dump itself), so CI can diff two runs directly. *)
+   submission order; samples are keyed by virtual time and stable
+   ids), so CI can diff two runs directly. *)
 let export_metrics path planned results =
   let labels = job_labels planned in
   let sinks = Ssync_engine.Pool.metrics results in
@@ -478,13 +459,6 @@ let run_profile ~quick ~jobs ~trace_file ~metrics_file names =
   let module Trace = Ssync_trace.Trace in
   let module Profile = Ssync_trace.Profile in
   let module Table = Ssync_report.Table in
-  if !Trace.allow_sharded then begin
-    (* --trace-spec suppresses the per-thread events every profile
-       table and reconciliation is built from *)
-    Printf.eprintf
-      "profile: --trace-spec records lifecycle events only; use --trace\n";
-    exit 2
-  end;
   let names = if names = [] then [ "fig3" ] else names in
   List.iter
     (fun n ->
@@ -589,29 +563,6 @@ let () =
     | a :: rest -> a :: strip_jobs rest
   in
   let args = strip_jobs args in
-  let shards = ref 1 in
-  let rec strip_shards = function
-    | [] -> []
-    | "--shards" :: n :: rest -> (
-        match int_of_string_opt n with
-        | Some s when s >= 1 ->
-            shards := s;
-            strip_shards rest
-        | _ ->
-            Printf.eprintf "--shards: expected a positive integer, got %S\n" n;
-            exit 2)
-    | [ "--shards" ] ->
-        Printf.eprintf "--shards: missing shard count\n";
-        exit 2
-    | a :: rest -> a :: strip_shards rest
-  in
-  let args = strip_shards args in
-  Ssync_engine.Sim.default_shards := !shards;
-  (* an explicit --shards request overrides the host-capability default:
-     on a single-core host sharded execution is pure overhead, but when
-     the user asks for it (identity checks, speculation traces) it must
-     actually engage *)
-  if !shards > 1 then Ssync_engine.Sim.shard_domains := true;
   let trace_file = ref None in
   let rec strip_trace = function
     | [] -> []
@@ -624,20 +575,6 @@ let () =
     | a :: rest -> a :: strip_trace rest
   in
   let args = strip_trace args in
-  (* --trace-spec: same sink as --trace, but tell the engine to keep
-     sharded execution (the speculation lifecycle is the point) *)
-  let rec strip_trace_spec = function
-    | [] -> []
-    | "--trace-spec" :: f :: rest when f <> "--trace-spec" ->
-        trace_file := Some f;
-        Ssync_trace.Trace.allow_sharded := true;
-        strip_trace_spec rest
-    | [ "--trace-spec" ] | "--trace-spec" :: _ ->
-        Printf.eprintf "--trace-spec: missing output file\n";
-        exit 2
-    | a :: rest -> a :: strip_trace_spec rest
-  in
-  let args = strip_trace_spec args in
   let metrics_file = ref None in
   let rec strip_metrics = function
     | [] -> []
@@ -737,6 +674,6 @@ let () =
     (* stderr, so stdout stays byte-identical across runs and --jobs *)
     Printf.eprintf "\n(total wall time: %.1fs, %d jobs)\n" total_wall !jobs;
     if json then
-      write_perf_json ~quick ~jobs:!jobs ~shards:!shards ~total_wall
+      write_perf_json ~quick ~jobs:!jobs ~total_wall
         (List.rev !perfs)
   end

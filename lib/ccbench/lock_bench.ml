@@ -93,8 +93,6 @@ let uncontested_latency ?(rounds = 60) pid algo (distance : Arch.distance) :
   match Topology.pair_at_distance topo distance with
   | None -> None
   | Some (measurer, partner) ->
-      Sim.serial_fallback ~policy_key:("lock-latency:" ^ Arch.platform_name pid)
-      @@ fun () ->
       let sim = Sim.create p in
       let mem = Sim.memory sim in
       let lock = Simlock.create ~home_core:partner mem p ~n_threads:2 algo in
@@ -126,8 +124,6 @@ let uncontested_latency ?(rounds = 60) pid algo (distance : Arch.distance) :
 (* Single-thread acquisition latency (Figure 6's "single thread" bar):
    the same core re-acquires a lock it just released. *)
 let single_thread_latency ?(rounds = 60) pid algo : float =
-  Sim.serial_fallback ~policy_key:("lock-single:" ^ Arch.platform_name pid)
-  @@ fun () ->
   let p = Platform.get pid in
   let sim = Sim.create p in
   let mem = Sim.memory sim in

@@ -15,8 +15,6 @@ let one_to_one ?(rounds = 100) ?prefetchw pid (distance : Arch.distance) :
   match Topology.pair_at_distance p.Platform.topo distance with
   | None -> None
   | Some (a_core, b_core) ->
-      Sim.serial_fallback ~policy_key:("mp-one:" ^ Arch.platform_name pid)
-      @@ fun () ->
       let sim = Sim.create p in
       let mem = Sim.memory sim in
       let ab = Channel.create ?prefetchw mem p ~sender_core:a_core ~receiver_core:b_core in
@@ -58,8 +56,6 @@ let client_server ?(duration = 400_000) pid mode ~clients : float =
   let p = Platform.get pid in
   if clients + 1 > Platform.n_cores p then
     invalid_arg "Mp_bench.client_server: too many clients";
-  Sim.serial_fallback ~policy_key:("mp-cs:" ^ Arch.platform_name pid)
-  @@ fun () ->
   let sim = Sim.create p in
   let mem = Sim.memory sim in
   let server_core = Platform.place p 0 in

@@ -75,34 +75,11 @@ let add dst src =
   dst.link_queued_cycles <- dst.link_queued_cycles + src.link_queued_cycles;
   dst.elided_probes <- dst.elided_probes + src.elided_probes
 
-(* Zero every field in place — used to reset a shard slot's stats after
-   they have been merged into the run total. *)
-let reset t =
-  let zero c =
-    c.count <- 0;
-    c.cycles <- 0
-  in
-  zero t.loads;
-  zero t.stores;
-  zero t.atomics;
-  t.local_hits <- 0;
-  t.invalidations <- 0;
-  t.queued_cycles <- 0;
-  t.link_queued_cycles <- 0;
-  t.elided_probes <- 0
-
-(* Snapshot/restore pair used by [Memory]'s speculative-replay
-   checkpoint: [copy] captures an independent snapshot, [assign]
-   overwrites [dst] with [src]'s fields (leaving [src] intact, so one
-   snapshot can be restored repeatedly). *)
+(* An independent snapshot of [t]. *)
 let copy t =
   let c = create () in
   add c t;
   c
-
-let assign dst src =
-  reset dst;
-  add dst src
 
 let total_ops t = t.loads.count + t.stores.count + t.atomics.count
 let total_cycles t = t.loads.cycles + t.stores.cycles + t.atomics.cycles

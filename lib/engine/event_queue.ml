@@ -46,21 +46,7 @@ let create () =
     next_t = max_int;
   }
 
-let is_empty t = t.size = 0
 let length t = t.size
-
-(* Reset for reuse across runs: drops every queued event and releases
-   the closures, but keeps the warmed arrays.  This is also the whole
-   of the queue's speculative-rollback story: checkpoints are taken
-   before any thread is spawned, so a replay never restores queue
-   contents — it [clear]s and re-spawns, which rebuilds the schedule
-   from scratch with [next_seq] back at zero (same seq numbers, same
-   FIFO tie-breaks, byte-identical replay). *)
-let clear t =
-  Array.fill t.runs 0 t.size no_run;
-  t.size <- 0;
-  t.next_seq <- 0;
-  t.next_t <- max_int
 
 let before t i j =
   t.times.(i) < t.times.(j)

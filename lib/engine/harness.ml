@@ -59,61 +59,6 @@ let spawn_order ~threads =
     order;
   order
 
-(* ---------------- adaptive shard policy + speculation -------------- *)
-
-(* How a (platform, threads, duration) job should execute, learned from
-   previous runs in this domain.  [Go_serial] is sticky: a job that
-   escalated once (its conflicts were unattributable or promotion did
-   not converge) pays no further sharded double-runs.  [Go_sharded]
-   carries the promoted-line set a previous run converged on, so the
-   next run pre-promotes and skips the aborted attempts that discovered
-   it — line ids are deterministic across runs of the same pure job.
-   Domain-local like the engine's perf counters: [Pool] workers each
-   learn their own table, trading a few duplicated discoveries for
-   lock-freedom. *)
-type shard_policy = Go_serial | Go_sharded of int list
-
-let policy_key : (string * int * int, shard_policy) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 32)
-
-let policy_of platform ~threads ~duration =
-  Hashtbl.find_opt
-    (Domain.DLS.get policy_key)
-    (platform.Platform.name, threads, duration)
-
-let learn_policy platform ~threads ~duration p =
-  Hashtbl.replace
-    (Domain.DLS.get policy_key)
-    (platform.Platform.name, threads, duration)
-    p
-
-(* Shards the spawned threads would actually span under the current
-   [Sim.default_shards].  A span of one (every thread on one topology
-   node, or one thread total) makes sharded execution pure overhead —
-   window barriers and conflict tracking with nothing to parallelize —
-   so [run] forces such jobs serial without paying an attempt. *)
-let shard_span (platform : Platform.t) ~threads =
-  let topo = platform.Platform.topo in
-  let nshards = min !Sim.default_shards topo.Topology.n_nodes in
-  if nshards <= 1 then 1
-  else begin
-    let seen = Array.make nshards false in
-    let span = ref 0 in
-    for tid = 0 to threads - 1 do
-      let s =
-        topo.Topology.node_of_core (Platform.place platform tid) mod nshards
-      in
-      if not seen.(s) then begin
-        seen.(s) <- true;
-        incr span
-      end
-    done;
-    !span
-  end
-
-(* Failed speculative replays before an attempt escalates to serial. *)
-let max_replays = 3
-
 (* [body shared mem ~tid ~deadline] runs inside a simulated thread and
    returns the number of operations it completed; it must poll
    [Sim.now () < deadline] to terminate.  [setup] builds the shared
@@ -129,102 +74,37 @@ let run ?(faults = Fault.none) ?parking (platform : Platform.t) ~threads
     invalid_arg
       (Printf.sprintf "Harness.run: %d threads > %d cores on %s" threads
          (Platform.n_cores platform) platform.Platform.name);
-  (* The attempt is a pure function of the arguments — it builds its
-     own simulation, memory, and result arrays — so an aborted sharded
-     attempt can be rolled back and replayed (with the conflicting
-     lines promoted), and an attempt that escalates past the replay
-     budget is simply re-run serially. *)
-  Sim.serial_fallback (fun () ->
-      let policy = policy_of platform ~threads ~duration in
-      (* three ways a job is known-serial before paying an attempt: it
-         escalated before (sticky policy), its threads span one shard
-         (windows with nothing to parallelize), or the host has no
-         worker domains to drain shards on ([Sim.shard_domains]
-         defaults to multicore-ness; measured on a single-core host,
-         sharded execution is 5-20% pure overhead) *)
-      let forced_serial =
-        policy = Some Go_serial
-        || shard_span platform ~threads <= 1
-        || not !Sim.shard_domains
-      in
-      let sim =
-        if forced_serial then Sim.create ~faults ?parking ~shards:1 platform
-        else Sim.create ~faults ?parking platform
-      in
-      let mem = Sim.memory sim in
-      Fun.protect
-        ~finally:(fun () -> Memory.dispose mem)
-        (fun () ->
-          let shared = setup mem in
-          let speculate =
-            Sim.shards_of sim > 1 && not (Memory.serial_required mem)
-          in
-          if speculate then begin
-            (match policy with
-            | Some (Go_sharded promoted) ->
-                (* stale or colliding cache entries at worst promote
-                   lines that never conflict (slower, still exact) or
-                   name ids this run never allocated — skip those *)
-                (try Sim.promote sim promoted with _ -> ())
-            | _ -> ());
-            Memory.checkpoint mem
-          end;
-          let spawn_order = spawn_order ~threads in
-          let attempt () =
-            let ops = Array.make threads 0 in
-            let completed = Array.make threads false in
-            let barrier = Sim.make_barrier threads in
-            Array.iter
-              (fun tid ->
-                let core = Platform.place platform tid in
-                Sim.spawn sim ~core (fun () ->
-                    Sim.await barrier;
-                    let deadline = Sim.now () + duration in
-                    ops.(tid) <- body shared mem ~tid ~deadline;
-                    completed.(tid) <- true))
-              spawn_order;
-            let _, health = Sim.run_health sim ~until:(duration * 4) in
-            (ops, completed, health)
-          in
-          let rec attempt_loop n =
-            try attempt ()
-            with Sim.Shard_conflict when speculate ->
-              let lines = Sim.conflict_lines sim in
-              let promoted = Sim.promoted_lines sim in
-              let stuck =
-                lines = []
-                || List.for_all (fun li -> List.mem li promoted) lines
-              in
-              if n >= max_replays || Sim.hard_aborted sim || stuck then begin
-                (* speculation cannot fix this job: remember that and
-                   hand it to [serial_fallback]'s serial re-run *)
-                learn_policy platform ~threads ~duration Go_serial;
-                raise Sim.Shard_conflict
-              end
-              else begin
-                Sim.promote sim lines;
-                Sim.record_replay sim;
-                Sim.reset_for_replay sim;
-                Memory.restore mem;
-                attempt_loop (n + 1)
-              end
-          in
-          let ops, completed, health = attempt_loop 0 in
-          if speculate && Sim.promoted_lines sim <> [] then
-            learn_policy platform ~threads ~duration
-              (Go_sharded (Sim.promoted_lines sim));
-          let total_ops = total_of ops in
-          {
-            platform;
-            threads;
-            ops;
-            completed;
-            duration;
-            total_ops;
-            mops = Platform.mops platform ~ops:total_ops ~cycles:duration;
-            health;
-            perf = Sim.perf sim;
-          }))
+  let sim = Sim.create ~faults ?parking platform in
+  let mem = Sim.memory sim in
+  Fun.protect
+    ~finally:(fun () -> Memory.dispose mem)
+    (fun () ->
+      let shared = setup mem in
+      let ops = Array.make threads 0 in
+      let completed = Array.make threads false in
+      let barrier = Sim.make_barrier threads in
+      Array.iter
+        (fun tid ->
+          let core = Platform.place platform tid in
+          Sim.spawn sim ~core (fun () ->
+              Sim.await barrier;
+              let deadline = Sim.now () + duration in
+              ops.(tid) <- body shared mem ~tid ~deadline;
+              completed.(tid) <- true))
+        (spawn_order ~threads);
+      let _, health = Sim.run_health sim ~until:(duration * 4) in
+      let total_ops = total_of ops in
+      {
+        platform;
+        threads;
+        ops;
+        completed;
+        duration;
+        total_ops;
+        mops = Platform.mops platform ~ops:total_ops ~cycles:duration;
+        health;
+        perf = Sim.perf sim;
+      })
 
 (* Latency-style harness: like [run] but the body accumulates cycles of
    interest (e.g. acquire+release latency) into its return value

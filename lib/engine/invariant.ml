@@ -184,12 +184,7 @@ let check ?slack ?(fifo = fifo_lock) ~(completed : int -> bool) (tr : Trace.t)
               }
       | Trace.E_park { tid; _ } -> Hashtbl.replace parked tid ts
       | Trace.E_wake { tid; _ } -> Hashtbl.remove parked tid
-      | Trace.E_xfer _ | Trace.E_send _ | Trace.E_recv _ -> ()
-      | Trace.E_window _ | Trace.E_window_done _ | Trace.E_spec_abort _
-      | Trace.E_ckpt | Trace.E_restore | Trace.E_promote _ | Trace.E_replay _
-      | Trace.E_escalate ->
-          (* speculation-lifecycle bookkeeping: no thread semantics *)
-          ());
+      | Trace.E_xfer _ | Trace.E_send _ | Trace.E_recv _ -> ());
   (* bounded overtaking, judged after the full replay so the slack can
      default to the observed thread count *)
   let n_tids = Hashtbl.length tids in

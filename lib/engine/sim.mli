@@ -26,102 +26,34 @@
     original order; jitter-only specs keep the event-driven path, whose
     elided inert probes consume no draws in either mode.
 
-    {2 Sharded (PDES) execution}
-
-    [create ~shards:n] with [n > 1] runs conservative-window parallel
-    DES: threads and cache lines are partitioned into shards along
-    topology-node boundaries, each shard owns a private event queue,
-    and shards advance in lockstep through bounded time windows whose
-    width is the platform's minimum cross-node transfer latency.
-    Cross-shard interactions are deferred as timestamped messages and
-    executed by a single-threaded coordinator at window barriers.
-    Because the coherence model has zero true lookahead on shared
-    lines, soundness comes from conflict detection: every access
-    stamps its line with its (time, tid) key, and any ordering the
-    serial engine could not have produced aborts the whole attempt
-    with {!Shard_conflict}.  A sharded run therefore either produces
-    results byte-identical to the serial engine — same timestamps,
-    same access results, same perf counters — or aborts, in which case
-    {!serial_fallback} re-runs the (pure) job serially.  Tracing and
-    crash-stop fault schedules force one shard at creation.
-
-    {2 Speculative replay}
-
-    Instead of paying the full serial re-run on every conflict, a
-    harness can checkpoint the memory ({!Ssync_coherence.Memory.checkpoint})
-    before spawning, and on {!Shard_conflict} inspect
-    {!conflict_lines}/{!hard_aborted}, {!promote} the offending lines
-    to coordinator-mediated access, roll the memory back and
-    {!reset_for_replay} the engine, then re-spawn and re-run the same
-    attempt.  Promoted lines carry a residency sentinel that matches no
-    shard, so every in-window access to them defers to the
-    single-threaded coordinator — serial semantics for exactly the
-    lines that conflicted, parallel windows for everything else.
-    Conflicts with no attributable line ({!hard_aborted}) and attempts
-    that keep conflicting after promotion escalate to the serial
-    engine. *)
+    The engine is serial: one event queue, one virtual clock, one
+    memory.  Parallelism comes from running many independent
+    simulations at once ([Pool]), not from splitting one simulation
+    across domains. *)
 
 type t
 
 exception Simulation_runaway of int
-
-exception Shard_conflict
-(** A sharded run detected an interleaving it cannot order serially.
-    The simulation object is dead; re-run the job under
-    {!serial_fallback}. *)
 
 val parking_default : bool ref
 (** Default for [create]'s [?parking] (initially [true]); lets tests
     and benchmarks A/B event-driven waiting against literal polling
     without threading a flag through every harness layer. *)
 
-val default_shards : int ref
-(** Default for [create]'s [?shards] (initially [1]); set by the
-    benchmark driver's [--shards] flag so sharding reaches every
-    harness-built simulation without threading a parameter through the
-    figure pipelines. *)
-
-val shard_domains : bool ref
-(** Drain shards on worker domains (default: whether the host is
-    multicore)?  With [false], shards are drained sequentially on the
-    calling domain — byte-identical results, no parallelism; tests use
-    [true] to exercise the cross-domain machinery on any host. *)
-
-val serial_fallback : ?policy_key:string -> (unit -> 'a) -> 'a
-(** [serial_fallback job] runs [job ()]; if it raises {!Shard_conflict}
-    the job is re-run once with sharding forced off.  [job] must be
-    pure in the sense that it builds its own simulation/memory — true
-    of all harness-built workloads.  [policy_key] names the job for the
-    domain-local escalation memory: a job whose key escalated before is
-    run serially up front, skipping the doomed sharded attempt — pass
-    it from benchmark sweeps that re-run structurally serial jobs
-    (in-window allocation, hardware channels) many times. *)
-
 val create :
-  ?faults:Fault.spec -> ?parking:bool -> ?shards:int ->
-  Ssync_platform.Platform.t -> t
-(** [create ?faults ?parking ?shards p] builds a simulation on platform
+  ?faults:Fault.spec -> ?parking:bool -> Ssync_platform.Platform.t -> t
+(** [create ?faults ?parking p] builds a simulation on platform
     [p].  [faults] defaults to {!Fault.none}, which injects nothing and
     consumes no random draws — fault-free runs are bit-identical to the
     engine without the fault layer.  [parking] (default
     [!parking_default]) enables event-driven waiter wakeup; it is
     automatically disabled while schedule-reshaping faults (preemption,
     crash-stop) are active, but stays on under jitter-only specs, where
-    parking remains exact (see {!Fault.parkable}).  [shards] (default
-    [!default_shards]) requests sharded execution; the effective count
-    is capped at the platform's node count and forced to 1 while a
-    trace collector is installed, while the fault spec schedules
-    crash-stops, or inside the retry arm of {!serial_fallback}.  Raises
-    [Invalid_argument] on a malformed spec or [shards < 1]. *)
-
-val shards_of : t -> int
-(** Effective shard count (1 = serial). *)
+    parking remains exact (see {!Fault.parkable}).  Raises
+    [Invalid_argument] on a malformed spec. *)
 
 val memory : t -> Ssync_coherence.Memory.t
 val platform : t -> Ssync_platform.Platform.t
-
-val now_of : t -> int
-(** Current virtual time (cycles); callable from outside the simulation. *)
 
 val spawn : t -> core:int -> (unit -> unit) -> unit
 (** [spawn t ~core body] schedules a simulated thread pinned to [core].
@@ -163,57 +95,13 @@ val run : ?until:int -> ?max_events:int -> t -> int
 (** [run t] is [fst (run_health t)] — the original interface, for
     callers that do not inspect health. *)
 
-(** {1 Speculative replay}
-
-    The replay driver lives in the harness; these are the engine-side
-    hooks it composes with {!Ssync_coherence.Memory.checkpoint} /
-    [restore]. *)
-
-val conflict_lines : t -> int list
-(** After an aborted attempt: the line ids implicated in its conflicts
-    (all shards plus the coordinator, deduplicated, sorted).  Empty
-    when no conflict was attributable to a specific line. *)
-
-val hard_aborted : t -> bool
-(** Did the aborted attempt hit a conflict promotion cannot fix — a
-    cross-shard unordered peek, a same-time parker tie from different
-    shards, a mid-window allocation, an event-budget blowout or a
-    user-code exception?  Such attempts must escalate to serial. *)
-
-val promote : t -> int list -> unit
-(** Promote the given lines to coordinator-mediated access for every
-    subsequent window of this simulation (idempotent per line).  Books
-    each newly promoted line in {!perf}[.promoted_lines]. *)
-
-val promoted_lines : t -> int list
-(** The current promoted set (most recently promoted first). *)
-
-val record_replay : t -> unit
-(** Book one speculative replay in {!perf}[.speculative_replays]. *)
-
-val reset_for_replay : t -> unit
-(** Return the engine to its post-[create] state for a replay of the
-    same job: queues, clocks, thread table and per-attempt counters are
-    cleared; the promoted set and the replay/promotion tallies survive.
-    The caller rolls the memory back separately
-    ({!Ssync_coherence.Memory.restore}) and re-spawns the workload. *)
-
-val window_fusing : bool ref
-(** Reuse the first [run_health]'s shard stamps and line residency on
-    subsequent calls to the same simulation (default [true]).  Leftover
-    stamps are only ever higher than a fresh clear would leave them, so
-    fusing can only add aborts, never hide a conflict; tests A/B this
-    flag to check result identity. *)
-
 (** {1 Engine performance counters} *)
 
 type perf = {
   events : int;
       (** logical thread resumptions: event-queue pops plus direct-run
-          continues.  Counting both makes the metric independent of the
-          engine's execution strategy — serial and sharded runs of the
-          same workload report identical totals even though they make
-          different direct-run decisions. *)
+          continues.  Counting both makes the metric independent of
+          which path each resumption took. *)
   parks : int;  (** threads parked event-driven *)
   wakeups : int;  (** parked threads woken by a real access *)
   elided_probes : int;
@@ -221,22 +109,9 @@ type perf = {
   link_queued_cycles : int;
       (** cycles memory operations spent queued behind busy finite-
           bandwidth interconnect resources (links and home
-          directories); strategy-independent like the fields above —
-          it sums [Stats.link_queued_cycles], which sharded runs merge
-          to serial-identical totals *)
+          directories); it sums [Stats.link_queued_cycles] *)
   sim_cycles : int;  (** virtual time advanced *)
   wall_ns : int;  (** wall-clock nanoseconds spent in the run loop *)
-  windows : int;
-      (** PDES windows executed, including windows of aborted attempts
-          (0 on serial runs).  Like the remaining fields this depends on
-          the execution strategy — shard count, replay luck, policy —
-          so serial/sharded identity checks must exclude it. *)
-  speculative_replays : int;
-      (** aborted sharded attempts replayed with promoted lines instead
-          of escalating to the serial engine *)
-  promoted_lines : int;  (** lines promoted to coordinator-mediated access *)
-  serial_escalations : int;
-      (** sharded runs that gave up and re-ran on the serial engine *)
 }
 
 val perf : t -> perf

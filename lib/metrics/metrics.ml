@@ -1,8 +1,8 @@
 (* Virtual-time telemetry accumulators.  See metrics.mli for the
    determinism argument; the implementation is a hash table of
    (kind, id, bucket) -> cycle sums plus an epoch base, deliberately
-   order-independent so per-slot and per-shard branches can be merged
-   in any order without changing a byte of the dump. *)
+   order-independent so branches can be merged in any order without
+   changing a byte of the dump. *)
 
 let requested = ref false
 let bucket_cycles = ref 65536
@@ -20,19 +20,13 @@ let k_spinning = 8
 let k_parked = 9
 let k_parks = 10
 let k_wakes = 11
-
-(* Strategy-dependent kinds (excluded from dumps). *)
-let k_windows = 12
-let k_replays = 13
-let k_promoted = 14
-let n_kinds = 15
-let first_strategy_kind = k_windows
+let n_kinds = 12
 
 let kind_names =
   [|
     "dir_busy"; "link_busy"; "dir_queued"; "link_queued"; "line_occ";
     "line_sharers"; "lock_waiters"; "runnable"; "spinning"; "parked";
-    "parks"; "wakes"; "windows"; "replays"; "promoted";
+    "parks"; "wakes";
   |]
 
 let kind_name k =
@@ -79,19 +73,6 @@ let bump t ~kind ~id ~ts n =
     add t kind id (a / t.w) n
   end
 
-(* Strategy tallies land in bucket 0 and leave the high-water mark
-   untouched: they are bumped straight into the sink (so they survive
-   an aborted attempt's rollback), and advancing [max_ts] from there
-   would let an aborted attempt shift the epoch base [new_epoch] hands
-   to the next simulation — desynchronizing the deterministic kinds'
-   buckets between a serial run and a sharded run that aborted once. *)
-let tally t ~kind ~id n = if n <> 0 then add t kind id 0 n
-
-let reset t =
-  Hashtbl.reset t.tbl;
-  t.base <- 0;
-  t.max_ts <- 0
-
 let merge ~into t =
   if into.w <> t.w then invalid_arg "Metrics.merge: grid mismatch";
   Hashtbl.iter (fun (k, i, b) r -> add into k i b !r) t.tbl;
@@ -101,25 +82,6 @@ let merge ~into t =
 
 let new_epoch t =
   if t.max_ts > t.base then t.base <- (t.max_ts / t.w + 1) * t.w
-
-let rebase t ~like =
-  if t.w <> like.w then invalid_arg "Metrics.rebase: grid mismatch";
-  Hashtbl.reset t.tbl;
-  t.base <- like.base;
-  t.max_ts <- like.base
-
-let copy t =
-  let c = { tbl = Hashtbl.copy t.tbl; w = t.w; base = t.base; max_ts = t.max_ts } in
-  (* deep-copy the cells: the live table keeps mutating its refs *)
-  Hashtbl.filter_map_inplace (fun _ r -> Some (ref !r)) c.tbl;
-  c
-
-let assign dst src =
-  if dst.w <> src.w then invalid_arg "Metrics.assign: grid mismatch";
-  Hashtbl.reset dst.tbl;
-  Hashtbl.iter (fun k r -> Hashtbl.add dst.tbl k (ref !r)) src.tbl;
-  dst.base <- src.base;
-  dst.max_ts <- src.max_ts
 
 let branch t =
   { tbl = Hashtbl.create 64; w = t.w; base = t.base; max_ts = t.base }
@@ -161,8 +123,6 @@ let iter_sorted t f =
 
 (* ------------------------------ dumps ------------------------------ *)
 
-let deterministic k = k < first_strategy_kind
-
 let dump_csv buf jobs =
   Buffer.add_string buf
     (Printf.sprintf "# ssync metrics v1 bucket_cycles=%d\n" !bucket_cycles);
@@ -170,9 +130,8 @@ let dump_csv buf jobs =
     (fun (label, t) ->
       Buffer.add_string buf (Printf.sprintf "# job %s\n" label);
       iter_sorted t (fun ~kind ~id ~bucket v ->
-          if deterministic kind then
-            Buffer.add_string buf
-              (Printf.sprintf "%s,%d,%d,%d\n" (kind_name kind) id bucket v)))
+          Buffer.add_string buf
+            (Printf.sprintf "%s,%d,%d,%d\n" (kind_name kind) id bucket v)))
     jobs
 
 let dump_json buf jobs =
@@ -184,12 +143,10 @@ let dump_json buf jobs =
       Buffer.add_string buf (Printf.sprintf "\n{\"label\": %S, \"samples\": [" label);
       let first = ref true in
       iter_sorted t (fun ~kind ~id ~bucket v ->
-          if deterministic kind then begin
-            if not !first then Buffer.add_char buf ',';
-            first := false;
-            Buffer.add_string buf
-              (Printf.sprintf "\n[%S, %d, %d, %d]" (kind_name kind) id bucket v)
-          end);
+          if not !first then Buffer.add_char buf ',';
+          first := false;
+          Buffer.add_string buf
+            (Printf.sprintf "\n[%S, %d, %d, %d]" (kind_name kind) id bucket v));
       Buffer.add_string buf "]}")
     jobs;
   Buffer.add_string buf "]}\n"

@@ -6,10 +6,7 @@
     timestamps and stable identifiers (resource ids, line ids).  Sums
     commute, so the accumulated table is independent of the order in
     which contributions arrive — the property that makes the dump
-    byte-identical at any [--jobs] (per-job sinks, fresh per job) and
-    any [--shards] (a sharded run either replays the serial schedule
-    exactly, contributing the same spans from different slots, or
-    aborts without merging).
+    byte-identical at any [--jobs] (per-job sinks, fresh per job).
 
     The discipline mirrors [Trace]: {!requested} is read once per job
     by the submitting domain; instrumentation sites cache the sink (or
@@ -29,7 +26,7 @@ val bucket_cycles : int ref
 
 (** {1 Kinds}
 
-    Deterministic timeline kinds ([id] in brackets): *)
+    Timeline kinds ([id] in brackets): *)
 
 (** [k_dir_busy] home-directory busy cycles [node]; [k_link_busy] link
     busy cycles [lo * n_nodes + hi]; [k_dir_queued]/[k_link_queued]
@@ -64,24 +61,8 @@ val k_parks : int
 
 val k_wakes : int
 
-(** Strategy-dependent kinds — zero on serial runs, dependent on shard
-    count and replay luck otherwise.  Excluded from {!dump_csv} /
-    {!dump_json} (which must be byte-identical across [--shards]) but
-    visible to {!total}/{!iter_sorted} for the heatmap's PDES-health
-    footer. *)
-
-val k_windows : int
-
-val k_replays : int
-
-val k_promoted : int
-
 val kind_name : int -> string
 val n_kinds : int
-
-val deterministic : int -> bool
-(** [true] for timeline kinds that are byte-identical across [--jobs]
-    and [--shards]; [false] for the PDES-health counters above. *)
 
 (** {1 Sinks} *)
 
@@ -101,8 +82,7 @@ val current : unit -> t option
 
 val branch : t -> t
 (** A private accumulator sharing [t]'s grid and epoch base — handed to
-    a memory slot or engine shard so concurrent contributors never
-    share a table; {!merge} it back when its run succeeds. *)
+    a memory at creation; {!merge} it back when its run ends. *)
 
 val span : t -> kind:int -> id:int -> t0:int -> t1:int -> weight:int -> unit
 (** Add [weight] cycles-per-cycle over virtual span [\[t0, t1)]
@@ -112,14 +92,6 @@ val span : t -> kind:int -> id:int -> t0:int -> t1:int -> weight:int -> unit
 val bump : t -> kind:int -> id:int -> ts:int -> int -> unit
 (** Add a point count at virtual time [ts] (epoch-relative). *)
 
-val tally : t -> kind:int -> id:int -> int -> unit
-(** Add a count in bucket 0 without touching the epoch high-water mark.
-    For the strategy-dependent kinds, which are bumped straight into
-    the domain sink so they survive an aborted attempt's rollback — a
-    high-water advance from an aborted attempt would shift the epoch
-    base {!new_epoch} hands to the next simulation and desynchronize
-    the deterministic kinds' buckets across [--shards]. *)
-
 val merge : into:t -> t -> unit
 (** Fold [t]'s samples (and high-water mark) into [into], then reset
     [t] for reuse.  Grids must match. *)
@@ -127,21 +99,7 @@ val merge : into:t -> t -> unit
 val new_epoch : t -> unit
 (** Advance the epoch base past every merged sample, rounded up to the
     grid, so a new job segment on the same sink cannot collide with the
-    previous one.  Aborted attempts merge nothing, so a serial re-run
-    of the same job lands on the identical base. *)
-
-val rebase : t -> like:t -> unit
-(** Reset [t] and adopt [like]'s epoch base (slot/shard accumulators
-    follow the sink's epoch). *)
-
-(** {1 Checkpoint support} *)
-
-val copy : t -> t
-val assign : t -> t -> unit
-(** [assign dst src] makes [dst]'s contents equal [src]'s (grid and
-    base included), reusing [dst]'s table. *)
-
-val reset : t -> unit
+    previous one. *)
 
 (** {1 Reading} *)
 
@@ -163,7 +121,7 @@ val iter_sorted : t -> (kind:int -> id:int -> bucket:int -> int -> unit) -> unit
 val dump_csv : Buffer.t -> (string * t) list -> unit
 (** One section per job, in the given (submission) order: a [# job
     <label>] header, then [kind,id,bucket,value] lines in
-    {!iter_sorted} order.  Strategy-dependent kinds are skipped. *)
+    {!iter_sorted} order. *)
 
 val dump_json : Buffer.t -> (string * t) list -> unit
 (** Same content as {!dump_csv} as a JSON document. *)

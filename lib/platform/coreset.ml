@@ -89,10 +89,3 @@ let of_list l =
 
 let equal a b = a.w0 = b.w0 && a.w1 = b.w1
 let copy s = { w0 = s.w0; w1 = s.w1 }
-
-(* Overwrite [dst] with [src]'s members in place (rollback restore:
-   the destination set is aliased by cost-model views, so it must keep
-   its identity). *)
-let assign dst src =
-  dst.w0 <- src.w0;
-  dst.w1 <- src.w1

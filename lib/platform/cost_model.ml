@@ -689,19 +689,3 @@ let link_hold (t : Topology.t) (op : Arch.memop) ~latency:_ : int =
 
 let resource_hold (t : Topology.t) (op : Arch.memop) ~latency r : int =
   if r < t.n_nodes then dir_hold t op else link_hold t op ~latency
-
-(* Smallest positive hold any message can impose on a shared resource —
-   the floor a PDES lookahead window must respect now that one shard's
-   traffic can delay another's through a shared link or directory.
-   [None] on platforms with no modeled resources. *)
-let min_resource_hold (t : Topology.t) : int option =
-  if not (has_resources t) then None
-  else
-    let m = ref max_int in
-    List.iter
-      (fun (op : Arch.memop) ->
-        let d = dir_hold t op and l = link_hold t op ~latency:1 in
-        if d > 0 && d < !m then m := d;
-        if l > 0 && l < !m then m := l)
-      [ Arch.Load; Arch.Store; Arch.Cas ];
-    if !m = max_int then None else Some !m

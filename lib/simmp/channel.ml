@@ -63,9 +63,6 @@ let create ?(prefetchw = false) ?(use_hw = true) mem (platform : Platform.t)
   let impl =
     match platform.Platform.hw_mp_latency with
     | Some lat when use_hw ->
-        (* the NIC queue lives in native OCaml state the coherence
-           stamps cannot see: sharded runs of this memory must abort *)
-        Memory.require_serial mem;
         Hardware
           {
             queue = Queue.create ();

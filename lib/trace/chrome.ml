@@ -47,11 +47,9 @@ let add_escaped b s =
    setup, ccbench drivers). *)
 let setup_track = 9999
 
-(* Dedicated tracks: sampled metric counter tracks and the PDES
-   speculation-lifecycle timeline (both engine-global, not per
-   thread). *)
+(* Dedicated track for sampled metric counters (engine-global, not
+   per thread). *)
 let counter_track = 9998
-let spec_track = 9997
 let track tid = if tid < 0 then setup_track else tid
 
 (* What a track currently has open, innermost first. *)
@@ -80,10 +78,9 @@ let export_job b ~pid ~label ?metrics (tr : Trace.t) =
        pid pid);
   (* thread tracks: one per E_thread (re-spawns across epochs reuse the
      tid's track), plus the setup track if anything ran outside a
-     simulated thread, plus the speculation / counter tracks when used *)
+     simulated thread, plus the counter track when used *)
   let named = Hashtbl.create 32 in
   let uses_setup = ref false in
-  let uses_spec = ref false in
   Trace.iter tr (fun e ->
       match e.Trace.ev with
       | Trace.E_thread { tid; core } ->
@@ -93,15 +90,9 @@ let export_job b ~pid ~label ?metrics (tr : Trace.t) =
               ~value:(Printf.sprintf "tid %d @ core %d" tid core)
           end
       | Trace.E_xfer { tid; _ } -> if tid < 0 then uses_setup := true
-      | Trace.E_window _ | Trace.E_window_done _ | Trace.E_spec_abort _
-      | Trace.E_ckpt | Trace.E_restore | Trace.E_promote _ | Trace.E_replay _
-      | Trace.E_escalate ->
-          uses_spec := true
       | _ -> ());
   if !uses_setup then
     meta b ~name:"thread_name" ~pid ~tid:setup_track ~value:"(setup)";
-  if !uses_spec then
-    meta b ~name:"thread_name" ~pid ~tid:spec_track ~value:"(speculation)";
   if metrics <> None then
     meta b ~name:"thread_name" ~pid ~tid:counter_track ~value:"(metrics)";
   let stacks : (int, slice list ref) Hashtbl.t = Hashtbl.create 32 in
@@ -114,15 +105,6 @@ let export_job b ~pid ~label ?metrics (tr : Trace.t) =
         s
   in
   let close b ~ts ~tid name = obj b ~name ~ph:"E" ~ts ~pid ~tid "" in
-  (* The speculation track clamps its timestamps to a running maximum:
-     a window opens at the minimum pending event time, which can sit
-     before the previous window's closing timestamp, and the viewer
-     (and test_chrome_schema) require per-track monotonicity. *)
-  let spec_ts = ref 0 in
-  let sts ts =
-    if ts > !spec_ts then spec_ts := ts;
-    !spec_ts
-  in
   Trace.iter tr (fun { Trace.ts; ev } ->
       match ev with
       | Trace.E_thread { tid; _ } ->
@@ -203,46 +185,19 @@ let export_job b ~pid ~label ?metrics (tr : Trace.t) =
       | Trace.E_recv { tid; chan } ->
           obj b ~name:"recv" ~ph:"i" ~ts ~pid ~tid:(track tid)
             (Printf.sprintf ",\"s\":\"t\",\"args\":{\"chan\":\"%s\"}"
-               (Trace.chan_name tr chan))
-      | Trace.E_window { upto; shards; solo } ->
-          obj b ~name:"window" ~ph:"B" ~ts:(sts ts) ~pid ~tid:spec_track
-            (Printf.sprintf ",\"args\":{\"upto\":%d,\"shards\":%d,\"solo\":%b}"
-               upto shards solo)
-      | Trace.E_window_done { aborted } ->
-          ignore aborted;
-          close b ~ts:(sts ts) ~tid:spec_track "window"
-      | Trace.E_spec_abort { line; hard } ->
-          obj b ~name:"abort" ~ph:"i" ~ts:(sts ts) ~pid ~tid:spec_track
-            (Printf.sprintf ",\"s\":\"t\",\"args\":{\"line\":%d,\"hard\":%b}"
-               line hard)
-      | Trace.E_ckpt ->
-          obj b ~name:"checkpoint" ~ph:"i" ~ts:(sts ts) ~pid ~tid:spec_track
-            ",\"s\":\"t\""
-      | Trace.E_restore ->
-          obj b ~name:"restore" ~ph:"i" ~ts:(sts ts) ~pid ~tid:spec_track
-            ",\"s\":\"t\""
-      | Trace.E_promote { line } ->
-          obj b ~name:"promote" ~ph:"i" ~ts:(sts ts) ~pid ~tid:spec_track
-            (Printf.sprintf ",\"s\":\"t\",\"args\":{\"line\":%d}" line)
-      | Trace.E_replay { attempt } ->
-          obj b ~name:"replay" ~ph:"i" ~ts:(sts ts) ~pid ~tid:spec_track
-            (Printf.sprintf ",\"s\":\"t\",\"args\":{\"attempt\":%d}" attempt)
-      | Trace.E_escalate ->
-          obj b ~name:"escalate" ~ph:"i" ~ts:(sts ts) ~pid ~tid:spec_track
-            ",\"s\":\"t\"");
+               (Trace.chan_name tr chan)));
   (* Sampled metric timelines as Perfetto counter tracks: one counter
      per kind (ids aggregated), bucket-major so the shared tid's
      timestamps stay monotone; a zero sample after each run of activity
      stops the viewer's step function from holding the last value
-     forever.  Strategy-dependent kinds are skipped, like the dumps. *)
+     forever. *)
   match metrics with
   | None -> ()
   | Some m ->
       let w = Metrics.grid m in
       let samples = ref [] in
       Metrics.iter_sorted m (fun ~kind ~id:_ ~bucket v ->
-          if Metrics.deterministic kind then
-            samples := (kind, bucket, v) :: !samples);
+          samples := (kind, bucket, v) :: !samples);
       (* aggregate ids: iter_sorted visits (kind, id, bucket) sorted, so
          equal (kind, bucket) pairs are not adjacent; fold via a table *)
       let agg = Hashtbl.create 256 in

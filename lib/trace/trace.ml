@@ -44,15 +44,6 @@ type event =
   | E_fault of { tid : int; kind : fault_kind; cycles : int }
   | E_send of { tid : int; chan : int }
   | E_recv of { tid : int; chan : int }
-  (* PDES speculation lifecycle (coordinator-emitted; see [allow_sharded]) *)
-  | E_window of { upto : int; shards : int; solo : bool }
-  | E_window_done of { aborted : bool }
-  | E_spec_abort of { line : int; hard : bool }
-  | E_ckpt
-  | E_restore
-  | E_promote of { line : int }
-  | E_replay of { attempt : int }
-  | E_escalate
 
 type entry = { ts : int; ev : event }
 
@@ -108,14 +99,6 @@ type t = {
 
 let requested = ref false
 
-(* Let [Sim.create] keep sharding on while a trace collector is
-   installed (normally tracing forces one shard).  Per-thread events
-   are then suppressed inside windows (worker domains must not touch
-   the sink) and only the coordinator-emitted speculation-lifecycle
-   events above are recorded — an opt-in debugging view
-   ([--trace-spec]) whose content is strategy-dependent, unlike every
-   other trace. *)
-let allow_sharded = ref false
 let dummy = { ts = 0; ev = E_thread { tid = 0; core = 0 } }
 let default_capacity = 1 lsl 16
 
@@ -239,10 +222,7 @@ let emit t ~ts ev =
   | E_wake _ -> t.a_wake <- t.a_wake + 1
   | E_fault _ -> t.a_fault <- t.a_fault + 1
   | E_send _ -> t.a_send <- t.a_send + 1
-  | E_recv _ -> t.a_recv <- t.a_recv + 1
-  | E_window _ | E_window_done _ | E_spec_abort _ | E_ckpt | E_restore
-  | E_promote _ | E_replay _ | E_escalate ->
-      ());
+  | E_recv _ -> t.a_recv <- t.a_recv + 1);
   let len = Array.length t.buf in
   if t.n = len && len < t.cap then begin
     let bigger = Array.make (min t.cap (2 * len)) dummy in
@@ -267,12 +247,6 @@ let iter t f =
    interconnect table reconciles exactly against
    [Stats.link_queued_cycles] whatever the ring capacity did. *)
 let rq_by_rank t = (t.a_rq_link, t.a_rq_dir)
-
-(* Emit [ev] at the trace's current high-water timestamp — for
-   bookkeeping events raised outside any simulation clock (e.g. a
-   serial escalation, which fires after its aborted attempt's last
-   event), keeping every track's timestamps monotone. *)
-let emit_end t ev = emit t ~ts:(t.max_ts - t.base) ev
 
 let totals t =
   {

@@ -57,17 +57,6 @@ type event =
   | E_fault of { tid : int; kind : fault_kind; cycles : int }
   | E_send of { tid : int; chan : int }
   | E_recv of { tid : int; chan : int }
-  | E_window of { upto : int; shards : int; solo : bool }
-      (** a PDES window opened, running until virtual time [upto] *)
-  | E_window_done of { aborted : bool }
-  | E_spec_abort of { line : int; hard : bool }
-      (** a sharded attempt aborted; [line] names a conflicting line
-          (-1 when unattributable), [hard] = promotion cannot fix it *)
-  | E_ckpt  (** memory checkpoint armed (speculative replay) *)
-  | E_restore  (** rollback to the checkpoint *)
-  | E_promote of { line : int }  (** line promoted to coordinator access *)
-  | E_replay of { attempt : int }  (** speculative replay number [attempt] *)
-  | E_escalate  (** the job gave up on sharding and re-ran serially *)
 
 type entry = { ts : int; ev : event }
 
@@ -76,13 +65,6 @@ type t
 val requested : bool ref
 (** Set by the CLI ([--trace] / [profile]); [Pool] reads it once per
     run and installs a fresh sink around every job when set. *)
-
-val allow_sharded : bool ref
-(** Keep sharding on while a trace is installed ([Sim.create] normally
-    forces one shard).  Per-thread events are suppressed inside sharded
-    windows (worker domains never touch the sink); only the
-    coordinator-emitted speculation-lifecycle events are recorded.  Set
-    by [--trace-spec]; default [false]. *)
 
 val create : ?capacity:int -> unit -> t
 (** A fresh sink (default capacity [2^16] events). *)
@@ -99,10 +81,6 @@ val current : unit -> t option
 (* {2 Producer hooks} *)
 
 val emit : t -> ts:int -> event -> unit
-
-val emit_end : t -> event -> unit
-(** Emit at the trace's current high-water timestamp — for bookkeeping
-    events raised outside any simulation clock (serial escalation). *)
 
 val set_tid : t -> int -> unit
 (** Thread on whose behalf the next memory accesses run (-1 outside
@@ -128,7 +106,7 @@ val note_local : t -> cycles:int -> unit
 (** A local cache hit (no event recorded, aggregate only). *)
 
 val note_elided : t -> count:int -> cycles:int -> unit
-(** Bulk-accounted inert spin probes (see [Memory.try_park]). *)
+(** Bulk-accounted inert spin probes (see [Memory.try_park_in]). *)
 
 (* {2 Consumers} *)
 

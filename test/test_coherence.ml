@@ -253,7 +253,6 @@ let test_access_allocation_free () =
   List.iter
     (fun pid ->
       let m = mem_on pid in
-      let sl = Memory.slot m 0 in
       let topo = Topology.of_platform pid in
       let classes = Latencies.distance_classes pid in
       let c1, c2 =
@@ -268,7 +267,7 @@ let test_access_allocation_free () =
       in
       let access a ~core op ~operand i =
         ignore
-          (Memory.access_lat_in m ~slot:sl ~core ~now:(i * 100_000) op a
+          (Memory.access_lat_in m ~core ~now:(i * 100_000) op a
              ~operand ~operand2:0 ~fetch:false)
       in
       let check kind ~setup ~access =
@@ -291,7 +290,7 @@ let test_access_allocation_free () =
         ~setup:(fun _ -> Memory.force_state m ~holder:c1 ~second:c2 Arch.Shared a)
         ~access:(fun i ->
           ignore
-            (Memory.access_lat_in m ~slot:sl ~core:c3 ~now:(i * 100_000)
+            (Memory.access_lat_in m ~core:c3 ~now:(i * 100_000)
                Arch.Cas a ~operand:(Memory.peek m a) ~operand2:i ~fetch:false));
       Alcotest.(check string)
         "CAS invalidated the sharers" "Modified" (state_name m a);

@@ -296,6 +296,60 @@ let test_watchdog_crash_stall_verdict () =
   | v -> Alcotest.failf "expected stalled tid 1, got %s" (Sim.verdict_to_string v));
   check_bool "backstop dropped the spin tail" true (h.Sim.dropped_events > 0)
 
+(* A two-phase workload: run to completion, spawn a second wave of
+   threads on the same lines, run again. *)
+let two_phase () =
+  let p = Platform.get Arch.Opteron in
+  let topo = p.Platform.topo in
+  let sim = Sim.create p in
+  let mem = Sim.memory sim in
+  let core_of_node = Array.make topo.Topology.n_nodes (-1) in
+  for c = topo.Topology.n_cores - 1 downto 0 do
+    core_of_node.(topo.Topology.node_of_core c) <- c
+  done;
+  let nodes = 4 in
+  let lines =
+    Array.init nodes (fun i -> Memory.alloc ~home_core:core_of_node.(i) mem)
+  in
+  let finals = Array.make nodes 0 in
+  let wave iters =
+    for i = 0 to nodes - 1 do
+      let a = lines.(i) in
+      Sim.spawn sim ~core:core_of_node.(i) (fun () ->
+          for _ = 1 to iters do
+            let v = Sim.load a in
+            Sim.store a (v + 1);
+            ignore (Sim.fai a);
+            Sim.pause (40 + (i * 17))
+          done;
+          finals.(i) <- Sim.load a)
+    done
+  in
+  let before = Sim.cumulative_perf () in
+  wave 150;
+  let t1, h1 = Sim.run_health sim in
+  let p1 = Sim.perf sim in
+  wave 100;
+  let t2, h2 = Sim.run_health sim in
+  let p2 = Sim.perf sim in
+  let delta = Sim.perf_diff (Sim.cumulative_perf ()) before in
+  ((t1, h1, t2, h2), Array.to_list finals, p1, p2, delta)
+
+let test_two_phase_run () =
+  let times, finals, p1, p2, delta = two_phase () in
+  let times', finals', _, p2', _ = two_phase () in
+  let no_wall p = { p with Sim.wall_ns = 0 } in
+  let t1, _, t2, _ = times in
+  check_bool "second run advances the clock" true (t2 > t1);
+  check_bool "deterministic: times and verdicts" true (times = times');
+  check_bool "deterministic: final values" true (finals = finals');
+  check_bool "deterministic: perf (minus wall)" true
+    (no_wall p2 = no_wall p2');
+  check_bool "perf grows across the two calls" true
+    (p2.Sim.events > p1.Sim.events && p2.Sim.sim_cycles > p1.Sim.sim_cycles);
+  check_bool "perf is cumulative: equals the domain-counter delta" true
+    (p2 = delta)
+
 let test_fault_spec_validation () =
   let fails f = try ignore (f ()); false with Invalid_argument _ -> true in
   check_bool "bad probability" true
@@ -360,6 +414,8 @@ let suite =
       test_faults_disabled_is_noop;
     Alcotest.test_case "Simulation_runaway raised at max_events" `Quick
       test_runaway_exception;
+    Alcotest.test_case "two-phase run: deterministic, perf cumulative" `Quick
+      test_two_phase_run;
     Alcotest.test_case "watchdog reports deadlock" `Quick
       test_watchdog_deadlock_verdict;
     Alcotest.test_case "watchdog reports crash-induced stall" `Quick

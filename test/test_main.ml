@@ -21,7 +21,5 @@ let () =
       ("pool", Test_pool.suite);
       ("robust", Test_robust.suite);
       ("trace", Test_trace.suite);
-      ("shards", Test_shards.suite);
-      ("speculation", Test_speculation.suite);
       ("metrics", Test_metrics.suite);
     ]

@@ -4,10 +4,9 @@
 
    - byte-identical dumps at any [--jobs] count (per-job sinks, keyed
      by virtual time and stable ids only);
-   - byte-identical dumps at any [--shards] count (a sharded run either
-     replays the serial schedule exactly or aborts without draining;
-     strategy-dependent tallies are excluded from the dump and never
-     move the epoch base);
+   - successive simulations in one sink land on disjoint epochs: the
+     second one's samples sit strictly above the first one's last
+     bucket and reproduce the first one's, shifted;
    - zero perturbation: a sampled run computes the identical simulation
      (ops, duration, perf counters) as an unsampled one;
    - the samples are the engine's truth: queued-cycle, park, and wake
@@ -30,32 +29,13 @@ let with_sampling f =
   Metrics.requested := true;
   Fun.protect ~finally:(fun () -> Metrics.requested := saved) f
 
-let with_shards n f =
-  let saved = !Sim.default_shards in
-  Sim.default_shards := n;
-  Fun.protect ~finally:(fun () -> Sim.default_shards := saved) f
-
-let with_domains b f =
-  let saved = !Sim.shard_domains in
-  Sim.shard_domains := b;
-  Fun.protect ~finally:(fun () -> Sim.shard_domains := saved) f
-
 let dump jobs =
   let b = Buffer.create 4096 in
   Metrics.dump_csv b jobs;
   Buffer.contents b
 
-(* Strategy-dependent fields masked for identity checks, as in
-   test_shards. *)
-let no_wall p =
-  {
-    p with
-    Sim.wall_ns = 0;
-    windows = 0;
-    speculative_replays = 0;
-    promoted_lines = 0;
-    serial_escalations = 0;
-  }
+(* Wall time masked for identity checks. *)
+let no_wall p = { p with Sim.wall_ns = 0 }
 
 (* A moderately contended lock workload: spins, parks, coherence
    traffic and interconnect queueing all occur, so every sampled kind
@@ -79,70 +59,41 @@ let test_jobs_identity () =
   check_int "every job got a sink" 3 (List.length m1);
   check_string "dump byte-identical at --jobs 1 vs 4" (dump m1) (dump m4)
 
-(* ------------------------ shards identity -------------------------- *)
+(* ------------------------- epoch layout ---------------------------- *)
 
-(* One thread per node hammering node-local lines (the partitioned
-   workload of test_shards): stays sharded end-to-end, so the sharded
-   run must drain the very same samples the serial schedule does. *)
-let partitioned () =
-  let p = Platform.get Arch.Opteron in
-  let topo = p.Platform.topo in
-  let sim = Sim.create p in
-  let mem = Sim.memory sim in
-  let core_of_node = Array.make topo.Topology.n_nodes (-1) in
-  for c = topo.Topology.n_cores - 1 downto 0 do
-    core_of_node.(topo.Topology.node_of_core c) <- c
-  done;
-  for i = 0 to 3 do
-    let a = Memory.alloc ~home_core:core_of_node.(i) mem in
-    Sim.spawn sim ~core:core_of_node.(i) (fun () ->
-        for _ = 1 to 300 do
-          let v = Sim.load a in
-          Sim.store a (v + 1);
-          ignore (Sim.fai a);
-          Sim.pause (50 + (i * 13))
-        done)
-  done;
-  ignore (Sim.run sim);
-  Sim.perf sim
+let samples m =
+  let acc = ref [] in
+  Metrics.iter_sorted m (fun ~kind ~id ~bucket v ->
+      acc := (kind, id, bucket, v) :: !acc);
+  List.rev !acc
 
-let sampled_partitioned () =
+(* Two identical simulations in one sink: [Memory.create] advances the
+   epoch base past everything the first one drained, so the second
+   one's samples never touch the first one's buckets — they are the
+   first one's samples shifted by a whole number of buckets. *)
+let test_two_sims_one_sink () =
   let sink = Metrics.start () in
-  let p = partitioned () in
+  let r1 = lock_job () in
+  let first = samples sink in
+  let last1 = (Metrics.max_ts sink - 1) / Metrics.grid sink in
+  let r2 = lock_job () in
   ignore (Metrics.stop ());
-  (sink, p)
-
-let test_shards_identity () =
-  let m1, p1 = with_shards 1 sampled_partitioned in
-  let m4, p4 =
-    with_shards 4 (fun () -> with_domains true sampled_partitioned)
+  check_bool "both runs identical (minus wall)" true
+    (no_wall r1.Harness.perf = no_wall r2.Harness.perf);
+  check_bool "first simulation sampled something" true (first <> []);
+  let second =
+    List.filter (fun s -> not (List.mem s first)) (samples sink)
   in
-  check_bool "sharded run executed windows" true (p4.Sim.windows > 0);
-  check_bool "perf identical (minus strategy)" true
-    (no_wall p1 = no_wall p4);
-  check_string "dump byte-identical at shards 1 vs 4"
-    (dump [ ("p", m1) ])
-    (dump [ ("p", m4) ])
-
-(* A conflicting workload that aborts and re-runs serially must land on
-   the identical dump too: the aborted attempt drains nothing, and its
-   strategy tallies must not shift the epoch base of anything that
-   follows in the same job. *)
-let test_abort_replay_identity () =
-  let job () =
-    let sink = Metrics.start () in
-    let r1 = lock_job () in
-    let r2 = lock_job () in
-    ignore (Metrics.stop ());
-    (sink, no_wall r1.Harness.perf, no_wall r2.Harness.perf)
-  in
-  let m1, a1, b1 = with_shards 1 job in
-  let m4, a4, b4 = with_shards 4 (fun () -> with_domains true job) in
-  check_bool "first run perf identical" true (a1 = a4);
-  check_bool "second run perf identical" true (b1 = b4);
-  check_string "two-sim job dump byte-identical at shards 1 vs 4"
-    (dump [ ("j", m1) ])
-    (dump [ ("j", m4) ])
+  List.iter
+    (fun (_, _, b, _) ->
+      check_bool
+        (Printf.sprintf "bucket %d lies above the first sim's last (%d)" b
+           last1)
+        true (b > last1))
+    second;
+  let shift = Metrics.base sink / Metrics.grid sink in
+  check_bool "second sim = first sim shifted by its epoch" true
+    (List.map (fun (k, i, b, v) -> (k, i, b + shift, v)) first = second)
 
 (* ------------------------ no perturbation -------------------------- *)
 
@@ -271,26 +222,14 @@ let test_dump_formats () =
   Metrics.dump_json b jobs;
   let json = Buffer.contents b in
   check_bool "json opens with the grid" true
-    (String.sub json 0 17 = "{\"bucket_cycles\":");
-  (* strategy-dependent kinds never appear in the deterministic dump *)
-  let contains hay needle =
-    let nh = String.length hay and nn = String.length needle in
-    let rec go i =
-      i + nn <= nh && (String.sub hay i nn = needle || go (i + 1))
-    in
-    go 0
-  in
-  check_bool "no strategy kinds in csv" false (contains csv "windows");
-  check_bool "no strategy kinds in json" false (contains json "windows")
+    (String.sub json 0 17 = "{\"bucket_cycles\":")
 
 let suite =
   [
     Alcotest.test_case "dump identical across --jobs" `Quick
       test_jobs_identity;
-    Alcotest.test_case "dump identical across --shards" `Quick
-      test_shards_identity;
-    Alcotest.test_case "abort/replay cannot shift the dump" `Quick
-      test_abort_replay_identity;
+    Alcotest.test_case "two sims in one sink: disjoint epochs" `Quick
+      test_two_sims_one_sink;
     Alcotest.test_case "sampling perturbs nothing" `Quick
       test_no_perturbation;
     Alcotest.test_case "samples reconcile with Sim.perf" `Quick
