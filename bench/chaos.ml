@@ -101,7 +101,18 @@ type shared = {
   lock : Lock_type.t;
   d1 : Memory.addr;
   d2 : Memory.addr;
+  last1 : int ref; (* the value last stored to [d1] *)
+  last2 : int ref; (* ... and to [d2] *)
 }
+
+(* [d1]/[d2] are written only through [put], which notes each value as
+   it stores it.  [Harness.run] disposes the memory before it returns,
+   so the words cannot be read afterwards; the notes hold their final
+   contents instead, because a store applies the moment it issues, even
+   when its thread crash-stops before the store completes. *)
+let put last a v =
+  last := v;
+  Sim.store a v
 
 let run_one (c : cfg) : outcome =
   let p = Platform.get c.pid in
@@ -116,9 +127,11 @@ let run_one (c : cfg) : outcome =
             lock = Simlock.create mem p ~n_threads:c.threads c.algo;
             d1 = Memory.alloc ~home_core:0 mem;
             d2 = Memory.alloc ~home_core:0 mem;
+            last1 = ref 0;
+            last2 = ref 0;
           }
         in
-        captured := Some (mem, sh);
+        captured := Some sh;
         sh)
       ~body:(fun sh _mem ~tid ~deadline ->
         let n = ref 0 in
@@ -127,11 +140,11 @@ let run_one (c : cfg) : outcome =
           | Lock_type.Clean -> ()
           | Lock_type.Owner_died _ ->
               (* repair: the corpse may have bumped d1 but not d2 *)
-              Sim.store sh.d2 (Sim.load sh.d1));
+              put sh.last2 sh.d2 (Sim.load sh.d1));
           let x = Sim.load sh.d1 in
-          Sim.store sh.d1 (x + 1);
+          put sh.last1 sh.d1 (x + 1);
           Sim.pause 60;
-          Sim.store sh.d2 (x + 1);
+          put sh.last2 sh.d2 (x + 1);
           sh.lock.Lock_type.release_robust ~tid;
           incr n;
           Sim.pause 120
@@ -139,7 +152,7 @@ let run_one (c : cfg) : outcome =
         !n)
   in
   let tr = match Trace.stop () with Some t -> t | None -> assert false in
-  let mem, sh = Option.get !captured in
+  let sh = Option.get !captured in
   let order = Harness.spawn_order ~threads:c.threads in
   let completed etid =
     etid >= 0 && etid < c.threads && r.Harness.completed.(order.(etid))
@@ -156,7 +169,7 @@ let run_one (c : cfg) : outcome =
         ]
   in
   (* the critical sections' own invariant, invisible to lock events *)
-  let d1 = Memory.peek mem sh.d1 and d2 = Memory.peek mem sh.d2 in
+  let d1 = !(sh.last1) and d2 = !(sh.last2) in
   let crashed = List.length r.Harness.health.Sim.crashed in
   let violations =
     if d1 = d2 then violations

@@ -42,7 +42,11 @@
    cost-model view, the resource-path buffer and the [last_result]
    out-parameter — plus the running [Stats.t] and, when metrics are
    on, the virtual-time accumulator, so the engine's per-operation
-   path allocates nothing. *)
+   path allocates nothing.  Most accesses of a run are loads that hit
+   in the requester's own cache; with metrics off and no spinner parked
+   on the line, [access_lat_in] serves them on a short path that
+   returns the platform's hit latency without consulting the cost
+   model (see [fast_hit]). *)
 
 open Ssync_platform
 module Trace = Ssync_trace.Trace
@@ -114,6 +118,7 @@ type t = {
       (* finite-bandwidth interconnect resources, indexed by resource id
          (home directories then links, see [Cost_model.fill_path]):
          virtual time each resource is held until *)
+  hit_lat : int;                (* [Cost_model.load_hit_latency] *)
   scratch : Cost_model.view;    (* reused for every op_latency call *)
   path : int array;             (* reused resource-path scratch *)
   mutable last_result : int;
@@ -189,6 +194,7 @@ let create platform =
     word2line;
     n_words = 0;
     rbusy = Array.make n_res 0;
+    hit_lat = Cost_model.load_hit_latency platform.Platform.topo;
     scratch =
       { Cost_model.state = Arch.Invalid; owner = -1;
         sharers = Coreset.create (); home = 0; llc_dirty = false };
@@ -631,6 +637,17 @@ let dist_of t ~core (l : line) : Arch.distance =
   Cost_model.source_class t.platform.Platform.topo ~requester:core
     (view_of_line t l)
 
+(* Can [access_lat_in] serve this access on its local-hit path?  A load
+   hitting in the requester's own cache, on a line no spinner is parked
+   on, with metrics off: it costs [Cost_model.load_hit_latency], moves no
+   protocol state and queues behind nothing, so it skips the cost-model
+   view, the resource path, the transition and the generic
+   [Stats.record]. *)
+let fast_hit t (l : line) ~core (op : Arch.memop) =
+  match op with
+  | Arch.Load -> l.waiters == [] && t.macc == None && holds l core
+  | Arch.Store | Arch.Cas | Arch.Fai | Arch.Tas | Arch.Swap -> false
+
 (* Perform [op] on [a] from [core] at virtual time [now]; returns
    (completion latency in cycles, result value).  For [Cas], [operand]
    is the expected value and [operand2] the desired one ([fetch]
@@ -650,7 +667,18 @@ let access_lat_in t ~core ~now (op : Arch.memop) (a : addr)
   Topology.check topo core;
   let li = line_id t a in
   let l = t.lines.(li) in
-  if foreign_reservation l ~core op ~operand ~operand2 then begin
+  if fast_hit t l ~core op then begin
+    (* exactly what the general path below does for such a load *)
+    l.pfw_owner <- -1;
+    if l.cas_pending = core then l.cas_pending <- -1;
+    Stats.record_local_load t.stats ~latency:t.hit_lat;
+    (match t.trace with
+    | Some tr -> Trace.note_local tr ~cycles:t.hit_lat
+    | None -> ());
+    t.last_result <- t.values.(a);
+    t.hit_lat
+  end
+  else if foreign_reservation l ~core op ~operand ~operand2 then begin
     (* Directed read under another waiter's exclusive-prefetch
        reservation: a non-binding snoop of the current copy that rides
        the line's data-return path — no transition, no occupancy, no

@@ -118,7 +118,10 @@ val access_lat_in :
   operand:int -> operand2:int -> fetch:bool -> int
 (** {!access_lat} with every operand explicit: the engine's
     per-operation path, which allocates nothing (optional arguments
-    would box a [Some] per call). *)
+    would box a [Some] per call).  With metrics off, a load that hits
+    in the requester's own cache on a line without parked waiters takes
+    a short path; its latency, result and effects on the line and the
+    statistics are those of the general path. *)
 
 val try_park_in :
   t -> core:int -> now:int -> Arch.memop -> addr ->

@@ -46,6 +46,15 @@ let record t op ~latency ~queued ~rqueued ~local ~invalidated =
   t.queued_cycles <- t.queued_cycles + queued;
   t.link_queued_cycles <- t.link_queued_cycles + rqueued
 
+(* A load served from the requester's own cache: exactly what [record]
+   of a [Load] with [~queued:0 ~rqueued:0 ~local:true ~invalidated:0]
+   records, without the dispatch. *)
+let record_local_load t ~latency =
+  let c = t.loads in
+  c.count <- c.count + 1;
+  c.cycles <- c.cycles + latency;
+  t.local_hits <- t.local_hits + 1
+
 (* Bulk accounting for [count] elided spin probes of [latency] cycles
    each — exactly what [count] calls of [record] with [~queued:0
    ~invalidated:0] would have recorded.  [local] is false only for

@@ -12,7 +12,7 @@
 
    - Mutual exclusion, strict.  At most one thread holds each lock at
      a time.  The instrumented wrapper emits [E_rel] at release ENTRY
-     and every grant is produced by an effect issued inside the
+     and every grant is produced by an operation issued inside the
      predecessor's release, so in the ring a lock's release always
      precedes its successor's [E_acq]: any grant that finds a live
      holder outstanding is a genuine double grant.  A grant past a

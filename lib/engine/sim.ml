@@ -1,11 +1,15 @@
 (* The discrete-event simulation engine.
 
    Simulated threads are ordinary OCaml functions running as coroutines
-   via effect handlers: every memory operation (or explicit pause)
-   performs an effect; the engine computes the operation's virtual-time
-   cost against the coherent memory model and resumes the thread when it
-   completes.  This lets the lock/message-passing algorithms be written
-   in direct style, exactly as their native counterparts.
+   on effect-handler fibers.  A thread's own operations (memory accesses,
+   pauses, clock and identity queries) are plain function calls on the
+   thread's stack: each charges its virtual-time cost against the
+   coherent memory model and, when nothing else can run before it
+   completes, simply returns — direct-run.  Only an operation whose
+   completion must wait for the event queue performs an effect, which
+   suspends the thread until the queue reaches the completion time.  This
+   lets the lock/message-passing algorithms be written in direct style,
+   exactly as their native counterparts.
 
    The engine is serial: one event queue, one virtual clock, one memory.
    Parallelism comes from running many independent simulations at once
@@ -61,6 +65,10 @@ module Metrics = Ssync_metrics.Metrics
    closure per operation.  A coroutine has at most one pending
    resumption, so one slot of each type suffices. *)
 type thread_state = {
+  sim : t;
+  me : thread_state option;
+      (* [Some] of this record, built once: what the current-thread
+         cell holds while the thread runs *)
   tid : int;
   core : int;
   rng : Rng.t; (* this thread's private fault stream *)
@@ -70,9 +78,11 @@ type thread_state = {
   mutable crashed : bool;
   mutable pend_ik : (int, unit) Effect.Deep.continuation option;
   mutable pend_iv : int;
+  mutable pend_at : int;
+      (* completion time of a step suspended by [E_suspend] *)
   mutable pend_uk : (unit, unit) Effect.Deep.continuation option;
-  mutable run_ik : unit -> unit;
-  mutable run_uk : unit -> unit;
+  run_ik : unit -> unit;
+  run_uk : unit -> unit;
   mutable m_state : int;
       (* metrics run-state: 0 runnable / 1 spinning / 2 parked /
          3 dead — codes chosen so [Metrics.k_runnable + m_state] is
@@ -85,7 +95,7 @@ type thread_state = {
    so concurrent sims never race on the totals and a parallel harness
    can attribute counters per job by snapshotting around it in the
    executing domain. *)
-type counters = {
+and counters = {
   mutable c_events : int;
   mutable c_parks : int;
   mutable c_wakeups : int;
@@ -95,21 +105,7 @@ type counters = {
   mutable c_wall_ns : int;
 }
 
-let counters_key : counters Domain.DLS.key =
-  Domain.DLS.new_key (fun () ->
-      {
-        c_events = 0;
-        c_parks = 0;
-        c_wakeups = 0;
-        c_elided = 0;
-        c_link_queued = 0;
-        c_sim_cycles = 0;
-        c_wall_ns = 0;
-      })
-
-let counters () = Domain.DLS.get counters_key
-
-type t = {
+and t = {
   platform : Platform.t;
   mem : Memory.t;
   q : Event_queue.t;
@@ -144,7 +140,33 @@ type t = {
          overhead when off: one option match per hook site) *)
   macc : Metrics.t option;
       (* the memory's metrics accumulator, cached likewise *)
+  mutable cell : cell;
+      (* the running domain's current-thread cell, captured at run
+         start so the queue's runners need no domain-local lookup *)
 }
+
+(* Which simulated thread the domain is running: [None] outside every
+   thread.  A thread's own operations find their thread — and through
+   it their simulation — here.  The engine sets it before it continues
+   a thread's fiber, writing only when the thread changes, and
+   [run_health] restores it on the way out, so no finished simulation
+   stays reachable from the domain. *)
+and cell = { mutable cur : thread_state option }
+
+let counters_key : counters Domain.DLS.key =
+  Domain.DLS.new_key (fun () ->
+      {
+        c_events = 0;
+        c_parks = 0;
+        c_wakeups = 0;
+        c_elided = 0;
+        c_link_queued = 0;
+        c_sim_cycles = 0;
+        c_wall_ns = 0;
+      })
+
+let counters () = Domain.DLS.get counters_key
+let cell_key : cell Domain.DLS.key = Domain.DLS.new_key (fun () -> { cur = None })
 
 type barrier = {
   mutable expected : int;
@@ -163,23 +185,16 @@ type parker = {
   mutable seat_poll : int;
 }
 
+(* The effects a thread performs to leave its own stack.  [E_suspend]
+   waits for the event queue to reach the completion time of the
+   thread's own step, parked in [pend_at]/[pend_iv]; the others are the
+   waits whose wakeup another thread or the memory model decides. *)
 type _ Effect.t +=
-  | E_mem : Arch.memop * Memory.addr * int * int -> int Effect.t
-  | E_casf : Memory.addr * int * int -> int Effect.t
-    (* CAS returning the observed value instead of the success flag *)
+  | E_suspend : int Effect.t
   | E_spin : Arch.memop * Memory.addr * int * int * int * int -> int Effect.t
-  | E_pause : int -> unit Effect.t
-  | E_now : int Effect.t
-  | E_self : (int * int) Effect.t (* (core, tid) *)
   | E_barrier : barrier -> unit Effect.t
   | E_park : parker * int -> unit Effect.t
   | E_unpark : parker -> unit Effect.t
-  | E_evd : bool Effect.t (* is event-driven waiting active? *)
-  | E_dead : int -> bool Effect.t
-    (* has thread [tid] crash-stopped?  The oracle robust locks build
-       their owner-death detection on: true from the moment virtual
-       time reaches the victim's crash time, whether or not the crash
-       event itself has fired yet *)
 
 exception Simulation_runaway of int
 
@@ -220,6 +235,7 @@ let create ?(faults = Fault.none) ?parking platform =
     run_until = max_int;
     trace = Trace.current ();
     macc = Memory.metrics mem;
+    cell = Domain.DLS.get cell_key;
   }
 
 let memory t = t.mem
@@ -269,49 +285,9 @@ let sched t ~at run = Event_queue.push t.q ~time:at run
 
 (* ------------------------------------------------------------------ *)
 (* Operations available *inside* a simulated thread.  Calling them
-   outside of [spawn]ed code raises [Effect.Unhandled]. *)
-
-let load a = Effect.perform (E_mem (Arch.Load, a, 0, 0))
-let store a v = ignore (Effect.perform (E_mem (Arch.Store, a, v, 0)))
-
-(* Store posted through the store buffer: the thread pays only the
-   retire cost while the transfer (value, invalidations, occupancy)
-   completes in the background — [operand2 = 1] marks it for the
-   memory model. *)
-let store_posted a v = ignore (Effect.perform (E_mem (Arch.Store, a, v, 1)))
-
-let cas a ~expected ~desired =
-  Effect.perform (E_mem (Arch.Cas, a, expected, desired)) = 1
-
-(* CAS that returns the value it observed (success iff it equals
-   [expected]): a retry loop built on it sees the line's value at its
-   own probe time instead of re-reading a stale snapshot. *)
-let cas_fetch a ~expected ~desired =
-  Effect.perform (E_casf (a, expected, desired))
-
-let fai a = Effect.perform (E_mem (Arch.Fai, a, 1, 0))
-
-(* Atomic fetch-and-add by [k] (k >= 0); [faa a 0] is an exclusive
-   atomic read: it returns the value and leaves the line Modified at the
-   caller, modeling a prefetchw+load probe. *)
-let faa a k =
-  if k < 0 then invalid_arg "Sim.faa: negative increment";
-  Effect.perform (E_mem (Arch.Fai, a, k, 0))
-
-(* Store-class fetch-and-add: an increment of a field only this thread
-   writes (e.g. a ticket lock's [current] on release).  Applied
-   atomically by the model but costed as a plain store. *)
-let faa_store a k =
-  if k < 0 then invalid_arg "Sim.faa_store: negative increment";
-  Effect.perform (E_mem (Arch.Fai, a, k, 1))
-
-(* [tas] returns [true] when the caller won (the previous value was 0). *)
-let tas a = Effect.perform (E_mem (Arch.Tas, a, 0, 0)) = 0
-let swap a v = Effect.perform (E_mem (Arch.Swap, a, v, 0))
-let pause cycles = if cycles > 0 then Effect.perform (E_pause cycles)
-let now () = Effect.perform E_now
-let self_core () = fst (Effect.perform E_self)
-let self_tid () = snd (Effect.perform E_self)
+   outside of [spawn]ed code raises [Effect.Unhandled]; a thread's own
+   steps ([load], [pause], [now], ...) follow the direct-run machinery
+   below. *)
 
 (* {2 Spin primitives}
 
@@ -359,12 +335,6 @@ let park pk ~poll =
   Effect.perform (E_park (pk, poll))
 
 let unpark pk = Effect.perform (E_unpark pk)
-let event_driven_waits () = Effect.perform E_evd
-
-(* Cost-free oracle: robust locks model the OS's exact knowledge of
-   which threads died (robust-futex EOWNERDEAD bookkeeping), so the
-   query itself adds no events and no latency. *)
-let tid_crashed tid = Effect.perform (E_dead tid)
 
 (* ------------------------------------------------------------------ *)
 (* Fault hooks. *)
@@ -380,28 +350,36 @@ let trace_fault t st kind cycles =
    duration, whatever it holds staying held.  Draws come from the
    thread's private stream, so faults in one thread never perturb
    another thread's draws. *)
+let fault_draws t st ~mem_op =
+  let f = t.faults in
+  let extra = ref 0 in
+  if mem_op && f.Fault.jitter_prob > 0.
+     && Rng.float st.rng < f.Fault.jitter_prob
+  then begin
+    let cy = Fault.sample st.rng f.Fault.jitter_cycles in
+    extra := !extra + cy;
+    t.jitter <- t.jitter + 1;
+    trace_fault t st Trace.Jitter cy
+  end;
+  if f.Fault.preempt_prob > 0. && Rng.float st.rng < f.Fault.preempt_prob
+  then begin
+    let cy = Fault.sample st.rng f.Fault.preempt_cycles in
+    extra := !extra + cy;
+    t.preempt <- t.preempt + 1;
+    trace_fault t st Trace.Preempt cy
+  end;
+  !extra
+
+(* Small enough to inline: the fault-free path pays one test. *)
 let fault_extra t st ~mem_op =
-  if not t.faults_active then 0
-  else begin
-    let f = t.faults in
-    let extra = ref 0 in
-    if mem_op && f.Fault.jitter_prob > 0.
-       && Rng.float st.rng < f.Fault.jitter_prob
-    then begin
-      let cy = Fault.sample st.rng f.Fault.jitter_cycles in
-      extra := !extra + cy;
-      t.jitter <- t.jitter + 1;
-      trace_fault t st Trace.Jitter cy
-    end;
-    if f.Fault.preempt_prob > 0. && Rng.float st.rng < f.Fault.preempt_prob
-    then begin
-      let cy = Fault.sample st.rng f.Fault.preempt_cycles in
-      extra := !extra + cy;
-      t.preempt <- t.preempt + 1;
-      trace_fault t st Trace.Preempt cy
-    end;
-    !extra
-  end
+  if t.faults_active then fault_draws t st ~mem_op else 0
+
+(* Make [st] the domain's current thread, ahead of continuing its fiber.
+   Consecutive steps of one thread are the common case, so the cell is
+   written only when the thread changes. *)
+let enter t st =
+  let c = t.cell in
+  if c.cur != st.me then c.cur <- st.me
 
 (* Schedule [f] at [at] on [st]'s behalf — unless the thread's crash
    time falls first, in which case [f] is dropped and the crash is
@@ -428,21 +406,27 @@ let crash_sched t st ~at f =
 let resume : type a.
     t -> thread_state -> (a, unit) Effect.Deep.continuation -> at:int -> a -> unit
     =
- fun t st k ~at v -> crash_sched t st ~at (fun () -> Effect.Deep.continue k v)
+ fun t st k ~at v ->
+  crash_sched t st ~at (fun () ->
+      enter t st;
+      Effect.Deep.continue k v)
 
-(* Direct-run: a resumption may skip the event queue entirely and
-   continue the thread synchronously when nothing can observe the
-   difference — no faults active (fault draws key off event shapes),
-   the completion time does not cross the run's [until] backstop (the
-   queue would have dropped it), and it falls *strictly* before every
-   queued event (so no other event could interleave, and same-time
-   FIFO order is preserved).  Timestamps, access order and results are
-   exactly those of the queued schedule; only the per-operation queue
-   round trip disappears.  Both a queue pop and a direct-run continue
-   count as one logical resumption in [events], so the events counter
-   does not depend on which path a resumption took.  [fuel], reset at
-   every real event pop, bounds consecutive synchronous continues so an
-   event-free stretch cannot grow the native stack without limit. *)
+(* Direct-run: the completion of a thread's own step may skip the event
+   queue entirely — the thread simply carries on — when nothing can
+   observe the difference: no faults active (fault draws key off event
+   shapes), the thread cannot crash, the completion time does not cross
+   the run's [until] backstop (the queue would have dropped it), and it
+   falls *strictly* before every queued event (so no other event could
+   interleave, and same-time FIFO order is preserved).  Timestamps,
+   access order and results are exactly those of the queued schedule;
+   only the per-operation queue round trip disappears.  Both a queue pop
+   and a direct-run count as one logical resumption in [events], so the
+   events counter does not depend on which path a resumption took.
+   [fuel], reset at every real event pop, bounds consecutive direct-run
+   steps: a thread that never leaves its stack still reaches the run
+   loop's [max_events] check, and a spin completion (which continues
+   the thread from inside its handler) cannot grow the native stack
+   without limit. *)
 let direct_fuel_max = 1000
 
 let can_direct t ~at =
@@ -451,45 +435,43 @@ let can_direct t ~at =
   && t.fuel < direct_fuel_max
   && at < Event_queue.next_time t.q
 
-(* Hot-path resumptions: when the thread cannot crash, either continue
-   it directly (see above) or park the continuation in its [pend_*]
-   slot and schedule the preallocated runner — zero closure allocations
-   per operation.  With a crash time set, fall back to [resume] so the
-   crash bookkeeping (and its exact event shapes) stays byte-identical.
-   Direct-run applies only to completions of the thread's own
-   operations (memory ops, pauses): those run from the top of the
-   engine loop, never from inside another thread's access processing,
-   so continuing synchronously cannot re-enter the memory model. *)
-let resume_int t st (k : (int, unit) Effect.Deep.continuation) ~at v =
+(* Book [st]'s step completing at [at] as a direct-run resumption, if it
+   may be one; the caller then carries the thread on itself. *)
+let try_direct t st ~at =
+  st.crash_at < 0
+  && can_direct t ~at
+  && begin
+       t.fuel <- t.fuel + 1;
+       t.events <- t.events + 1;
+       t.now <- at;
+       st.last_progress <- at;
+       true
+     end
+
+(* The queued resumption of an int-valued step: park the continuation
+   in [pend_ik] and schedule the preallocated runner — zero closure
+   allocations per operation.  With a crash time set, fall back to
+   [resume] so the crash bookkeeping (and its exact event shapes) stays
+   byte-identical. *)
+let resume_queued t st (k : (int, unit) Effect.Deep.continuation) ~at v =
   if st.crash_at >= 0 then resume t st k ~at v
-  else if can_direct t ~at then begin
-    t.fuel <- t.fuel + 1;
-    t.events <- t.events + 1;
-    t.now <- at;
-    st.last_progress <- at;
-    Effect.Deep.continue k v
-  end
   else begin
     st.pend_ik <- Some k;
     st.pend_iv <- v;
     sched t ~at st.run_ik
   end
 
-(* Unit-typed completion of the thread's own step (pause): direct-run
-   capable, like [resume_int]. *)
-let resume_unit_direct t st (k : (unit, unit) Effect.Deep.continuation) ~at =
-  if st.crash_at >= 0 then resume t st k ~at ()
-  else if can_direct t ~at then begin
-    t.fuel <- t.fuel + 1;
-    t.events <- t.events + 1;
-    t.now <- at;
-    st.last_progress <- at;
-    Effect.Deep.continue k ()
+(* A spin's completion, reached in its [E_spin] handler or in a queued
+   probe step: continue the thread right there when it may direct-run.
+   Both run from the top of the engine loop, never from inside another
+   thread's access processing, so continuing synchronously cannot
+   re-enter the memory model. *)
+let resume_int t st k ~at v =
+  if try_direct t st ~at then begin
+    enter t st;
+    Effect.Deep.continue k v
   end
-  else begin
-    st.pend_uk <- Some k;
-    sched t ~at st.run_uk
-  end
+  else resume_queued t st k ~at v
 
 (* Wakeups issued on behalf of *other* threads (barriers, parkers):
    always scheduled, because the issuing handler may wake several
@@ -508,11 +490,31 @@ let resume_unit t st (k : (unit, unit) Effect.Deep.continuation) ~at =
 let sched_step t st ~at f =
   if st.crash_at >= 0 then crash_sched t st ~at f else sched t ~at f
 
-(* One memory operation of the thread's own: charge it against the
-   memory model at the current time and resume the thread at its
-   completion. *)
-let mem_op t st (k : (int, unit) Effect.Deep.continuation) op a ~operand
-    ~operand2 ~fetch =
+(* ------------------------------------------------------------------ *)
+(* A thread's own operations: plain calls on its stack.  The thread comes
+   from the domain's current-thread cell, the step is charged there,
+   fault draws and the crash check included, and the thread suspends
+   ([E_suspend]) only when the completion cannot direct-run. *)
+
+let current () =
+  match (Domain.DLS.get cell_key).cur with
+  | Some st -> st
+  | None -> raise (Effect.Unhandled E_suspend)
+
+(* Complete the calling thread's own step at [at] with result [v]. *)
+let complete t st ~at v =
+  if try_direct t st ~at then v
+  else begin
+    st.pend_at <- at;
+    st.pend_iv <- v;
+    Effect.perform E_suspend
+  end
+
+(* One memory operation: charge it against the memory model at the
+   current time and complete it at its completion time. *)
+let mem_op op a ~operand ~operand2 ~fetch =
+  let st = current () in
+  let t = st.sim in
   (match t.trace with Some tr -> Trace.set_tid tr st.tid | None -> ());
   let latency =
     Memory.access_lat_in t.mem ~core:st.core ~now:t.now op a ~operand
@@ -520,7 +522,70 @@ let mem_op t st (k : (int, unit) Effect.Deep.continuation) op a ~operand
   in
   let v = Memory.last_result t.mem in
   let latency = latency + fault_extra t st ~mem_op:true in
-  resume_int t st k ~at:(t.now + latency) v
+  complete t st ~at:(t.now + latency) v
+
+let load a = mem_op Arch.Load a ~operand:0 ~operand2:0 ~fetch:false
+let store a v = ignore (mem_op Arch.Store a ~operand:v ~operand2:0 ~fetch:false)
+
+(* Store posted through the store buffer: the thread pays only the
+   retire cost while the transfer (value, invalidations, occupancy)
+   completes in the background — [operand2 = 1] marks it for the
+   memory model. *)
+let store_posted a v =
+  ignore (mem_op Arch.Store a ~operand:v ~operand2:1 ~fetch:false)
+
+let cas a ~expected ~desired =
+  mem_op Arch.Cas a ~operand:expected ~operand2:desired ~fetch:false = 1
+
+(* CAS that returns the value it observed (success iff it equals
+   [expected]): a retry loop built on it sees the line's value at its
+   own probe time instead of re-reading a stale snapshot. *)
+let cas_fetch a ~expected ~desired =
+  mem_op Arch.Cas a ~operand:expected ~operand2:desired ~fetch:true
+
+let fai a = mem_op Arch.Fai a ~operand:1 ~operand2:0 ~fetch:false
+
+(* Atomic fetch-and-add by [k] (k >= 0); [faa a 0] is an exclusive
+   atomic read: it returns the value and leaves the line Modified at the
+   caller, modeling a prefetchw+load probe. *)
+let faa a k =
+  if k < 0 then invalid_arg "Sim.faa: negative increment";
+  mem_op Arch.Fai a ~operand:k ~operand2:0 ~fetch:false
+
+(* Store-class fetch-and-add: an increment of a field only this thread
+   writes (e.g. a ticket lock's [current] on release).  Applied
+   atomically by the model but costed as a plain store. *)
+let faa_store a k =
+  if k < 0 then invalid_arg "Sim.faa_store: negative increment";
+  mem_op Arch.Fai a ~operand:k ~operand2:1 ~fetch:false
+
+(* [tas] returns [true] when the caller won (the previous value was 0). *)
+let tas a = mem_op Arch.Tas a ~operand:0 ~operand2:0 ~fetch:false = 0
+let swap a v = mem_op Arch.Swap a ~operand:v ~operand2:0 ~fetch:false
+
+let pause cycles =
+  if cycles > 0 then begin
+    let st = current () in
+    let t = st.sim in
+    let cycles = cycles + fault_extra t st ~mem_op:false in
+    ignore (complete t st ~at:(t.now + cycles) 0)
+  end
+
+let now () = (current ()).sim.now
+let self_core () = (current ()).core
+let self_tid () = (current ()).tid
+let event_driven_waits () = event_driven (current ()).sim
+
+(* Cost-free oracle: robust locks model the OS's exact knowledge of
+   which threads died (robust-futex EOWNERDEAD bookkeeping), so the
+   query itself adds no events and no latency.  True from the moment
+   virtual time reaches the victim's crash time, whether or not the
+   crash event itself has fired yet. *)
+let tid_crashed qtid =
+  let t = (current ()).sim in
+  match Hashtbl.find_opt t.tstates qtid with
+  | Some qst -> qst.crashed || (qst.crash_at >= 0 && t.now >= qst.crash_at)
+  | None -> false
 
 (* The [E_spin] state machine.  Invoked with the thread suspended right
    after observing [while_]; the first probe issues at [now + poll],
@@ -651,45 +716,57 @@ let spawn t ~core body =
   let tid = t.spawned in
   t.spawned <- tid + 1;
   t.live <- t.live + 1;
-  let st =
+  let rng = Fault.stream t.faults ~tid in
+  let crash_at = Fault.crash_time t.faults ~tid in
+  let rec st =
     {
+      sim = t;
+      me = Some st;
       tid;
       core;
-      rng = Fault.stream t.faults ~tid;
-      crash_at = Fault.crash_time t.faults ~tid;
+      rng;
+      crash_at;
       last_progress = t.now;
       finished = false;
       crashed = false;
       pend_ik = None;
       pend_iv = 0;
+      pend_at = 0;
       pend_uk = None;
-      run_ik = ignore;
-      run_uk = ignore;
+      run_ik =
+        (fun () ->
+          st.last_progress <- t.now;
+          match st.pend_ik with
+          | Some k ->
+              st.pend_ik <- None;
+              enter t st;
+              Effect.Deep.continue k st.pend_iv
+          | None -> ());
+      run_uk =
+        (fun () ->
+          st.last_progress <- t.now;
+          match st.pend_uk with
+          | Some k ->
+              st.pend_uk <- None;
+              enter t st;
+              Effect.Deep.continue k ()
+          | None -> ());
       m_state = m_runnable;
       m_since = t.now;
     }
   in
-  st.run_ik <-
-    (fun () ->
-      st.last_progress <- t.now;
-      match st.pend_ik with
-      | Some k ->
-          st.pend_ik <- None;
-          Effect.Deep.continue k st.pend_iv
-      | None -> ());
-  st.run_uk <-
-    (fun () ->
-      st.last_progress <- t.now;
-      match st.pend_uk with
-      | Some k ->
-          st.pend_uk <- None;
-          Effect.Deep.continue k ()
-      | None -> ());
   Hashtbl.replace t.tstates tid st;
   (match t.trace with
   | Some tr -> Trace.emit tr ~ts:t.now (Trace.E_thread { tid; core })
   | None -> ());
   let open Effect.Deep in
+  (* the handler's answer to [E_suspend], built once per thread rather
+     than per suspension *)
+  let on_suspend =
+    Some
+      (fun (k : (int, unit) continuation) ->
+        resume_queued t st k ~at:st.pend_at st.pend_iv)
+  in
   let handler : (unit, unit) handler =
     {
       retc =
@@ -700,30 +777,15 @@ let spawn t ~core body =
           t.live <- t.live - 1);
       exnc = (fun e -> raise e);
       effc =
-        (fun (type a) (eff : a Effect.t) ->
+        (fun (type a) (eff : a Effect.t) :
+             ((a, unit) continuation -> unit) option ->
           match eff with
-          | E_mem (op, a, op1, op2) ->
-              Some
-                (fun (k : (a, unit) continuation) ->
-                  mem_op t st k op a ~operand:op1 ~operand2:op2 ~fetch:false)
-          | E_casf (a, expected, desired) ->
-              Some
-                (fun (k : (a, unit) continuation) ->
-                  mem_op t st k Arch.Cas a ~operand:expected ~operand2:desired
-                    ~fetch:true)
+          | E_suspend -> on_suspend
           | E_spin (op, a, op1, op2, while_, poll) ->
               Some
                 (fun (k : (a, unit) continuation) ->
                   spin_loop t st k op a ~operand:op1 ~operand2:op2 ~while_
                     ~poll)
-          | E_pause cycles ->
-              Some
-                (fun (k : (a, unit) continuation) ->
-                  let cycles = Int.max 1 cycles + fault_extra t st ~mem_op:false in
-                  resume_unit_direct t st k ~at:(t.now + cycles))
-          | E_now -> Some (fun (k : (a, unit) continuation) -> continue k t.now)
-          | E_self ->
-              Some (fun (k : (a, unit) continuation) -> continue k (core, tid))
           | E_barrier b ->
               Some (fun (k : (a, unit) continuation) -> barrier_arrive t st k b)
           | E_park (pk, poll) ->
@@ -735,26 +797,12 @@ let spawn t ~core body =
                      immediately *)
                   unpark_wake t pk;
                   continue k ())
-          | E_evd ->
-              Some
-                (fun (k : (a, unit) continuation) ->
-                  continue k (event_driven t))
-          | E_dead qtid ->
-              Some
-                (fun (k : (a, unit) continuation) ->
-                  let dead =
-                    match Hashtbl.find_opt t.tstates qtid with
-                    | Some qst ->
-                        qst.crashed
-                        || (qst.crash_at >= 0 && t.now >= qst.crash_at)
-                    | None -> false
-                  in
-                  continue k dead)
           | _ -> None);
     }
   in
   sched t ~at:t.now (fun () ->
       st.last_progress <- t.now;
+      enter t st;
       match_with body () handler)
 
 (* ------------------------------------------------------------------ *)
@@ -823,15 +871,10 @@ let most_stalled t =
    drained with threads still blocked (a deadlock, e.g. a barrier that
    never fills, a lock whose holder crash-stopped, or a parked waiter
    no access will ever wake). *)
-let run_health ?(until = max_int) ?(max_events = 200_000_000) t =
-  let wall_start = Unix.gettimeofday () in
-  let start_now = t.now in
-  let start_elided = (Memory.stats t.mem).Stats.elided_probes in
-  let ev_base = t.events in
-  let parks_base = t.parks in
-  let wakeups_base = t.wakeups in
+(* The event loop of one run: pop and run events until the queue drains
+   or passes [until]; returns how many events the backstop dropped. *)
+let drain t ~until ~max_events ~ev_base =
   let dropped = ref 0 in
-  t.run_until <- until;
   let p = t.popped in
   let continue_run = ref true in
   while !continue_run do
@@ -850,6 +893,31 @@ let run_health ?(until = max_int) ?(max_events = 200_000_000) t =
       p.Event_queue.p_run ()
     end
   done;
+  !dropped
+
+let run_health ?(until = max_int) ?(max_events = 200_000_000) t =
+  let wall_start = Unix.gettimeofday () in
+  let start_now = t.now in
+  let start_elided = (Memory.stats t.mem).Stats.elided_probes in
+  let ev_base = t.events in
+  let parks_base = t.parks in
+  let wakeups_base = t.wakeups in
+  t.run_until <- until;
+  (* the threads run with the domain's cell pointing at them; on the way
+     out, normal or not, it gets back what it held before the run *)
+  let cell = Domain.DLS.get cell_key in
+  let outer = cell.cur in
+  t.cell <- cell;
+  let dropped =
+    match drain t ~until ~max_events ~ev_base with
+    | n ->
+        cell.cur <- outer;
+        n
+    | exception e ->
+        let bt = Printexc.get_raw_backtrace () in
+        cell.cur <- outer;
+        Printexc.raise_with_backtrace e bt
+  in
   (* close the open run-state spans so the thread gauges cover the
      whole run, whichever state each thread ends it in *)
   if t.macc <> None then
@@ -887,7 +955,7 @@ let run_health ?(until = max_int) ?(max_events = 200_000_000) t =
       crashed = List.rev t.crashed_tids;
       preemptions = t.preempt;
       jitter_events = t.jitter;
-      dropped_events = !dropped;
+      dropped_events = dropped;
     } )
 
 let run ?until ?max_events t = fst (run_health ?until ?max_events t)

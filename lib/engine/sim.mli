@@ -1,11 +1,14 @@
 (** The discrete-event simulation engine.
 
     Simulated threads are ordinary OCaml functions running as
-    effects-based coroutines: every memory operation (or explicit
-    pause) suspends the thread, the engine charges its virtual-time
-    cost against the coherent memory model, and resumes the thread at
-    completion time.  Lock and message-passing algorithms are written
-    in direct style, exactly like their native counterparts.
+    effects-based coroutines.  A thread's own operations (memory
+    accesses, pauses, clock and identity queries) are plain calls on
+    the thread's stack: each charges its virtual-time cost against the
+    coherent memory model and returns at once when no other event can
+    come first (direct-run); otherwise the thread suspends and the
+    engine resumes it at completion time.  Both paths give the same
+    schedule.  Lock and message-passing algorithms are written in
+    direct style, exactly like their native counterparts.
 
     Spin-wait loops use the dedicated primitives ({!spin_load} and
     friends): semantically identical to the hand-written

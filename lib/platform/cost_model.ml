@@ -37,6 +37,15 @@ let uncached v = v.owner < 0 && Coreset.is_empty v.sharers
 let n_holders v = Coreset.cardinal v.sharers + if v.owner < 0 then 0 else 1
 let holds v core = v.owner = core || Coreset.mem v.sharers core
 
+(* Cycles of a load served from the requester's own L1.  The one copy of
+   these constants: the per-platform models, [op_latency]'s local-load
+   branch and [Memory]'s local-hit path all return this. *)
+let load_hit_latency (t : Topology.t) =
+  match t.id with
+  | Arch.Opteron | Arch.Opteron2 | Arch.Niagara -> 3
+  | Arch.Xeon | Arch.Xeon2 -> 5
+  | Arch.Tilera -> 2
+
 (* Distance class between two *nodes* of a topology. *)
 let node_class (t : Topology.t) n1 n2 : Arch.distance =
   t.class_tab.((n1 * t.n_nodes) + n2)
@@ -192,7 +201,7 @@ let opteron_latency (t : Topology.t) (op : Arch.memop) ~requester v =
   let class_of_source = source_class t ~requester v in
   match op with
   | Arch.Load ->
-      if holds v requester then 3 (* L1 hit *)
+      if holds v requester then load_hit_latency t
       else
         opteron_row4 class_of_source
           (match v.state with
@@ -269,7 +278,7 @@ let xeon_latency (t : Topology.t) (op : Arch.memop) ~requester v =
   in
   match op with
   | Arch.Load -> (
-      if holds v requester then 5 (* L1 hit *)
+      if holds v requester then load_hit_latency t
       else
         match v.state with
         | Arch.Modified ->
@@ -322,7 +331,7 @@ let niagara_class (t : Topology.t) ~requester v : Arch.distance =
 let niagara_latency (t : Topology.t) (op : Arch.memop) ~requester v =
   match op with
   | Arch.Load ->
-      if holds v requester then 3
+      if holds v requester then load_hit_latency t
       else if uncached v || v.state = Arch.Invalid then 176
       else niagara_pair (niagara_class t ~requester v) nia_load
   | Arch.Store -> 24
@@ -371,7 +380,7 @@ let tilera_latency (t : Topology.t) (op : Arch.memop) ~requester v =
   let inval_growth = 3 * Int.max 0 (Coreset.cardinal v.sharers - 1) in
   match op with
   | Arch.Load ->
-      if holds v requester then 2 (* local L1 *)
+      if holds v requester then load_hit_latency t
       else if uncached v || v.state = Arch.Invalid then
         if h = 0 then 108 else tilera_scale ~at1:118 ~at10:162 h
       else if h = 0 then 11 (* own L2 slice is the home *)
@@ -450,19 +459,16 @@ let xeon2_latency (t : Topology.t) op ~requester v =
 
 let op_latency (t : Topology.t) (op : Arch.memop) ~requester (v : view) : int =
   Topology.check t requester;
-  (* Local-service fast paths.  Each constant mirrors the corresponding
-     early case of the model functions above (and, for the small
-     two-socket platforms, of [scaled_small], whose cross-socket ratio
-     never applies when the requester itself is the data source): the
-     general dispatch below would return exactly the same number, but
-     only after building its per-call row closures — which dominates the
-     simulator's hot path, where most accesses are cache hits. *)
+  (* Local-service fast paths.  A load hit is [load_hit_latency]; each
+     store/atomic constant mirrors the corresponding early case of the
+     model functions above (and, for the small two-socket platforms, of
+     [scaled_small], whose cross-socket ratio never applies when the
+     requester itself is the data source): the general dispatch below
+     would return exactly the same number, but only after building its
+     per-call row closures — which dominates the simulator's hot path,
+     where most accesses are cache hits. *)
   match op with
-  | Arch.Load when holds v requester -> (
-      match t.id with
-      | Arch.Opteron | Arch.Opteron2 | Arch.Niagara -> 3
-      | Arch.Xeon | Arch.Xeon2 -> 5
-      | Arch.Tilera -> 2)
+  | Arch.Load when holds v requester -> load_hit_latency t
   | Arch.Store
     when v.owner = requester
          && (v.state = Arch.Modified || v.state = Arch.Exclusive) -> (

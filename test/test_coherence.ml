@@ -224,6 +224,102 @@ let qcheck_latency_monotone_queueing =
       (* the second atomic can never be cheaper than its own service *)
       l1 > 0 && l2 > 0)
 
+(* ------------------------- local-hit path ------------------------ *)
+
+(* [access_lat_in] serves a load hit on a line without parked waiters
+   through a shortcut that applies only with metrics off.  So a memory
+   created under a metrics sink takes the general path for every access,
+   and must agree with a twin that takes the shortcut: access by access,
+   in the wakes of parked spinners, and in its final state. *)
+let qcheck_local_hit_path =
+  let gen =
+    QCheck.Gen.(
+      let* pid = oneofl Arch.all_platform_ids in
+      let* ops =
+        list_size (int_range 1 80)
+          (quad (int_range 0 3) (int_range 0 11) (int_range 0 5)
+             (int_range 0 200))
+      in
+      return (pid, ops))
+  in
+  QCheck.Test.make ~count:300 ~name:"local-hit path = general path"
+    (QCheck.make gen) (fun (pid, ops) ->
+      let p = Platform.get pid in
+      let n = Platform.n_cores p in
+      let cores = [| 0; 1; n / 2; n - 1 |] in
+      (* three padded words homed mid-machine and three on one line *)
+      let build () =
+        let m = Memory.create p in
+        let padded = Memory.alloc_n ~home_core:(n / 2) m 3 in
+        let packed = Memory.alloc_packed m 3 in
+        (m, [| padded; padded + 1; padded + 2; packed; packed + 1; packed + 2 |])
+      in
+      ignore (Ssync_metrics.Metrics.start ());
+      let general, addrs = build () in
+      ignore (Ssync_metrics.Metrics.stop ());
+      let fast, _ = build () in
+      let now = ref 0 in
+      let wakes_general = ref [] and wakes_fast = ref [] in
+      let step m wakes (ci, opcode, wi, dt) =
+        let core = cores.(ci) and a = addrs.(wi) in
+        let access op ~operand ~operand2 ~fetch =
+          let lat =
+            Memory.access_lat_in m ~core ~now:!now op a ~operand ~operand2
+              ~fetch
+          in
+          (lat, Memory.last_result m)
+        in
+        match opcode with
+        | 0 | 1 | 2 -> access Arch.Load ~operand:0 ~operand2:0 ~fetch:false
+        | 3 -> access Arch.Store ~operand:dt ~operand2:0 ~fetch:false
+        | 4 -> access Arch.Store ~operand:dt ~operand2:1 ~fetch:false
+        | 5 ->
+            access Arch.Cas ~operand:(Memory.peek m a) ~operand2:dt
+              ~fetch:false
+        | 6 -> access Arch.Cas ~operand:0 ~operand2:1 ~fetch:true
+        | 7 -> access Arch.Fai ~operand:1 ~operand2:0 ~fetch:false
+        | 8 -> access Arch.Fai ~operand:0 ~operand2:0 ~fetch:false
+        | 9 -> access Arch.Tas ~operand:0 ~operand2:0 ~fetch:false
+        | 10 -> access Arch.Swap ~operand:dt ~operand2:0 ~fetch:false
+        | _ ->
+            (* park a load spinner on the value it sees, if inert *)
+            let parked =
+              Memory.try_park_in m ~core ~now:!now Arch.Load a ~operand:0
+                ~operand2:0 ~while_:(Memory.peek m a) ~poll:(dt + 1)
+                ~replay:(fun at -> wakes := (core, at) :: !wakes)
+            in
+            ((if parked then 1 else 0), 0)
+      in
+      let line_state m a =
+        let l = Memory.line m a in
+        ( (l.Memory.state, l.Memory.owner, Coreset.elements l.Memory.sharers),
+          (l.Memory.busy_until, l.Memory.pfw_owner, l.Memory.cas_pending),
+          (l.Memory.llc_dirty, List.map (fun w -> w.Memory.w_next) l.Memory.waiters) )
+      in
+      let per_access_equal =
+        List.for_all
+          (fun ((_, _, _, dt) as op) ->
+            now := !now + dt;
+            let g = step general wakes_general op in
+            let f = step fast wakes_fast op in
+            g = f)
+          ops
+      in
+      let resources =
+        List.init (Cost_model.n_resources p.Platform.topo) Fun.id
+      in
+      per_access_equal
+      && !wakes_general = !wakes_fast
+      && Memory.stats general = Memory.stats fast
+      && Array.for_all
+           (fun a ->
+             Memory.peek general a = Memory.peek fast a
+             && line_state general a = line_state fast a)
+           addrs
+      && List.for_all
+           (fun r -> Memory.resource_busy general r = Memory.resource_busy fast r)
+           resources)
+
 (* ------------------------- allocation guard ---------------------- *)
 
 (* The per-access path allocates nothing: no [Some] owners, no cost-model
@@ -334,6 +430,7 @@ let suite =
       test_force_state;
     QCheck_alcotest.to_alcotest qcheck_protocol_invariants;
     QCheck_alcotest.to_alcotest qcheck_latency_monotone_queueing;
+    QCheck_alcotest.to_alcotest qcheck_local_hit_path;
     Alcotest.test_case "access hot path allocates nothing" `Quick
       test_access_allocation_free;
     Alcotest.test_case "event queue allocates nothing" `Quick

@@ -363,6 +363,118 @@ let test_fault_spec_validation () =
     (fails (fun () ->
          Sim.create ~faults:(Fault.crash_stop [ (-1, 0) ]) Platform.opteron))
 
+(* ---------------------- effect-free direct-run --------------------- *)
+
+(* A thread's own steps are plain calls on its stack.  In a 1-thread
+   fault-free simulation nothing else is ever queued, so every step
+   direct-runs — one pop starts the thread, then each step that takes
+   time is one direct-run resumption (4 x 200 stays under the 1000-step
+   fuel, so no pop intervenes) — and none of them may allocate. *)
+let test_direct_run_allocation_free () =
+  let sim = Sim.create Platform.opteron in
+  let a = Memory.alloc (Sim.memory sim) in
+  let n = 200 in
+  let words = ref [] in
+  Sim.spawn sim ~core:0 (fun () ->
+      let words_during = Test_coherence.minor_words_during in
+      let overhead = words_during ignore in
+      let measure name f =
+        let w = ref 0 in
+        for _ = 1 to n do
+          w := !w + words_during f - overhead
+        done;
+        words := (name, !w) :: !words
+      in
+      measure "load" (fun () -> ignore (Sim.load a));
+      measure "store" (fun () -> Sim.store a 7);
+      measure "fai" (fun () -> ignore (Sim.fai a));
+      measure "pause" (fun () -> Sim.pause 10);
+      measure "now" (fun () -> ignore (Sim.now ())));
+  ignore (Sim.run sim);
+  check_int "every step direct-ran" (1 + (4 * n)) (Sim.perf sim).Sim.events;
+  List.iter
+    (fun (name, w) -> check_int (name ^ " allocates nothing") 0 w)
+    (List.rev !words)
+
+(* Every operation of a thread's own, called outside any thread. *)
+let thread_ops a =
+  [
+    ("load", fun () -> ignore (Sim.load a));
+    ("store", fun () -> Sim.store a 1);
+    ("store_posted", fun () -> Sim.store_posted a 1);
+    ("cas", fun () -> ignore (Sim.cas a ~expected:0 ~desired:1));
+    ("cas_fetch", fun () -> ignore (Sim.cas_fetch a ~expected:0 ~desired:1));
+    ("fai", fun () -> ignore (Sim.fai a));
+    ("faa", fun () -> ignore (Sim.faa a 2));
+    ("faa_store", fun () -> ignore (Sim.faa_store a 2));
+    ("tas", fun () -> ignore (Sim.tas a));
+    ("swap", fun () -> ignore (Sim.swap a 3));
+    ("pause", fun () -> Sim.pause 5);
+    ("now", fun () -> ignore (Sim.now ()));
+    ("self_core", fun () -> ignore (Sim.self_core ()));
+    ("self_tid", fun () -> ignore (Sim.self_tid ()));
+    ("event_driven_waits", fun () -> ignore (Sim.event_driven_waits ()));
+    ("tid_crashed", fun () -> ignore (Sim.tid_crashed 0));
+  ]
+
+let check_unhandled ~moment a =
+  List.iter
+    (fun (name, op) ->
+      let raised =
+        match op () with () -> false | exception Effect.Unhandled _ -> true
+      in
+      check_bool (Printf.sprintf "%s %s raises Effect.Unhandled" name moment)
+        true raised)
+    (thread_ops a)
+
+let test_ops_outside_threads () =
+  let sim = Sim.create Platform.opteron in
+  let a = Memory.alloc (Sim.memory sim) in
+  Sim.spawn sim ~core:0 (fun () ->
+      Sim.store a 5;
+      Sim.pause 10);
+  check_unhandled ~moment:"before the run" a;
+  ignore (Sim.run sim);
+  check_unhandled ~moment:"after a completed run" a;
+  check_int "the refused ops touched nothing" 5
+    (Memory.peek (Sim.memory sim) a);
+  let sim = Sim.create Platform.opteron in
+  let b = Memory.alloc (Sim.memory sim) in
+  Sim.spawn sim ~core:0 (fun () ->
+      Sim.store b 5;
+      failwith "thread body failed");
+  (match Sim.run sim with
+  | _ -> Alcotest.fail "the thread's exception was lost"
+  | exception Failure _ -> ());
+  check_unhandled ~moment:"after a run whose thread raised" b;
+  check_int "the refused ops touched nothing'" 5
+    (Memory.peek (Sim.memory sim) b)
+
+(* Build and run a simulation — completed or ended by its thread's
+   exception — leaving only a weak pointer to it. *)
+let[@inline never] run_and_forget w i ~raises =
+  let sim = Sim.create Platform.opteron in
+  let a = Memory.alloc (Sim.memory sim) in
+  Sim.spawn sim ~core:0 (fun () ->
+      Sim.store a 1;
+      Sim.pause 10;
+      if raises then failwith "thread body failed");
+  Sim.spawn sim ~core:1 (fun () -> ignore (Sim.load a));
+  (try ignore (Sim.run sim) with Failure _ -> ());
+  Weak.set w i (Some sim)
+
+(* Nothing the engine keeps per domain (the current-thread cell among
+   it) holds on to a simulation after its run. *)
+let test_finished_sim_collectable () =
+  let w = Weak.create 2 in
+  run_and_forget w 0 ~raises:false;
+  run_and_forget w 1 ~raises:true;
+  Gc.full_major ();
+  check_bool "completed simulation collected" true
+    (Option.is_none (Weak.get w 0));
+  check_bool "simulation whose thread raised collected" true
+    (Option.is_none (Weak.get w 1))
+
 (* qcheck: counter increments across random thread/iteration mixes are
    never lost. *)
 let qcheck_no_lost_updates =
@@ -422,5 +534,11 @@ let suite =
       test_watchdog_crash_stall_verdict;
     Alcotest.test_case "fault spec validation" `Quick
       test_fault_spec_validation;
+    Alcotest.test_case "direct-run ops allocate nothing" `Quick
+      test_direct_run_allocation_free;
+    Alcotest.test_case "ops outside a thread raise Effect.Unhandled" `Quick
+      test_ops_outside_threads;
+    Alcotest.test_case "a finished simulation can be collected" `Quick
+      test_finished_sim_collectable;
     QCheck_alcotest.to_alcotest qcheck_no_lost_updates;
   ]
