@@ -87,10 +87,13 @@ val branch : t -> t
 val span : t -> kind:int -> id:int -> t0:int -> t1:int -> weight:int -> unit
 (** Add [weight] cycles-per-cycle over virtual span [\[t0, t1)]
     (epoch-relative; the accumulator's base is applied).  No-op when
-    [t1 <= t0] or [weight = 0]. *)
+    [t1 <= t0] or [weight = 0].  Allocates nothing once the keys it
+    touches are present.
+    @raise Invalid_argument if it would record a negative [kind]. *)
 
 val bump : t -> kind:int -> id:int -> ts:int -> int -> unit
-(** Add a point count at virtual time [ts] (epoch-relative). *)
+(** Add a point count at virtual time [ts] (epoch-relative).
+    @raise Invalid_argument if it would record a negative [kind]. *)
 
 val merge : into:t -> t -> unit
 (** Fold [t]'s samples (and high-water mark) into [into], then reset
@@ -128,3 +131,24 @@ val dump_json : Buffer.t -> (string * t) list -> unit
 
 val dump_file : string -> (string * t) list -> unit
 (** Write {!dump_json} if the path ends in [.json], else {!dump_csv}. *)
+
+(** {1 Export writer}
+
+    The buffer writer behind the [--trace] and [--metrics] exporters.
+    Every string an exporter writes inside JSON quotes goes through
+    {!Writer.escaped} or {!Writer.escape}.  {!Writer.int} and
+    {!Writer.escaped} allocate nothing. *)
+module Writer : sig
+  val int : Buffer.t -> int -> unit
+  (** Append [n] in decimal, exactly as [string_of_int n] spells it. *)
+
+  val escaped : Buffer.t -> string -> unit
+  (** Append [s] as the body of a JSON string: double quote and
+      backslash get a backslash, bytes below 0x20 become [\u00XX], and
+      every other byte is copied unchanged (so UTF-8 in, valid JSON
+      out). *)
+
+  val escape : string -> string
+  (** {!escaped} into a string, for names escaped once and written many
+      times; [s] itself when it needs no escaping. *)
+end

@@ -22,4 +22,5 @@ let () =
       ("robust", Test_robust.suite);
       ("trace", Test_trace.suite);
       ("metrics", Test_metrics.suite);
+      ("export", Test_export.suite);
     ]

@@ -13,7 +13,11 @@
      totals reconcile exactly against [Sim.perf];
    - a planted saturation case shows up where it was planted: read
      streams from every node funneled at one link drive its sampled
-     busy cycles to >= 90% of a steady-state bucket. *)
+     busy cycles to >= 90% of a steady-state bucket;
+   - the table agrees with a [Map] model over random span, bump,
+     branch, merge and new-epoch sequences, at the default grid and at
+     one cycle per bucket, and adding to a key already present
+     allocates nothing. *)
 
 open Ssync_platform
 open Ssync_coherence
@@ -224,6 +228,202 @@ let test_dump_formats () =
   check_bool "json opens with the grid" true
     (String.sub json 0 17 = "{\"bucket_cycles\":")
 
+(* ------------------------- table vs model -------------------------- *)
+
+module Key = struct
+  type t = int * int * int
+
+  let compare = compare
+end
+
+module KM = Map.Make (Key)
+
+(* The reference: a map of (kind, id, bucket) sums, with [span] written
+   as per-bucket overlaps rather than the table's first/middle/last
+   split. *)
+type model = {
+  w : int;
+  mutable base : int;
+  mutable max_ts : int;
+  mutable m : int KM.t;
+}
+
+let m_add md key v =
+  md.m <- KM.update key (function None -> Some v | Some x -> Some (x + v)) md.m
+
+let m_span md ~kind ~id ~t0 ~t1 ~weight =
+  if t1 > t0 && weight <> 0 then begin
+    let a = md.base + max 0 t0 and b = md.base + max 0 t1 in
+    md.max_ts <- max md.max_ts b;
+    for bk = a / md.w to (b - 1) / md.w do
+      let lo = max a (bk * md.w) and hi = min b ((bk + 1) * md.w) in
+      m_add md (kind, id, bk) (weight * (hi - lo))
+    done
+  end
+
+let m_bump md ~kind ~id ~ts n =
+  if n <> 0 then begin
+    let a = md.base + max 0 ts in
+    md.max_ts <- max md.max_ts (a + 1);
+    m_add md (kind, id, a / md.w) n
+  end
+
+type op =
+  | Span of int * int * int * int * int * int
+      (* acc, kind, id, t0, len, weight *)
+  | Bump of int * int * int * int * int  (* acc, kind, id, ts, n *)
+  | Branch of int
+  | Merge of int * int  (* into, from *)
+  | Epoch of int
+
+let show_op = function
+  | Span (a, k, i, t0, len, w) ->
+      Printf.sprintf "Span(%d,%d,%d,%d,%d,%d)" a k i t0 len w
+  | Bump (a, k, i, ts, n) -> Printf.sprintf "Bump(%d,%d,%d,%d,%d)" a k i ts n
+  | Branch a -> Printf.sprintf "Branch %d" a
+  | Merge (a, b) -> Printf.sprintf "Merge(%d,%d)" a b
+  | Epoch a -> Printf.sprintf "Epoch %d" a
+
+(* [max_t] bounds timestamps and [max_len] span lengths: at one cycle
+   per bucket, short spans over a wide range give few keys per span but
+   large bucket indices. *)
+let gen_ops ~max_t ~max_len =
+  QCheck.Gen.(
+    let acc = int_range 0 7 and kind = int_range 0 (Metrics.n_kinds + 1) in
+    let id = int_range (-2) 40 and ts = int_range (-50) max_t in
+    list_size (int_range 1 300)
+      (frequency
+         [
+           ( 8,
+             map3
+               (fun (a, k, i) t0 (len, w) -> Span (a, k, i, t0, len, w))
+               (triple acc kind id) ts
+               (pair (int_range (-5) max_len) (int_range (-3) 6)) );
+           ( 5,
+             map3
+               (fun (a, k, i) ts n -> Bump (a, k, i, ts, n))
+               (triple acc kind id) ts (int_range (-3) 5) );
+           (1, map (fun a -> Branch a) acc);
+           (1, map2 (fun a b -> Merge (a, b)) acc acc);
+           (1, map (fun a -> Epoch a) acc);
+         ]))
+
+let samples_of m =
+  let acc = ref [] in
+  Metrics.iter_sorted m (fun ~kind ~id ~bucket v ->
+      acc := ((kind, id, bucket), v) :: !acc);
+  List.rev !acc
+
+let run_ops ops =
+  let model =
+    { w = !Metrics.bucket_cycles; base = 0; max_ts = 0; m = KM.empty }
+  in
+  let accs = ref [| (Metrics.create (), model) |] in
+  let pick a = !accs.(a mod Array.length !accs) in
+  List.iter
+    (function
+      | Span (a, kind, id, t0, len, weight) ->
+          let t, md = pick a in
+          Metrics.span t ~kind ~id ~t0 ~t1:(t0 + len) ~weight;
+          m_span md ~kind ~id ~t0 ~t1:(t0 + len) ~weight
+      | Bump (a, kind, id, ts, n) ->
+          let t, md = pick a in
+          Metrics.bump t ~kind ~id ~ts n;
+          m_bump md ~kind ~id ~ts n
+      | Branch a ->
+          let t, md = pick a in
+          accs :=
+            Array.append !accs
+              [|
+                (Metrics.branch t, { md with max_ts = md.base; m = KM.empty });
+              |]
+      | Merge (a, b) ->
+          let n = Array.length !accs in
+          if a mod n <> b mod n then begin
+            let t, md = pick a and t', md' = pick b in
+            Metrics.merge ~into:t t';
+            KM.iter (fun k v -> m_add md k v) md'.m;
+            md.max_ts <- max md.max_ts md'.max_ts;
+            md'.m <- KM.empty;
+            md'.max_ts <- md'.base
+          end
+      | Epoch a ->
+          let t, md = pick a in
+          Metrics.new_epoch t;
+          if md.max_ts > md.base then
+            md.base <- ((md.max_ts / md.w) + 1) * md.w)
+    ops;
+  !accs
+
+let agrees (t, md) =
+  let kinds = List.init (Metrics.n_kinds + 3) (fun k -> k - 1) in
+  samples_of t = KM.bindings md.m
+  && Metrics.max_ts t = md.max_ts
+  && Metrics.base t = md.base
+  && List.for_all
+       (fun kind ->
+         Metrics.total t ~kind
+         = KM.fold (fun (k, _, _) v a -> if k = kind then a + v else a) md.m 0
+         && List.for_all
+              (fun id ->
+                Metrics.total_id t ~kind ~id
+                = KM.fold
+                    (fun (k, i, _) v a ->
+                      if k = kind && i = id then a + v else a)
+                    md.m 0)
+              [ -2; -1; 0; 1; 7; 40; 41 ])
+       kinds
+
+let model_test ~name ~grid ~max_t ~max_len =
+  QCheck.Test.make ~count:200 ~name
+    (QCheck.make ~print:(fun ops -> String.concat "; " (List.map show_op ops))
+       (gen_ops ~max_t ~max_len))
+    (fun ops ->
+      let saved = !Metrics.bucket_cycles in
+      Metrics.bucket_cycles := grid;
+      Fun.protect
+        ~finally:(fun () -> Metrics.bucket_cycles := saved)
+        (fun () -> Array.for_all agrees (run_ops ops)))
+
+let qcheck_model_default_grid =
+  model_test ~name:"table = Map model (default grid)" ~grid:65536
+    ~max_t:2_000_000 ~max_len:400_000
+
+let qcheck_model_unit_grid =
+  model_test ~name:"table = Map model (1-cycle buckets)" ~grid:1
+    ~max_t:(1 lsl 40) ~max_len:40
+
+let test_negative_kind_rejected () =
+  let m = Metrics.create () in
+  Metrics.bump m ~kind:0 ~id:0 ~ts:0 1;
+  Alcotest.check_raises "span" (Invalid_argument "Metrics: negative kind")
+    (fun () -> Metrics.span m ~kind:(-1) ~id:0 ~t0:0 ~t1:10 ~weight:1);
+  Alcotest.check_raises "bump" (Invalid_argument "Metrics: negative kind")
+    (fun () -> Metrics.bump m ~kind:(-1) ~id:0 ~ts:0 1);
+  check_bool "nothing recorded" true (samples_of m = [ ((0, 0, 0), 1) ])
+
+(* The hooks run on every sampled access: once a key is present, adding
+   to it allocates nothing. *)
+let test_add_allocation_free () =
+  let m = Metrics.create () in
+  let n = 10_000 in
+  let call i =
+    if i land 1 = 0 then
+      Metrics.span m ~kind:(i land 7) ~id:(i land 31) ~t0:(i land 1023)
+        ~t1:(200_000 + (i land 1023)) ~weight:2
+    else
+      Metrics.bump m ~kind:Metrics.k_parks ~id:(i land 31) ~ts:(i land 4095) 1
+  in
+  for i = 0 to n - 1 do
+    call i
+  done;
+  let w0 = Gc.minor_words () in
+  for i = 0 to n - 1 do
+    call i
+  done;
+  check_int "10k span/bump on present keys: minor words" 0
+    (int_of_float (Gc.minor_words () -. w0))
+
 let suite =
   [
     Alcotest.test_case "dump identical across --jobs" `Quick
@@ -237,4 +437,10 @@ let suite =
     Alcotest.test_case "planted saturated link shows up" `Quick
       test_planted_saturated_link;
     Alcotest.test_case "dump formats" `Quick test_dump_formats;
+    QCheck_alcotest.to_alcotest qcheck_model_default_grid;
+    QCheck_alcotest.to_alcotest qcheck_model_unit_grid;
+    Alcotest.test_case "negative kind rejected" `Quick
+      test_negative_kind_rejected;
+    Alcotest.test_case "adding to a present key allocates nothing" `Quick
+      test_add_allocation_free;
   ]

@@ -149,8 +149,9 @@ let test_profile_invariants () =
 
 (* ------------------- minimal JSON schema checker ------------------- *)
 
-(* Just enough of a JSON parser to validate the exporter's output:
-   values become a tree of variants; parse errors raise [Failure]. *)
+(* Just enough of a JSON parser to validate the exporters' output,
+   but strict about strings, where exporters go wrong: values become a
+   tree of variants; parse errors raise [Failure]. *)
 type json =
   | J_obj of (string * json) list
   | J_arr of json list
@@ -175,27 +176,45 @@ let parse_json (s : string) : json =
   let expect c =
     if peek () = c then advance () else fail (Printf.sprintf "expected %c" c)
   in
+  let hex_digit () =
+    let c = peek () in
+    advance ();
+    match c with
+    | '0' .. '9' -> Char.code c - 48
+    | 'a' .. 'f' -> Char.code c - 87
+    | 'A' .. 'F' -> Char.code c - 55
+    | _ -> fail "bad \\u escape"
+  in
+  (* Strict: only JSON's escapes, no raw control bytes; \uXXXX decodes
+     to UTF-8 (surrogates are not needed here and are rejected). *)
   let parse_string () =
     expect '"';
     let b = Buffer.create 16 in
     let rec go () =
+      if !pos >= n then fail "unterminated string";
       match peek () with
       | '"' -> advance ()
       | '\\' ->
           advance ();
-          (match peek () with
+          let c = peek () in
+          advance ();
+          (match c with
+          | '"' | '\\' | '/' -> Buffer.add_char b c
+          | 'b' -> Buffer.add_char b '\b'
+          | 'f' -> Buffer.add_char b '\012'
+          | 'n' -> Buffer.add_char b '\n'
+          | 'r' -> Buffer.add_char b '\r'
+          | 't' -> Buffer.add_char b '\t'
           | 'u' ->
-              advance ();
+              let u = ref 0 in
               for _ = 1 to 4 do
-                advance ()
+                u := (!u * 16) + hex_digit ()
               done;
-              Buffer.add_char b '?'
-          | c ->
-              advance ();
-              Buffer.add_char b
-                (match c with 'n' -> '\n' | 't' -> '\t' | 'r' -> '\r' | c -> c));
+              if !u >= 0xd800 && !u < 0xe000 then fail "surrogate escape";
+              Buffer.add_utf_8_uchar b (Uchar.of_int !u)
+          | _ -> fail "invalid escape");
           go ()
-      | '\000' -> fail "unterminated string"
+      | c when Char.code c < 32 -> fail "raw control character in string"
       | c ->
           advance ();
           Buffer.add_char b c;
@@ -203,6 +222,15 @@ let parse_json (s : string) : json =
     in
     go ();
     Buffer.contents b
+  in
+  let literal word v =
+    let len = String.length word in
+    if !pos + len <= n && String.sub s !pos len = word
+    then begin
+      pos := !pos + String.length word;
+      v
+    end
+    else fail ("expected " ^ word)
   in
   let rec parse_value () =
     skip_ws ();
@@ -256,15 +284,9 @@ let parse_json (s : string) : json =
           J_arr (elems [])
         end
     | '"' -> J_str (parse_string ())
-    | 't' ->
-        pos := !pos + 4;
-        J_bool true
-    | 'f' ->
-        pos := !pos + 5;
-        J_bool false
-    | 'n' ->
-        pos := !pos + 4;
-        J_null
+    | 't' -> literal "true" (J_bool true)
+    | 'f' -> literal "false" (J_bool false)
+    | 'n' -> literal "null" J_null
     | c when c = '-' || (c >= '0' && c <= '9') ->
         let start = !pos in
         let num c = (c >= '0' && c <= '9') || String.contains "-+.eE" c in
@@ -358,6 +380,79 @@ let test_export_jobs_identical () =
   check_bool "export non-trivial" true (String.length s1 > 10_000);
   check_string "byte-identical at --jobs 1 and 4" s1 s4
 
+(* ------------------------ string escaping -------------------------- *)
+
+(* Every name an exporter writes must come out as valid JSON and parse
+   back to itself, whatever bytes it holds. *)
+let nasty = "q\"b\\s\nn\001c \xc3\xa9"
+
+let parse_or_fail what s =
+  match parse_json s with
+  | j -> j
+  | exception Failure msg -> Alcotest.failf "%s is not valid JSON: %s" what msg
+
+let test_names_escaped () =
+  let module Metrics = Ssync_metrics.Metrics in
+  let tr = Trace.create () in
+  let lock = Trace.new_lock tr ("L" ^ nasty) in
+  let chan = Trace.new_chan tr ("C" ^ nasty) in
+  Trace.emit tr ~ts:1 (Trace.E_wait { tid = 0; lock });
+  Trace.emit tr ~ts:2
+    (Trace.E_acq { tid = 0; lock; wait = 1; dist = Some Arch.One_hop });
+  Trace.emit tr ~ts:3 (Trace.E_send { tid = 0; chan });
+  Trace.emit tr ~ts:4 (Trace.E_rel { tid = 1; lock; held = 2 });
+  let m = Metrics.create () in
+  Metrics.bump m ~kind:Metrics.k_parks ~id:0 ~ts:0 1;
+  let label = "J" ^ nasty in
+  let events =
+    match
+      obj_field
+        (parse_or_fail "chrome export"
+           (Chrome.export_string ~metrics:[ (label, m) ] [ (label, tr) ]))
+        "traceEvents"
+    with
+    | Some (J_arr evs) -> evs
+    | _ -> Alcotest.fail "missing traceEvents array"
+  in
+  let has name ?arg () =
+    List.exists
+      (fun e ->
+        obj_field e "name" = Some (J_str name)
+        &&
+        match arg with
+        | None -> true
+        | Some (k, v) -> (
+            match obj_field e "args" with
+            | Some a -> obj_field a k = Some (J_str v)
+            | None -> false))
+      events
+  in
+  check_bool "process named after the label" true
+    (has "process_name" ~arg:("name", label) ());
+  List.iter
+    (fun n -> check_bool n true (has n ()))
+    [ "wait L" ^ nasty; "hold L" ^ nasty; "release L" ^ nasty ];
+  check_bool "send names its channel" true
+    (has "send" ~arg:("chan", "C" ^ nasty) ());
+  let b = Buffer.create 256 in
+  Metrics.dump_json b [ (label, m) ];
+  match obj_field (parse_or_fail "metrics dump" (Buffer.contents b)) "jobs" with
+  | Some (J_arr [ job ]) ->
+      check_bool "dump keeps the label" true
+        (obj_field job "label" = Some (J_str label))
+  | _ -> Alcotest.fail "expected one job in the dump"
+
+let test_parser_is_strict () =
+  List.iter
+    (fun s ->
+      match parse_json s with
+      | _ -> Alcotest.failf "accepted %S" s
+      | exception Failure _ -> ())
+    [
+      "\"\\0\""; "\"\\1\""; "\"\\x41\""; "\"a\nb\""; "\"\001\""; "\"\\u12\"";
+      "tru";
+    ]
+
 let suite =
   [
     Alcotest.test_case "ring: wrap and totals" `Quick test_ring_wrap;
@@ -371,4 +466,7 @@ let suite =
       test_chrome_schema;
     Alcotest.test_case "chrome export: byte-identical across domains" `Quick
       test_export_jobs_identical;
+    Alcotest.test_case "strict JSON parser rejects bad strings" `Quick
+      test_parser_is_strict;
+    Alcotest.test_case "exports escape every name" `Quick test_names_escaped;
   ]
