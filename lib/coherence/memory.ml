@@ -80,15 +80,22 @@ type line = {
       (* the last write drained through the store buffer into the
          inclusive LLC (posted store): a same-die fetch of this
          Modified line is an LLC hit, not an owner round trip (Xeon) *)
-  mutable waiters : waiter list; (* parked spinners, FIFO *)
+  mutable wq : waiter option;
+      (* parked spinners in park order, a circular list through
+         [w_link]: [Some last] holds the last parked, whose [w_link] is
+         the first, so an append is O(1) *)
 }
 
 (* A parked spinner: the spin loop [probe; while result = w_while:
    pause w_poll; probe] whose probes are currently inert.  [w_next] is
    the virtual time its next probe would issue; successive probes sit
-   on the grid [w_next + i * w_step] (probe latency + poll pause).
-   [w_replay] hands the wake time back to the engine, which re-issues
-   the probe for real. *)
+   on the grid [w_next + i * (w_hit + w_poll)] (probe latency + poll
+   pause).  [w_replay] hands the wake time back to the engine, which re-issues
+   the probe for real.
+
+   [w_tie] decides whether a probe issuing on an access's own cycle ran
+   before that access: the engine's ancestry order for waiters parked
+   exactly under faults, [no_tie] (the access wins) for the others. *)
 and waiter = {
   w_core : int;
   w_addr : addr;                (* the word the spin loop polls *)
@@ -100,11 +107,12 @@ and waiter = {
   w_hit : int;                  (* service latency of one inert probe *)
   w_local : bool;               (* inert probes are local hits (false for
                                    foreign-reservation directed reads) *)
-  w_step : int;                 (* w_hit + w_poll *)
   w_parked : int;               (* virtual time the spinner parked (waiter-
                                    depth telemetry, charged at wake) *)
   mutable w_next : int;
+  w_tie : int -> bool;
   w_replay : int -> unit;
+  mutable w_link : waiter;      (* next on the line (see [line.wq]) *)
 }
 
 type t = {
@@ -140,10 +148,17 @@ type t = {
          array, to keep the line record small) *)
 }
 
+let no_tie (_ : int) = false
+
+let rec no_waiter =
+  { w_core = -1; w_addr = -1; w_op = Arch.Load; w_operand = 0; w_operand2 = 0;
+    w_while = 0; w_poll = 0; w_hit = 1; w_local = true; w_parked = 0;
+    w_next = max_int; w_tie = no_tie; w_replay = ignore; w_link = no_waiter }
+
 let dummy_line =
   { state = Arch.Invalid; owner = -1; sharers = Coreset.create (); home = 0;
     busy_until = 0; pfw_owner = -1; cas_pending = -1; llc_dirty = false;
-    waiters = [] }
+    wq = None }
 
 (* Domain-local recycling pool.  A benchmark harness creates one memory
    per job and thousands of jobs per section; the line records and the
@@ -216,7 +231,7 @@ let create platform =
    parked-probe replay closures can retain an entire dead simulation. *)
 let dispose t =
   for li = 0 to t.n_lines - 1 do
-    t.lines.(li).waiters <- []
+    t.lines.(li).wq <- None
   done;
   t.n_lines <- 0;
   t.n_words <- 0;
@@ -268,7 +283,7 @@ let new_line t ~home =
     t.lines.(li) <-
       { state = Arch.Invalid; owner = -1; sharers = Coreset.create (); home;
         busy_until = 0; pfw_owner = -1; cas_pending = -1; llc_dirty = false;
-        waiters = [] }
+        wq = None }
   else begin
     (* recycled record: reset in place, sparing the allocation *)
     l.state <- Arch.Invalid;
@@ -279,7 +294,7 @@ let new_line t ~home =
     l.pfw_owner <- -1;
     l.cas_pending <- -1;
     l.llc_dirty <- false;
-    l.waiters <- []
+    l.wq <- None
   end;
   if Array.length t.msince > 0 then t.msince.(li) <- 0;
   t.n_lines <- li + 1;
@@ -530,104 +545,196 @@ let probe_inert (l : line) ~value ~core (op : Arch.memop) ~operand ~operand2
        && Coreset.is_empty l.sharers)
       || foreign_reservation l ~core op ~operand ~operand2
 
+(* Service latency of a probe of [op] by [core] on word [a] if it would
+   be inert right now (see [probe_inert]), else -1. *)
+let inert_hit t ~core (op : Arch.memop) (a : addr) ~operand ~operand2 ~while_ =
+  let l = line t a in
+  if probe_inert l ~value:t.values.(a) ~core op ~operand ~operand2 ~while_ then
+    probe_cost t l ~core op ~operand ~operand2
+  else -1
+
+(* Park a spinner whose next probe issues at [now + poll] and would be
+   inert, at the tail of its line's wait list.  It recomputes the probe
+   cost rather than take it as a twelfth argument: a new arity above 11
+   adds [caml_curryN]/[caml_applyN] code to [caml_startup], which the
+   linker places first, and shifts the alignment of everything after
+   it, the perf harness's host-pace kernel included. *)
+let park t ~core ~now (op : Arch.memop) (a : addr) ~operand ~operand2 ~while_
+    ~poll ~tie ~replay =
+  let l = line t a in
+  let hit = probe_cost t l ~core op ~operand ~operand2 in
+  let w =
+    {
+      w_core = core;
+      w_addr = a;
+      w_op = op;
+      w_operand = operand;
+      w_operand2 = operand2;
+      w_while = while_;
+      w_poll = poll;
+      w_hit = hit;
+      w_local = not (foreign_reservation l ~core op ~operand ~operand2);
+      w_parked = now;
+      w_next = now + poll;
+      w_tie = tie;
+      w_replay = replay;
+      w_link = no_waiter;
+    }
+  in
+  (match l.wq with
+  | None -> w.w_link <- w
+  | Some last ->
+      w.w_link <- last.w_link;
+      last.w_link <- w);
+  l.wq <- Some w;
+  w
+
 (* Park a spinner whose next probe (issuing at [now + poll]) would be
    inert.  Returns [false] — and parks nothing — when the probe must
    run for real.  [replay] receives the issue time of the first
    non-elided probe once a real access disturbs the line. *)
 let try_park_in t ~core ~now (op : Arch.memop) (a : addr) ~operand
     ~operand2 ~while_ ~poll ~replay : bool =
-  let li = line_id t a in
-  let l = t.lines.(li) in
-  if not (probe_inert l ~value:t.values.(a) ~core op ~operand ~operand2
-            ~while_)
-  then false
-  else begin
-    let foreign = foreign_reservation l ~core op ~operand ~operand2 in
-    let hit = probe_cost t l ~core op ~operand ~operand2 in
-    let w =
-      {
-        w_core = core;
-        w_addr = a;
-        w_op = op;
-        w_operand = operand;
-        w_operand2 = operand2;
-        w_while = while_;
-        w_poll = poll;
-        w_hit = hit;
-        w_local = not foreign;
-        w_step = hit + poll;
-        w_parked = now;
-        w_next = now + poll;
-        w_replay = replay;
-      }
-    in
-    l.waiters <- l.waiters @ [ w ];
-    true
-  end
+  probe_inert (line t a) ~value:t.values.(a) ~core op ~operand ~operand2
+    ~while_
+  && begin
+       ignore
+         (park t ~core ~now op a ~operand ~operand2 ~while_ ~poll ~tie:no_tie
+            ~replay);
+       true
+     end
 
-let waiter_count t a = List.length (line t a).waiters
+let waiter_count t a =
+  match (line t a).wq with
+  | None -> 0
+  | Some last ->
+      let n = ref 1 and w = ref last.w_link in
+      while !w != last do
+        incr n;
+        w := !w.w_link
+      done;
+      !n
 
 let probe_would_elide t ~core (op : Arch.memop) (a : addr) ~operand ~operand2
     ~while_ =
   probe_inert (line t a) ~value:t.values.(a) ~core op ~operand ~operand2
     ~while_
 
+(* Account [k] elided probes of [w] and move its grid past them. *)
+let[@inline] book_elided t w k =
+  Stats.record_elided t.stats w.w_op ~count:k ~latency:w.w_hit ~local:w.w_local;
+  (match t.trace with
+  | Some tr -> Trace.note_elided tr ~count:k ~cycles:(k * w.w_hit)
+  | None -> ());
+  w.w_next <- w.w_next + (k * (w.w_hit + w.w_poll))
+
+(* Account [w]'s elided probes issuing strictly before [upto]. *)
+let settle_waiter t w ~upto =
+  if w.w_next < upto then
+    book_elided t w (1 + ((upto - 1 - w.w_next) / (w.w_hit + w.w_poll)))
+
 (* Phase 1, before the access mutates the line: account every elided
-   probe that would have issued strictly before [now] under the state
-   the line held since the last real access. *)
-let settle_elided t (l : line) ~now =
-  List.iter
-    (fun w ->
-      if w.w_next < now then begin
-        let k = 1 + ((now - 1 - w.w_next) / w.w_step) in
-        Stats.record_elided t.stats w.w_op ~count:k ~latency:w.w_hit
-          ~local:w.w_local;
-        (match t.trace with
-        | Some tr -> Trace.note_elided tr ~count:k ~cycles:(k * w.w_hit)
-        | None -> ());
-        w.w_next <- w.w_next + (k * w.w_step)
-      end)
-    l.waiters
+   probe that would have issued before the access under the state the
+   line held since the last real access — those strictly before [now],
+   plus one issuing at [now] when [w_tie] says it ran first. *)
+let settle_elided t last ~now =
+  let w = ref last and go = ref true in
+  while !go do
+    let w' = !w.w_link in
+    if w'.w_next < now then
+      book_elided t w' (1 + ((now - 1 - w'.w_next) / (w'.w_hit + w'.w_poll)));
+    if w'.w_next = now && w'.w_tie now then book_elided t w' 1;
+    w := w';
+    go := w' != last
+  done
+
+(* Remove [w] from its line's wait list and charge the waiter-depth
+   gauge up to [at].  No-op when [w] is not parked. *)
+let unpark t w ~at =
+  let li = line_id t w.w_addr in
+  let l = t.lines.(li) in
+  match l.wq with
+  | None -> ()
+  | Some last ->
+      (* find [w]'s predecessor on the circle *)
+      let prev = ref last and found = ref false and go = ref true in
+      while !go do
+        let c = !prev.w_link in
+        if c == w then begin
+          found := true;
+          go := false
+        end
+        else if c == last then go := false
+        else prev := c
+      done;
+      if !found then begin
+        if w.w_link == w then l.wq <- None
+        else begin
+          !prev.w_link <- w.w_link;
+          if last == w then l.wq <- Some !prev
+        end;
+        w.w_link <- no_waiter;
+        match t.macc with
+        | Some m ->
+            Metrics.span m ~kind:Metrics.k_lock_waiters ~id:li ~t0:w.w_parked
+              ~t1:at ~weight:1
+        | None -> ()
+      end
 
 (* Phase 2, after the mutation: wake every waiter whose next probe is
    no longer inert — or whose probe cost changed (e.g. a parked
    reservation holder that lost the line and is now a foreign-reader:
    its poll grid must switch to the directed-read latency, so it
    replays one probe for real and re-parks).  [w_next] is now the first
-   grid point >= [now]; a probe landing exactly on the access time
-   observes the post-access state (the access wins the tie).  Wake
-   order is park order, so same-time replays are deterministic.  A
-   waiter parked on one word of a packed line is revalidated by an
-   access to *any* word of the line: its own value may be untouched
-   (the probe stays inert and it stays parked), but the line state the
-   probe relies on may have changed under it — false sharing hits
-   parked spinners too. *)
-let wake_disturbed t ~line:li (l : line) =
-  match l.waiters with
-  | [] -> ()
-  | ws ->
-      let still, woken =
-        List.partition
-          (fun w ->
-            probe_inert l ~value:t.values.(w.w_addr) ~core:w.w_core w.w_op
-              ~operand:w.w_operand ~operand2:w.w_operand2 ~while_:w.w_while
-            && probe_cost t l ~core:w.w_core w.w_op ~operand:w.w_operand
-                 ~operand2:w.w_operand2
-               = w.w_hit)
-          ws
-      in
-      l.waiters <- still;
-      List.iter
-        (fun w ->
-          (* waiter-depth gauge, charged at wake: the whole parked span
-             is known only now *)
-          (match t.macc with
-          | Some m ->
-              Metrics.span m ~kind:Metrics.k_lock_waiters ~id:li ~t0:w.w_parked
-                ~t1:w.w_next ~weight:1
-          | None -> ());
-          w.w_replay w.w_next)
-        woken
+   grid point the access did not settle; a probe landing exactly on the
+   access time observes the post-access state unless [w_tie] placed it
+   first.  Wake order is park order, so same-time replays are
+   deterministic.  A waiter parked on
+   one word of a packed line is revalidated by an access to *any* word
+   of the line: its own value may be untouched (the probe stays inert
+   and it stays parked), but the line state the probe relies on may
+   have changed under it — false sharing hits parked spinners too. *)
+let wake_disturbed t ~line:li (l : line) last =
+  (* unlink the woken in place, chaining them through [w_link];
+     [tail] tracks the circle's last waiter as they go *)
+  let woken = ref no_waiter and woken_tail = ref no_waiter in
+  let tail = ref last and prev = ref last and go = ref true in
+  while !go do
+    let w = !prev.w_link in
+    go := w != last;
+    if
+      probe_inert l ~value:t.values.(w.w_addr) ~core:w.w_core w.w_op
+        ~operand:w.w_operand ~operand2:w.w_operand2 ~while_:w.w_while
+      && probe_cost t l ~core:w.w_core w.w_op ~operand:w.w_operand
+           ~operand2:w.w_operand2
+         = w.w_hit
+    then prev := w
+    else begin
+      if w.w_link == w then tail := no_waiter
+      else begin
+        !prev.w_link <- w.w_link;
+        if !tail == w then tail := !prev
+      end;
+      w.w_link <- no_waiter;
+      if !woken == no_waiter then woken := w else !woken_tail.w_link <- w;
+      woken_tail := w
+    end
+  done;
+  if !tail != last then l.wq <- (if !tail == no_waiter then None else Some !tail);
+  let w = ref !woken in
+  while !w != no_waiter do
+    let w' = !w in
+    w := w'.w_link;
+    w'.w_link <- no_waiter;
+    (* waiter-depth gauge, charged at wake: the whole parked span
+       is known only now *)
+    (match t.macc with
+    | Some m ->
+        Metrics.span m ~kind:Metrics.k_lock_waiters ~id:li ~t0:w'.w_parked
+          ~t1:w'.w_next ~weight:1
+    | None -> ());
+    w'.w_replay w'.w_next
+  done
 
 (* Distance class of the transfer serving [core]'s request on [l] in
    its *pre-access* state: to the data source when a cached copy
@@ -645,7 +752,7 @@ let dist_of t ~core (l : line) : Arch.distance =
    [Stats.record]. *)
 let fast_hit t (l : line) ~core (op : Arch.memop) =
   match op with
-  | Arch.Load -> l.waiters == [] && t.macc == None && holds l core
+  | Arch.Load -> l.wq == None && t.macc == None && holds l core
   | Arch.Store | Arch.Cas | Arch.Fai | Arch.Tas | Arch.Swap -> false
 
 (* Perform [op] on [a] from [core] at virtual time [now]; returns
@@ -702,7 +809,7 @@ let access_lat_in t ~core ~now (op : Arch.memop) (a : addr)
     service
   end
   else begin
-    (match l.waiters with [] -> () | _ -> settle_elided t l ~now);
+    (match l.wq with None -> () | Some last -> settle_elided t last ~now);
     let is_pfw = is_pfw_probe op ~operand ~operand2 in
     let posted = op = Arch.Store && operand2 = 1 in
     let cost_op = cost_op_of op ~operand ~operand2 in
@@ -848,7 +955,7 @@ let access_lat_in t ~core ~now (op : Arch.memop) (a : addr)
                  rq = (if posted then 0 else rqueued);
                  rq_dir = (!qres >= 0 && !qres < n_nodes) })
     | None -> ());
-    (match l.waiters with [] -> () | _ -> wake_disturbed t ~line:li l);
+    (match l.wq with None -> () | Some last -> wake_disturbed t ~line:li l last);
     t.last_result <- result;
     latency
   end

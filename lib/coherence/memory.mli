@@ -53,15 +53,21 @@ type line = {
       (** the last write drained through the store buffer into the
           inclusive LLC: a same-die fetch of this Modified line is an
           LLC hit, not an owner round trip (Xeon) *)
-  mutable waiters : waiter list;  (** parked spinners, FIFO *)
+  mutable wq : waiter option;
+      (** parked spinners in park order, a circular list through
+          [w_link]: [Some last] holds the last parked, whose [w_link] is
+          the first *)
 }
 
 (** A parked spinner of the loop [probe; while result = w_while: pause
     w_poll; probe]: elided probes sit on the virtual-time grid
-    [w_next + i * w_step]; [w_replay] receives the issue time of the
-    first probe that must run for real.  A waiter parks on the line but
-    polls one word ([w_addr]); an access to any word of the line
-    revalidates it. *)
+    [w_next + i * (w_hit + w_poll)]; [w_replay] receives the issue time
+    of the first probe that must run for real.  A waiter parks on the
+    line but polls one word ([w_addr]); an access to any word of the
+    line revalidates it.  [w_tie] says whether its probe issuing on an
+    access's own cycle ran before that access: the engine's ancestry
+    order for waiters parked exactly under fault injection, {!no_tie}
+    (the access wins the tie) for the others. *)
 and waiter = {
   w_core : int;
   w_addr : addr;  (** the word the spin loop polls *)
@@ -74,13 +80,21 @@ and waiter = {
   w_local : bool;
       (** inert probes are local hits (false for foreign-reservation
           directed reads) *)
-  w_step : int;  (** [w_hit + w_poll] *)
   w_parked : int;
       (** virtual time the spinner parked — the waiter-depth telemetry
           gauge charges the whole span at wake *)
   mutable w_next : int;
+  w_tie : int -> bool;
   w_replay : int -> unit;
+  mutable w_link : waiter;  (** next on the line (see {!line.wq}) *)
 }
+
+val no_waiter : waiter
+(** A placeholder waiter: the [w_link] of a waiter on no line, and the
+    engine's "not parked". *)
+
+val no_tie : int -> bool
+(** Always [false]. *)
 
 type t
 
@@ -133,6 +147,29 @@ val try_park_in :
     returns [false] the probe must be performed with {!access}.
     [replay] is called with the first non-elided probe's issue time
     once a real access disturbs the line. *)
+
+val inert_hit :
+  t -> core:int -> Arch.memop -> addr ->
+  operand:int -> operand2:int -> while_:int -> int
+(** Service latency of the spinner's next probe if it would be inert
+    right now (the {!try_park_in} condition), else [-1]. *)
+
+val park :
+  t -> core:int -> now:int -> Arch.memop -> addr ->
+  operand:int -> operand2:int -> while_:int -> poll:int ->
+  tie:(int -> bool) -> replay:(int -> unit) -> waiter
+(** Park a spinner whose next probe issues at [now + poll] and would be
+    inert ({!inert_hit} [>= 0]) at the tail of its line's wait list —
+    O(1); wake order is park order.  [tie] and [replay] fill the
+    waiter's fields. *)
+
+val settle_waiter : t -> waiter -> upto:int -> unit
+(** Account the waiter's elided probes issuing strictly before [upto]
+    and move its grid past them. *)
+
+val unpark : t -> waiter -> at:int -> unit
+(** Take a parked waiter off its line, charging the waiter-depth gauge
+    up to [at]; no-op if it is not parked. *)
 
 val alloc : ?home_core:int -> ?value:int -> t -> addr
 (** Allocate one word padded to its own line, homed at [home_core]'s

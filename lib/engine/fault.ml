@@ -42,12 +42,11 @@ let none =
 
 let is_none s = s == none || s = none
 
-(* Jitter only stretches a probe's completion latency; it never changes
-   which thread runs next or removes a thread from the schedule, so a
-   parked waiter misses nothing a polling waiter would have seen.
-   Preemption and crash-stop do reshape the schedule, hence the
-   polling fallback for those. *)
-let parkable s = s.preempt_prob = 0. && s.crashes = []
+(* Spin waits may park under any spec without crashes: jitter and
+   preemption are drawn per scheduling point from the thread's own
+   stream, which a parked waiter can draw ahead and skip exactly (see
+   [Sim]).  Crash specs keep literal polling. *)
+let parkable s = s.crashes = []
 
 let preemption ?(seed = 1) ?(cycles = (2_000, 20_000)) prob =
   if prob < 0. || prob > 1. then invalid_arg "Fault.preemption: prob in [0,1]";

@@ -30,10 +30,11 @@ val none : spec
 val is_none : spec -> bool
 
 val parkable : spec -> bool
-(** A spec under which event-driven parking stays exact: only latency
-    jitter enabled (no preemption, no crashes).  Jitter stretches probe
-    latencies but never reshapes the schedule, so elided inert probes
-    are equivalent parked or polled. *)
+(** A spec under which spin waits park event-driven and stay exact: any
+    spec without crashes.  Jitter and preemption draws come from each
+    thread's own stream, so a parked waiter draws its elided polls'
+    faults ahead and skips them exactly; crash specs keep literal
+    polling. *)
 
 val preemption : ?seed:int -> ?cycles:int * int -> float -> spec
 (** [preemption prob] preempts at each scheduling point with

@@ -23,9 +23,11 @@
    model and is woken, on the exact virtual-time grid the poll loop
    would have used, by the next real access to the line.  Simulated
    timestamps are preserved; only the O(poll-iterations) event churn
-   collapses to O(1).  Under fault injection the same effect falls back
-   to literal pause/probe stepping so every scheduling point draws from
-   the per-thread fault streams in the original order.
+   collapses to O(1).  Under preemption faults a parked waiter draws its
+   elided polls' faults ahead from its own stream and wakes at the first
+   poll whose draws fire ([exact_park]); the queue then orders same-time
+   events by ancestry, so the schedule is the polled one to the event.
+   Crash specs keep literal pause/probe stepping.
 
    Two robustness layers sit on top of the pure engine:
 
@@ -88,6 +90,27 @@ type thread_state = {
          3 dead — codes chosen so [Metrics.k_runnable + m_state] is
          the gauge kind.  Maintained only while metrics are on. *)
   mutable m_since : int; (* virtual time the current run-state began *)
+  mutable xp : exact; (* exact parking state; [no_exact] when unused *)
+}
+
+(* A thread's exact park (see [exact_park]), reused from park to park:
+   only the waiter, the chain and the wake nodes are allocated per
+   park.  [x_w] is the park in progress — parked, or woken with its
+   replay queued — or [Memory.no_waiter]. *)
+and exact = {
+  x_scan : Rng.t; (* scratch copy of the fault stream for look-ahead *)
+  mutable x_w : Memory.waiter;
+  mutable x_parked : bool;
+      (* no replay yet: [x_w]'s polls run on to the scan's stop *)
+  mutable x_chain : Event_queue.chain; (* its elided polls *)
+  mutable x_wake : Event_queue.node; (* its queued wake *)
+  mutable x_stop : int; (* the time of the step [x_wake] runs *)
+  mutable x_probe : unit -> unit; (* the spin episode's steps *)
+  mutable x_continue : unit -> unit;
+  x_tie : int -> bool; (* [Memory.waiter] callbacks *)
+  x_replay : int -> unit;
+  x_run_replay : unit -> unit; (* the two wakes' runners *)
+  x_run_stop : unit -> unit;
 }
 
 (* Cumulative engine counters for the benchmark harness's perf report.
@@ -121,10 +144,15 @@ and t = {
   mutable spawned : int;
   faults : Fault.spec;
   faults_active : bool;
-  faults_parkable : bool;
-      (* active spec is jitter-only: parking stays exact because inert
-         probes draw nothing (see [event_driven] / [spin_loop]) *)
+  jitter_only : bool;
+      (* active spec is jitter-only: inert probes draw nothing (see
+         [spin_loop]), so parking needs no look-ahead *)
   parking : bool; (* event-driven waiter wakeup enabled? *)
+  spins_park : bool; (* [parking] and no crash spec: spin waits park *)
+  exact : bool;
+      (* spin waits park exactly under preemption: the queue orders
+         same-time events by ancestry ([Event_queue.precedes]) and a
+         parked waiter draws its elided polls' faults ahead *)
   tstates : (int, thread_state) Hashtbl.t;
   mutable crashed_tids : int list; (* reversed *)
   mutable wall_ns : int;
@@ -209,10 +237,14 @@ let create ?(faults = Fault.none) ?parking platform =
     match parking with Some p -> p | None -> !parking_default
   in
   let mem = Memory.create platform in
+  let exact =
+    parking && Fault.parkable faults && faults.Fault.preempt_prob > 0.
+  in
+  let q = Event_queue.create ~ordered:exact () in
   {
     platform;
     mem;
-    q = Event_queue.create ();
+    q;
     popped = Event_queue.make_popped ();
     now = 0;
     fuel = 0;
@@ -225,8 +257,12 @@ let create ?(faults = Fault.none) ?parking platform =
     spawned = 0;
     faults;
     faults_active = not (Fault.is_none faults);
-    faults_parkable = (not (Fault.is_none faults)) && Fault.parkable faults;
+    jitter_only =
+      (not (Fault.is_none faults))
+      && Fault.parkable faults && faults.Fault.preempt_prob = 0.;
     parking;
+    spins_park = parking && Fault.parkable faults;
+    exact;
     tstates = Hashtbl.create 64;
     crashed_tids = [];
     wall_ns = 0;
@@ -241,15 +277,14 @@ let create ?(faults = Fault.none) ?parking platform =
 let memory t = t.mem
 let platform t = t.platform
 
-(* Event-driven waiting applies without faults and under jitter-only
-   specs.  Jitter draws happen per *real* memory op; an inert probe —
-   exactly the kind parking elides — is made to consume no draw (see
-   [spin_loop]), so the per-thread draw sequence is identical whether
-   the waiter parked or polled.  Preemption and crash specs keep the
-   polling fallback: their draws key off every scheduling point, which
-   parking removes. *)
-let event_driven t =
-  t.parking && ((not t.faults_active) || t.faults_parkable)
+(* Spin waits park unless a crash spec is active (crash specs poll).
+   Without faults and under jitter-only specs an inert probe — exactly
+   the kind parking elides — consumes no draw, so parking needs no
+   look-ahead; under preemption a parked waiter draws its elided polls'
+   faults ahead ([exact_park]).  Parkers and the NIC channel's grid
+   shortcut still poll literally under preemption ([parker_driven]). *)
+let event_driven t = t.spins_park
+let parker_driven t = t.spins_park && not t.exact
 
 (* ---------------------- engine-side metrics ------------------------ *)
 
@@ -280,8 +315,14 @@ let m_bump t ~kind ~ts =
   | Some m -> Metrics.bump m ~kind ~id:0 ~ts 1
 
 (* Every engine push is at an absolute time at or after the affected
-   thread's logical now. *)
-let sched t ~at run = Event_queue.push t.q ~time:at run
+   thread's logical now; exactly parking simulations give it the next
+   push of the running step's node.  The exact case stays out of line
+   so the common one inlines into its callers. *)
+let[@inline never] sched_exact t ~at run =
+  Event_queue.push_node t.q (Event_queue.child t.q ~time:at) run
+
+let[@inline] sched t ~at run =
+  if t.exact then sched_exact t ~at run else Event_queue.push t.q ~time:at run
 
 (* ------------------------------------------------------------------ *)
 (* Operations available *inside* a simulated thread.  Calling them
@@ -413,11 +454,13 @@ let resume : type a.
 
 (* Direct-run: the completion of a thread's own step may skip the event
    queue entirely — the thread simply carries on — when nothing can
-   observe the difference: no faults active (fault draws key off event
-   shapes), the thread cannot crash, the completion time does not cross
-   the run's [until] backstop (the queue would have dropped it), and it
-   falls *strictly* before every queued event (so no other event could
-   interleave, and same-time FIFO order is preserved).  Timestamps,
+   observe the difference: the thread cannot crash, the completion time
+   does not cross the run's [until] backstop (the queue would have
+   dropped it), and it falls *strictly* before every queued event (so
+   no other event could interleave, and same-time FIFO order is
+   preserved).  Fault draws happen at the step's call site either way.
+   Exactly parked waiters' elided polls are not queued, but they are
+   inert and their fault-firing steps are.  Timestamps,
    access order and results are exactly those of the queued schedule;
    only the per-operation queue round trip disappears.  Both a queue pop
    and a direct-run count as one logical resumption in [events], so the
@@ -429,9 +472,13 @@ let resume : type a.
    without limit. *)
 let direct_fuel_max = 1000
 
+(* An exact simulation's direct-run step: the node the queue would have
+   run, in run order. *)
+let[@inline never] direct_exact t ~at =
+  Event_queue.ran t.q (Event_queue.child t.q ~time:at) ~rank:t.events
+
 let can_direct t ~at =
-  (not t.faults_active)
-  && at <= t.run_until
+  at <= t.run_until
   && t.fuel < direct_fuel_max
   && at < Event_queue.next_time t.q
 
@@ -445,6 +492,7 @@ let try_direct t st ~at =
        t.events <- t.events + 1;
        t.now <- at;
        st.last_progress <- at;
+       if t.exact then direct_exact t ~at;
        true
      end
 
@@ -574,7 +622,7 @@ let pause cycles =
 let now () = (current ()).sim.now
 let self_core () = (current ()).core
 let self_tid () = (current ()).tid
-let event_driven_waits () = event_driven (current ()).sim
+let event_driven_waits () = parker_driven (current ()).sim
 
 (* Cost-free oracle: robust locks model the OS's exact knowledge of
    which threads died (robust-futex EOWNERDEAD bookkeeping), so the
@@ -586,6 +634,201 @@ let tid_crashed qtid =
   match Hashtbl.find_opt t.tstates qtid with
   | Some qst -> qst.crashed || (qst.crash_at >= 0 && t.now >= qst.crash_at)
   | None -> false
+
+(* Wake and park bookkeeping of a spin wait: counters, run-state
+   gauges and trace records. *)
+let[@inline] note_park t st a =
+  t.parks <- t.parks + 1;
+  m_trans t st ~at:t.now m_parked;
+  m_bump t ~kind:Metrics.k_parks ~ts:t.now;
+  match t.trace with
+  | Some tr -> Trace.emit tr ~ts:t.now (Trace.E_park { tid = st.tid; addr = a })
+  | None -> ()
+
+let[@inline] note_wake t st a ~at =
+  t.wakeups <- t.wakeups + 1;
+  m_bump t ~kind:Metrics.k_wakes ~ts:at;
+  m_trans t st ~at m_spinning;
+  match t.trace with
+  | Some tr -> Trace.emit tr ~ts:at (Trace.E_wake { tid = st.tid; addr = a })
+  | None -> ()
+
+(* How far an exact park looks ahead for a firing fault draw: a waiter
+   still parked after this many polls runs that poll for real and
+   parks again. *)
+let scan_polls = 4096
+
+(* Exact parking under preemption faults.  At [t.now] a probe returned
+   [while_] and its pause was drawn; literal polling would issue probe
+   [i] at [g0 + i * step] and pause [hit] cycles after it, drawing each
+   step's faults from the thread's own stream.  The elided polls form
+   an [Event_queue.chain]: event [probe_idx i] runs probe [i] (with
+   [poll = 0] probe [i] runs in event [i], probe 0 in the parking step
+   itself) and event [2i+2] pause [i].  A scan of a scratch copy of the
+   stream finds the first step whose draws fire — or the first past
+   [until], or the scan's end — and a wake queued there runs that step
+   for real.  An earlier disturbing access replays the next probe
+   instead and withdraws that wake.  Either way the stream skips the
+   draws of the polls passed ([Rng.advance]), and every event standing
+   in for an elided one carries that one's ancestry node, so it sorts
+   where polling would have put it. *)
+let probe_idx ~poll i = if poll = 0 then i else (2 * i) + 1
+
+(* Waiter [w]'s probe [i] issues at [probe_time w i]; [probe_index] is
+   the inverse on its grid. *)
+let probe_time w i =
+  w.Memory.w_parked + w.Memory.w_poll + (i * (w.Memory.w_hit + w.Memory.w_poll))
+
+let probe_index w g =
+  (g - w.Memory.w_parked - w.Memory.w_poll) / (w.Memory.w_hit + w.Memory.w_poll)
+
+(* Skip the draws of [probes] elided probes and [pauses] pauses. *)
+let skip_draws t st ~poll ~probes ~pauses =
+  let d_probe = (if t.faults.Fault.jitter_prob > 0. then 1 else 0) + 1 in
+  let d_pause = if poll > 0 then 1 else 0 in
+  Rng.advance st.rng ((probes * d_probe) + (pauses * d_pause))
+
+(* [Memory.waiter.w_tie]: did the probe issuing at [g] (the running
+   access's time) run before that access? *)
+let exact_tie t x g =
+  let w = x.x_w in
+  let poll = w.Memory.w_poll in
+  let i = probe_index w g in
+  (poll = 0 && i = 0)
+  ||
+  let n = Event_queue.current t.q in
+  Event_queue.precedes_cursor Event_queue.nil x.x_chain (probe_idx ~poll i) n
+    n.Event_queue.n_chain (Event_queue.idx n)
+
+(* [Memory.waiter.w_replay]: a disturbing access; the next probe, at
+   [at], runs for real — unless the scan's stop comes first, whose wake
+   then runs that step for real instead. *)
+let exact_replay t st x at =
+  let w = x.x_w in
+  let poll = w.Memory.w_poll in
+  if at < x.x_stop then begin
+    let k = probe_index w at in
+    Event_queue.remove t.q x.x_wake;
+    skip_draws t st ~poll ~probes:k ~pauses:k;
+    x.x_parked <- false;
+    note_wake t st w.Memory.w_addr ~at;
+    let n = Event_queue.virt x.x_chain (probe_idx ~poll k) in
+    x.x_wake <- n;
+    Event_queue.push_node t.q n x.x_run_replay
+  end
+
+(* The wake at the scan's stop: settle the polls before it and run its
+   step — a probe, or a pause (even chain event) — for real. *)
+let exact_run_stop t st x =
+  let w = x.x_w in
+  let poll = w.Memory.w_poll in
+  let is_pause = poll > 0 && Event_queue.idx x.x_wake land 1 = 0 in
+  Memory.unpark t.mem w ~at:t.now;
+  Memory.settle_waiter t.mem w ~upto:t.now;
+  let k = probe_index w w.Memory.w_next in
+  skip_draws t st ~poll ~probes:k ~pauses:(if is_pause then k - 1 else k);
+  x.x_w <- Memory.no_waiter;
+  x.x_parked <- false;
+  note_wake t st w.Memory.w_addr ~at:t.now;
+  if is_pause then x.x_continue () else x.x_probe ()
+
+let no_exact =
+  {
+    x_scan = Rng.create ~seed:0;
+    x_w = Memory.no_waiter;
+    x_parked = false;
+    x_chain = Event_queue.no_chain;
+    x_wake = Event_queue.nil;
+    x_stop = max_int;
+    x_probe = ignore;
+    x_continue = ignore;
+    x_tie = Memory.no_tie;
+    x_replay = ignore;
+    x_run_replay = ignore;
+    x_run_stop = ignore;
+  }
+
+let make_exact t st =
+  let rec x =
+    {
+      x_scan = Rng.copy st.rng;
+      x_w = Memory.no_waiter;
+      x_parked = false;
+      x_chain = Event_queue.no_chain;
+      x_wake = Event_queue.nil;
+      x_stop = max_int;
+      x_probe = ignore;
+      x_continue = ignore;
+      x_tie = (fun g -> exact_tie t x g);
+      x_replay = (fun at -> exact_replay t st x at);
+      x_run_replay =
+        (fun () ->
+          x.x_w <- Memory.no_waiter;
+          x.x_probe ());
+      x_run_stop = (fun () -> exact_run_stop t st x);
+    }
+  in
+  x
+
+(* Park exactly, given the next probe's inert latency [hit]; [false]
+   (nothing parked) when the very next probe is the scan's stop. *)
+let exact_park t st op a ~operand ~operand2 ~while_ ~poll ~hit ~probe
+    ~continue_spin =
+  let x = st.xp in
+  let jp = t.faults.Fault.jitter_prob in
+  (* [Rng.float r < p] is [Rng.bits53 r < threshold p], without floats *)
+  let threshold p = int_of_float (Float.ceil (p *. 9007199254740992.)) in
+  let tj = threshold jp and tp = threshold t.faults.Fault.preempt_prob in
+  let step = hit + poll and g0 = t.now + poll and until = t.run_until in
+  let sc = x.x_scan in
+  Rng.blit ~src:st.rng ~dst:sc;
+  let i = ref 0 and stop = ref (-1) in
+  while !stop < 0 do
+    let g = g0 + (!i * step) in
+    if g > until || !i >= scan_polls then stop := probe_idx ~poll !i
+    else if (jp > 0. && Rng.bits53 sc < tj) || Rng.bits53 sc < tp then
+      stop := probe_idx ~poll !i
+    else if poll > 0 && (g + hit > until || Rng.bits53 sc < tp) then
+      stop := (2 * !i) + 2
+    else incr i
+  done;
+  !stop <> probe_idx ~poll 0
+  && begin
+       let chain =
+         if poll = 0 then Event_queue.chain t.q ~t1:(t.now + hit) ~a:hit ~b:hit
+         else Event_queue.chain t.q ~t1:g0 ~a:hit ~b:poll
+       in
+       x.x_chain <- chain;
+       x.x_probe <- probe;
+       x.x_continue <- continue_spin;
+       x.x_w <-
+         Memory.park t.mem ~core:st.core ~now:t.now op a ~operand ~operand2
+           ~while_ ~poll ~tie:x.x_tie ~replay:x.x_replay;
+       x.x_stop <- Event_queue.chain_time chain !stop;
+       x.x_parked <- true;
+       let n = Event_queue.virt chain !stop in
+       x.x_wake <- n;
+       Event_queue.push_node t.q n x.x_run_stop;
+       note_park t st a;
+       true
+     end
+
+(* The exact spin step after a probe returned [while_]: draw the pause
+   first, so parking never reorders draws, then park or step on. *)
+let exact_wait t st op a ~operand ~operand2 ~while_ ~poll ~probe
+    ~continue_spin =
+  let cy = if poll = 0 then 0 else poll + fault_extra t st ~mem_op:false in
+  let hit =
+    if cy = poll then
+      Memory.inert_hit t.mem ~core:st.core op a ~operand ~operand2 ~while_
+    else -1
+  in
+  if
+    not
+      (hit >= 0
+      && exact_park t st op a ~operand ~operand2 ~while_ ~poll ~hit ~probe
+           ~continue_spin)
+  then if cy = 0 then probe () else sched_step t st ~at:(t.now + cy) probe
 
 (* The [E_spin] state machine.  Invoked with the thread suspended right
    after observing [while_]; the first probe issues at [now + poll],
@@ -608,7 +851,7 @@ let spin_loop t st (k : (int, unit) Effect.Deep.continuation) op a ~operand
        to non-inert probes keeps the per-thread draw sequence — and so
        the whole schedule — identical parked or polled. *)
     let inert =
-      t.faults_parkable
+      t.jitter_only
       && Memory.probe_would_elide t.mem ~core op a ~operand ~operand2 ~while_
     in
     let latency =
@@ -628,26 +871,15 @@ let spin_loop t st (k : (int, unit) Effect.Deep.continuation) op a ~operand
     (* [t.now] is the completion time of a probe that returned
        [while_]; emulate [pause poll; probe] — or park. *)
     st.last_progress <- t.now;
-    if
+    if t.exact then
+      exact_wait t st op a ~operand ~operand2 ~while_ ~poll ~probe ~continue_spin
+    else if
       event_driven t
       && Memory.try_park_in t.mem ~core ~now:t.now op a ~operand ~operand2
            ~while_ ~poll ~replay:(fun at ->
-             t.wakeups <- t.wakeups + 1;
-             m_bump t ~kind:Metrics.k_wakes ~ts:at;
-             m_trans t st ~at m_spinning;
-             (match t.trace with
-             | Some tr ->
-                 Trace.emit tr ~ts:at (Trace.E_wake { tid = st.tid; addr = a })
-             | None -> ());
+             note_wake t st a ~at;
              sched_step t st ~at probe)
-    then begin
-      t.parks <- t.parks + 1;
-      m_trans t st ~at:t.now m_parked;
-      m_bump t ~kind:Metrics.k_parks ~ts:t.now;
-      match t.trace with
-      | Some tr -> Trace.emit tr ~ts:t.now (Trace.E_park { tid = st.tid; addr = a })
-      | None -> ()
-    end
+    then note_park t st a
     else if poll = 0 then probe ()
     else begin
       let cy = Int.max 1 poll + fault_extra t st ~mem_op:false in
@@ -673,7 +905,7 @@ let barrier_arrive t st (k : (unit, unit) Effect.Deep.continuation) b =
   else b.waiters <- (st, k) :: b.waiters
 
 let park_seat t st (k : (unit, unit) Effect.Deep.continuation) pk poll =
-  if event_driven t then begin
+  if parker_driven t then begin
     if pk.seat <> None then invalid_arg "Sim.park: parker already occupied";
     pk.seat <- Some (st, k);
     pk.seat_at <- t.now;
@@ -753,8 +985,10 @@ let spawn t ~core body =
           | None -> ());
       m_state = m_runnable;
       m_since = t.now;
+      xp = no_exact;
     }
   in
+  if t.exact then st.xp <- make_exact t st;
   Hashtbl.replace t.tstates tid st;
   (match t.trace with
   | Some tr -> Trace.emit tr ~ts:t.now (Trace.E_thread { tid; core })
@@ -871,6 +1105,35 @@ let most_stalled t =
    drained with threads still blocked (a deadlock, e.g. a barrier that
    never fills, a lock whose holder crash-stopped, or a parked waiter
    no access will ever wake). *)
+(* A run of an exact simulation that ends with [until < max_int]: a
+   polling waiter would have kept stepping up to [until].  A waiter
+   still parked books its probes issued at or before [until], takes the
+   time of its last step at or before [until] as [last_progress], and
+   the final time moves there when that is later.  (A woken waiter's
+   replay never falls past [until]: the scan stops every park at its
+   first step past [until] at the latest, and no wake replays past
+   that stop.) *)
+let settle_backstop t ~until =
+  Hashtbl.iter
+    (fun _ st ->
+      let x = st.xp in
+      if x.x_parked then begin
+        let w = x.x_w in
+        Memory.settle_waiter t.mem w ~upto:(until + 1);
+        let k = probe_index w w.Memory.w_next in
+        if k >= 1 then begin
+          let g = probe_time w (k - 1) in
+          let last =
+            if w.Memory.w_poll > 0 && g + w.Memory.w_hit <= until then
+              g + w.Memory.w_hit
+            else g
+          in
+          if last > st.last_progress then st.last_progress <- last;
+          if last > t.now then t.now <- last
+        end
+      end)
+    t.tstates
+
 (* The event loop of one run: pop and run events until the queue drains
    or passes [until]; returns how many events the backstop dropped. *)
 let drain t ~until ~max_events ~ev_base =
@@ -890,6 +1153,7 @@ let drain t ~until ~max_events ~ev_base =
         raise (Simulation_runaway (t.events - ev_base));
       t.fuel <- 0;
       t.now <- p.Event_queue.p_time;
+      if t.exact then Event_queue.ran t.q p.Event_queue.p_node ~rank:t.events;
       p.Event_queue.p_run ()
     end
   done;
@@ -918,6 +1182,7 @@ let run_health ?(until = max_int) ?(max_events = 200_000_000) t =
         cell.cur <- outer;
         Printexc.raise_with_backtrace e bt
   in
+  if t.exact && until < max_int then settle_backstop t ~until;
   (* close the open run-state spans so the thread gauges cover the
      whole run, whichever state each thread ends it in *)
   if t.macc <> None then
@@ -966,7 +1231,9 @@ let run ?until ?max_events t = fst (run_health ?until ?max_events t)
 type perf = {
   events : int; (* logical resumptions: event pops + direct-run continues *)
   parks : int; (* threads parked event-driven *)
-  wakeups : int; (* parked threads woken by a real access *)
+  wakeups : int;
+      (* parked threads woken by a real access, or at the step an
+         exact park's fault look-ahead stopped on *)
   elided_probes : int; (* inert spin probes accounted without an event *)
   link_queued_cycles : int;
       (* cycles memory ops spent queued behind busy interconnect

@@ -22,12 +22,14 @@
     preemption, latency jitter, crash-stop threads) and always tracks
     per-thread progress, so {!run_health} reports a structured verdict
     — finished versus stalled/deadlocked — instead of silently
-    dropping the tail of a pathological schedule.  Under
-    schedule-reshaping fault injection (preemption, crash-stop) the
-    spin primitives fall back to literal pause/probe stepping so every
-    scheduling point draws from the per-thread fault streams in the
-    original order; jitter-only specs keep the event-driven path, whose
-    elided inert probes consume no draws in either mode.
+    dropping the tail of a pathological schedule.  Spin waits stay
+    event-driven and exact under fault injection: jitter-only specs
+    draw nothing for the inert probes parking elides, and under
+    preemption a parked waiter draws its elided polls' faults ahead from
+    its own stream, wakes at the first poll whose draws fire, and every
+    event standing in for an elided one sorts among same-time events
+    where the polled one would.  Crash-stop specs keep literal
+    pause/probe stepping.
 
     The engine is serial: one event queue, one virtual clock, one
     memory.  Parallelism comes from running many independent
@@ -49,10 +51,9 @@ val create :
     [p].  [faults] defaults to {!Fault.none}, which injects nothing and
     consumes no random draws — fault-free runs are bit-identical to the
     engine without the fault layer.  [parking] (default
-    [!parking_default]) enables event-driven waiter wakeup; it is
-    automatically disabled while schedule-reshaping faults (preemption,
-    crash-stop) are active, but stays on under jitter-only specs, where
-    parking remains exact (see {!Fault.parkable}).  Raises
+    [!parking_default]) enables event-driven waiter wakeup; it stays
+    exact under jitter and preemption specs and is off while crash-stop
+    faults are active (see {!Fault.parkable}).  Raises
     [Invalid_argument] on a malformed spec. *)
 
 val memory : t -> Ssync_coherence.Memory.t
@@ -106,7 +107,9 @@ type perf = {
           continues.  Counting both makes the metric independent of
           which path each resumption took. *)
   parks : int;  (** threads parked event-driven *)
-  wakeups : int;  (** parked threads woken by a real access *)
+  wakeups : int;
+      (** parked threads woken by a real access, or at the step an
+          exact park's fault look-ahead stopped on *)
   elided_probes : int;
       (** inert spin probes accounted in bulk, without an event each *)
   link_queued_cycles : int;
@@ -223,9 +226,9 @@ val await : barrier -> unit
     cannot see (e.g. the Tilera's hardware message queues).  The waiter
     declares its poll period; {!unpark} wakes it at the first poll-grid
     point after the state change — exactly when the literal poll loop
-    would have noticed.  Under faults (or with parking disabled),
-    {!park} degrades to one [pause poll] quantum and the caller's loop
-    re-checks. *)
+    would have noticed.  Under preemption or crash faults (or with
+    parking disabled), {!park} degrades to one [pause poll] quantum and
+    the caller's loop re-checks. *)
 
 type parker
 
@@ -242,8 +245,9 @@ val unpark : parker -> unit
 
 val event_driven_waits : unit -> bool
 (** Whether event-driven waiting is active in the enclosing simulation
-    (parking enabled; faults off or jitter-only) — lets wait loops
-    choose between grid-arithmetic shortcuts and literal polling. *)
+    for parkers (parking enabled; faults off or jitter-only) — lets
+    wait loops choose between grid-arithmetic shortcuts and literal
+    polling. *)
 
 val tid_crashed : int -> bool
 (** Has thread [tid] crash-stopped?  True from the moment virtual time

@@ -42,9 +42,31 @@ let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
   Int64.to_int (Int64.rem (Int64.logand (next_int64 t) Int64.max_int) (Int64.of_int bound))
 
+(* The 53 bits [float] scales into [0, 1): [float t < p] iff
+   [bits53 t < ceil (p * 2^53)]. *)
+let bits53 t = Int64.to_int (Int64.shift_right_logical (next_int64 t) 11)
+
 (* Uniform float in [0, 1). *)
 let float t =
   let v = Int64.to_float (Int64.shift_right_logical (next_int64 t) 11) in
   v /. 9007199254740992. (* 2^53 *)
 
 let bool t = Int64.logand (next_int64 t) 1L = 1L
+
+(* Skip [n] draws: the state advances by [golden] per draw, so [n] draws
+   move it by [n * golden] (mod 2^64) whatever they were used for. *)
+let advance t n =
+  if n < 0 then invalid_arg "Rng.advance: negative count";
+  let s =
+    Int64.add
+      (Int64.logor (Int64.shift_left (Int64.of_int t.hi) 32) (Int64.of_int t.lo))
+      (Int64.mul (Int64.of_int n) golden)
+  in
+  t.hi <- Int64.to_int (Int64.shift_right_logical s 32);
+  t.lo <- Int64.to_int (Int64.logand s mask32)
+
+let copy t = { hi = t.hi; lo = t.lo }
+
+let blit ~src ~dst =
+  dst.hi <- src.hi;
+  dst.lo <- src.lo

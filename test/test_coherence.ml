@@ -290,11 +290,20 @@ let qcheck_local_hit_path =
             in
             ((if parked then 1 else 0), 0)
       in
+      let waiter_grid = function
+        | None -> []
+        | Some last ->
+            let rec from w =
+              w.Memory.w_next
+              :: (if w == last then [] else from w.Memory.w_link)
+            in
+            from last.Memory.w_link
+      in
       let line_state m a =
         let l = Memory.line m a in
         ( (l.Memory.state, l.Memory.owner, Coreset.elements l.Memory.sharers),
           (l.Memory.busy_until, l.Memory.pfw_owner, l.Memory.cas_pending),
-          (l.Memory.llc_dirty, List.map (fun w -> w.Memory.w_next) l.Memory.waiters) )
+          (l.Memory.llc_dirty, waiter_grid l.Memory.wq) )
       in
       let per_access_equal =
         List.for_all
