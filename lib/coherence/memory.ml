@@ -615,11 +615,6 @@ let waiter_count t a =
       done;
       !n
 
-let probe_would_elide t ~core (op : Arch.memop) (a : addr) ~operand ~operand2
-    ~while_ =
-  probe_inert (line t a) ~value:t.values.(a) ~core op ~operand ~operand2
-    ~while_
-
 (* Account [k] elided probes of [w] and move its grid past them. *)
 let[@inline] book_elided t w k =
   Stats.record_elided t.stats w.w_op ~count:k ~latency:w.w_hit ~local:w.w_local;

@@ -141,10 +141,11 @@ val try_park_in :
   t -> core:int -> now:int -> Arch.memop -> addr ->
   operand:int -> operand2:int -> while_:int -> poll:int ->
   replay:(int -> unit) -> bool
-(** Park the calling spinner on the line iff its next probe (issuing
-    at [now + poll]) would be inert: a local hit that changes neither
-    the protocol state nor the value, returning [while_].  When it
-    returns [false] the probe must be performed with {!access}.
+(** The engine's park without fault draws: park the calling spinner
+    on the line iff its next probe (issuing at [now + poll]) would be
+    inert — a local hit that changes neither the protocol state nor
+    the value, returning [while_] — with {!no_tie}.  When it returns
+    [false] nothing is parked and the probe must run for real.
     [replay] is called with the first non-elided probe's issue time
     once a real access disturbs the line. *)
 
@@ -161,7 +162,8 @@ val park :
 (** Park a spinner whose next probe issues at [now + poll] and would be
     inert ({!inert_hit} [>= 0]) at the tail of its line's wait list —
     O(1); wake order is park order.  [tie] and [replay] fill the
-    waiter's fields. *)
+    waiter's fields.  The engine parks this way under fault draws,
+    where the waiter's own look-ahead needs the record. *)
 
 val settle_waiter : t -> waiter -> upto:int -> unit
 (** Account the waiter's elided probes issuing strictly before [upto]
@@ -216,14 +218,6 @@ val last_result : t -> int
 
 val waiter_count : t -> addr -> int
 (** Number of spinners currently parked on the line (tests/metrics). *)
-
-val probe_would_elide :
-  t -> core:int -> Arch.memop -> addr ->
-  operand:int -> operand2:int -> while_:int -> bool
-(** Would a probe of the line be inert right now (same predicate as
-    {!try_park_in})?  Used by the engine to decide whether a probe can
-    skip per-op fault draws under jitter-only specs: an inert probe is
-    exactly one that parking would have elided. *)
 
 val probe_latency : t -> core:int -> Arch.memop -> addr -> int
 (** Expected service latency of [op] right now, without performing it. *)

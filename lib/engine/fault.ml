@@ -42,10 +42,11 @@ let none =
 
 let is_none s = s == none || s = none
 
-(* Spin waits may park under any spec without crashes: jitter and
-   preemption are drawn per scheduling point from the thread's own
-   stream, which a parked waiter can draw ahead and skip exactly (see
-   [Sim]).  Crash specs keep literal polling. *)
+(* Spin waits may park under any spec without crashes: jitter is drawn
+   per memory operation and preemption per scheduling point, inert
+   probes included, from the thread's own stream, which a parked waiter
+   can draw ahead and skip exactly (see [Sim]).  Crash specs keep
+   literal polling. *)
 let parkable s = s.crashes = []
 
 let preemption ?(seed = 1) ?(cycles = (2_000, 20_000)) prob =

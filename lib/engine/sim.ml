@@ -15,19 +15,23 @@
    Parallelism comes from running many independent simulations at once
    ([Pool]), not from splitting one simulation across domains.
 
-   Spin loops go through a dedicated effect ([E_spin], surfaced as
-   {!spin_load} and friends): semantically the loop "probe; while the
-   result equals [while_]: pause [poll]; probe", but executed
-   event-driven — once the probes reach a steady state (inert local
-   hits), the thread parks on the line's wait list inside the memory
-   model and is woken, on the exact virtual-time grid the poll loop
-   would have used, by the next real access to the line.  Simulated
-   timestamps are preserved; only the O(poll-iterations) event churn
-   collapses to O(1).  Under preemption faults a parked waiter draws its
-   elided polls' faults ahead from its own stream and wakes at the first
-   poll whose draws fire ([exact_park]); the queue then orders same-time
-   events by ancestry, so the schedule is the polled one to the event.
-   Crash specs keep literal pause/probe stepping.
+   Waits run on the waiting thread's stack too.  A spin primitive
+   ({!spin_load} and friends) is the literal loop "pause [poll], then
+   probe, until the result differs from [while_]", built from the same
+   charge-then-complete steps as [load] and [pause].  Once the next
+   probe would be an inert local hit, the thread parks instead: it
+   suspends with no resumption scheduled, on the line's wait list
+   inside the memory model, and the next real access to the line wakes
+   it on the exact virtual-time grid the poll loop would have used.
+   Simulated timestamps are preserved; only the O(poll-iterations)
+   event churn collapses to O(1).  Under jitter and preemption faults a
+   parked waiter draws its elided polls' faults ahead from its own
+   stream and wakes at the first poll whose draws fire ([exact_park]);
+   the queue then orders same-time events by ancestry, so the schedule
+   is the polled one to the event.  Crash specs keep literal
+   pause/probe stepping.  Barriers and parkers suspend the same way,
+   and every waker resumes the thread through its one queued runner,
+   so [E_suspend] is the engine's only effect.
 
    Two robustness layers sit on top of the pure engine:
 
@@ -59,13 +63,13 @@ module Rng = Ssync_workload.Rng
 module Trace = Ssync_trace.Trace
 module Metrics = Ssync_metrics.Metrics
 
-(* Per-thread bookkeeping for faults and the watchdog.  [pend_ik] /
-   [pend_uk] hold the thread's suspended continuation between the
-   scheduling of its resumption and the event firing; [run_ik] /
-   [run_uk] are closures allocated once per thread that continue it —
-   the hot path schedules them directly instead of allocating a fresh
-   closure per operation.  A coroutine has at most one pending
-   resumption, so one slot of each type suffices. *)
+(* Per-thread bookkeeping for faults and the watchdog.  [pend_ik] holds
+   the thread's suspended continuation between its suspension and the
+   event that resumes it; [run_ik], a closure allocated once per
+   thread, continues it, so every resumption — a step's completion or a
+   wake — schedules that one runner instead of allocating a fresh
+   closure.  A coroutine has at most one pending resumption, so one
+   slot suffices. *)
 type thread_state = {
   sim : t;
   me : thread_state option;
@@ -81,10 +85,11 @@ type thread_state = {
   mutable pend_ik : (int, unit) Effect.Deep.continuation option;
   mutable pend_iv : int;
   mutable pend_at : int;
-      (* completion time of a step suspended by [E_suspend] *)
-  mutable pend_uk : (unit, unit) Effect.Deep.continuation option;
+      (* when [E_suspend] resumes the thread: the completion time of
+         its own step, or -1 for a wait some waker ends *)
   run_ik : unit -> unit;
-  run_uk : unit -> unit;
+  mutable spin_addr : int; (* the word a fault-free park polls *)
+  replay : int -> unit; (* [Memory.waiter.w_replay] of those parks *)
   mutable m_state : int;
       (* metrics run-state: 0 runnable / 1 spinning / 2 parked /
          3 dead — codes chosen so [Metrics.k_runnable + m_state] is
@@ -95,8 +100,7 @@ type thread_state = {
 
 (* A thread's exact park (see [exact_park]), reused from park to park:
    only the waiter, the chain and the wake nodes are allocated per
-   park.  [x_w] is the park in progress — parked, or woken with its
-   replay queued — or [Memory.no_waiter]. *)
+   park.  [x_w] is the park in progress or [Memory.no_waiter]. *)
 and exact = {
   x_scan : Rng.t; (* scratch copy of the fault stream for look-ahead *)
   mutable x_w : Memory.waiter;
@@ -105,12 +109,8 @@ and exact = {
   mutable x_chain : Event_queue.chain; (* its elided polls *)
   mutable x_wake : Event_queue.node; (* its queued wake *)
   mutable x_stop : int; (* the time of the step [x_wake] runs *)
-  mutable x_probe : unit -> unit; (* the spin episode's steps *)
-  mutable x_continue : unit -> unit;
   x_tie : int -> bool; (* [Memory.waiter] callbacks *)
   x_replay : int -> unit;
-  x_run_replay : unit -> unit; (* the two wakes' runners *)
-  x_run_stop : unit -> unit;
 }
 
 (* Cumulative engine counters for the benchmark harness's perf report.
@@ -144,13 +144,10 @@ and t = {
   mutable spawned : int;
   faults : Fault.spec;
   faults_active : bool;
-  jitter_only : bool;
-      (* active spec is jitter-only: inert probes draw nothing (see
-         [spin_loop]), so parking needs no look-ahead *)
   parking : bool; (* event-driven waiter wakeup enabled? *)
   spins_park : bool; (* [parking] and no crash spec: spin waits park *)
   exact : bool;
-      (* spin waits park exactly under preemption: the queue orders
+      (* spin waits park exactly under fault draws: the queue orders
          same-time events by ancestry ([Event_queue.precedes]) and a
          parked waiter draws its elided polls' faults ahead *)
   tstates : (int, thread_state) Hashtbl.t;
@@ -196,10 +193,11 @@ let counters_key : counters Domain.DLS.key =
 let counters () = Domain.DLS.get counters_key
 let cell_key : cell Domain.DLS.key = Domain.DLS.new_key (fun () -> { cur = None })
 
+(* A barrier's waiters are suspended threads, latest arrival first. *)
 type barrier = {
   mutable expected : int;
   mutable arrived : int;
-  mutable waiters : (thread_state * (unit, unit) Effect.Deep.continuation) list;
+  mutable waiters : thread_state list;
 }
 
 (* A single-waiter parking spot for non-memory waiting (e.g. the
@@ -207,38 +205,23 @@ type barrier = {
    period; [unpark] wakes it at the first poll-grid point after the
    state change, exactly where the poll loop would have noticed. *)
 type parker = {
-  mutable seat :
-    (thread_state * (unit, unit) Effect.Deep.continuation) option;
+  mutable seat : thread_state option;
   mutable seat_at : int;
   mutable seat_poll : int;
 }
 
-(* The effects a thread performs to leave its own stack.  [E_suspend]
-   waits for the event queue to reach the completion time of the
-   thread's own step, parked in [pend_at]/[pend_iv]; the others are the
-   waits whose wakeup another thread or the memory model decides. *)
-type _ Effect.t +=
-  | E_suspend : int Effect.t
-  | E_spin : Arch.memop * Memory.addr * int * int * int * int -> int Effect.t
-  | E_barrier : barrier -> unit Effect.t
-  | E_park : parker * int -> unit Effect.t
-  | E_unpark : parker -> unit Effect.t
+(* The one effect: a thread leaves its own stack to wait, resumed at
+   [pend_at] with [pend_iv], or by a waker when [pend_at] is -1. *)
+type _ Effect.t += E_suspend : int Effect.t
 
 exception Simulation_runaway of int
 
-(* Default for [create]'s [?parking] — lets tests A/B the event-driven
-   path against literal polling without threading a flag through every
-   harness layer. *)
-let parking_default = ref true
-
-let create ?(faults = Fault.none) ?parking platform =
+let create ?(faults = Fault.none) ?(parking = true) platform =
   let faults = Fault.validate faults in
-  let parking =
-    match parking with Some p -> p | None -> !parking_default
-  in
   let mem = Memory.create platform in
   let exact =
-    parking && Fault.parkable faults && faults.Fault.preempt_prob > 0.
+    parking && Fault.parkable faults
+    && (faults.Fault.preempt_prob > 0. || faults.Fault.jitter_prob > 0.)
   in
   let q = Event_queue.create ~ordered:exact () in
   {
@@ -257,9 +240,6 @@ let create ?(faults = Fault.none) ?parking platform =
     spawned = 0;
     faults;
     faults_active = not (Fault.is_none faults);
-    jitter_only =
-      (not (Fault.is_none faults))
-      && Fault.parkable faults && faults.Fault.preempt_prob = 0.;
     parking;
     spins_park = parking && Fault.parkable faults;
     exact;
@@ -278,12 +258,11 @@ let memory t = t.mem
 let platform t = t.platform
 
 (* Spin waits park unless a crash spec is active (crash specs poll).
-   Without faults and under jitter-only specs an inert probe — exactly
-   the kind parking elides — consumes no draw, so parking needs no
-   look-ahead; under preemption a parked waiter draws its elided polls'
-   faults ahead ([exact_park]).  Parkers and the NIC channel's grid
-   shortcut still poll literally under preemption ([parker_driven]). *)
-let event_driven t = t.spins_park
+   Without fault draws no probe consumes one, so parking needs no
+   look-ahead; under jitter or preemption a parked waiter draws its
+   elided polls' faults ahead ([exact_park]).  Parkers and the NIC
+   channel's grid shortcut poll literally under every fault spec
+   ([parker_driven]). *)
 let parker_driven t = t.spins_park && not t.exact
 
 (* ---------------------- engine-side metrics ------------------------ *)
@@ -323,59 +302,6 @@ let[@inline never] sched_exact t ~at run =
 
 let[@inline] sched t ~at run =
   if t.exact then sched_exact t ~at run else Event_queue.push t.q ~time:at run
-
-(* ------------------------------------------------------------------ *)
-(* Operations available *inside* a simulated thread.  Calling them
-   outside of [spawn]ed code raises [Effect.Unhandled]; a thread's own
-   steps ([load], [pause], [now], ...) follow the direct-run machinery
-   below. *)
-
-(* {2 Spin primitives}
-
-   Each is exactly the loop [let x = probe in if x = while_ then
-   (pause poll; retry) else x] of the hand-written spinlocks, executed
-   event-driven (see the header comment).  The first probe runs
-   immediately, pauses sit between probes, and the call returns the
-   first probe result that differs from [while_]. *)
-
-let spin_check poll =
-  if poll < 0 then invalid_arg "Sim.spin: negative poll interval"
-
-let spin_load a ~while_ ~poll =
-  spin_check poll;
-  Effect.perform (E_spin (Arch.Load, a, 0, 0, while_, poll))
-
-(* Spin until the test-and-set wins (previous value 0); continues while
-   the probe returns 1. *)
-let spin_tas a ~poll =
-  spin_check poll;
-  ignore (Effect.perform (E_spin (Arch.Tas, a, 0, 0, 1, poll)))
-
-(* Spin until the CAS succeeds; continues while the probe fails. *)
-let spin_cas a ~expected ~desired ~poll =
-  spin_check poll;
-  ignore (Effect.perform (E_spin (Arch.Cas, a, expected, desired, 0, poll)))
-
-let spin_swap a v ~while_ ~poll =
-  spin_check poll;
-  Effect.perform (E_spin (Arch.Swap, a, v, 0, while_, poll))
-
-(* Spin probing with an exclusive atomic read (prefetchw-style
-   [faa a 0]). *)
-let spin_faa0 a ~while_ ~poll =
-  spin_check poll;
-  Effect.perform (E_spin (Arch.Fai, a, 0, 0, while_, poll))
-
-let make_barrier n : barrier = { expected = n; arrived = 0; waiters = [] }
-let await b = Effect.perform (E_barrier b)
-
-let make_parker () : parker = { seat = None; seat_at = 0; seat_poll = 1 }
-
-let park pk ~poll =
-  if poll <= 0 then invalid_arg "Sim.park: poll must be positive";
-  Effect.perform (E_park (pk, poll))
-
-let unpark pk = Effect.perform (E_unpark pk)
 
 (* ------------------------------------------------------------------ *)
 (* Fault hooks. *)
@@ -444,14 +370,6 @@ let crash_sched t st ~at f =
         st.last_progress <- t.now;
         f ())
 
-let resume : type a.
-    t -> thread_state -> (a, unit) Effect.Deep.continuation -> at:int -> a -> unit
-    =
- fun t st k ~at v ->
-  crash_sched t st ~at (fun () ->
-      enter t st;
-      Effect.Deep.continue k v)
-
 (* Direct-run: the completion of a thread's own step may skip the event
    queue entirely — the thread simply carries on — when nothing can
    observe the difference: the thread cannot crash, the completion time
@@ -466,10 +384,8 @@ let resume : type a.
    and a direct-run count as one logical resumption in [events], so the
    events counter does not depend on which path a resumption took.
    [fuel], reset at every real event pop, bounds consecutive direct-run
-   steps: a thread that never leaves its stack still reaches the run
-   loop's [max_events] check, and a spin completion (which continues
-   the thread from inside its handler) cannot grow the native stack
-   without limit. *)
+   steps, so a thread that never leaves its stack still reaches the run
+   loop's [max_events] check. *)
 let direct_fuel_max = 1000
 
 (* An exact simulation's direct-run step: the node the queue would have
@@ -496,47 +412,14 @@ let try_direct t st ~at =
        true
      end
 
-(* The queued resumption of an int-valued step: park the continuation
-   in [pend_ik] and schedule the preallocated runner — zero closure
-   allocations per operation.  With a crash time set, fall back to
-   [resume] so the crash bookkeeping (and its exact event shapes) stays
-   byte-identical. *)
-let resume_queued t st (k : (int, unit) Effect.Deep.continuation) ~at v =
-  if st.crash_at >= 0 then resume t st k ~at v
-  else begin
-    st.pend_ik <- Some k;
-    st.pend_iv <- v;
-    sched t ~at st.run_ik
-  end
-
-(* A spin's completion, reached in its [E_spin] handler or in a queued
-   probe step: continue the thread right there when it may direct-run.
-   Both run from the top of the engine loop, never from inside another
-   thread's access processing, so continuing synchronously cannot
-   re-enter the memory model. *)
-let resume_int t st k ~at v =
-  if try_direct t st ~at then begin
-    enter t st;
-    Effect.Deep.continue k v
-  end
-  else resume_queued t st k ~at v
-
-(* Wakeups issued on behalf of *other* threads (barriers, parkers):
-   always scheduled, because the issuing handler may wake several
-   threads at one captured timestamp — running one synchronously would
-   advance the clock under the others' feet. *)
-let resume_unit t st (k : (unit, unit) Effect.Deep.continuation) ~at =
-  if st.crash_at >= 0 then resume t st k ~at ()
-  else begin
-    st.pend_uk <- Some k;
-    sched t ~at st.run_uk
-  end
-
-(* Schedule a preallocated engine-internal step ([f] updates
-   [last_progress] itself at entry) without wrapping it in a fresh
-   closure unless the crash path demands it. *)
-let sched_step t st ~at f =
-  if st.crash_at >= 0 then crash_sched t st ~at f else sched t ~at f
+(* Resume the suspended [st] at [at] through its runner, which updates
+   [last_progress] itself: a step's queued completion, a fault-free
+   park's replay, a barrier release and an [unpark] all take this path,
+   wrapped in a fresh closure only when the crash path demands it.  An
+   exact park's wakes push the same runner at their ancestry nodes. *)
+let wake t st ~at =
+  if st.crash_at >= 0 then crash_sched t st ~at st.run_ik
+  else sched t ~at st.run_ik
 
 (* ------------------------------------------------------------------ *)
 (* A thread's own operations: plain calls on its stack.  The thread comes
@@ -558,19 +441,30 @@ let complete t st ~at v =
     Effect.perform E_suspend
   end
 
-(* One memory operation: charge it against the memory model at the
-   current time and complete it at its completion time. *)
-let mem_op op a ~operand ~operand2 ~fetch =
-  let st = current () in
-  let t = st.sim in
+(* Suspend the calling thread: [E_suspend] resumes it at [at], or a
+   waker does ([wake]) when [at] is -1. *)
+let suspend st ~at =
+  st.pend_at <- at;
+  ignore (Effect.perform E_suspend)
+
+(* Charge [st]'s memory operation against the memory model at the
+   current time; returns its completion time and leaves its result in
+   [Memory.last_result]. *)
+let[@inline] charge t st op a ~operand ~operand2 ~fetch =
   (match t.trace with Some tr -> Trace.set_tid tr st.tid | None -> ());
   let latency =
     Memory.access_lat_in t.mem ~core:st.core ~now:t.now op a ~operand
       ~operand2 ~fetch
   in
-  let v = Memory.last_result t.mem in
-  let latency = latency + fault_extra t st ~mem_op:true in
-  complete t st ~at:(t.now + latency) v
+  t.now + latency + fault_extra t st ~mem_op:true
+
+(* One memory operation: charged at the current time, completed at its
+   completion time. *)
+let mem_op op a ~operand ~operand2 ~fetch =
+  let st = current () in
+  let t = st.sim in
+  let at = charge t st op a ~operand ~operand2 ~fetch in
+  complete t st ~at (Memory.last_result t.mem)
 
 let load a = mem_op Arch.Load a ~operand:0 ~operand2:0 ~fetch:false
 let store a v = ignore (mem_op Arch.Store a ~operand:v ~operand2:0 ~fetch:false)
@@ -611,12 +505,15 @@ let faa_store a k =
 let tas a = mem_op Arch.Tas a ~operand:0 ~operand2:0 ~fetch:false = 0
 let swap a v = mem_op Arch.Swap a ~operand:v ~operand2:0 ~fetch:false
 
+(* [st] pauses [cycles > 0]. *)
+let[@inline] pause_in t st cycles =
+  let cycles = cycles + fault_extra t st ~mem_op:false in
+  ignore (complete t st ~at:(t.now + cycles) 0)
+
 let pause cycles =
   if cycles > 0 then begin
     let st = current () in
-    let t = st.sim in
-    let cycles = cycles + fault_extra t st ~mem_op:false in
-    ignore (complete t st ~at:(t.now + cycles) 0)
+    pause_in st.sim st cycles
   end
 
 let now () = (current ()).sim.now
@@ -635,8 +532,9 @@ let tid_crashed qtid =
   | Some qst -> qst.crashed || (qst.crash_at >= 0 && t.now >= qst.crash_at)
   | None -> false
 
-(* Wake and park bookkeeping of a spin wait: counters, run-state
-   gauges and trace records. *)
+(* Park and wake bookkeeping of a wait: counters, run-state gauges and
+   trace records.  [a] is the polled word, -1 for a parker; a woken
+   spinner is spinning again ([s]), a woken parker runnable. *)
 let[@inline] note_park t st a =
   t.parks <- t.parks + 1;
   m_trans t st ~at:t.now m_parked;
@@ -645,10 +543,10 @@ let[@inline] note_park t st a =
   | Some tr -> Trace.emit tr ~ts:t.now (Trace.E_park { tid = st.tid; addr = a })
   | None -> ()
 
-let[@inline] note_wake t st a ~at =
+let[@inline] note_wake t st a ~at s =
   t.wakeups <- t.wakeups + 1;
   m_bump t ~kind:Metrics.k_wakes ~ts:at;
-  m_trans t st ~at m_spinning;
+  m_trans t st ~at s;
   match t.trace with
   | Some tr -> Trace.emit tr ~ts:at (Trace.E_wake { tid = st.tid; addr = a })
   | None -> ()
@@ -658,7 +556,7 @@ let[@inline] note_wake t st a ~at =
    parks again. *)
 let scan_polls = 4096
 
-(* Exact parking under preemption faults.  At [t.now] a probe returned
+(* Exact parking under fault draws.  At [t.now] a probe returned
    [while_] and its pause was drawn; literal polling would issue probe
    [i] at [g0 + i * step] and pause [hit] cycles after it, drawing each
    step's faults from the thread's own stream.  The elided polls form
@@ -682,10 +580,14 @@ let probe_time w i =
 let probe_index w g =
   (g - w.Memory.w_parked - w.Memory.w_poll) / (w.Memory.w_hit + w.Memory.w_poll)
 
-(* Skip the draws of [probes] elided probes and [pauses] pauses. *)
+(* Skip the draws of [probes] elided probes and [pauses] pauses: a
+   probe draws jitter and preemption, a pause preemption, each only
+   when its probability is positive. *)
 let skip_draws t st ~poll ~probes ~pauses =
-  let d_probe = (if t.faults.Fault.jitter_prob > 0. then 1 else 0) + 1 in
-  let d_pause = if poll > 0 then 1 else 0 in
+  let f = t.faults in
+  let d_preempt = if f.Fault.preempt_prob > 0. then 1 else 0 in
+  let d_probe = (if f.Fault.jitter_prob > 0. then 1 else 0) + d_preempt in
+  let d_pause = if poll > 0 then d_preempt else 0 in
   Rng.advance st.rng ((probes * d_probe) + (pauses * d_pause))
 
 (* [Memory.waiter.w_tie]: did the probe issuing at [g] (the running
@@ -710,16 +612,18 @@ let exact_replay t st x at =
     let k = probe_index w at in
     Event_queue.remove t.q x.x_wake;
     skip_draws t st ~poll ~probes:k ~pauses:k;
+    x.x_w <- Memory.no_waiter;
     x.x_parked <- false;
-    note_wake t st w.Memory.w_addr ~at;
+    note_wake t st w.Memory.w_addr ~at m_spinning;
     let n = Event_queue.virt x.x_chain (probe_idx ~poll k) in
     x.x_wake <- n;
-    Event_queue.push_node t.q n x.x_run_replay
+    Event_queue.push_node t.q n st.run_ik
   end
 
-(* The wake at the scan's stop: settle the polls before it and run its
-   step — a probe, or a pause (even chain event) — for real. *)
-let exact_run_stop t st x =
+(* Woken at the scan's stop: settle the polls before it.  [true] when
+   its step is a pause (an even chain event), [false] for a probe; the
+   waiter then runs that step for real. *)
+let exact_stop t st x =
   let w = x.x_w in
   let poll = w.Memory.w_poll in
   let is_pause = poll > 0 && Event_queue.idx x.x_wake land 1 = 0 in
@@ -729,8 +633,8 @@ let exact_run_stop t st x =
   skip_draws t st ~poll ~probes:k ~pauses:(if is_pause then k - 1 else k);
   x.x_w <- Memory.no_waiter;
   x.x_parked <- false;
-  note_wake t st w.Memory.w_addr ~at:t.now;
-  if is_pause then x.x_continue () else x.x_probe ()
+  note_wake t st w.Memory.w_addr ~at:t.now m_spinning;
+  is_pause
 
 let no_exact =
   {
@@ -740,12 +644,8 @@ let no_exact =
     x_chain = Event_queue.no_chain;
     x_wake = Event_queue.nil;
     x_stop = max_int;
-    x_probe = ignore;
-    x_continue = ignore;
     x_tie = Memory.no_tie;
     x_replay = ignore;
-    x_run_replay = ignore;
-    x_run_stop = ignore;
   }
 
 let make_exact t st =
@@ -757,28 +657,21 @@ let make_exact t st =
       x_chain = Event_queue.no_chain;
       x_wake = Event_queue.nil;
       x_stop = max_int;
-      x_probe = ignore;
-      x_continue = ignore;
       x_tie = (fun g -> exact_tie t x g);
       x_replay = (fun at -> exact_replay t st x at);
-      x_run_replay =
-        (fun () ->
-          x.x_w <- Memory.no_waiter;
-          x.x_probe ());
-      x_run_stop = (fun () -> exact_run_stop t st x);
     }
   in
   x
 
 (* Park exactly, given the next probe's inert latency [hit]; [false]
-   (nothing parked) when the very next probe is the scan's stop. *)
-let exact_park t st op a ~operand ~operand2 ~while_ ~poll ~hit ~probe
-    ~continue_spin =
+   (nothing parked) when the very next probe is the scan's stop.  The
+   wake at the stop resumes the thread. *)
+let exact_park t st op a ~operand ~operand2 ~while_ ~poll ~hit =
   let x = st.xp in
-  let jp = t.faults.Fault.jitter_prob in
+  let jp = t.faults.Fault.jitter_prob and pp = t.faults.Fault.preempt_prob in
   (* [Rng.float r < p] is [Rng.bits53 r < threshold p], without floats *)
   let threshold p = int_of_float (Float.ceil (p *. 9007199254740992.)) in
-  let tj = threshold jp and tp = threshold t.faults.Fault.preempt_prob in
+  let tj = threshold jp and tp = threshold pp in
   let step = hit + poll and g0 = t.now + poll and until = t.run_until in
   let sc = x.x_scan in
   Rng.blit ~src:st.rng ~dst:sc;
@@ -786,10 +679,11 @@ let exact_park t st op a ~operand ~operand2 ~while_ ~poll ~hit ~probe
   while !stop < 0 do
     let g = g0 + (!i * step) in
     if g > until || !i >= scan_polls then stop := probe_idx ~poll !i
-    else if (jp > 0. && Rng.bits53 sc < tj) || Rng.bits53 sc < tp then
-      stop := probe_idx ~poll !i
-    else if poll > 0 && (g + hit > until || Rng.bits53 sc < tp) then
-      stop := (2 * !i) + 2
+    else if
+      (jp > 0. && Rng.bits53 sc < tj) || (pp > 0. && Rng.bits53 sc < tp)
+    then stop := probe_idx ~poll !i
+    else if poll > 0 && (g + hit > until || (pp > 0. && Rng.bits53 sc < tp))
+    then stop := (2 * !i) + 2
     else incr i
   done;
   !stop <> probe_idx ~poll 0
@@ -799,8 +693,6 @@ let exact_park t st op a ~operand ~operand2 ~while_ ~poll ~hit ~probe
          else Event_queue.chain t.q ~t1:g0 ~a:hit ~b:poll
        in
        x.x_chain <- chain;
-       x.x_probe <- probe;
-       x.x_continue <- continue_spin;
        x.x_w <-
          Memory.park t.mem ~core:st.core ~now:t.now op a ~operand ~operand2
            ~while_ ~poll ~tie:x.x_tie ~replay:x.x_replay;
@@ -808,137 +700,144 @@ let exact_park t st op a ~operand ~operand2 ~while_ ~poll ~hit ~probe
        x.x_parked <- true;
        let n = Event_queue.virt chain !stop in
        x.x_wake <- n;
-       Event_queue.push_node t.q n x.x_run_stop;
+       Event_queue.push_node t.q n st.run_ik;
        note_park t st a;
        true
      end
 
-(* The exact spin step after a probe returned [while_]: draw the pause
-   first, so parking never reorders draws, then park or step on. *)
-let exact_wait t st op a ~operand ~operand2 ~while_ ~poll ~probe
-    ~continue_spin =
+(* The exact wait after a probe returned [while_]: draw the pause first,
+   so parking never reorders draws, then park or step on.  A wake at
+   the scan's stop on a pause runs that pause for real: the wait starts
+   over there. *)
+let rec exact_wait t st op a ~operand ~operand2 ~while_ ~poll =
   let cy = if poll = 0 then 0 else poll + fault_extra t st ~mem_op:false in
   let hit =
     if cy = poll then
       Memory.inert_hit t.mem ~core:st.core op a ~operand ~operand2 ~while_
     else -1
   in
-  if
-    not
-      (hit >= 0
-      && exact_park t st op a ~operand ~operand2 ~while_ ~poll ~hit ~probe
-           ~continue_spin)
-  then if cy = 0 then probe () else sched_step t st ~at:(t.now + cy) probe
+  if hit >= 0 && exact_park t st op a ~operand ~operand2 ~while_ ~poll ~hit
+  then begin
+    suspend st ~at:(-1);
+    (* resumed by a replay, whose probe runs next, or at the stop *)
+    if st.xp.x_parked && exact_stop t st st.xp then
+      exact_wait t st op a ~operand ~operand2 ~while_ ~poll
+  end
+  else if cy > 0 then ignore (complete t st ~at:(t.now + cy) 0)
 
-(* The [E_spin] state machine.  Invoked with the thread suspended right
-   after observing [while_]; the first probe issues at [now + poll],
-   exactly like the poll loop's [pause poll; probe].  Whenever the next
-   probe would be inert, the thread parks on the line and the memory
-   model wakes it — via [replay], on the original probe grid — when a
-   real access disturbs the line. *)
-let spin_loop t st (k : (int, unit) Effect.Deep.continuation) op a ~operand
-    ~operand2 ~while_ ~poll =
-  let core = st.core in
-  (* [probe] and [continue_spin] are allocated once per spin episode and
-     update [last_progress] themselves, so the per-probe steps schedule
-     them directly ([sched_step]) with no wrapper closure. *)
-  let rec probe () =
-    (* [t.now] is the probe's issue time *)
-    st.last_progress <- t.now;
-    (match t.trace with Some tr -> Trace.set_tid tr st.tid | None -> ());
-    (* Under a jitter-only spec an inert probe consumes no fault draw:
-       parking elides exactly the inert probes, so charging draws only
-       to non-inert probes keeps the per-thread draw sequence — and so
-       the whole schedule — identical parked or polled. *)
-    let inert =
-      t.jitter_only
-      && Memory.probe_would_elide t.mem ~core op a ~operand ~operand2 ~while_
-    in
-    let latency =
-      Memory.access_lat_in t.mem ~core ~now:t.now op a ~operand ~operand2
-        ~fetch:false
-    in
-    let x = Memory.last_result t.mem in
-    let latency =
-      if inert then latency else latency + fault_extra t st ~mem_op:true
-    in
-    if x <> while_ then begin
-      m_trans t st ~at:(t.now + latency) m_runnable;
-      resume_int t st k ~at:(t.now + latency) x
-    end
-    else sched_step t st ~at:(t.now + latency) continue_spin
-  and continue_spin () =
-    (* [t.now] is the completion time of a probe that returned
-       [while_]; emulate [pause poll; probe] — or park. *)
-    st.last_progress <- t.now;
-    if t.exact then
-      exact_wait t st op a ~operand ~operand2 ~while_ ~poll ~probe ~continue_spin
-    else if
-      event_driven t
-      && Memory.try_park_in t.mem ~core ~now:t.now op a ~operand ~operand2
-           ~while_ ~poll ~replay:(fun at ->
-             note_wake t st a ~at;
-             sched_step t st ~at probe)
-    then note_park t st a
-    else if poll = 0 then probe ()
-    else begin
-      let cy = Int.max 1 poll + fault_extra t st ~mem_op:false in
-      sched_step t st ~at:(t.now + cy) probe
-    end
-  in
+(* The wait before a spin's next probe, at the spin's start or at the
+   completion of a probe that returned [while_]: pause [poll], or park
+   on the line until the probe must run for real.  Returns at the
+   probe's issue time. *)
+let wait t st op a ~operand ~operand2 ~while_ ~poll =
+  if t.exact then exact_wait t st op a ~operand ~operand2 ~while_ ~poll
+  else if
+    t.spins_park
+    && Memory.try_park_in t.mem ~core:st.core ~now:t.now op a ~operand
+         ~operand2 ~while_ ~poll ~replay:st.replay
+  then begin
+    st.spin_addr <- a;
+    note_park t st a;
+    suspend st ~at:(-1)
+  end
+  else if poll > 0 then pause_in t st poll
+
+(* {2 Spin primitives}
+
+   Each is the loop "pause [poll], then probe, until the result differs
+   from [while_]" and returns that result: callers probe once before
+   they call.  The run-state gauge counts the thread spinning from the
+   call until its last probe completes, booked at that probe's
+   issue. *)
+let spin op a ~operand ~operand2 ~while_ ~poll =
+  if poll < 0 then invalid_arg "Sim.spin: negative poll interval";
+  let st = current () in
+  let t = st.sim in
   m_trans t st ~at:t.now m_spinning;
-  continue_spin ()
+  let v = ref while_ in
+  while !v = while_ do
+    wait t st op a ~operand ~operand2 ~while_ ~poll;
+    let at = charge t st op a ~operand ~operand2 ~fetch:false in
+    let x = Memory.last_result t.mem in
+    if x <> while_ then m_trans t st ~at m_runnable;
+    v := complete t st ~at x
+  done;
+  !v
 
-(* Barrier arrival.  The releasing arrival is the latest-timed one, so
-   every waiter wakes at the release time. *)
-let barrier_arrive t st (k : (unit, unit) Effect.Deep.continuation) b =
-  let at = t.now in
-  st.last_progress <- at;
+let spin_load a ~while_ ~poll =
+  spin Arch.Load a ~operand:0 ~operand2:0 ~while_ ~poll
+
+(* Spin until the test-and-set wins (previous value 0); continues while
+   the probe returns 1. *)
+let spin_tas a ~poll =
+  ignore (spin Arch.Tas a ~operand:0 ~operand2:0 ~while_:1 ~poll)
+
+(* Spin until the CAS succeeds; continues while the probe fails. *)
+let spin_cas a ~expected ~desired ~poll =
+  ignore (spin Arch.Cas a ~operand:expected ~operand2:desired ~while_:0 ~poll)
+
+let spin_swap a v ~while_ ~poll =
+  spin Arch.Swap a ~operand:v ~operand2:0 ~while_ ~poll
+
+(* Spin probing with an exclusive atomic read (prefetchw-style
+   [faa a 0]). *)
+let spin_faa0 a ~while_ ~poll =
+  spin Arch.Fai a ~operand:0 ~operand2:0 ~while_ ~poll
+
+(* {2 Barriers and parkers} *)
+
+let make_barrier n : barrier = { expected = n; arrived = 0; waiters = [] }
+
+(* The releasing arrival is the latest-timed one, so every waiter wakes
+   at the release time, in [waiters] order, and the releaser, queued at
+   the same time, after them. *)
+let await b =
+  let st = current () in
+  let t = st.sim in
   b.arrived <- b.arrived + 1;
   if b.arrived >= b.expected then begin
-    let to_wake = b.waiters in
+    List.iter (fun w -> wake t w ~at:t.now) b.waiters;
     b.waiters <- [];
     b.arrived <- 0;
-    List.iter (fun (wst, w) -> resume_unit t wst w ~at) to_wake;
-    resume_unit t st k ~at
-  end
-  else b.waiters <- (st, k) :: b.waiters
-
-let park_seat t st (k : (unit, unit) Effect.Deep.continuation) pk poll =
-  if parker_driven t then begin
-    if pk.seat <> None then invalid_arg "Sim.park: parker already occupied";
-    pk.seat <- Some (st, k);
-    pk.seat_at <- t.now;
-    pk.seat_poll <- poll;
-    t.parks <- t.parks + 1;
-    m_trans t st ~at:t.now m_parked;
-    m_bump t ~kind:Metrics.k_parks ~ts:t.now;
-    match t.trace with
-    | Some tr -> Trace.emit tr ~ts:t.now (Trace.E_park { tid = st.tid; addr = -1 })
-    | None -> ()
+    suspend st ~at:t.now
   end
   else begin
-    (* literal polling: one pause quantum, the caller's loop re-checks *)
-    let cy = Int.max 1 poll + fault_extra t st ~mem_op:false in
-    resume_unit t st k ~at:(t.now + cy)
+    b.waiters <- st :: b.waiters;
+    suspend st ~at:(-1)
   end
 
-let unpark_wake t pk =
+let make_parker () : parker = { seat = None; seat_at = 0; seat_poll = 1 }
+
+let park pk ~poll =
+  if poll <= 0 then invalid_arg "Sim.park: poll must be positive";
+  let st = current () in
+  let t = st.sim in
+  if parker_driven t then begin
+    (match pk.seat with
+    | Some _ -> invalid_arg "Sim.park: parker already occupied"
+    | None -> ());
+    pk.seat <- Some st;
+    pk.seat_at <- t.now;
+    pk.seat_poll <- poll;
+    note_park t st (-1);
+    suspend st ~at:(-1)
+  end
+  else
+    (* literal polling: one pause quantum, the caller's loop re-checks *)
+    pause_in t st poll
+
+(* Costless for the caller, which carries on at once. *)
+let unpark pk =
+  let t = (current ()).sim in
   match pk.seat with
-  | Some (wst, wk) ->
+  | Some w ->
       pk.seat <- None;
       (* first poll-grid point after the state change *)
       let dt = t.now - pk.seat_at in
       let steps = Int.max 1 ((dt + pk.seat_poll - 1) / pk.seat_poll) in
-      let wake_at = pk.seat_at + (steps * pk.seat_poll) in
-      t.wakeups <- t.wakeups + 1;
-      m_bump t ~kind:Metrics.k_wakes ~ts:wake_at;
-      m_trans t wst ~at:wake_at m_runnable;
-      (match t.trace with
-      | Some tr ->
-          Trace.emit tr ~ts:wake_at (Trace.E_wake { tid = wst.tid; addr = -1 })
-      | None -> ());
-      resume_unit t wst wk ~at:wake_at
+      let at = pk.seat_at + (steps * pk.seat_poll) in
+      note_wake t w (-1) ~at m_runnable;
+      wake t w ~at
   | None -> ()
 
 (* ------------------------------------------------------------------ *)
@@ -964,7 +863,6 @@ let spawn t ~core body =
       pend_ik = None;
       pend_iv = 0;
       pend_at = 0;
-      pend_uk = None;
       run_ik =
         (fun () ->
           st.last_progress <- t.now;
@@ -974,15 +872,11 @@ let spawn t ~core body =
               enter t st;
               Effect.Deep.continue k st.pend_iv
           | None -> ());
-      run_uk =
-        (fun () ->
-          st.last_progress <- t.now;
-          match st.pend_uk with
-          | Some k ->
-              st.pend_uk <- None;
-              enter t st;
-              Effect.Deep.continue k ()
-          | None -> ());
+      spin_addr = -1;
+      replay =
+        (fun at ->
+          note_wake t st st.spin_addr ~at m_spinning;
+          wake t st ~at);
       m_state = m_runnable;
       m_since = t.now;
       xp = no_exact;
@@ -999,7 +893,8 @@ let spawn t ~core body =
   let on_suspend =
     Some
       (fun (k : (int, unit) continuation) ->
-        resume_queued t st k ~at:st.pend_at st.pend_iv)
+        st.pend_ik <- Some k;
+        if st.pend_at >= 0 then wake t st ~at:st.pend_at)
   in
   let handler : (unit, unit) handler =
     {
@@ -1013,25 +908,7 @@ let spawn t ~core body =
       effc =
         (fun (type a) (eff : a Effect.t) :
              ((a, unit) continuation -> unit) option ->
-          match eff with
-          | E_suspend -> on_suspend
-          | E_spin (op, a, op1, op2, while_, poll) ->
-              Some
-                (fun (k : (a, unit) continuation) ->
-                  spin_loop t st k op a ~operand:op1 ~operand2:op2 ~while_
-                    ~poll)
-          | E_barrier b ->
-              Some (fun (k : (a, unit) continuation) -> barrier_arrive t st k b)
-          | E_park (pk, poll) ->
-              Some (fun (k : (a, unit) continuation) -> park_seat t st k pk poll)
-          | E_unpark pk ->
-              Some
-                (fun (k : (a, unit) continuation) ->
-                  (* unpark is costless for the caller, which continues
-                     immediately *)
-                  unpark_wake t pk;
-                  continue k ())
-          | _ -> None);
+          match eff with E_suspend -> on_suspend | _ -> None);
     }
   in
   sched t ~at:t.now (fun () ->

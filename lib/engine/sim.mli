@@ -10,26 +10,28 @@
     schedule.  Lock and message-passing algorithms are written in
     direct style, exactly like their native counterparts.
 
-    Spin-wait loops use the dedicated primitives ({!spin_load} and
-    friends): semantically identical to the hand-written
-    probe/pause/retry loops — same probes, same virtual timestamps —
-    but executed event-driven.  Once a spinner's probes become inert
-    local hits the thread parks on the line inside the memory model and
-    is woken, on its original poll grid, by the next real access;
-    O(poll iterations) of simulation events collapse to O(1).
+    Waits run on the waiting thread's stack as well.  A spin primitive
+    ({!spin_load} and friends) is the literal loop "pause [poll], then
+    probe, until the result differs from [while_]" — same probes, same
+    virtual timestamps as the hand-written loop.  Once a spinner's next
+    probe would be an inert local hit, the thread parks on the line
+    inside the memory model instead and is woken, on its original poll
+    grid, by the next real access; O(poll iterations) of simulation
+    events collapse to O(1).  Barriers and parkers suspend the same
+    way.
 
     The engine optionally injects deterministic faults ({!Fault.spec}:
     preemption, latency jitter, crash-stop threads) and always tracks
     per-thread progress, so {!run_health} reports a structured verdict
     — finished versus stalled/deadlocked — instead of silently
     dropping the tail of a pathological schedule.  Spin waits stay
-    event-driven and exact under fault injection: jitter-only specs
-    draw nothing for the inert probes parking elides, and under
-    preemption a parked waiter draws its elided polls' faults ahead from
-    its own stream, wakes at the first poll whose draws fire, and every
-    event standing in for an elided one sorts among same-time events
-    where the polled one would.  Crash-stop specs keep literal
-    pause/probe stepping.
+    event-driven and exact under jitter and preemption: every memory
+    operation draws its jitter and every scheduling point its
+    preemption, inert probes included; a parked waiter draws its elided
+    polls' faults ahead from its own stream, wakes at the first poll
+    whose draws fire, and every event standing in for an elided one
+    sorts among same-time events where the polled one would.
+    Crash-stop specs keep literal pause/probe stepping.
 
     The engine is serial: one event queue, one virtual clock, one
     memory.  Parallelism comes from running many independent
@@ -40,21 +42,17 @@ type t
 
 exception Simulation_runaway of int
 
-val parking_default : bool ref
-(** Default for [create]'s [?parking] (initially [true]); lets tests
-    and benchmarks A/B event-driven waiting against literal polling
-    without threading a flag through every harness layer. *)
-
 val create :
   ?faults:Fault.spec -> ?parking:bool -> Ssync_platform.Platform.t -> t
 (** [create ?faults ?parking p] builds a simulation on platform
     [p].  [faults] defaults to {!Fault.none}, which injects nothing and
     consumes no random draws — fault-free runs are bit-identical to the
-    engine without the fault layer.  [parking] (default
-    [!parking_default]) enables event-driven waiter wakeup; it stays
-    exact under jitter and preemption specs and is off while crash-stop
-    faults are active (see {!Fault.parkable}).  Raises
-    [Invalid_argument] on a malformed spec. *)
+    engine without the fault layer.  [parking] (default [true])
+    enables event-driven waiter wakeup; [false] makes every wait poll
+    literally, the reference parked runs are checked against.  Spin
+    waits stay parked and exact under jitter and preemption specs and
+    poll while crash-stop faults are active (see {!Fault.parkable}).
+    Raises [Invalid_argument] on a malformed spec. *)
 
 val memory : t -> Ssync_coherence.Memory.t
 val platform : t -> Ssync_platform.Platform.t
@@ -141,6 +139,9 @@ val perf_diff : perf -> perf -> perf
 
     Calling these outside [spawn]ed code raises [Effect.Unhandled]. *)
 
+val now : unit -> int
+(** The calling thread's virtual time. *)
+
 val load : Ssync_coherence.Memory.addr -> int
 val store : Ssync_coherence.Memory.addr -> int -> unit
 
@@ -180,18 +181,17 @@ val swap : Ssync_coherence.Memory.addr -> int -> int
 val pause : int -> unit
 (** Spend the given core-local cycles (backoff, computation). *)
 
-val now : unit -> int
 val self_core : unit -> int
 val self_tid : unit -> int
 
 (** {1 Spin primitives}
 
-    Each is exactly the loop
-    [let x = probe in if x = while_ then (pause poll; retry) else x]:
-    the first probe issues immediately, pauses of [poll] cycles sit
-    between probes, and the call returns the first probe result that
-    differs from [while_].  [poll = 0] probes back-to-back.  Raise
-    [Invalid_argument] on a negative [poll]. *)
+    Each is the loop "pause [poll], then probe, until the result
+    differs from [while_]", and returns that result.  Callers probe
+    once before they call, so the loop starts with the pause: on a
+    word that already differs from [while_], [spin_load ~poll:100]
+    returns after the 100-cycle pause and one probe, [~poll:0] after
+    the probe alone.  Raise [Invalid_argument] on a negative [poll]. *)
 
 val spin_load : Ssync_coherence.Memory.addr -> while_:int -> poll:int -> int
 (** Spin on plain loads while they return [while_]. *)
@@ -226,9 +226,9 @@ val await : barrier -> unit
     cannot see (e.g. the Tilera's hardware message queues).  The waiter
     declares its poll period; {!unpark} wakes it at the first poll-grid
     point after the state change — exactly when the literal poll loop
-    would have noticed.  Under preemption or crash faults (or with
-    parking disabled), {!park} degrades to one [pause poll] quantum and
-    the caller's loop re-checks. *)
+    would have noticed.  Under fault injection (jitter, preemption or
+    crash specs) or with parking disabled, {!park} degrades to one
+    [pause poll] quantum and the caller's loop re-checks. *)
 
 type parker
 
@@ -245,9 +245,8 @@ val unpark : parker -> unit
 
 val event_driven_waits : unit -> bool
 (** Whether event-driven waiting is active in the enclosing simulation
-    for parkers (parking enabled; faults off or jitter-only) — lets
-    wait loops choose between grid-arithmetic shortcuts and literal
-    polling. *)
+    for parkers (parking enabled, no faults injected) — lets wait loops
+    choose between grid-arithmetic shortcuts and literal polling. *)
 
 val tid_crashed : int -> bool
 (** Has thread [tid] crash-stopped?  True from the moment virtual time

@@ -365,39 +365,78 @@ let test_fault_spec_validation () =
 
 (* ---------------------- effect-free direct-run --------------------- *)
 
-(* A thread's own steps are plain calls on its stack.  In a 1-thread
-   fault-free simulation nothing else is ever queued, so every step
-   direct-runs — one pop starts the thread, then each step that takes
-   time is one direct-run resumption (4 x 200 stays under the 1000-step
-   fuel, so no pop intervenes) — and none of them may allocate. *)
+(* A thread's own steps are plain calls on its stack, waits included.
+   In a 1-thread fault-free simulation nothing else is ever queued, so
+   every step direct-runs — one pop starts the thread, then each step
+   that takes time is one direct-run resumption (7 x 100 stays under
+   the 1000-step fuel, so no pop intervenes) — and none of them may
+   allocate, parking on or off.  A spin whose first probe succeeds is
+   one step with [~poll:0] and two (its pause, then its probe) with
+   [~poll:10]. *)
 let test_direct_run_allocation_free () =
-  let sim = Sim.create Platform.opteron in
-  let a = Memory.alloc (Sim.memory sim) in
-  let n = 200 in
-  let words = ref [] in
-  Sim.spawn sim ~core:0 (fun () ->
-      let words_during = Test_coherence.minor_words_during in
-      let overhead = words_during ignore in
-      let measure name f =
-        let w = ref 0 in
-        for _ = 1 to n do
-          w := !w + words_during f - overhead
-        done;
-        words := (name, !w) :: !words
-      in
-      measure "load" (fun () -> ignore (Sim.load a));
-      measure "store" (fun () -> Sim.store a 7);
-      measure "fai" (fun () -> ignore (Sim.fai a));
-      measure "pause" (fun () -> Sim.pause 10);
-      measure "now" (fun () -> ignore (Sim.now ())));
-  ignore (Sim.run sim);
-  check_int "every step direct-ran" (1 + (4 * n)) (Sim.perf sim).Sim.events;
   List.iter
-    (fun (name, w) -> check_int (name ^ " allocates nothing") 0 w)
-    (List.rev !words)
+    (fun parking ->
+      let sim = Sim.create ~parking Platform.opteron in
+      let a = Memory.alloc (Sim.memory sim) in
+      let n = 100 in
+      let words = ref [] in
+      Sim.spawn sim ~core:0 (fun () ->
+          let words_during = Test_coherence.minor_words_during in
+          let overhead = words_during ignore in
+          let measure name f =
+            let w = ref 0 in
+            for _ = 1 to n do
+              w := !w + words_during f - overhead
+            done;
+            words := (name, !w) :: !words
+          in
+          measure "load" (fun () -> ignore (Sim.load a));
+          measure "store" (fun () -> Sim.store a 7);
+          measure "fai" (fun () -> ignore (Sim.fai a));
+          measure "pause" (fun () -> Sim.pause 10);
+          measure "now" (fun () -> ignore (Sim.now ()));
+          measure "spin ~poll:0, first probe succeeds" (fun () ->
+              ignore (Sim.spin_load a ~while_:(-1) ~poll:0));
+          measure "spin ~poll:10, first probe succeeds" (fun () ->
+              ignore (Sim.spin_load a ~while_:(-1) ~poll:10)));
+      ignore (Sim.run sim);
+      let label = if parking then "parking on" else "parking off" in
+      check_int (label ^ ": every step direct-ran") (1 + (7 * n))
+        (Sim.perf sim).Sim.events;
+      List.iter
+        (fun (name, w) ->
+          check_int (Printf.sprintf "%s: %s allocates nothing" label name) 0 w)
+        (List.rev !words))
+    [ true; false ]
 
-(* Every operation of a thread's own, called outside any thread. *)
-let thread_ops a =
+(* The spin primitives pause [poll] before every probe, the first one
+   included, since callers probe before they call: on a cached word
+   already unequal to [while_] (a 3-cycle Opteron hit), [~poll:100]
+   returns after 103 cycles and [~poll:0] after 3, parked or polled. *)
+let test_spin_pauses_first () =
+  List.iter
+    (fun parking ->
+      let sim = Sim.create ~parking Platform.opteron in
+      let a = Memory.alloc (Sim.memory sim) in
+      let took = ref [] in
+      Sim.spawn sim ~core:0 (fun () ->
+          ignore (Sim.load a);
+          List.iter
+            (fun poll ->
+              let t0 = Sim.now () in
+              let v = Sim.spin_load a ~while_:5 ~poll in
+              took := (poll, v, Sim.now () - t0) :: !took)
+            [ 100; 0 ]);
+      ignore (Sim.run sim);
+      Alcotest.(check (list (triple int int int)))
+        (Printf.sprintf "(poll, result, cycles), parking %b" parking)
+        [ (100, 0, 103); (0, 0, 3) ]
+        (List.rev !took))
+    [ true; false ]
+
+(* Every operation of a thread's own, waits included, called outside
+   any thread. *)
+let thread_ops a b pk =
   [
     ("load", fun () -> ignore (Sim.load a));
     ("store", fun () -> Sim.store a 1);
@@ -415,9 +454,17 @@ let thread_ops a =
     ("self_tid", fun () -> ignore (Sim.self_tid ()));
     ("event_driven_waits", fun () -> ignore (Sim.event_driven_waits ()));
     ("tid_crashed", fun () -> ignore (Sim.tid_crashed 0));
+    ("spin_load", fun () -> ignore (Sim.spin_load a ~while_:0 ~poll:10));
+    ("spin_tas", fun () -> Sim.spin_tas a ~poll:10);
+    ("spin_cas", fun () -> Sim.spin_cas a ~expected:0 ~desired:1 ~poll:10);
+    ("spin_swap", fun () -> ignore (Sim.spin_swap a 3 ~while_:0 ~poll:10));
+    ("spin_faa0", fun () -> ignore (Sim.spin_faa0 a ~while_:0 ~poll:10));
+    ("await", fun () -> Sim.await b);
+    ("park", fun () -> Sim.park pk ~poll:10);
+    ("unpark", fun () -> Sim.unpark pk);
   ]
 
-let check_unhandled ~moment a =
+let check_unhandled ~moment a b pk =
   List.iter
     (fun (name, op) ->
       let raised =
@@ -425,17 +472,18 @@ let check_unhandled ~moment a =
       in
       check_bool (Printf.sprintf "%s %s raises Effect.Unhandled" name moment)
         true raised)
-    (thread_ops a)
+    (thread_ops a b pk)
 
 let test_ops_outside_threads () =
+  let bar = Sim.make_barrier 2 and pk = Sim.make_parker () in
   let sim = Sim.create Platform.opteron in
   let a = Memory.alloc (Sim.memory sim) in
   Sim.spawn sim ~core:0 (fun () ->
       Sim.store a 5;
       Sim.pause 10);
-  check_unhandled ~moment:"before the run" a;
+  check_unhandled ~moment:"before the run" a bar pk;
   ignore (Sim.run sim);
-  check_unhandled ~moment:"after a completed run" a;
+  check_unhandled ~moment:"after a completed run" a bar pk;
   check_int "the refused ops touched nothing" 5
     (Memory.peek (Sim.memory sim) a);
   let sim = Sim.create Platform.opteron in
@@ -446,9 +494,28 @@ let test_ops_outside_threads () =
   (match Sim.run sim with
   | _ -> Alcotest.fail "the thread's exception was lost"
   | exception Failure _ -> ());
-  check_unhandled ~moment:"after a run whose thread raised" b;
+  check_unhandled ~moment:"after a run whose thread raised" b bar pk;
   check_int "the refused ops touched nothing'" 5
-    (Memory.peek (Sim.memory sim) b)
+    (Memory.peek (Sim.memory sim) b);
+  (* the refused waits left the barrier and the parker as built: the
+     barrier still holds its first arrival until the second, and the
+     parker seats a waiter *)
+  let sim = Sim.create Platform.opteron in
+  let passed = Array.make 3 (-1) in
+  Sim.spawn sim ~core:0 (fun () ->
+      Sim.pause 10;
+      Sim.await bar;
+      passed.(0) <- Sim.now ();
+      Sim.pause 15;
+      Sim.unpark pk);
+  Sim.spawn sim ~core:1 (fun () ->
+      Sim.await bar;
+      passed.(1) <- Sim.now ();
+      Sim.park pk ~poll:10;
+      passed.(2) <- Sim.now ());
+  ignore (Sim.run sim);
+  Alcotest.(check (list int)) "barrier at 10, parker woken on its grid at 30"
+    [ 10; 10; 30 ] (Array.to_list passed)
 
 (* Build and run a simulation — completed or ended by its thread's
    exception — leaving only a weak pointer to it. *)
@@ -541,4 +608,6 @@ let suite =
     Alcotest.test_case "a finished simulation can be collected" `Quick
       test_finished_sim_collectable;
     QCheck_alcotest.to_alcotest qcheck_no_lost_updates;
+    Alcotest.test_case "spins pause before every probe" `Quick
+      test_spin_pauses_first;
   ]

@@ -177,8 +177,9 @@ let lock_fingerprint ~parking p algo ~threads ~duration =
    unfairness shuffles which thread wins the tied races.  The effect is
    wider than this test: on the quick fig5 grid at seed 0, 25 of 233
    jobs differ between parked and polled runs (DESIGN.md, "Known
-   tie-ordering caveat").  Under preemption specs the queue orders ties
-   by ancestry and parking is exact (the fault tests below). *)
+   tie-ordering caveat").  Under jitter and preemption specs the queue
+   orders ties by ancestry and parking is exact (the fault tests
+   below). *)
 let tie_shuffled = [ (Arch.Niagara, Simlock.Ttas) ]
 
 let test_parking_matches_polling () =
@@ -207,9 +208,7 @@ let test_parking_matches_polling () =
    coherence channel (Xeon) and the hardware mesh (Tilera). *)
 let mp_fingerprint ~parking pid ~prefetchw =
   let p = Platform.get pid in
-  Sim.parking_default := parking;
-  Fun.protect ~finally:(fun () -> Sim.parking_default := true) @@ fun () ->
-  let sim = Sim.create p in
+  let sim = Sim.create ~parking p in
   let mem = Sim.memory sim in
   let ping =
     Ssync_simmp.Channel.create ~prefetchw mem p ~sender_core:0
@@ -247,6 +246,69 @@ let test_parking_matches_polling_mp () =
            (if prefetchw then "/prefetchw" else ""))
         polled parked)
     [ (Arch.Xeon, false); (Arch.Opteron, true); (Arch.Tilera, false) ]
+
+(* Memory statistics bar the elided-probe count. *)
+let stats_fingerprint (s : Stats.t) =
+  let c (k : Stats.counter) = [ k.Stats.count; k.Stats.cycles ] in
+  c s.Stats.loads @ c s.Stats.stores @ c s.Stats.atomics
+  @ [ s.Stats.local_hits; s.Stats.invalidations; s.Stats.queued_cycles;
+      s.Stats.link_queued_cycles ]
+
+(* The send side too.  The ping-pong above never fills the Tilera's
+   NIC queue; a one-way client-server run does: eight clients stream
+   requests faster than the server drains them, so the send parkers
+   park thousands of times in a 100,000-cycle window.  Built like
+   [Mp_bench.client_server]'s job; the served count, each client's
+   sends and the memory statistics must match literal polling.  Send
+   completion times are not compared: [Channel.try_recv] unparks the
+   sender after its 20-cycle drain pause rather than at the dequeue, so
+   a parked sender resumes one 20-cycle poll after a polling one
+   (DESIGN.md, "Parkers").  The end of the run differs by design too:
+   the clients left blocked on full queues stay parked, while polled
+   ones poll on to the backstop. *)
+let one_way_job ~parking =
+  let p = Platform.tilera and clients = 8 and duration = 100_000 in
+  let sim = Sim.create ~parking p in
+  let mem = Sim.memory sim in
+  let server_core = Platform.place p 0 in
+  let client_cores = Array.init clients (fun i -> Platform.place p (i + 1)) in
+  let cs = Ssync_simmp.Client_server.create mem p ~server_core ~client_cores in
+  let served = ref 0 and sent = Array.make clients 0 in
+  let b = Sim.make_barrier (clients + 1) in
+  Sim.spawn sim ~core:server_core (fun () ->
+      Sim.await b;
+      let deadline = Sim.now () + duration in
+      while Sim.now () < deadline do
+        match Ssync_simmp.Client_server.try_recv_any cs with
+        | Some _ -> incr served
+        | None -> Sim.pause 30
+      done);
+  Array.iteri
+    (fun i core ->
+      Sim.spawn sim ~core (fun () ->
+          Sim.await b;
+          let deadline = Sim.now () + duration in
+          while Sim.now () < deadline do
+            Ssync_simmp.Client_server.send_request cs ~client:i 42;
+            sent.(i) <- sent.(i) + 1
+          done))
+    client_cores;
+  ignore (Sim.run sim ~until:(duration * 4));
+  let r =
+    (!served, Array.to_list sent, stats_fingerprint (Memory.stats mem))
+  in
+  let parks = (Sim.perf sim).Sim.parks in
+  Memory.dispose mem;
+  (r, parks)
+
+let test_send_parker_matches_polling () =
+  let parked, parks = one_way_job ~parking:true in
+  let polled, polled_parks = one_way_job ~parking:false in
+  check_bool (Printf.sprintf "send parkers parked (%d parks)" parks) true
+    (parks > 1_000);
+  check_int "polling parks nothing" 0 polled_parks;
+  Alcotest.(check (triple int (list int) (list int)))
+    "one-way client-server parked = polled" polled parked
 
 (* --------------------- counters and liveness --------------------- *)
 
@@ -297,7 +359,7 @@ let test_parked_deadlock_drains () =
   check_int "the parked waiter is on the line" 1 (Memory.waiter_count mem flag)
 
 (* ---------- exact parking under faults: parked = polled ---------- *)
-(* Under a preemption spec (alone or mixed with jitter) spinners park
+(* Under a jitter or preemption spec (alone or mixed) spinners park
    and draw their elided polls' faults ahead.  Parked and literally
    polled runs must agree on everything the simulation reports: per-
    thread ops, memory statistics (bar the elided-probe count), fault
@@ -313,12 +375,6 @@ type job_result = {
   verdict : Sim.verdict;
   parks : int;
 }
-
-let stats_fingerprint (s : Stats.t) =
-  let c (k : Stats.counter) = [ k.Stats.count; k.Stats.cycles ] in
-  c s.Stats.loads @ c s.Stats.stores @ c s.Stats.atomics
-  @ [ s.Stats.local_hits; s.Stats.invalidations; s.Stats.queued_cycles;
-      s.Stats.link_queued_cycles ]
 
 (* A closed-loop lock job shaped like the perf preempt workload:
    acquire, increment the data word, hold for [cs], release, pause
@@ -440,26 +496,36 @@ let qcheck_faults_parked_equals_polled =
       let* rate = float_range (-4.) (-2.) in
       let* lo = int_range 50 2_000 in
       let* span = int_range 1 10_000 in
-      let* jitter = bool in
+      let* mix = oneofl [ `Preemption; `Mixed; `Jitter ] in
       let* cs = int_range 0 200 in
       let* think = int_range 0 200 in
-      return (pid, algo, threads, window, seed, rate, (lo, lo + span), jitter,
+      return (pid, algo, threads, window, seed, rate, (lo, lo + span), mix,
               cs, think))
   in
-  let print (pid, algo, threads, window, seed, rate, (lo, hi), jitter, cs, think) =
+  let print (pid, algo, threads, window, seed, rate, (lo, hi), mix, cs, think) =
     Printf.sprintf "%s %s threads=%d window=%d seed=%d rate=1e%.2f quanta=%d-%d \
-                    jitter=%b cs=%d think=%d"
+                    faults=%s cs=%d think=%d"
       (Arch.platform_name pid) (Simlock.name algo) threads window seed rate lo
-      hi jitter cs think
+      hi
+      (match mix with
+      | `Preemption -> "preemption"
+      | `Mixed -> "preemption+jitter"
+      | `Jitter -> "jitter")
+      cs think
   in
   QCheck.Test.make ~count:150 ~name:"faults: parked = polled (random programs)"
     (QCheck.make ~print gen)
-    (fun (pid, algo, threads, window, seed, rate, cycles, jitter, cs, think) ->
-      let faults = Fault.preemption ~seed ~cycles (10. ** rate) in
+    (fun (pid, algo, threads, window, seed, rate, cycles, mix, cs, think) ->
       let faults =
-        if jitter then
-          { faults with Fault.jitter_prob = 0.01; jitter_cycles = (10, 100) }
-        else faults
+        match mix with
+        | `Preemption -> Fault.preemption ~seed ~cycles (10. ** rate)
+        | `Mixed ->
+            {
+              (Fault.preemption ~seed ~cycles (10. ** rate)) with
+              Fault.jitter_prob = 0.01;
+              jitter_cycles = (10, 100);
+            }
+        | `Jitter -> Fault.jitter ~seed ~cycles:(10, 100) (10. ** (rate +. 1.))
       in
       let p = Platform.get pid in
       let run parking =
@@ -612,10 +678,11 @@ let test_waiters_wake_in_park_order () =
     (List.rev !woke);
   Memory.dispose mem
 
-(* Latency jitter alone must NOT disable parking: jitter draws are
-   charged per real (non-inert) memory op, parking elides only inert
-   probes, so the parked and polled schedules — including every jitter
-   draw — stay identical, and spinners still park. *)
+(* Latency jitter alone keeps parking.  Every memory operation draws
+   its jitter, inert probes included; a parked waiter draws its elided
+   probes' jitter ahead and wakes at the first that fires, so the parked
+   and polled schedules — every jitter draw included — stay identical,
+   and spinners still park. *)
 let test_jitter_only_keeps_parking () =
   let p = Platform.opteron in
   let faults = Fault.jitter ~seed:11 ~cycles:(50, 400) 0.05 in
@@ -645,6 +712,40 @@ let test_jitter_only_keeps_parking () =
     health_polled.Sim.jitter_events health_parked.Sim.jitter_events;
   check_bool "spinners parked under jitter" true (perf_parked.Sim.parks > 0);
   check_int "polling still parks nothing" 0 perf_polled.Sim.parks
+
+(* One jitter rule: under [Fault.jitter 1.0] every memory operation,
+   inert spin probes included, draws and fires its jitter, so a
+   spin-heavy run's jitter count is its memory-operation count, parked
+   or polled (no probe is ever elided: the first one fires). *)
+let test_jitter_every_memory_op () =
+  let p = Platform.opteron in
+  let faults = Fault.jitter ~seed:5 ~cycles:(10, 50) 1.0 in
+  List.iter
+    (fun parking ->
+      let sim = Sim.create ~faults ~parking p in
+      let mem = Sim.memory sim in
+      let flag = Memory.alloc ~value:1 mem in
+      Sim.spawn sim ~core:0 (fun () ->
+          Sim.pause 20_000;
+          Sim.store flag 0);
+      for core = 1 to 4 do
+        Sim.spawn sim ~core (fun () ->
+            if Sim.load flag = 1 then
+              ignore (Sim.spin_load flag ~while_:1 ~poll:20))
+      done;
+      let _, h = Sim.run_health sim in
+      let s = Memory.stats mem in
+      let ops =
+        s.Stats.loads.Stats.count + s.Stats.stores.Stats.count
+        + s.Stats.atomics.Stats.count
+      in
+      Memory.dispose mem;
+      let label = if parking then "parked" else "polled" in
+      check_int (label ^ ": no probe elided") 0 s.Stats.elided_probes;
+      check_bool (label ^ ": spin-heavy") true (ops > 500);
+      check_int (label ^ ": one jitter event per memory op") ops
+        h.Sim.jitter_events)
+    [ true; false ]
 
 let suite =
   [
@@ -676,4 +777,8 @@ let suite =
       test_waiters_wake_in_park_order;
     Alcotest.test_case "jitter-only keeps parking exact" `Quick
       test_jitter_only_keeps_parking;
+    Alcotest.test_case "jitter: one draw per memory op, inert probes too"
+      `Quick test_jitter_every_memory_op;
+    Alcotest.test_case "NIC send parker: parked = polled" `Quick
+      test_send_parker_matches_polling;
   ]
