@@ -31,33 +31,33 @@ open Ssync_platform
 type addr = int
 
 type line = {
-  mutable state : Arch.cstate;
-  mutable owner : int;
-      (** core holding Modified/Owned/Exclusive ([-1] = none) *)
-  sharers : Coreset.t;  (** cores holding Shared copies *)
-  mutable home : int;
-      (** home node (directory / home tile / memory); mutable only so
-          disposed memories can recycle line records in place *)
-  mutable busy_until : int;  (** virtual time the line is occupied until *)
-  mutable pfw_owner : int;
+  state : Arch.cstate;
+  owner : int;  (** core holding Modified/Owned/Exclusive ([-1] = none) *)
+  sharers : Coreset.t;  (** cores holding Shared copies (a copy) *)
+  home : int;  (** home node (directory / home tile / memory) *)
+  busy_until : int;  (** virtual time the line is occupied until *)
+  pfw_owner : int;
       (** core holding the exclusive-prefetch reservation ([-1] = none):
           set by a prefetchw probe, cleared by any other real access;
           foreign prefetchw probes degrade to directed read snoops
           meanwhile *)
-  mutable cas_pending : int;
+  cas_pending : int;
       (** core whose CAS just lost on this line ([-1] = none): its
           request stays posted at the line and wins the next grant
           (hardware pending-request arbitration), so its retry skips
           the queue instead of observing a value one transfer stale *)
-  mutable llc_dirty : bool;
+  llc_dirty : bool;
       (** the last write drained through the store buffer into the
           inclusive LLC: a same-die fetch of this Modified line is an
           LLC hit, not an owner round trip (Xeon) *)
-  mutable wq : waiter option;
+  wq : waiter option;
       (** parked spinners in park order, a circular list through
           [w_link]: [Some last] holds the last parked, whose [w_link] is
           the first *)
 }
+(** A snapshot of one cache line's state, as {!line} returns it.  The
+    memory keeps every line in one flat table; this record is a copy
+    for tests and debugging, and does not follow later accesses. *)
 
 (** A parked spinner of the loop [probe; while result = w_while: pause
     w_poll; probe]: elided probes sit on the virtual-time grid
@@ -121,11 +121,11 @@ val drain_metrics : t -> unit
     end of every run. *)
 
 val dispose : t -> unit
-(** Return the memory's line records and side arrays to a domain-local
-    recycling pool and invalidate [t] (subsequent accesses trip bounds
-    checks).  Call once no live simulation references the memory; the
-    next {!create} on this domain reuses the arrays, sparing the
-    per-job setup allocation churn. *)
+(** Return the memory's line table, wait-list heads and word arrays to
+    a domain-local recycling pool and invalidate [t] (subsequent
+    accesses trip bounds checks).  Call once no live simulation
+    references the memory; the next {!create} on this domain reuses the
+    arrays, sparing the per-job setup allocation churn. *)
 
 val access_lat_in :
   t -> core:int -> now:int -> Arch.memop -> addr ->
@@ -223,8 +223,9 @@ val probe_latency : t -> core:int -> Arch.memop -> addr -> int
 (** Expected service latency of [op] right now, without performing it. *)
 
 val line : t -> addr -> line
-(** The line holding word [a] (tests/debug).  Two addresses alias the
-    same line iff [line t a == line t b]; see also {!same_line}. *)
+(** A snapshot of the line holding word [a] (tests/debug); a fresh
+    record on every call.  {!same_line} tells whether two addresses
+    share a line. *)
 
 val same_line : t -> addr -> addr -> bool
 (** Do two addresses share a cache line? (tests/metrics) *)

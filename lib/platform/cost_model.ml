@@ -12,7 +12,10 @@
    Everything [op_latency] and [fill_path] reach runs once per simulated
    access, so it allocates nothing and makes no C call: owners are ints,
    topology queries read [Topology]'s tables, sharer sets are scanned
-   bit by bit, and comparisons are [Int] ones. *)
+   bit by bit, and comparisons are [Int] ones.  The exception is a
+   transfer on the two-socket platforms (Opteron2, Xeon2), whose
+   [scaled_small] builds a remapped view per call; no benchmark
+   workload runs one. *)
 
 (* What the memory model knows about a cache line when an operation is
    issued.  [owner] holds the line in Modified/Owned/Exclusive ([-1] =

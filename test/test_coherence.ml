@@ -329,6 +329,203 @@ let qcheck_local_hit_path =
            (fun r -> Memory.resource_busy general r = Memory.resource_busy fast r)
            resources)
 
+(* ------------------------ flat-table oracle ---------------------- *)
+
+(* [Memory] keeps every line's state in one int table; [Ref_memory] is
+   the record-per-line memory it replaced.  One random program runs on
+   both: accesses of every kind, spinners parked with and without tie
+   rules, settles, unparks, forced states and occupancy resets, with
+   metrics on or off.  Every access must return the same latency and
+   result, and the wakes, statistics, words, lines, resources and
+   metric samples must agree at the end. *)
+
+module R = Ref_memory
+
+let waiter_grid wq ~link ~fields =
+  match wq with
+  | None -> []
+  | Some last ->
+      let rec from w = fields w :: (if w == last then [] else from (link w)) in
+      from (link last)
+
+let qcheck_flat_table_oracle =
+  let gen =
+    QCheck.Gen.(
+      let* pid = oneofl Arch.all_platform_ids in
+      let* metrics = bool in
+      let* steps =
+        list_size (int_range 1 120)
+          (let* ci = int_range 0 3 in
+           let* opcode = int_range 0 19 in
+           let* wi = int_range 0 5 in
+           let* x = int_range 0 3 in
+           let* dt = int_range 0 200 in
+           return (ci, opcode, wi, x, dt))
+      in
+      return (pid, metrics, steps))
+  in
+  QCheck.Test.make ~count:400 ~name:"flat line table = record reference"
+    (QCheck.make gen) (fun (pid, metrics, steps) ->
+      let p = Platform.get pid in
+      let n = Platform.n_cores p in
+      let cores = [| 0; 1; n / 2; n - 1 |] in
+      if metrics then ignore (Ssync_metrics.Metrics.start ());
+      (* three padded words homed mid-machine and three on one line *)
+      let m = Memory.create p and r = R.create p in
+      let addrs =
+        let padded = Memory.alloc_n ~home_core:(n / 2) m 3 in
+        let packed = Memory.alloc_packed m 3 in
+        ignore (R.alloc_n ~home_core:(n / 2) r 3);
+        ignore (R.alloc_packed r 3);
+        [| padded; padded + 1; padded + 2; packed; packed + 1; packed + 2 |]
+      in
+      if metrics then ignore (Ssync_metrics.Metrics.stop ());
+      let now = ref 0 in
+      let wakes_m = ref [] and wakes_r = ref [] in
+      let parked = ref [||] in
+      let step (ci, opcode, wi, x, dt) =
+        now := !now + dt;
+        let core = cores.(ci) and a = addrs.(wi) in
+        let access op ~operand ~operand2 ~fetch =
+          let lm =
+            Memory.access_lat_in m ~core ~now:!now op a ~operand ~operand2
+              ~fetch
+          in
+          let lr = R.access_lat_in r ~core ~now:!now op a ~operand ~operand2 ~fetch in
+          lm = lr && Memory.last_result m = R.last_result r
+        in
+        (* park a spinner of [op] if its next probe is inert on both *)
+        let park op ~operand ~operand2 ~while_ =
+          let hm = Memory.inert_hit m ~core op a ~operand ~operand2 ~while_ in
+          let hr = R.inert_hit r ~core op a ~operand ~operand2 ~while_ in
+          if hm >= 0 && hr >= 0 then begin
+            let tie, tie_r =
+              if x land 1 = 0 then (Memory.no_tie, R.no_tie)
+              else ((fun g -> g land 2 = 0), fun g -> g land 2 = 0)
+            in
+            let poll = dt + 1 in
+            let wm =
+              Memory.park m ~core ~now:!now op a ~operand ~operand2 ~while_
+                ~poll ~tie ~replay:(fun at -> wakes_m := (core, at) :: !wakes_m)
+            in
+            let wr =
+              R.park r ~core ~now:!now op a ~operand ~operand2 ~while_ ~poll
+                ~tie:tie_r ~replay:(fun at -> wakes_r := (core, at) :: !wakes_r)
+            in
+            parked := Array.append !parked [| (wm, wr) |]
+          end;
+          hm = hr
+        in
+        let some_parked f =
+          let k = Array.length !parked in
+          if k > 0 then f !parked.((x + dt) mod k);
+          true
+        in
+        match opcode with
+        | 0 | 1 -> access Arch.Load ~operand:0 ~operand2:0 ~fetch:false
+        | 2 -> access Arch.Store ~operand:x ~operand2:0 ~fetch:false
+        | 3 -> access Arch.Store ~operand:x ~operand2:1 ~fetch:false
+        | 4 ->
+            access Arch.Cas ~operand:(Memory.peek m a) ~operand2:x ~fetch:false
+        | 5 -> access Arch.Cas ~operand:x ~operand2:(x + 1) ~fetch:false
+        | 6 -> access Arch.Cas ~operand:x ~operand2:(x + 1) ~fetch:true
+        | 7 -> access Arch.Fai ~operand:1 ~operand2:0 ~fetch:false
+        | 8 -> access Arch.Fai ~operand:0 ~operand2:0 ~fetch:false
+        | 9 -> access Arch.Fai ~operand:1 ~operand2:1 ~fetch:false
+        | 10 -> access Arch.Tas ~operand:0 ~operand2:0 ~fetch:false
+        | 11 -> access Arch.Swap ~operand:x ~operand2:0 ~fetch:false
+        | 12 ->
+            let while_ = Memory.peek m a and poll = dt + 1 in
+            Memory.try_park_in m ~core ~now:!now Arch.Load a ~operand:0
+              ~operand2:0 ~while_ ~poll
+              ~replay:(fun at -> wakes_m := (core, at) :: !wakes_m)
+            = R.try_park_in r ~core ~now:!now Arch.Load a ~operand:0
+                ~operand2:0 ~while_ ~poll
+                ~replay:(fun at -> wakes_r := (core, at) :: !wakes_r)
+        | 13 -> (
+            let v = Memory.peek m a in
+            match x with
+            | 0 -> park Arch.Load ~operand:0 ~operand2:0 ~while_:v
+            | 1 -> park Arch.Fai ~operand:0 ~operand2:0 ~while_:v
+            | 2 -> park Arch.Tas ~operand:0 ~operand2:0 ~while_:1
+            | _ -> park Arch.Cas ~operand:(v + 1) ~operand2:0 ~while_:0)
+        | 14 -> park Arch.Swap ~operand:(Memory.peek m a) ~operand2:0
+                  ~while_:(Memory.peek m a)
+        | 15 ->
+            some_parked (fun (wm, wr) ->
+                Memory.settle_waiter m wm ~upto:!now;
+                R.settle_waiter r wr ~upto:!now)
+        | 16 ->
+            some_parked (fun (wm, wr) ->
+                Memory.unpark m wm ~at:!now;
+                R.unpark r wr ~at:!now)
+        | 17 ->
+            let st =
+              match (x, pid) with
+              | 0, _ -> Arch.Modified
+              | 1, _ -> Arch.Exclusive
+              | 2, (Arch.Opteron | Arch.Opteron2) -> Arch.Owned
+              | 2, _ -> Arch.Shared
+              | _ -> Arch.Invalid
+            in
+            let second = cores.((ci + 1) mod 4) in
+            Memory.force_state m ~holder:core ~second st a;
+            R.force_state r ~holder:core ~second st a;
+            true
+        | 18 ->
+            Memory.reset_busy m a;
+            R.reset_busy r a;
+            true
+        | _ ->
+            Memory.probe_latency m ~core Arch.Store a
+            = R.probe_latency r ~core Arch.Store a
+      in
+      let line_m a =
+        let l = Memory.line m a in
+        ( (l.Memory.state, l.Memory.owner, Coreset.elements l.Memory.sharers),
+          (l.Memory.home, l.Memory.busy_until, l.Memory.pfw_owner),
+          (l.Memory.cas_pending, l.Memory.llc_dirty),
+          waiter_grid l.Memory.wq
+            ~link:(fun w -> w.Memory.w_link)
+            ~fields:(fun w -> (w.Memory.w_core, w.Memory.w_addr, w.Memory.w_next)) )
+      in
+      let line_r a =
+        let l = R.line r a in
+        ( (l.R.state, l.R.owner, Coreset.elements l.R.sharers),
+          (l.R.home, l.R.busy_until, l.R.pfw_owner),
+          (l.R.cas_pending, l.R.llc_dirty),
+          waiter_grid l.R.wq
+            ~link:(fun w -> w.R.w_link)
+            ~fields:(fun w -> (w.R.w_core, w.R.w_addr, w.R.w_next)) )
+      in
+      let samples acc =
+        match acc with
+        | None -> []
+        | Some mt ->
+            let l = ref [] in
+            Ssync_metrics.Metrics.iter_sorted mt (fun ~kind ~id ~bucket v ->
+                l := (kind, id, bucket, v) :: !l);
+            List.init Ssync_metrics.Metrics.n_kinds (fun kind ->
+                Ssync_metrics.Metrics.total mt ~kind)
+            :: [ List.concat_map (fun (k, i, b, v) -> [ k; i; b; v ]) !l ]
+      in
+      let ok =
+        List.for_all step steps
+        && !wakes_m = !wakes_r
+        && Memory.stats m = R.stats r
+        && Array.for_all
+             (fun a -> Memory.peek m a = R.peek r a && line_m a = line_r a)
+             addrs
+        && List.for_all
+             (fun res -> Memory.resource_busy m res = R.resource_busy r res)
+             (List.init (Cost_model.n_resources p.Platform.topo) Fun.id)
+        && samples (Memory.metrics m) = samples (R.metrics r)
+        && (Memory.metrics m = None) = not metrics
+      in
+      Memory.dispose m;
+      R.dispose r;
+      ok)
+
 (* ------------------------- allocation guard ---------------------- *)
 
 (* The per-access path allocates nothing: no [Some] owners, no cost-model
@@ -402,6 +599,23 @@ let test_access_allocation_free () =
       Memory.dispose m)
     Arch.paper_platform_ids
 
+(* Setting up a line writes its table entry and allocates nothing.  A
+   memory whose arrays come fresh (not from the recycling pool) shows
+   it: creating five memories that are never disposed drains the pool. *)
+let test_alloc_allocation_free () =
+  let p = Platform.get Arch.Opteron in
+  let ms = List.init 5 (fun _ -> Memory.create p) in
+  let m = List.nth ms 4 in
+  let words =
+    minor_words_during (fun () ->
+        for _ = 1 to 1_000 do
+          ignore (Memory.alloc m)
+        done)
+    - minor_words_during ignore
+  in
+  check_int "1,000 allocs on fresh arrays: minor words" 0 words;
+  check_int "lines" 1_000 (Memory.n_lines m)
+
 let test_event_queue_allocation_free () =
   let module Q = Ssync_engine.Event_queue in
   let q = Q.create () and p = Q.make_popped () in
@@ -444,4 +658,7 @@ let suite =
       test_access_allocation_free;
     Alcotest.test_case "event queue allocates nothing" `Quick
       test_event_queue_allocation_free;
+    QCheck_alcotest.to_alcotest qcheck_flat_table_oracle;
+    Alcotest.test_case "line setup allocates nothing" `Quick
+      test_alloc_allocation_free;
   ]
