@@ -136,7 +136,7 @@ let run_one (c : cfg) : outcome =
       ~body:(fun sh _mem ~tid ~deadline ->
         let n = ref 0 in
         while Sim.now () < deadline do
-          (match sh.lock.Lock_type.acquire_robust ~tid with
+          (match Lock_type.acquire_robust sh.lock ~tid with
           | Lock_type.Clean -> ()
           | Lock_type.Owner_died _ ->
               (* repair: the corpse may have bumped d1 but not d2 *)
@@ -145,7 +145,7 @@ let run_one (c : cfg) : outcome =
           put sh.last1 sh.d1 (x + 1);
           Sim.pause 60;
           put sh.last2 sh.d2 (x + 1);
-          sh.lock.Lock_type.release_robust ~tid;
+          Lock_type.release_robust sh.lock ~tid;
           incr n;
           Sim.pause 120
         done;

@@ -15,9 +15,12 @@
 # the pairs the change won (ties count for neither), the median delta
 # and whether the gain rule holds: the change wins at least 9 of every
 # 10 pairs and the median gap exceeds the parent's interquartile range.
-# It also prints the medians of host_raw_s and host_pace and the failed
-# job counts.  Raw outputs stay in a temporary directory, printed first.
-# With N = 0 the script stops after the layout check.
+# Beside host_s it prints the same row for host_raw_s, the pass wall
+# time before pace rescaling, and warns when the two medians move in
+# opposite directions: then the pace readings, not the program, decide
+# the sign of host_s.  It also prints the medians of host_pace and the
+# failed job counts.  Raw outputs stay in a temporary directory, printed
+# first.  With N = 0 the script stops after the layout check.
 #
 # Needs bash, nm, awk and python3; both trees must already be built
 # (dune build), since the layout check reads their _build directories.
@@ -109,10 +112,7 @@ def quart(xs):
 def values(side, name):
     return [r["metrics"][name]["value"] for r in runs[side]]
 
-print(f"{'metric':<14}{'parent median [Q1, Q3]':>32}{'change median [Q1, Q3]':>32}"
-      f"{'won':>8}{'delta':>9}  rule")
-for m in bench["end_to_end"]:
-    name, lower = m["name"], m["better"] == "lower"
+def row(name, lower, rule):
     p, c = values("parent", name), values("change", name)
     won = sum(1 for a, b in zip(p, c) if (b < a if lower else b > a))
     (pm, pq1, pq3), (cm, cq1, cq3) = quart(p), quart(c)
@@ -120,11 +120,23 @@ for m in bench["end_to_end"]:
     gap = (pm - cm) if lower else (cm - pm)
     holds = won * 10 >= 9 * n and gap > (pq3 - pq1)
     ps, cs = f"{pm:.4g} [{pq1:.4g}, {pq3:.4g}]", f"{cm:.4g} [{cq1:.4g}, {cq3:.4g}]"
-    print(f"{name:<14}{ps:>32}{cs:>32}{won:>5}/{n:<3}{delta:>+8.1f}%  "
-          + ("holds" if holds else "no"))
-for name in ("host_raw_s", "host_pace"):
-    print(f"{name:<14} median parent {statistics.median(values('parent', name)):.4g}"
-          f"  change {statistics.median(values('change', name)):.4g}")
+    verdict = ("holds" if holds else "no") if rule else "(not rescaled)"
+    print(f"{name:<14}{ps:>32}{cs:>32}{won:>5}/{n:<3}{delta:>+8.1f}%  {verdict}")
+    return delta
+
+print(f"{'metric':<14}{'parent median [Q1, Q3]':>32}{'change median [Q1, Q3]':>32}"
+      f"{'won':>8}{'delta':>9}  rule")
+deltas = {}
+for m in bench["end_to_end"]:
+    deltas[m["name"]] = row(m["name"], m["better"] == "lower", True)
+    if m["name"] == "host_s":
+        deltas["host_raw_s"] = row("host_raw_s", True, False)
+d, r = deltas["host_s"], deltas["host_raw_s"]
+if d * r < 0:
+    print(f"WARNING: host_s ({d:+.1f}%) and host_raw_s ({r:+.1f}%) move in"
+          " opposite directions; the pace readings decide the sign of host_s")
+print(f"{'host_pace':<14} median parent {statistics.median(values('parent', 'host_pace')):.4g}"
+      f"  change {statistics.median(values('change', 'host_pace')):.4g}")
 for side in ("parent", "change"):
     failed = [r["failed"] for r in runs[side]]
     attempted = [r["attempted"] for r in runs[side]]

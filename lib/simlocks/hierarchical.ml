@@ -22,14 +22,17 @@
    handle mid-queue ([Rshadow.x_adopt]).  When a whole cluster dies,
    the other clusters excise it from the global queue; the excision
    harvests the cluster's dead in-CS holders for the EOWNERDEAD witness
-   and resets the cluster's ownership flags. *)
+   and resets the cluster's ownership flags.  Every level builds its
+   robust layer at its first robust call; the cohort's own layer is
+   built at the cohort's first robust call and forces the others as
+   they are reached. *)
 
 open Ssync_platform
 
 type inner = {
   lock : Lock_type.t;
   waiters : tid:int -> bool; (* is someone queued behind the holder? *)
-  rext : Rshadow.ext; (* robust shadow probes of the local lock *)
+  rext : Rshadow.ext Lazy.t; (* robust shadow probes of the local lock *)
 }
 
 let default_max_pass = 64
@@ -56,7 +59,7 @@ let cluster_home platform cluster =
    cluster after its death — so plain OCaml state models node-local
    flags with no extra coherence traffic. *)
 let cohort ~name ~platform ~place ?(max_pass = default_max_pass)
-    ~(global : Lock_type.t) ~(global_ext : Rshadow.ext)
+    ~(global : Lock_type.t) ~(global_ext : Rshadow.ext Lazy.t)
     ~(global_owned : bool array) ~(passes : int array)
     ~(locals : inner array) ~rstats () : Lock_type.t =
   let n_clusters = Array.length locals in
@@ -101,50 +104,54 @@ let cohort ~name ~platform ~place ?(max_pass = default_max_pass)
           locals.(c).lock.Lock_type.release ~tid;
           false
         end);
-    acquire_robust =
-      (fun ~tid ->
-        let c = cluster_of platform ~place tid in
-        let gl = locals.(c).lock.Lock_type.acquire_robust ~tid in
-        let gg =
-          if global_owned.(c) then Lock_type.Clean
-          else begin
-            let g =
-              match global_ext.Rshadow.x_phase c with
-              | Rshadow.Waiting | Rshadow.Holder ->
-                  (* the cluster is already in the global queue (or its
-                     grant landed) but its driver died: adopt the
-                     handle and keep waiting in its place *)
-                  global_ext.Rshadow.x_adopt c
-              | Rshadow.Out | Rshadow.Releasing ->
-                  (* [Releasing] is unreachable for the ticket/CLH
-                     globals (their release is atomic with its store),
-                     so both mean: no outstanding handle *)
-                  global.Lock_type.acquire_robust ~tid:c
-            in
-            global_owned.(c) <- true;
-            g
-          end
-        in
-        Lock_type.merge_grant gl gg);
-    release_robust =
-      (fun ~tid ->
-        let c = cluster_of platform ~place tid in
-        if
-          passes.(c) < max_pass
-          && locals.(c).rext.Rshadow.x_waiting_live ()
-        then begin
-          passes.(c) <- passes.(c) + 1;
-          (* hand over within the cluster — but only to a live waiter:
-             passing to a queue of corpses would just delay the
-             inter-cluster recovery *)
-          locals.(c).lock.Lock_type.release_robust ~tid
-        end
-        else begin
-          passes.(c) <- 0;
-          global_owned.(c) <- false;
-          global.Lock_type.release_robust ~tid:c;
-          locals.(c).lock.Lock_type.release_robust ~tid
-        end);
+    robust =
+      lazy
+        (let global_ext = Lazy.force global_ext in
+         let acquire_robust ~tid =
+           let c = cluster_of platform ~place tid in
+           let gl = Lock_type.acquire_robust locals.(c).lock ~tid in
+           let gg =
+             if global_owned.(c) then Lock_type.Clean
+             else begin
+               let g =
+                 match global_ext.Rshadow.x_phase c with
+                 | Rshadow.Waiting | Rshadow.Holder ->
+                     (* the cluster is already in the global queue (or
+                        its grant landed) but its driver died: adopt the
+                        handle and keep waiting in its place *)
+                     global_ext.Rshadow.x_adopt c
+                 | Rshadow.Out | Rshadow.Releasing ->
+                     (* [Releasing] is unreachable for the ticket/CLH
+                        globals (their release is atomic with its
+                        store), so both mean: no outstanding handle *)
+                     Lock_type.acquire_robust global ~tid:c
+               in
+               global_owned.(c) <- true;
+               g
+             end
+           in
+           Lock_type.merge_grant gl gg
+         in
+         let release_robust ~tid =
+           let c = cluster_of platform ~place tid in
+           if
+             passes.(c) < max_pass
+             && (Lazy.force locals.(c).rext).Rshadow.x_waiting_live ()
+           then begin
+             passes.(c) <- passes.(c) + 1;
+             (* hand over within the cluster — but only to a live
+                waiter: passing to a queue of corpses would just delay
+                the inter-cluster recovery *)
+             Lock_type.release_robust locals.(c).lock ~tid
+           end
+           else begin
+             passes.(c) <- 0;
+             global_owned.(c) <- false;
+             Lock_type.release_robust global ~tid:c;
+             Lock_type.release_robust locals.(c).lock ~tid
+           end
+         in
+         { Lock_type.acquire_robust; release_robust });
     rstats;
   }
 
@@ -152,10 +159,13 @@ let cohort ~name ~platform ~place ?(max_pass = default_max_pass)
    [c] dead when no live thread is engaged with [c]'s local lock, its
    EOWNERDEAD witness for [c] is the harvest of [c]'s dead in-CS
    holders, and removing [c] from the global queue resets [c]'s
-   ownership flags. *)
+   ownership flags.  A cluster whose local layer was never built gets
+   a fresh one, in which no thread is engaged: it is dead. *)
 let cluster_hooks (locals : inner array) ~global_owned ~passes =
-  let is_dead c = not (locals.(c).rext.Rshadow.x_engaged_live ()) in
-  let dead_of c = locals.(c).rext.Rshadow.x_harvest () in
+  let is_dead c =
+    not ((Lazy.force locals.(c).rext).Rshadow.x_engaged_live ())
+  in
+  let dead_of c = (Lazy.force locals.(c).rext).Rshadow.x_harvest () in
   let on_removed c =
     global_owned.(c) <- false;
     passes.(c) <- 0

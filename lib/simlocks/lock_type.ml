@@ -24,7 +24,16 @@
    robust layer existed.  Plain and robust acquisitions must not be
    mixed on one lock instance (the plain paths do not maintain the
    shadow, just as a non-robust futex acquisition is invisible to the
-   kernel's robust list). *)
+   kernel's robust list).
+
+   The robust layer — shadow, per-id tables and closures — is the
+   [robust] field's lazy value, built by the lock's first robust call:
+   a lock used only through the plain entries never allocates it, and
+   a layer built late is exactly the fresh one an unused eager layer
+   would be (see [Rshadow]).  Of the robust state only [rstats] is
+   eager, because cohort levels share one record and callers read it
+   after a run.  A lock belongs to one simulation, which runs on one
+   domain, so the layer is never forced from two domains. *)
 
 open Ssync_engine
 
@@ -64,6 +73,11 @@ let rstats_zero () =
     r_recovery_cycles = 0;
   }
 
+type robust = {
+  acquire_robust : tid:int -> grant;
+  release_robust : tid:int -> unit;
+}
+
 type t = {
   name : string;
   acquire : tid:int -> unit;
@@ -71,10 +85,12 @@ type t = {
   try_acquire : tid:int -> bool;
       (* immediate, non-blocking; on failure the shared state is as if
          the call never happened *)
-  acquire_robust : tid:int -> grant;
-  release_robust : tid:int -> unit;
+  robust : robust Lazy.t;
   rstats : rstats;
 }
+
+let acquire_robust t ~tid = (Lazy.force t.robust).acquire_robust ~tid
+let release_robust t ~tid = (Lazy.force t.robust).release_robust ~tid
 
 (* Run [f] under the lock. *)
 let with_lock t ~tid f =
@@ -88,11 +104,11 @@ let with_lock t ~tid f =
    to repair the protected state the dead holders may have left
    inconsistent. *)
 let with_lock_robust t ~tid ~recover f =
-  (match t.acquire_robust ~tid with
+  (match acquire_robust t ~tid with
   | Clean -> ()
   | Owner_died { dead } -> recover dead);
   let r = f () in
-  t.release_robust ~tid;
+  release_robust t ~tid;
   r
 
 (* Timed acquisition: retry [try_acquire] under capped exponential

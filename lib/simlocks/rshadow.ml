@@ -23,7 +23,16 @@
 
    Crash-stop is permanent ([Sim.tid_crashed] is monotone), so "owner
    is dead" is a stable property: once a recovery decision is made in a
-   plain block, no later event can invalidate it. *)
+   plain block, no later event can invalidate it.
+
+   A lock builds its shadow with the rest of its robust layer, at its
+   first robust call ([Lock_type.robust]).  Built then, it equals one
+   built at construction and left unused until that call: every id is
+   [Out], every engine tid unknown, nothing pending.  [register]'s
+   first-call-wins rule is unchanged, and a cohort's liveness probe on a
+   cluster whose local layer was never built forces a fresh shadow,
+   which reports no live engaged thread — the answer the unused eager
+   shadow gave. *)
 
 open Ssync_engine
 
@@ -48,9 +57,8 @@ type t = {
          cohort reset per-cluster ownership flags *)
 }
 
-let create ?stats ?is_dead ?(dead_of = fun i -> [ i ])
+let create ~stats ?is_dead ?(dead_of = fun i -> [ i ])
     ?(on_removed = fun _ -> ()) n =
-  let stats = match stats with Some s -> s | None -> Lock_type.rstats_zero () in
   {
     n;
     eng = Array.make (max 1 n) (-1);

@@ -141,25 +141,32 @@ let instrumented tr (platform : Platform.t) ~n_threads (l : Lock_type.t) :
           true
         end
         else false);
-    acquire_robust =
-      (fun ~tid ->
-        let t0 = Sim.now () in
-        Trace.emit tr ~ts:t0
-          (Trace.E_wait { tid = Sim.self_tid (); lock = id });
-        let g = l.Lock_type.acquire_robust ~tid in
-        note_acquire ~t0;
-        g);
-    release_robust =
-      (fun ~tid ->
-        note_release ();
-        l.Lock_type.release_robust ~tid);
+    robust =
+      lazy
+        (let r = Lazy.force l.Lock_type.robust in
+         {
+           Lock_type.acquire_robust =
+             (fun ~tid ->
+               let t0 = Sim.now () in
+               Trace.emit tr ~ts:t0
+                 (Trace.E_wait { tid = Sim.self_tid (); lock = id });
+               let g = r.Lock_type.acquire_robust ~tid in
+               note_acquire ~t0;
+               g);
+           release_robust =
+             (fun ~tid ->
+               note_release ();
+               r.Lock_type.release_robust ~tid);
+         });
     rstats = l.Lock_type.rstats;
   }
 
 (* Instantiate [algo] in simulated memory.  [n_threads] bounds the
    thread ids that will use the lock; [home_core] places the lock's
-   global lines (defaults to the first participating thread's core, the
-   paper's allocation policy). *)
+   global lines and defaults to core 0, where every platform places
+   thread 0 (the paper's first-participant policy).  Simulated words are
+   allocated here; the robust layer waits for the first robust call
+   (see [Lock_type]). *)
 let create ?(home_core = 0) mem (platform : Platform.t) ~n_threads algo :
     Lock_type.t =
   let place tid = Platform.place platform tid in

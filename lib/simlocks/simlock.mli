@@ -37,6 +37,9 @@ val create :
   algo ->
   Lock_type.t
 (** [create mem p ~n_threads algo] instantiates [algo] in simulated
-    memory.  [n_threads] bounds the thread ids that will use the lock
-    (queue nodes, array slots); [home_core] places the lock's global
-    lines (defaults to core 0, the paper's first-participant policy). *)
+    memory.  [n_threads] bounds the thread ids that may use the lock,
+    for every algorithm: [0 .. n_threads - 1].  [home_core] places the
+    lock's global lines and defaults to core 0, where every platform
+    places thread 0 (the paper's first-participant policy).  The lock's
+    robust layer is built at its first robust call
+    ({!Lock_type.acquire_robust}). *)

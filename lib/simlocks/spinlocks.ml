@@ -8,7 +8,9 @@
    discipline that keeps owner/queue bookkeeping exact with zero extra
    simulated memory traffic.  Robust waiters use honest costed probes
    plus explicit pauses (literal polling: under crash-stop faults the
-   engine polls anyway), then peek-and-issue atomically to recover. *)
+   engine polls anyway), then peek-and-issue atomically to recover.
+   Each constructor allocates its simulated words eagerly and builds
+   the robust path lazily, at the lock's first robust call. *)
 
 open Ssync_coherence
 open Ssync_engine
@@ -21,7 +23,9 @@ open Ssync_engine
    crash-safe because crash-stop is permanent: a value naming a dead
    owner stays naming a dead owner until somebody overwrites it, and
    the peek-predicted CAS overwrites exactly the value it peeked. *)
-let robust_word_paths mem sh lock ~mk_backoff =
+let robust_word_paths mem ~stats ~n_threads lock ~mk_backoff :
+    Lock_type.robust =
+  let sh = Rshadow.create ~stats n_threads in
   let acquire_robust ~tid =
     Rshadow.register sh tid;
     let det = ref (-1) in
@@ -53,27 +57,27 @@ let robust_word_paths mem sh lock ~mk_backoff =
     sh.Rshadow.phase.(tid) <- Rshadow.Out;
     Sim.store lock 0
   in
-  (acquire_robust, release_robust)
+  { acquire_robust; release_robust }
 
 (* ------------------------------ TAS ------------------------------ *)
 (* Spin directly on the atomic: every probe is an exclusive transaction
    on the lock line, the classic non-scalable spin lock. *)
 let tas mem ~home_core ~n_threads : Lock_type.t =
   let lock = Memory.alloc ~home_core mem in
-  let sh = Rshadow.create n_threads in
-  let acquire_robust, release_robust =
-    (* the plain TAS hammers with poll 0; the robust path's probe pair
-       (load + peek-gated CAS) needs a short gap to stay comparable *)
-    robust_word_paths mem sh lock ~mk_backoff:(fun _tid () -> 16)
-  in
+  let rstats = Lock_type.rstats_zero () in
   {
     name = "TAS";
     acquire = (fun ~tid:_ -> Sim.spin_tas lock ~poll:0);
     release = (fun ~tid:_ -> Sim.store lock 0);
     try_acquire = (fun ~tid:_ -> Sim.tas lock);
-    acquire_robust;
-    release_robust;
-    rstats = sh.Rshadow.stats;
+    robust =
+      lazy
+        ((* the plain TAS hammers with poll 0; the robust path's probe
+            pair (load + peek-gated CAS) needs a short gap to stay
+            comparable *)
+         robust_word_paths mem ~stats:rstats ~n_threads lock
+           ~mk_backoff:(fun _tid () -> 16));
+    rstats;
   }
 
 (* ------------------------------ TTAS ----------------------------- *)
@@ -82,48 +86,37 @@ let tas mem ~home_core ~n_threads : Lock_type.t =
    back off exponentially after a lost race. *)
 let ttas mem ~home_core ~n_threads : Lock_type.t =
   let lock = Memory.alloc ~home_core mem in
-  (* one backoff per thread, reset at each acquire — state identical to
-     a fresh one, without allocating on the lock's hot path *)
-  let backoffs = Hashtbl.create 16 in
-  let backoff_for tid =
-    match Hashtbl.find_opt backoffs tid with
-    | Some b ->
-        Backoff.reset b;
-        b
-    | None ->
-        let b = Backoff.create ~seed:tid () in
-        Hashtbl.add backoffs tid b;
-        b
+  (* the backoff restarts at every acquire, so its bound and jitter
+     state travel in the loop's arguments: no per-thread state, and
+     nothing allocated on the lock's hot path *)
+  let rec spin v bound rng =
+    if v = 0 then begin
+      if not (Sim.tas lock) then begin
+        let rng = Backoff.next_rng rng in
+        Sim.pause (Backoff.jitter ~bound rng);
+        spin (Sim.load lock) (min Backoff.default_max_delay (bound * 2)) rng
+      end
+    end
+    else
+      (* re-read every 4 cycles; local while cached *)
+      spin (Sim.spin_load lock ~while_:v ~poll:4) bound rng
   in
-  let sh = Rshadow.create n_threads in
-  let acquire_robust, release_robust =
-    robust_word_paths mem sh lock ~mk_backoff:(fun tid ->
-        let b = backoff_for tid in
-        fun () -> Backoff.once b)
-  in
+  let rstats = Lock_type.rstats_zero () in
   {
     name = "TTAS";
     acquire =
       (fun ~tid ->
-        let b = backoff_for tid in
-        let rec loop v =
-          if v = 0 then begin
-            if not (Sim.tas lock) then begin
-              Sim.pause (Backoff.once b);
-              loop (Sim.load lock)
-            end
-          end
-          else
-            (* re-read every 4 cycles; local while cached *)
-            loop (Sim.spin_load lock ~while_:v ~poll:4)
-        in
-        loop (Sim.load lock));
+        spin (Sim.load lock) Backoff.default_min_delay (Backoff.first_rng tid));
     release = (fun ~tid:_ -> Sim.store lock 0);
     (* probe first so a failed try costs one local load, not a TAS miss *)
     try_acquire = (fun ~tid:_ -> Sim.load lock = 0 && Sim.tas lock);
-    acquire_robust;
-    release_robust;
-    rstats = sh.Rshadow.stats;
+    robust =
+      lazy
+        (robust_word_paths mem ~stats:rstats ~n_threads lock
+           ~mk_backoff:(fun tid ->
+             let b = Backoff.create ~seed:tid () in
+             fun () -> Backoff.once b));
+    rstats;
   }
 
 (* ----------------------------- TICKET ---------------------------- *)
@@ -153,13 +146,15 @@ let ticket_mask = ticket_shift - 1
 
 (* Returns the lock plus a [waiters] probe (does anybody queue behind
    the current holder?) and the robust extension, both needed by the
-   hierarchical cohort locks.  [n_ids] bounds the id space of the
-   robust path (thread ids, or cluster ids when this is a cohort's
-   global lock — then [is_dead]/[dead_of]/[on_removed] translate
-   cluster ids to thread liveness). *)
-let ticket_ext ?(variant = Ticket_backoff) ?(backoff_base = 1500) ?rstats
-    ?is_dead ?dead_of ?on_removed mem ~home_core ~n_ids :
-    Lock_type.t * (unit -> bool) * Rshadow.ext =
+   hierarchical cohort locks.  The extension belongs to the lock's
+   robust layer and is built with it, by whichever is forced first.
+   [n_ids] bounds the id space of the robust path (thread ids, or
+   cluster ids when this is a cohort's global lock — then
+   [is_dead]/[dead_of]/[on_removed] translate cluster ids to thread
+   liveness). *)
+let ticket_ext ?(variant = Ticket_backoff) ?(backoff_base = 1500)
+    ?(rstats = Lock_type.rstats_zero ()) ?is_dead ?dead_of ?on_removed mem
+    ~home_core ~n_ids : Lock_type.t * (unit -> bool) * Rshadow.ext Lazy.t =
   let line = Memory.alloc ~home_core mem in
   let wait_turn my =
     let probe () =
@@ -204,64 +199,84 @@ let ticket_ext ?(variant = Ticket_backoff) ?(backoff_base = 1500) ?rstats
      past the dead turn with a peek-predicted CAS (the robust "skip"):
      a dead waiter's turn is simply consumed, a dead holder's turn
      additionally queues the EOWNERDEAD witness. *)
-  let sh = Rshadow.create ?stats:rstats ?is_dead ?dead_of ?on_removed n_ids in
-  let tick = Array.make (max 1 n_ids) (-1) in
-  let owner_of turn =
-    let rec go i =
-      if i >= n_ids then None
-      else if tick.(i) = turn then Some i
-      else go (i + 1)
-    in
-    go 0
-  in
-  let rec wait_robust ~id ~my det =
-    ignore (Sim.load line);
-    let v = Memory.peek mem line in
-    let cur = v land ticket_mask in
-    if cur = my then begin
-      sh.Rshadow.phase.(id) <- Rshadow.Holder;
-      Rshadow.grant sh det
-    end
-    else begin
-      (match owner_of cur with
-      | Some d when Rshadow.dead sh d ->
-          Rshadow.detect det;
-          (if sh.Rshadow.phase.(d) = Rshadow.Holder then
-             Rshadow.claim_holder sh d
-           else Rshadow.excise sh d);
-          tick.(d) <- -1;
-          (* skip the dead turn: advance current past it (guaranteed:
-             [v] was peeked in this same plain block) *)
-          ignore (Sim.cas line ~expected:v ~desired:(v + 1))
-      | _ ->
-          let dist = (my - cur + ticket_shift) land ticket_mask in
-          Sim.pause (max 1 (dist * max 1 (backoff_base / 2))));
-      wait_robust ~id ~my det
-    end
-  in
-  let acquire_robust ~tid =
-    Rshadow.register sh tid;
-    let det = ref (-1) in
-    (* predict the drawn ticket in the same plain block as the faa *)
-    let v0 = Memory.peek mem line in
-    let my = (v0 lsr 24) land ticket_mask in
-    tick.(tid) <- my;
-    if v0 land ticket_mask = my then begin
-      (* uncontended: granted at the draw itself *)
-      sh.Rshadow.phase.(tid) <- Rshadow.Holder;
-      ignore (Sim.faa line ticket_shift);
-      Rshadow.grant sh det
-    end
-    else begin
-      sh.Rshadow.phase.(tid) <- Rshadow.Waiting;
-      ignore (Sim.faa line ticket_shift);
-      wait_robust ~id:tid ~my det
-    end
-  in
-  let release_robust ~tid =
-    tick.(tid) <- -1;
-    sh.Rshadow.phase.(tid) <- Rshadow.Out;
-    ignore (Sim.faa_store line 1)
+  let layer =
+    lazy
+      (let sh =
+         Rshadow.create ~stats:rstats ?is_dead ?dead_of ?on_removed n_ids
+       in
+       let tick = Array.make (max 1 n_ids) (-1) in
+       let owner_of turn =
+         let rec go i =
+           if i >= n_ids then None
+           else if tick.(i) = turn then Some i
+           else go (i + 1)
+         in
+         go 0
+       in
+       let rec wait_robust ~id ~my det =
+         ignore (Sim.load line);
+         let v = Memory.peek mem line in
+         let cur = v land ticket_mask in
+         if cur = my then begin
+           sh.Rshadow.phase.(id) <- Rshadow.Holder;
+           Rshadow.grant sh det
+         end
+         else begin
+           (match owner_of cur with
+           | Some d when Rshadow.dead sh d ->
+               Rshadow.detect det;
+               (if sh.Rshadow.phase.(d) = Rshadow.Holder then
+                  Rshadow.claim_holder sh d
+                else Rshadow.excise sh d);
+               tick.(d) <- -1;
+               (* skip the dead turn: advance current past it (guaranteed:
+                  [v] was peeked in this same plain block) *)
+               ignore (Sim.cas line ~expected:v ~desired:(v + 1))
+           | _ ->
+               let dist = (my - cur + ticket_shift) land ticket_mask in
+               Sim.pause (max 1 (dist * max 1 (backoff_base / 2))));
+           wait_robust ~id ~my det
+         end
+       in
+       let acquire_robust ~tid =
+         Rshadow.register sh tid;
+         let det = ref (-1) in
+         (* predict the drawn ticket in the same plain block as the faa *)
+         let v0 = Memory.peek mem line in
+         let my = (v0 lsr 24) land ticket_mask in
+         tick.(tid) <- my;
+         if v0 land ticket_mask = my then begin
+           (* uncontended: granted at the draw itself *)
+           sh.Rshadow.phase.(tid) <- Rshadow.Holder;
+           ignore (Sim.faa line ticket_shift);
+           Rshadow.grant sh det
+         end
+         else begin
+           sh.Rshadow.phase.(tid) <- Rshadow.Waiting;
+           ignore (Sim.faa line ticket_shift);
+           wait_robust ~id:tid ~my det
+         end
+       in
+       let release_robust ~tid =
+         tick.(tid) <- -1;
+         sh.Rshadow.phase.(tid) <- Rshadow.Out;
+         ignore (Sim.faa_store line 1)
+       in
+       let ext =
+         {
+           Rshadow.x_phase = (fun id -> sh.Rshadow.phase.(id));
+           x_adopt =
+             (fun id ->
+               let det = ref (Sim.now ()) in
+               if sh.Rshadow.phase.(id) = Rshadow.Holder then
+                 Rshadow.grant sh det
+               else wait_robust ~id ~my:tick.(id) det);
+           x_waiting_live = (fun () -> Rshadow.waiting_live sh);
+           x_engaged_live = (fun () -> Rshadow.engaged_live sh);
+           x_harvest = (fun () -> Rshadow.harvest_dead_holders sh);
+         }
+       in
+       ({ Lock_type.acquire_robust; release_robust }, ext))
   in
   let lock : Lock_type.t =
     {
@@ -281,29 +296,15 @@ let ticket_ext ?(variant = Ticket_backoff) ?(backoff_base = 1500) ?rstats
           let cur = v land ticket_mask in
           let nxt = (v lsr 24) land ticket_mask in
           nxt = cur && Sim.cas line ~expected:v ~desired:(v + ticket_shift));
-      acquire_robust;
-      release_robust;
-      rstats = sh.Rshadow.stats;
+      robust = Lazy.map fst layer;
+      rstats;
     }
   in
   let waiters () =
     let v = Sim.load line in
     (v lsr 24) land ticket_mask > (v land ticket_mask) + 1
   in
-  let ext =
-    {
-      Rshadow.x_phase = (fun id -> sh.Rshadow.phase.(id));
-      x_adopt =
-        (fun id ->
-          let det = ref (Sim.now ()) in
-          if sh.Rshadow.phase.(id) = Rshadow.Holder then Rshadow.grant sh det
-          else wait_robust ~id ~my:tick.(id) det);
-      x_waiting_live = (fun () -> Rshadow.waiting_live sh);
-      x_engaged_live = (fun () -> Rshadow.engaged_live sh);
-      x_harvest = (fun () -> Rshadow.harvest_dead_holders sh);
-    }
-  in
-  (lock, waiters, ext)
+  (lock, waiters, Lazy.map snd layer)
 
 let ticket ?variant ?backoff_base mem ~home_core ~n_threads : Lock_type.t =
   let lock, _, _ =
@@ -326,84 +327,89 @@ let array_lock mem ~home_core ~n_slots ~n_threads : Lock_type.t =
   let slots = Array.init n_slots (fun _ -> Memory.alloc ~home_core mem) in
   Memory.poke mem slots.(0) 1;
   (* remembers which slot each thread owns between acquire and release *)
-  let my_slot = Array.make 1024 0 in
-  let sh = Rshadow.create n_threads in
-  let pos_of = Array.make (max 1 n_threads) (-1) in
-  (* absolute position drawn by each id *)
-  let turn = ref 0 in
-  let flag_writer = ref (-1) in
-  (* who owes the current turn its grant flag; -1 = initial setup (the
-     poked slots.(0)), always "already written" *)
-  let owner_at pos =
-    let rec go i =
-      if i >= n_threads then None
-      else if pos_of.(i) = pos then Some i
-      else go (i + 1)
-    in
-    go 0
-  in
-  let acquire_robust ~tid =
-    Rshadow.register sh tid;
-    let det = ref (-1) in
-    let t0 = Memory.peek mem tail in
-    pos_of.(tid) <- t0;
-    sh.Rshadow.phase.(tid) <- Rshadow.Waiting;
-    ignore (Sim.fai tail);
-    let idx = t0 mod n_slots in
-    let rec wait () =
-      ignore (Sim.load slots.(idx));
-      let flag = Memory.peek mem slots.(idx) in
-      if
-        !turn = t0
-        && (flag = 1
-           ||
-           let w = !flag_writer in
-           w = tid || (w >= 0 && Rshadow.dead sh w))
-      then begin
-        (* granted: the turn is ours and the flag either arrived, or
-           its writer is this thread (we advanced the turn to our own
-           position during an excision), or its writer died before
-           writing (a dead writer's store can never land later: the
-           model applies stores at issue) *)
-        sh.Rshadow.phase.(tid) <- Rshadow.Holder;
-        Rshadow.grant sh det
-      end
-      else begin
-        (if !turn <> t0 then begin
-           let g = !turn in
-           match owner_at g with
-           | Some d when Rshadow.dead sh d ->
-               Rshadow.detect det;
-               (if sh.Rshadow.phase.(d) = Rshadow.Holder then
-                  Rshadow.claim_holder sh d
-                else Rshadow.excise sh d);
-               pos_of.(d) <- -1;
-               turn := g + 1;
-               flag_writer := tid;
-               (* retire the dead turn's stale flag, then wake the next
-                  turn; [turn] already advanced, so a crash between
-                  these stores leaves only stale/missing flags, both
-                  harmless under the turn check *)
-               let gslot = slots.(g mod n_slots) in
-               if Memory.peek mem gslot = 1 then Sim.store gslot 0;
-               if !turn <> t0 then Sim.store slots.(!turn mod n_slots) 1
-           | _ -> Sim.pause 24
-         end
-         else Sim.pause 24);
-        wait ()
-      end
-    in
-    wait ()
-  in
-  let release_robust ~tid =
-    let p = pos_of.(tid) in
-    let idx = p mod n_slots in
-    pos_of.(tid) <- -1;
-    sh.Rshadow.phase.(tid) <- Rshadow.Out;
-    turn := p + 1;
-    flag_writer := tid;
-    Sim.store slots.(idx) 0;
-    Sim.store slots.((idx + 1) mod n_slots) 1
+  let my_slot = Array.make n_threads 0 in
+  let rstats = Lock_type.rstats_zero () in
+  let robust =
+    lazy
+      (let sh = Rshadow.create ~stats:rstats n_threads in
+       let pos_of = Array.make (max 1 n_threads) (-1) in
+       (* absolute position drawn by each id *)
+       let turn = ref 0 in
+       let flag_writer = ref (-1) in
+       (* who owes the current turn its grant flag; -1 = initial setup
+          (the poked slots.(0)), always "already written" *)
+       let owner_at pos =
+         let rec go i =
+           if i >= n_threads then None
+           else if pos_of.(i) = pos then Some i
+           else go (i + 1)
+         in
+         go 0
+       in
+       let acquire_robust ~tid =
+         Rshadow.register sh tid;
+         let det = ref (-1) in
+         let t0 = Memory.peek mem tail in
+         pos_of.(tid) <- t0;
+         sh.Rshadow.phase.(tid) <- Rshadow.Waiting;
+         ignore (Sim.fai tail);
+         let idx = t0 mod n_slots in
+         let rec wait () =
+           ignore (Sim.load slots.(idx));
+           let flag = Memory.peek mem slots.(idx) in
+           if
+             !turn = t0
+             && (flag = 1
+                ||
+                let w = !flag_writer in
+                w = tid || (w >= 0 && Rshadow.dead sh w))
+           then begin
+             (* granted: the turn is ours and the flag either arrived,
+                or its writer is this thread (we advanced the turn to
+                our own position during an excision), or its writer
+                died before writing (a dead writer's store can never
+                land later: the model applies stores at issue) *)
+             sh.Rshadow.phase.(tid) <- Rshadow.Holder;
+             Rshadow.grant sh det
+           end
+           else begin
+             (if !turn <> t0 then begin
+                let g = !turn in
+                match owner_at g with
+                | Some d when Rshadow.dead sh d ->
+                    Rshadow.detect det;
+                    (if sh.Rshadow.phase.(d) = Rshadow.Holder then
+                       Rshadow.claim_holder sh d
+                     else Rshadow.excise sh d);
+                    pos_of.(d) <- -1;
+                    turn := g + 1;
+                    flag_writer := tid;
+                    (* retire the dead turn's stale flag, then wake the
+                       next turn; [turn] already advanced, so a crash
+                       between these stores leaves only stale/missing
+                       flags, both harmless under the turn check *)
+                    let gslot = slots.(g mod n_slots) in
+                    if Memory.peek mem gslot = 1 then Sim.store gslot 0;
+                    if !turn <> t0 then Sim.store slots.(!turn mod n_slots) 1
+                | _ -> Sim.pause 24
+              end
+              else Sim.pause 24);
+             wait ()
+           end
+         in
+         wait ()
+       in
+       let release_robust ~tid =
+         let p = pos_of.(tid) in
+         let idx = p mod n_slots in
+         pos_of.(tid) <- -1;
+         sh.Rshadow.phase.(tid) <- Rshadow.Out;
+         turn := p + 1;
+         flag_writer := tid;
+         Sim.store slots.(idx) 0;
+         Sim.store slots.((idx + 1) mod n_slots) 1
+       in
+       { Lock_type.acquire_robust; release_robust })
   in
   {
     name = "ARRAY";
@@ -429,9 +435,8 @@ let array_lock mem ~home_core ~n_slots ~n_threads : Lock_type.t =
         &&
         (my_slot.(tid) <- idx;
          true));
-    acquire_robust;
-    release_robust;
-    rstats = sh.Rshadow.stats;
+    robust;
+    rstats;
   }
 
 (* ----------------------------- MUTEX ----------------------------- *)
@@ -457,14 +462,15 @@ let mutex ?(syscall_cycles = 900) ?(sleep_cycles = 1800) mem ~home_core
     ~n_threads : Lock_type.t =
   let lock = Memory.alloc ~home_core mem in
   let sleepers : int list ref = ref [] in
-  let flags : (int, Memory.addr) Hashtbl.t = Hashtbl.create 16 in
+  (* each thread's grant-flag line, allocated mid-run by the thread's
+     first slow path (or robust call); the table of them is built with
+     the first line, -1 meaning none yet *)
+  let flags = ref [||] in
   let flag_for tid =
-    match Hashtbl.find_opt flags tid with
-    | Some a -> a
-    | None ->
-        let a = Memory.alloc ~home_core mem in
-        Hashtbl.add flags tid a;
-        a
+    if Array.length !flags = 0 then flags := Array.make n_threads (-1);
+    let f = !flags in
+    if f.(tid) < 0 then f.(tid) <- Memory.alloc ~home_core mem;
+    f.(tid)
   in
   let wait_flag flag =
     if Sim.load flag = 0 then
@@ -492,114 +498,120 @@ let mutex ?(syscall_cycles = 900) ?(sleep_cycles = 1800) mem ~home_core
     end
     else wait_flag flag
   in
-  let sh = Rshadow.create n_threads in
-  let owner = ref (-1) in
-  let prune_dead_sleepers () =
-    sleepers :=
-      List.filter
-        (fun t ->
-          if Rshadow.dead sh t then begin
-            Rshadow.excise sh t;
-            false
-          end
-          else true)
-        !sleepers
-  in
-  let acquire_robust ~tid =
-    Rshadow.register sh tid;
-    let det = ref (-1) in
-    Sim.pause 20; (* library call overhead *)
-    let flag = flag_for tid in
-    let fast () =
-      let v = Memory.peek mem lock in
-      v = 0
-      &&
-      (owner := tid;
-       sh.Rshadow.phase.(tid) <- Rshadow.Holder;
-       ignore (Sim.cas lock ~expected:0 ~desired:1);
-       true)
-    in
-    if fast () then Rshadow.grant sh det
-    else begin
-      Sim.store flag 0;
-      let rec enter () =
-        (* the peek decides holder-vs-sleeper in the same plain block
-           the swap issues, so the shadow matches the swap's outcome *)
-        let v = Memory.peek mem lock in
-        if v = 0 then begin
-          owner := tid;
-          sh.Rshadow.phase.(tid) <- Rshadow.Holder;
-          ignore (Sim.swap lock 2);
-          Rshadow.grant sh det
-        end
-        else begin
-          sh.Rshadow.phase.(tid) <- Rshadow.Waiting;
-          sleepers := !sleepers @ [ tid ];
-          ignore (Sim.swap lock 2);
-          Sim.pause syscall_cycles; (* futex_wait entry *)
-          sleep ()
-        end
-      and sleep () =
-        if sh.Rshadow.phase.(tid) = Rshadow.Holder then
-          (* a releaser handed the mutex over while we slept; the flag
-             store may still be in flight (or its writer dead), but the
-             grant itself landed with the releaser's dequeue *)
-          Rshadow.grant sh det
-        else begin
-          ignore (Sim.load flag);
-          if sh.Rshadow.phase.(tid) = Rshadow.Holder then Rshadow.grant sh det
-          else begin
-            let ow = !owner in
-            if
-              ow >= 0 && ow <> tid
-              && Rshadow.dead sh ow
-              && (sh.Rshadow.phase.(ow) = Rshadow.Holder
-                 || sh.Rshadow.phase.(ow) = Rshadow.Releasing)
-            then begin
-              Rshadow.detect det;
-              prune_dead_sleepers ();
-              match !sleepers with
-              | t :: rest when t = tid ->
-                  (* head live sleeper claims the dead owner's mutex *)
-                  sleepers := rest;
-                  Rshadow.claim_holder sh ow;
-                  owner := tid;
-                  sh.Rshadow.phase.(tid) <- Rshadow.Holder;
-                  Sim.store lock 2; (* re-assert HELD|WAITERS *)
-                  Rshadow.grant sh det
-              | _ ->
-                  Sim.pause (syscall_cycles + sleep_cycles);
-                  sleep ()
-            end
-            else begin
-              Sim.pause (syscall_cycles + sleep_cycles);
-              sleep ()
-            end
-          end
-        end
-      in
-      enter ()
-    end
-  in
-  let release_robust ~tid =
-    sh.Rshadow.phase.(tid) <- Rshadow.Releasing;
-    prune_dead_sleepers ();
-    match !sleepers with
-    | [] ->
-        owner := -1;
-        sh.Rshadow.phase.(tid) <- Rshadow.Out;
-        ignore (Sim.swap lock 0)
-    | t :: rest ->
-        (* direct handoff, requeued past any dead sleepers: the grant
-           is effective at this block (shadow owner + phase), the flag
-           store is only the wake-up; a crash before the flag lands is
-           recovered by the grantee's own poll loop *)
-        sleepers := rest;
-        owner := t;
-        sh.Rshadow.phase.(t) <- Rshadow.Holder;
-        sh.Rshadow.phase.(tid) <- Rshadow.Out;
-        Sim.pause syscall_cycles; (* futex_wake *)
-        Sim.store (flag_for t) 1
+  let rstats = Lock_type.rstats_zero () in
+  let robust =
+    lazy
+      (let sh = Rshadow.create ~stats:rstats n_threads in
+       let owner = ref (-1) in
+       let prune_dead_sleepers () =
+         sleepers :=
+           List.filter
+             (fun t ->
+               if Rshadow.dead sh t then begin
+                 Rshadow.excise sh t;
+                 false
+               end
+               else true)
+             !sleepers
+       in
+       let acquire_robust ~tid =
+         Rshadow.register sh tid;
+         let det = ref (-1) in
+         Sim.pause 20; (* library call overhead *)
+         let flag = flag_for tid in
+         let fast () =
+           let v = Memory.peek mem lock in
+           v = 0
+           &&
+           (owner := tid;
+            sh.Rshadow.phase.(tid) <- Rshadow.Holder;
+            ignore (Sim.cas lock ~expected:0 ~desired:1);
+            true)
+         in
+         if fast () then Rshadow.grant sh det
+         else begin
+           Sim.store flag 0;
+           let rec enter () =
+             (* the peek decides holder-vs-sleeper in the same plain block
+                the swap issues, so the shadow matches the swap's outcome *)
+             let v = Memory.peek mem lock in
+             if v = 0 then begin
+               owner := tid;
+               sh.Rshadow.phase.(tid) <- Rshadow.Holder;
+               ignore (Sim.swap lock 2);
+               Rshadow.grant sh det
+             end
+             else begin
+               sh.Rshadow.phase.(tid) <- Rshadow.Waiting;
+               sleepers := !sleepers @ [ tid ];
+               ignore (Sim.swap lock 2);
+               Sim.pause syscall_cycles; (* futex_wait entry *)
+               sleep ()
+             end
+           and sleep () =
+             if sh.Rshadow.phase.(tid) = Rshadow.Holder then
+               (* a releaser handed the mutex over while we slept; the flag
+                  store may still be in flight (or its writer dead), but the
+                  grant itself landed with the releaser's dequeue *)
+               Rshadow.grant sh det
+             else begin
+               ignore (Sim.load flag);
+               if sh.Rshadow.phase.(tid) = Rshadow.Holder then
+                 Rshadow.grant sh det
+               else begin
+                 let ow = !owner in
+                 if
+                   ow >= 0 && ow <> tid
+                   && Rshadow.dead sh ow
+                   && (sh.Rshadow.phase.(ow) = Rshadow.Holder
+                      || sh.Rshadow.phase.(ow) = Rshadow.Releasing)
+                 then begin
+                   Rshadow.detect det;
+                   prune_dead_sleepers ();
+                   match !sleepers with
+                   | t :: rest when t = tid ->
+                       (* head live sleeper claims the dead owner's mutex *)
+                       sleepers := rest;
+                       Rshadow.claim_holder sh ow;
+                       owner := tid;
+                       sh.Rshadow.phase.(tid) <- Rshadow.Holder;
+                       Sim.store lock 2; (* re-assert HELD|WAITERS *)
+                       Rshadow.grant sh det
+                   | _ ->
+                       Sim.pause (syscall_cycles + sleep_cycles);
+                       sleep ()
+                 end
+                 else begin
+                   Sim.pause (syscall_cycles + sleep_cycles);
+                   sleep ()
+                 end
+               end
+             end
+           in
+           enter ()
+         end
+       in
+       let release_robust ~tid =
+         sh.Rshadow.phase.(tid) <- Rshadow.Releasing;
+         prune_dead_sleepers ();
+         match !sleepers with
+         | [] ->
+             owner := -1;
+             sh.Rshadow.phase.(tid) <- Rshadow.Out;
+             ignore (Sim.swap lock 0)
+         | t :: rest ->
+             (* direct handoff, requeued past any dead sleepers: the grant
+                is effective at this block (shadow owner + phase), the flag
+                store is only the wake-up; a crash before the flag lands is
+                recovered by the grantee's own poll loop *)
+             sleepers := rest;
+             owner := t;
+             sh.Rshadow.phase.(t) <- Rshadow.Holder;
+             sh.Rshadow.phase.(tid) <- Rshadow.Out;
+             Sim.pause syscall_cycles; (* futex_wake *)
+             Sim.store (flag_for t) 1
+       in
+       { Lock_type.acquire_robust; release_robust })
   in
   {
     name = "MUTEX";
@@ -623,7 +635,6 @@ let mutex ?(syscall_cycles = 900) ?(sleep_cycles = 1800) mem ~home_core
       (fun ~tid:_ ->
         Sim.pause 20; (* library call overhead *)
         Sim.cas lock ~expected:0 ~desired:1);
-    acquire_robust;
-    release_robust;
-    rstats = sh.Rshadow.stats;
+    robust;
+    rstats;
   }

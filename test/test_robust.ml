@@ -30,7 +30,7 @@ type shared = {
 }
 
 let robust_cs shared ~tid ~work =
-  (match shared.lock.Lock_type.acquire_robust ~tid with
+  (match Lock_type.acquire_robust shared.lock ~tid with
   | Lock_type.Clean -> ()
   | Lock_type.Owner_died { dead } ->
       shared.witnesses := dead :: !(shared.witnesses);
@@ -40,7 +40,7 @@ let robust_cs shared ~tid ~work =
   Sim.store shared.d1 (x + 1);
   work ();
   Sim.store shared.d2 (x + 1);
-  shared.lock.Lock_type.release_robust ~tid
+  Lock_type.release_robust shared.lock ~tid
 
 (* One crash-stopped holder (workload tid 0 = engine tid 0: the hashed
    spawn order keeps 0 first), five survivors hammering the robust
@@ -67,7 +67,7 @@ let crashed_holder_robust ?(platform = Platform.opteron) ?(crash_at = 40_000)
         if tid = 0 then begin
           (* the victim: robust-acquires, then dies mid-critical-section
              with d1 already bumped and d2 not yet *)
-          (match shared.lock.Lock_type.acquire_robust ~tid with
+          (match Lock_type.acquire_robust shared.lock ~tid with
           | Lock_type.Clean -> ()
           | Lock_type.Owner_died { dead } ->
               shared.witnesses := dead :: !(shared.witnesses));
@@ -76,7 +76,7 @@ let crashed_holder_robust ?(platform = Platform.opteron) ?(crash_at = 40_000)
           Sim.pause 1_000_000;
           (* never reached *)
           Sim.store shared.d2 (x + 1);
-          shared.lock.Lock_type.release_robust ~tid;
+          Lock_type.release_robust shared.lock ~tid;
           0
         end
         else begin
@@ -176,14 +176,14 @@ let test_robust_counter_exact () =
             (lock, d1, d2, mem))
           ~body:(fun (lock, d1, d2, mem) _mem ~tid ~deadline:_ ->
             for _ = 1 to iters do
-              (match lock.Lock_type.acquire_robust ~tid with
+              (match Lock_type.acquire_robust lock ~tid with
               | Lock_type.Clean -> ()
               | Lock_type.Owner_died _ -> assert false);
               let x = Sim.load d1 in
               Sim.pause 25;
               Sim.store d1 (x + 1);
               Sim.store d2 (x + 1);
-              lock.Lock_type.release_robust ~tid;
+              Lock_type.release_robust lock ~tid;
               Sim.pause 40
             done;
             final := Memory.peek mem d1;

@@ -1,6 +1,7 @@
 (* Tests of the simulated lock suite: mutual exclusion for all nine
    algorithms on all four platforms, FIFO fairness of the queue-based
-   locks, and the ticket-variant behaviors of Figure 3. *)
+   locks, the ticket-variant behaviors of Figure 3, and what lock
+   construction allocates, in simulated memory and on the host. *)
 
 open Ssync_platform
 open Ssync_coherence
@@ -391,6 +392,227 @@ let test_timeout_escapes_crashed_holder () =
         (Array.for_all (fun c -> c) (Array.sub r.Harness.completed 1 5)))
     [ Simlock.Mcs; Simlock.Clh; Simlock.Ticket ]
 
+(* ------------------------------------------------------------------ *)
+(* Lock construction: host-side state is built at first use, simulated
+   memory exactly as it always was. *)
+
+let every_algo =
+  Simlock.paper_algos @ [ Simlock.Ticket_spin; Simlock.Ticket_prefetchw ]
+
+(* Digest of the simulated memory [build] leaves on a fresh memory:
+   every word below a sentinel allocated afterwards, with its value, its
+   line's home and whether it shares a line with the word before it. *)
+let layout_digest p build =
+  let mem = Memory.create p in
+  build mem;
+  let sentinel = Memory.alloc mem in
+  let b = Buffer.create 4096 in
+  for a = 0 to sentinel - 1 do
+    Printf.bprintf b "%d:%d:%b;" (Memory.peek mem a)
+      (Memory.line mem a).Memory.home
+      (a > 0 && Memory.same_line mem (a - 1) a)
+  done;
+  Memory.dispose mem;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* One entry per (platform, algorithm), digesting its constructions at
+   1, 6 and the platform's core count threads; then the simulated ssht
+   at (buckets, capacity) = (12, 12) and (512, 48) with 48 threads on
+   the Opteron.  Recorded from the eager constructors: a constructor
+   that defers host-side work must leave these unchanged. *)
+let layout_cases () =
+  let locks =
+    List.concat_map
+      (fun pid ->
+        let p = Platform.get pid in
+        List.map
+          (fun algo ->
+            let ds =
+              List.map
+                (fun n ->
+                  layout_digest p (fun mem ->
+                      ignore (Simlock.create mem p ~n_threads:n algo)))
+                [ 1; 6; Platform.n_cores p ]
+            in
+            ( Printf.sprintf "%s/%s" (Arch.platform_name pid)
+                (Simlock.name algo),
+              Digest.to_hex (Digest.string (String.concat "," ds)) ))
+          every_algo)
+      Arch.all_platform_ids
+  in
+  let ssht =
+    List.concat_map
+      (fun (n_buckets, capacity) ->
+        List.map
+          (fun algo ->
+            let p = Platform.opteron in
+            ( Printf.sprintf "ssht %dx%d/%s" n_buckets capacity
+                (Simlock.name algo),
+              layout_digest p (fun mem ->
+                  ignore
+                    (Ssync_ssht.Ssht_sim.create ~lock_algo:algo mem p
+                       ~n_threads:48 ~n_buckets ~capacity)) ))
+          [ Simlock.Ticket; Simlock.Hclh ])
+      [ (12, 12); (512, 48) ]
+  in
+  locks @ ssht
+
+let layout_table =
+  [
+    ("Opteron/TAS", "b1735a79f2bfac0ba00ec972cbfa1242");
+    ("Opteron/TTAS", "b1735a79f2bfac0ba00ec972cbfa1242");
+    ("Opteron/TICKET", "b1735a79f2bfac0ba00ec972cbfa1242");
+    ("Opteron/ARRAY", "d1c5b9e8d85800417361dae004497a99");
+    ("Opteron/MUTEX", "b1735a79f2bfac0ba00ec972cbfa1242");
+    ("Opteron/MCS", "bfb4610bcf61d52e88b4fe5f381ffac7");
+    ("Opteron/CLH", "b8767d97829c79ec54f50c3dbe47202d");
+    ("Opteron/HCLH", "e012985bd990a9e632553a4c7e7aea9d");
+    ("Opteron/HTICKET", "e557754171582ec7feb041e3be6e6475");
+    ("Opteron/TICKET-SPIN", "b1735a79f2bfac0ba00ec972cbfa1242");
+    ("Opteron/TICKET-PFW", "b1735a79f2bfac0ba00ec972cbfa1242");
+    ("Xeon/TAS", "b1735a79f2bfac0ba00ec972cbfa1242");
+    ("Xeon/TTAS", "b1735a79f2bfac0ba00ec972cbfa1242");
+    ("Xeon/TICKET", "b1735a79f2bfac0ba00ec972cbfa1242");
+    ("Xeon/ARRAY", "9567fab6922fe2895f94a8dfa23405e7");
+    ("Xeon/MUTEX", "b1735a79f2bfac0ba00ec972cbfa1242");
+    ("Xeon/MCS", "ee897c1f0e8eeaaa65c4ee7f8401790a");
+    ("Xeon/CLH", "e8091c76f41f7a880cc69232d834a45d");
+    ("Xeon/HCLH", "2973509fcb24f8b3d73634fa8ab0b138");
+    ("Xeon/HTICKET", "e557754171582ec7feb041e3be6e6475");
+    ("Xeon/TICKET-SPIN", "b1735a79f2bfac0ba00ec972cbfa1242");
+    ("Xeon/TICKET-PFW", "b1735a79f2bfac0ba00ec972cbfa1242");
+    ("Niagara/TAS", "b1735a79f2bfac0ba00ec972cbfa1242");
+    ("Niagara/TTAS", "b1735a79f2bfac0ba00ec972cbfa1242");
+    ("Niagara/TICKET", "b1735a79f2bfac0ba00ec972cbfa1242");
+    ("Niagara/ARRAY", "486c78273523c1bdff1e0b0b7b9cb980");
+    ("Niagara/MUTEX", "b1735a79f2bfac0ba00ec972cbfa1242");
+    ("Niagara/MCS", "b27b791ad280aebfd9d32fb83e59cea4");
+    ("Niagara/CLH", "f5c8e6cfd633c2b60c18f0cb969d5497");
+    ("Niagara/HCLH", "a44e5e5bbf04a7959a84560f95def6f1");
+    ("Niagara/HTICKET", "e55848bb39fb4823bff2a8d8499e65f1");
+    ("Niagara/TICKET-SPIN", "b1735a79f2bfac0ba00ec972cbfa1242");
+    ("Niagara/TICKET-PFW", "b1735a79f2bfac0ba00ec972cbfa1242");
+    ("Tilera/TAS", "b1735a79f2bfac0ba00ec972cbfa1242");
+    ("Tilera/TTAS", "b1735a79f2bfac0ba00ec972cbfa1242");
+    ("Tilera/TICKET", "b1735a79f2bfac0ba00ec972cbfa1242");
+    ("Tilera/ARRAY", "af962e9693298b9ad98dcc2aa219acac");
+    ("Tilera/MUTEX", "b1735a79f2bfac0ba00ec972cbfa1242");
+    ("Tilera/MCS", "0585049018d6c1caba0780ba318aef28");
+    ("Tilera/CLH", "df8ad03819b98e846562877da4bbe082");
+    ("Tilera/HCLH", "a475b03c9784102e60fcbf927f473df2");
+    ("Tilera/HTICKET", "6cb3e4aaa7d311c64183000fbb45efa3");
+    ("Tilera/TICKET-SPIN", "b1735a79f2bfac0ba00ec972cbfa1242");
+    ("Tilera/TICKET-PFW", "b1735a79f2bfac0ba00ec972cbfa1242");
+    ("Opteron2/TAS", "b1735a79f2bfac0ba00ec972cbfa1242");
+    ("Opteron2/TTAS", "b1735a79f2bfac0ba00ec972cbfa1242");
+    ("Opteron2/TICKET", "b1735a79f2bfac0ba00ec972cbfa1242");
+    ("Opteron2/ARRAY", "1e8acedd7af34a6b73a22ab6233e8a34");
+    ("Opteron2/MUTEX", "b1735a79f2bfac0ba00ec972cbfa1242");
+    ("Opteron2/MCS", "90447bd2995bd16fcc9a04cc2443fe66");
+    ("Opteron2/CLH", "5b46dd41364c6281dcf29ed7d8d55a2b");
+    ("Opteron2/HCLH", "5a147ab176f70f89e4ab7a96bad09410");
+    ("Opteron2/HTICKET", "d1b179341fd5aad412102002c4d64749");
+    ("Opteron2/TICKET-SPIN", "b1735a79f2bfac0ba00ec972cbfa1242");
+    ("Opteron2/TICKET-PFW", "b1735a79f2bfac0ba00ec972cbfa1242");
+    ("Xeon2/TAS", "b1735a79f2bfac0ba00ec972cbfa1242");
+    ("Xeon2/TTAS", "b1735a79f2bfac0ba00ec972cbfa1242");
+    ("Xeon2/TICKET", "b1735a79f2bfac0ba00ec972cbfa1242");
+    ("Xeon2/ARRAY", "3e34e2d8f9f842498fadccba878056ef");
+    ("Xeon2/MUTEX", "b1735a79f2bfac0ba00ec972cbfa1242");
+    ("Xeon2/MCS", "830de252f7656a0230177f88b9255a7a");
+    ("Xeon2/CLH", "7ff110106bdfebfccad1743bac76c3ac");
+    ("Xeon2/HCLH", "4b17b3215467a01ff5e06c54761f5c79");
+    ("Xeon2/HTICKET", "d1b179341fd5aad412102002c4d64749");
+    ("Xeon2/TICKET-SPIN", "b1735a79f2bfac0ba00ec972cbfa1242");
+    ("Xeon2/TICKET-PFW", "b1735a79f2bfac0ba00ec972cbfa1242");
+    ("ssht 12x12/TICKET", "93f51f5a693244e4a427c0b1a27a4c64");
+    ("ssht 12x12/HCLH", "6a6019c091683437678d8bdacb1f267a");
+    ("ssht 512x48/TICKET", "159dfc4226a98a43f965caa2deb50445");
+    ("ssht 512x48/HCLH", "152356142348c6158b255ef381656f20");
+  ]
+
+let test_construction_layout () =
+  let got = layout_cases () in
+  check_int "cases" (List.length layout_table) (List.length got);
+  List.iter2
+    (fun (name, want) (name', d) ->
+      Alcotest.(check string) "case" name name';
+      Alcotest.(check string) (name ^ " simulated layout") want d)
+    layout_table got
+
+(* An ARRAY lock serves every tid below its [n_threads], past 1,024. *)
+let test_array_lock_high_tid () =
+  let p = Platform.opteron in
+  let sim = Sim.create p in
+  let mem = Sim.memory sim in
+  let lock = Simlock.create mem p ~n_threads:1100 Simlock.Array_lock in
+  let done_ = ref false in
+  Sim.spawn sim ~core:0 (fun () ->
+      lock.Lock_type.acquire ~tid:1099;
+      lock.Lock_type.release ~tid:1099;
+      done_ := true);
+  ignore (Sim.run sim);
+  check_bool "tid 1099 acquired and released" true !done_
+
+(* Host words one construction allocates, measured on a memory whose
+   line table has room. *)
+let construction_words p ~n_threads algo =
+  let mem = Memory.create p in
+  let w0 = Gc.minor_words () in
+  ignore (Sys.opaque_identity (Simlock.create mem p ~n_threads algo));
+  let w = Gc.minor_words () -. w0 in
+  Memory.dispose mem;
+  int_of_float w
+
+(* Locks whose plain path keeps no per-thread state build none: their
+   construction costs the same host words at 1 and at 48 threads. *)
+let test_construction_words_flat () =
+  let p = Platform.opteron in
+  List.iter
+    (fun algo ->
+      check_int
+        (Printf.sprintf "%s words at 48 threads = at 1" (Simlock.name algo))
+        (construction_words p ~n_threads:1 algo)
+        (construction_words p ~n_threads:48 algo))
+    Simlock.
+      [ Tas; Ttas; Ticket; Ticket_spin; Ticket_prefetchw; Mutex; Hticket ]
+
+(* No constructor allocates a block too large for the minor heap: the
+   words allocated directly in the major heap stay flat over 100
+   constructions of each algorithm at 48 threads.  Flat means within
+   one such block (over 256 words, OCaml's Max_young_wosize): the count
+   itself can drift by a few words as the minor heap is promoted. *)
+let test_construction_stays_minor () =
+  let p = Platform.opteron in
+  (* grow a line table with room for 100 of the largest lock and hand
+     it to the pool the next memory draws from *)
+  let big = Memory.create p in
+  for _ = 1 to 1 lsl 16 do
+    ignore (Memory.alloc big)
+  done;
+  Memory.dispose big;
+  let direct () =
+    (* a minor collection brings the major-heap count up to date *)
+    Gc.minor ();
+    let s = Gc.quick_stat () in
+    s.Gc.major_words -. s.Gc.promoted_words
+  in
+  List.iter
+    (fun algo ->
+      let mem = Memory.create p in
+      let d0 = direct () in
+      for _ = 1 to 100 do
+        ignore (Sys.opaque_identity (Simlock.create mem p ~n_threads:48 algo))
+      done;
+      let d = int_of_float (direct () -. d0) in
+      Memory.dispose mem;
+      check_bool
+        (Printf.sprintf "%s: %d words allocated in the major heap"
+           (Simlock.name algo) d)
+        true
+        (abs d <= 256))
+    every_algo
+
 (* qcheck: random (platform, algo, threads, iters) never loses updates. *)
 let qcheck_mutual_exclusion =
   let gen =
@@ -436,4 +658,12 @@ let suite =
     Alcotest.test_case "acquire_timeout escapes a crashed holder" `Quick
       test_timeout_escapes_crashed_holder;
     QCheck_alcotest.to_alcotest qcheck_mutual_exclusion;
+    Alcotest.test_case "construction keeps the simulated layout" `Quick
+      test_construction_layout;
+    Alcotest.test_case "ARRAY serves tids past 1024" `Quick
+      test_array_lock_high_tid;
+    Alcotest.test_case "construction words flat in n_threads" `Quick
+      test_construction_words_flat;
+    Alcotest.test_case "construction allocates nothing major" `Quick
+      test_construction_stays_minor;
   ]
