@@ -373,10 +373,10 @@ let run ~quick ~jobs args =
       Printf.eprintf "chaos: unknown argument %S (try --repro KEY)\n" a;
       exit 2);
   let cfgs = sweep ~quick in
-  Printf.printf "chaos sweep: %d runs (%s mode, %d jobs)\n%!"
-    (List.length cfgs)
-    (if quick then "quick" else "full")
-    jobs;
+  (* the domain count is left out so the output is the same at any
+     [--jobs] *)
+  Printf.printf "chaos sweep: %d runs (%s mode)\n%!" (List.length cfgs)
+    (if quick then "quick" else "full");
   let thunks = Array.of_list (List.map (fun c () -> run_one c) cfgs) in
   let results = Pool.run ~jobs thunks in
   let outcomes = Array.to_list (Array.map fst results) in

@@ -53,7 +53,9 @@ let ssht_lock_throughput pid algo ~threads ~n_buckets ~capacity ~duration :
 (* Message-passing ssht: one server per three threads (paper's best). *)
 let ssht_mp_throughput pid ~threads ~n_buckets ~capacity ~duration : float =
   let p = Platform.get pid in
-  let n_servers = max 1 (threads / 3) in
+  let n_servers =
+    max 1 (threads / Ssync_simmp.Client_server.default_server_share)
+  in
   let n_clients = max 1 (threads - n_servers) in
   if n_servers + n_clients > Platform.n_cores p then 0.
   else begin
@@ -290,7 +292,10 @@ let extra_small_platforms () =
         "Extra (section 8): small-scale multi-sockets; cross/intra-socket \
          load latency ratios (paper: ~1.6x Opteron2, ~2.7x Xeon2)";
       List.iter
-        (fun (pid, paper_ratio) ->
+        (fun pid ->
+          let paper_ratio =
+            Option.get (Latencies.small_platform_cross_intra_ratio pid)
+          in
           let p = Platform.get pid in
           let topo = p.Platform.topo in
           let mk holder : Ssync_platform.Cost_model.view =
@@ -311,7 +316,7 @@ let extra_small_platforms () =
             (Arch.platform_name pid) intra cross
             (float_of_int cross /. float_of_int intra)
             paper_ratio)
-        [ (Arch.Opteron2, 1.6); (Arch.Xeon2, 2.7) ])
+        [ Arch.Opteron2; Arch.Xeon2 ])
 
 (* STM bank benchmark: lock-based vs message-passing TM2C backends. *)
 let stm_throughput pid backend ~threads ~accounts ~duration : float =
@@ -346,7 +351,9 @@ let stm_throughput pid backend ~threads ~accounts ~duration : float =
       done;
       ignore (Sim.run sim ~until:(duration * 12))
   | `Mp ->
-      let n_servers = max 1 (threads / 3) in
+      let n_servers =
+        max 1 (threads / Ssync_simmp.Client_server.default_server_share)
+      in
       let n_clients = max 1 (threads - n_servers) in
       let server_cores = Array.init n_servers (fun i -> Platform.place p i) in
       let client_cores =

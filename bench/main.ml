@@ -129,7 +129,7 @@ let sections : (string * string * (quick:bool -> Section.t)) list =
     ("ablations", "Ablations: backoff base, max_pass, placement, occupancy",
      fun ~quick -> Ablations.run ~quick ());
     ("native_bechamel", "Native library microbenchmarks (Bechamel)",
-     fun ~quick:_ -> Native_bench.run ());
+     fun ~quick -> Native_bench.run ~quick);
   ]
 
 (* One machine-readable line per section: the engine-counter deltas of

@@ -49,13 +49,16 @@ let tm_test () =
              Ssync_tm.Tm.write tx a (va - 1);
              Ssync_tm.Tm.write tx b (vb + 1))))
 
-let benchmark () =
+(* Quick mode samples each test for a fifth of the full quota: no check
+   reads these host timings, so a shorter estimate costs nothing. *)
+let benchmark ~quick =
   let test =
     Test.make_grouped ~name:"native"
       ([ channel_test (); ssht_test (); tm_test () ] @ lock_tests ())
   in
   let instances = Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:500 ~quota:(Time.second 0.25) ~kde:(Some 500) () in
+  let quota = Time.second (if quick then 0.05 else 0.25) in
+  let cfg = Benchmark.cfg ~limit:500 ~quota ~kde:(Some 500) () in
   let raw = Benchmark.all cfg instances test in
   let results =
     Analyze.all (Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |])
@@ -67,11 +70,11 @@ let benchmark () =
    nondeterministic by nature, so this section runs serially on the
    main domain and is excluded from the byte-identity guarantee the
    simulator sections carry. *)
-let run () =
+let run ~quick =
   Section.serial @@ fun () ->
   Printf.printf
     "\n==== Native microbenchmarks (Bechamel, uncontended, host CPU) ====\n%!";
-  let results = benchmark () in
+  let results = benchmark ~quick in
   Printf.printf "%-28s %14s\n" "benchmark" "ns/op";
   Printf.printf "%s\n" (String.make 44 '-');
   Hashtbl.iter

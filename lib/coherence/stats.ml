@@ -91,7 +91,6 @@ let copy t =
   c
 
 let total_ops t = t.loads.count + t.stores.count + t.atomics.count
-let total_cycles t = t.loads.cycles + t.stores.cycles + t.atomics.cycles
 
 let mean_latency c =
   if c.count = 0 then 0. else float_of_int c.cycles /. float_of_int c.count

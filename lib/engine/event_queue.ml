@@ -386,8 +386,6 @@ let pop t =
     Some e
   end
 
-let min_time t = if t.size = 0 then None else Some t.next_t
-
 (* Non-allocating variant for the simulator's hot path: one field read. *)
 let next_time t = t.next_t
 

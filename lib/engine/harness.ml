@@ -29,7 +29,7 @@ type result = {
   total_ops : int;
   mops : float;          (* total throughput in Mops/s (paper's unit) *)
   health : Sim.health;   (* engine verdict + fault counters *)
-  perf : Sim.perf;       (* engine counters: events, parks, wall-clock *)
+  perf : Sim.perf;       (* engine counters: events, parks, wakeups *)
 }
 
 let total_of ops = Array.fold_left ( + ) 0 ops

@@ -125,7 +125,6 @@ and counters = {
   mutable c_elided : int;
   mutable c_link_queued : int;
   mutable c_sim_cycles : int;
-  mutable c_wall_ns : int;
 }
 
 and t = {
@@ -152,7 +151,6 @@ and t = {
          parked waiter draws its elided polls' faults ahead *)
   tstates : (int, thread_state) Hashtbl.t;
   mutable crashed_tids : int list; (* reversed *)
-  mutable wall_ns : int;
   cum : counters; (* the creating domain's cumulative totals *)
   mutable booked_lq : int;
       (* [Stats.link_queued_cycles] already booked into
@@ -187,7 +185,6 @@ let counters_key : counters Domain.DLS.key =
         c_elided = 0;
         c_link_queued = 0;
         c_sim_cycles = 0;
-        c_wall_ns = 0;
       })
 
 let counters () = Domain.DLS.get counters_key
@@ -245,7 +242,6 @@ let create ?(faults = Fault.none) ?(parking = true) platform =
     exact;
     tstates = Hashtbl.create 64;
     crashed_tids = [];
-    wall_ns = 0;
     cum = counters ();
     booked_lq = 0;
     run_until = max_int;
@@ -1037,7 +1033,6 @@ let drain t ~until ~max_events ~ev_base =
   !dropped
 
 let run_health ?(until = max_int) ?(max_events = 200_000_000) t =
-  let wall_start = Unix.gettimeofday () in
   let start_now = t.now in
   let start_elided = (Memory.stats t.mem).Stats.elided_probes in
   let ev_base = t.events in
@@ -1077,11 +1072,6 @@ let run_health ?(until = max_int) ?(max_events = 200_000_000) t =
   t.cum.c_link_queued <- t.cum.c_link_queued + (lq - t.booked_lq);
   t.booked_lq <- lq;
   Memory.drain_metrics t.mem;
-  let wall_ns =
-    int_of_float ((Unix.gettimeofday () -. wall_start) *. 1e9)
-  in
-  t.wall_ns <- t.wall_ns + wall_ns;
-  t.cum.c_wall_ns <- t.cum.c_wall_ns + wall_ns;
   let verdict =
     if t.live <= 0 then Completed
     else
@@ -1116,7 +1106,6 @@ type perf = {
       (* cycles memory ops spent queued behind busy interconnect
          resources (links and home directories) *)
   sim_cycles : int; (* virtual time advanced *)
-  wall_ns : int; (* wall-clock spent in the run loop *)
 }
 
 let perf (t : t) =
@@ -1127,7 +1116,6 @@ let perf (t : t) =
     elided_probes = (Memory.stats t.mem).Stats.elided_probes;
     link_queued_cycles = (Memory.stats t.mem).Stats.link_queued_cycles;
     sim_cycles = t.now;
-    wall_ns = t.wall_ns;
   }
 
 (* Totals across every simulation run by the *calling domain* (the
@@ -1142,7 +1130,6 @@ let cumulative_perf () =
     elided_probes = c.c_elided;
     link_queued_cycles = c.c_link_queued;
     sim_cycles = c.c_sim_cycles;
-    wall_ns = c.c_wall_ns;
   }
 
 (* Pure arithmetic on perf records, for aggregating per-job deltas. *)
@@ -1154,7 +1141,6 @@ let perf_zero =
     elided_probes = 0;
     link_queued_cycles = 0;
     sim_cycles = 0;
-    wall_ns = 0;
   }
 
 let perf_map2 f a b =
@@ -1165,7 +1151,6 @@ let perf_map2 f a b =
     elided_probes = f a.elided_probes b.elided_probes;
     link_queued_cycles = f a.link_queued_cycles b.link_queued_cycles;
     sim_cycles = f a.sim_cycles b.sim_cycles;
-    wall_ns = f a.wall_ns b.wall_ns;
   }
 
 let perf_add a b = perf_map2 ( + ) a b

@@ -115,7 +115,6 @@ type perf = {
           bandwidth interconnect resources (links and home
           directories); it sums [Stats.link_queued_cycles] *)
   sim_cycles : int;  (** virtual time advanced *)
-  wall_ns : int;  (** wall-clock nanoseconds spent in the run loop *)
 }
 
 val perf : t -> perf

@@ -16,7 +16,6 @@ type result = {
 
 type mix = { set_pct : int (* 0..100; rest are gets *) }
 
-let set_only = { set_pct = 100 }
 let get_only = { set_pct = 0 }
 let mixed pct =
   if pct < 0 || pct > 100 then invalid_arg "Driver.mixed: pct out of range";

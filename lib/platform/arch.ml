@@ -4,7 +4,8 @@
 
 type platform_id =
   | Opteron   (* 4-socket (8-die) AMD Magny-Cours, 48 cores, MOESI + probe filter *)
-  | Xeon      (* 8-socket Intel Westmere-EX, 80 cores, MESIF, inclusive LLC *)
+  | Xeon      (* 8-socket Intel Westmere-EX, 80 cores, MESIF (modeled as
+                 MESI, see [cstate]), inclusive LLC *)
   | Niagara   (* Sun UltraSPARC-T2, 8 cores x 8 hw threads, uniform crossbar *)
   | Tilera    (* Tilera TILE-Gx36, 6x6 mesh, distributed LLC home tiles *)
   | Opteron2  (* 2-socket AMD Opteron 2384 (paper section 8) *)
@@ -50,21 +51,18 @@ let memop_name = function
   | Tas -> "TAS"
   | Swap -> "SWAP"
 
-let is_atomic = function
-  | Load | Store -> false
-  | Cas | Fai | Tas | Swap -> true
-
 (* Cache-line states across the protocol variants used by the four
-   platforms: MOESI (Opteron), MESIF (Xeon), MESI with a duplicate-tag
-   directory (Niagara) or a distributed directory (Tilera).  [Forward] is
-   folded into [Shared] for costing, as the paper does ("its effects are
-   included in the load from shared case"). *)
+   platforms: MOESI (Opteron), MESI with a duplicate-tag directory
+   (Niagara) or a distributed directory (Tilera), and MESI with
+   closest-sharer sourcing on the Xeon.  The Xeon's hardware runs MESIF;
+   its F state is folded into [Shared], as the paper does ("its effects
+   are included in the load from shared case"): a Shared load is served
+   by the closest sharer. *)
 type cstate =
   | Modified
   | Owned      (* MOESI only *)
   | Exclusive
   | Shared
-  | Forward    (* MESIF only *)
   | Invalid
 
 let cstate_name = function
@@ -72,7 +70,6 @@ let cstate_name = function
   | Owned -> "Owned"
   | Exclusive -> "Exclusive"
   | Shared -> "Shared"
-  | Forward -> "Forward"
   | Invalid -> "Invalid"
 
 let cstate_letter = function
@@ -80,7 +77,6 @@ let cstate_letter = function
   | Owned -> 'O'
   | Exclusive -> 'E'
   | Shared -> 'S'
-  | Forward -> 'F'
   | Invalid -> 'I'
 
 (* Local cache levels of Table 3. *)
@@ -109,3 +105,16 @@ let distance_name = function
   | One_hop -> "one hop"
   | Two_hops -> "two hops"
   | Max_hops -> "max hops"
+
+(* The one numbering of the protocol states, in declaration order:
+   [Memory]'s line table, [Profile]'s transition matrix and [Chrome]'s
+   transfer-name cache all index by it. *)
+let cstate_index : cstate -> int = function
+  | Modified -> 0
+  | Owned -> 1
+  | Exclusive -> 2
+  | Shared -> 3
+  | Invalid -> 4
+
+let cstate_of_index = [| Modified; Owned; Exclusive; Shared; Invalid |]
+let n_cstates = Array.length cstate_of_index

@@ -19,7 +19,7 @@
 
 (* What the memory model knows about a cache line when an operation is
    issued.  [owner] holds the line in Modified/Owned/Exclusive ([-1] =
-   none); [sharers] are cores with Shared/Forward copies (never
+   none); [sharers] are cores with Shared copies (never
    including [owner]); [home] is the node of the line's directory /
    home tile / memory.  Fields are mutable so the memory model can
    refill one scratch view per access instead of allocating a record on
@@ -63,6 +63,8 @@ let rank_of_class : Arch.distance -> int = function
 
 let class_of_rank : Arch.distance array =
   [| Same_core; Same_die; Same_mcm; One_hop; Two_hops; Max_hops |]
+
+let n_ranks = Array.length class_of_rank
 
 (* Core ids live in two bitset words (Coreset): bit [i] of [w0] is core
    [i], bit [i] of [w1] is core [63 + i].  The scans below walk one word
@@ -211,7 +213,7 @@ let opteron_latency (t : Topology.t) (op : Arch.memop) ~requester v =
           | Arch.Modified -> o_load_modified
           | Arch.Owned -> o_load_owned
           | Arch.Exclusive -> o_load_exclusive
-          | Arch.Shared | Arch.Forward -> o_load_shared
+          | Arch.Shared -> o_load_shared
           | Arch.Invalid -> o_fill)
         + dir_pen
   | Arch.Store -> (
@@ -219,7 +221,7 @@ let opteron_latency (t : Topology.t) (op : Arch.memop) ~requester v =
       | Arch.Modified | Arch.Exclusive ->
           if v.owner = requester then 3
           else opteron_row4 class_of_source o_store_me + dir_pen
-      | Arch.Owned | Arch.Shared | Arch.Forward ->
+      | Arch.Owned | Arch.Shared ->
           (* Invalidation broadcast; grows slightly with the sharer count
              (storing on a line shared by all 48 cores costs 296). *)
           opteron_row4
@@ -235,7 +237,7 @@ let opteron_latency (t : Topology.t) (op : Arch.memop) ~requester v =
       | Arch.Modified | Arch.Exclusive ->
           if v.owner = requester then 20
           else opteron_row4 class_of_source o_atomic_me + dir_pen
-      | Arch.Owned | Arch.Shared | Arch.Forward ->
+      | Arch.Owned | Arch.Shared ->
           opteron_row4
             (invalidation_class t ~requester v class_of_source)
             o_atomic_shared
@@ -244,10 +246,13 @@ let opteron_latency (t : Topology.t) (op : Arch.memop) ~requester v =
       | Arch.Invalid -> opteron_row4 class_of_source o_fill + 30 + dir_pen)
 
 (* -------------------------------------------------------------- *)
-(* Xeon: MESIF, inclusive LLC.  Within a socket the LLC tracks sharers
-   and serves Shared loads directly (44 cycles); across sockets snoop
-   requests are broadcast.  Operations touching only cores of one socket
-   complete locally (section 5.2). *)
+(* Xeon: MESI with closest-sharer sourcing, inclusive LLC.  The hardware
+   runs MESIF; as in the paper, its F state is folded into Shared, and a
+   Shared line is sourced from the closest sharer ([source_core]).
+   Within a socket the LLC tracks sharers and serves Shared loads
+   directly (44 cycles); across sockets snoop requests are broadcast.
+   Operations touching only cores of one socket complete locally
+   (section 5.2). *)
 
 let xeon_row3 (d : Arch.distance) (v : int array) =
   match d with
@@ -289,7 +294,7 @@ let xeon_latency (t : Topology.t) (op : Arch.memop) ~requester v =
               x_load_modified_llc_hit
             else xeon_row3 class_of_source x_load_modified
         | Arch.Exclusive -> xeon_row3 class_of_source x_load_exclusive
-        | Arch.Shared | Arch.Forward | Arch.Owned -> xeon_row3 class_of_source x_load_shared
+        | Arch.Shared | Arch.Owned -> xeon_row3 class_of_source x_load_shared
         | Arch.Invalid -> xeon_row3 class_of_source x_fill)
   | Arch.Store -> (
       match v.state with
@@ -297,14 +302,14 @@ let xeon_latency (t : Topology.t) (op : Arch.memop) ~requester v =
           if v.owner = requester then 5 else xeon_row3 class_of_source x_store_modified
       | Arch.Exclusive ->
           if v.owner = requester then 5 else xeon_row3 class_of_source x_store_exclusive
-      | Arch.Shared | Arch.Forward | Arch.Owned ->
+      | Arch.Shared | Arch.Owned ->
           xeon_row3 (invalidation_class t ~requester v class_of_source) x_store_shared + invalidation_growth
       | Arch.Invalid -> xeon_row3 class_of_source x_fill + 10)
   | Arch.Cas | Arch.Fai | Arch.Tas | Arch.Swap -> (
       match v.state with
       | Arch.Modified | Arch.Exclusive ->
           if v.owner = requester then 20 else xeon_row3 class_of_source x_atomic_me
-      | Arch.Shared | Arch.Forward | Arch.Owned ->
+      | Arch.Shared | Arch.Owned ->
           xeon_row3 (invalidation_class t ~requester v class_of_source) x_atomic_shared + invalidation_growth
       | Arch.Invalid -> xeon_row3 class_of_source x_fill + 25)
 
@@ -351,7 +356,7 @@ let niagara_latency (t : Topology.t) (op : Arch.memop) ~requester v =
       | Arch.Invalid -> 176 + 20
       | Arch.Modified | Arch.Exclusive | Arch.Owned ->
           niagara_pair (niagara_class t ~requester v) m_row
-      | Arch.Shared | Arch.Forward ->
+      | Arch.Shared ->
           niagara_pair (niagara_class t ~requester v) s_row)
 
 (* -------------------------------------------------------------- *)
@@ -394,7 +399,7 @@ let tilera_latency (t : Topology.t) (op : Arch.memop) ~requester v =
           if v.owner = requester then 11
           else if h = 0 then 20
           else tilera_scale ~at1:57 ~at10:77 h
-      | Arch.Shared | Arch.Forward | Arch.Owned ->
+      | Arch.Shared | Arch.Owned ->
           (if h = 0 then 49 else tilera_scale ~at1:86 ~at10:106 h)
           + inval_growth
       | Arch.Invalid ->
@@ -413,7 +418,7 @@ let tilera_latency (t : Topology.t) (op : Arch.memop) ~requester v =
           (if h = 0 then 108 else tilera_scale ~at1:118 ~at10:162 h) + 20
       | Arch.Modified | Arch.Exclusive ->
           if h = 0 then (m1 * 2 / 3) else tilera_scale ~at1:m1 ~at10:m10 h
-      | Arch.Shared | Arch.Forward | Arch.Owned ->
+      | Arch.Shared | Arch.Owned ->
           (if h = 0 then (s1 * 2 / 3) else tilera_scale ~at1:s1 ~at10:s10 h)
           + inval_growth)
 
@@ -527,7 +532,7 @@ let occupancy (t : Topology.t) (op : Arch.memop) ~(state : Arch.cstate)
           (* serialized owner probe; only the tail of the data return
              overlaps with the next request *)
           Int.max 1 (latency * 4 / 5)
-      | Arch.Shared | Arch.Forward | Arch.Invalid ->
+      | Arch.Shared | Arch.Invalid ->
           (* served by LLC/memory; readers overlap *)
           Int.min latency 30)
   | ((Arch.Opteron | Arch.Xeon | Arch.Opteron2 | Arch.Xeon2), Arch.Store) ->

@@ -1,7 +1,8 @@
 (* The paper's published latency measurements (Tables 2 and 3), kept
-   verbatim as the calibration reference.  [Cost_model] composes its
-   protocol logic out of these constants; the test suite and the bench
-   harness use them as the "paper says" column. *)
+   verbatim as the calibration reference.  [Cost_model] keeps its own
+   calibrated constants; the test suite checks them against these
+   tables, and the bench harness prints these as the "paper says"
+   column. *)
 
 (* ------------------------- Table 3 ------------------------------- *)
 (* Local caches and memory latencies (cycles). *)
@@ -57,16 +58,15 @@ let opteron_table (op : op_class) (st : Arch.cstate) (d : Arch.distance) :
   | (CLoad, Arch.Modified) -> row [| 81; 161; 172; 252 |]
   | (CLoad, Arch.Owned) -> row [| 83; 163; 175; 254 |]
   | (CLoad, Arch.Exclusive) -> row [| 83; 163; 175; 253 |]
-  | (CLoad, (Arch.Shared | Arch.Forward)) -> row [| 83; 164; 176; 254 |]
+  | (CLoad, Arch.Shared) -> row [| 83; 164; 176; 254 |]
   | (CLoad, Arch.Invalid) -> row [| 136; 237; 247; 327 |]
   | (CStore, Arch.Modified) -> row [| 83; 172; 191; 273 |]
   | (CStore, Arch.Owned) -> row [| 244; 255; 286; 291 |]
   | (CStore, Arch.Exclusive) -> row [| 83; 171; 191; 271 |]
-  | (CStore, (Arch.Shared | Arch.Forward)) -> row [| 246; 255; 286; 296 |]
+  | (CStore, Arch.Shared) -> row [| 246; 255; 286; 296 |]
   | (CStore, Arch.Invalid) -> None
   | ((CCas | CFai | CTas | CSwap), Arch.Modified) -> row [| 110; 197; 216; 296 |]
-  | ((CCas | CFai | CTas | CSwap), (Arch.Shared | Arch.Forward | Arch.Owned))
-    ->
+  | ((CCas | CFai | CTas | CSwap), (Arch.Shared | Arch.Owned)) ->
       row [| 272; 283; 312; 332 |]
   | ((CCas | CFai | CTas | CSwap), (Arch.Exclusive | Arch.Invalid)) -> None
 
@@ -83,16 +83,15 @@ let xeon_table (op : op_class) (st : Arch.cstate) (d : Arch.distance) :
   match (op, st) with
   | (CLoad, Arch.Modified) -> row [| 109; 289; 400 |]
   | (CLoad, Arch.Exclusive) -> row [| 92; 273; 383 |]
-  | (CLoad, (Arch.Shared | Arch.Forward)) -> row [| 44; 223; 334 |]
+  | (CLoad, Arch.Shared) -> row [| 44; 223; 334 |]
   | (CLoad, Arch.Invalid) -> row [| 355; 492; 601 |]
   | (CLoad, Arch.Owned) -> None
   | (CStore, Arch.Modified) -> row [| 115; 320; 431 |]
   | (CStore, Arch.Exclusive) -> row [| 115; 315; 425 |]
-  | (CStore, (Arch.Shared | Arch.Forward)) -> row [| 116; 318; 428 |]
+  | (CStore, Arch.Shared) -> row [| 116; 318; 428 |]
   | (CStore, (Arch.Owned | Arch.Invalid)) -> None
   | ((CCas | CFai | CTas | CSwap), Arch.Modified) -> row [| 120; 324; 430 |]
-  | ((CCas | CFai | CTas | CSwap), (Arch.Shared | Arch.Forward)) ->
-      row [| 113; 312; 423 |]
+  | ((CCas | CFai | CTas | CSwap), Arch.Shared) -> row [| 113; 312; 423 |]
   | ((CCas | CFai | CTas | CSwap), (Arch.Owned | Arch.Exclusive | Arch.Invalid))
     ->
       None
@@ -107,21 +106,19 @@ let niagara_table (op : op_class) (st : Arch.cstate) (d : Arch.distance) :
     | _ -> None
   in
   match (op, st) with
-  | (CLoad, (Arch.Modified | Arch.Exclusive | Arch.Shared | Arch.Forward)) ->
-      row (3, 24)
+  | (CLoad, (Arch.Modified | Arch.Exclusive | Arch.Shared)) -> row (3, 24)
   | (CLoad, Arch.Invalid) -> row (176, 176)
   | (CLoad, Arch.Owned) -> None
-  | (CStore, (Arch.Modified | Arch.Exclusive | Arch.Shared | Arch.Forward)) ->
-      row (24, 24)
+  | (CStore, (Arch.Modified | Arch.Exclusive | Arch.Shared)) -> row (24, 24)
   | (CStore, (Arch.Owned | Arch.Invalid)) -> None
   | (CCas, Arch.Modified) -> row (71, 66)
   | (CFai, Arch.Modified) -> row (108, 99)
   | (CTas, Arch.Modified) -> row (64, 55)
   | (CSwap, Arch.Modified) -> row (95, 90)
-  | (CCas, (Arch.Shared | Arch.Forward)) -> row (76, 66)
-  | (CFai, (Arch.Shared | Arch.Forward)) -> row (99, 99)
-  | (CTas, (Arch.Shared | Arch.Forward)) -> row (67, 55)
-  | (CSwap, (Arch.Shared | Arch.Forward)) -> row (93, 90)
+  | (CCas, Arch.Shared) -> row (76, 66)
+  | (CFai, Arch.Shared) -> row (99, 99)
+  | (CTas, Arch.Shared) -> row (67, 55)
+  | (CSwap, Arch.Shared) -> row (93, 90)
   | ((CCas | CFai | CTas | CSwap), (Arch.Owned | Arch.Exclusive | Arch.Invalid))
     ->
       None
@@ -136,21 +133,20 @@ let tilera_table (op : op_class) (st : Arch.cstate) (d : Arch.distance) :
     | _ -> None
   in
   match (op, st) with
-  | (CLoad, (Arch.Modified | Arch.Exclusive | Arch.Shared | Arch.Forward)) ->
-      row (45, 65)
+  | (CLoad, (Arch.Modified | Arch.Exclusive | Arch.Shared)) -> row (45, 65)
   | (CLoad, Arch.Invalid) -> row (118, 162)
   | (CLoad, Arch.Owned) -> None
   | (CStore, (Arch.Modified | Arch.Exclusive)) -> row (57, 77)
-  | (CStore, (Arch.Shared | Arch.Forward)) -> row (86, 106)
+  | (CStore, Arch.Shared) -> row (86, 106)
   | (CStore, (Arch.Owned | Arch.Invalid)) -> None
   | (CCas, Arch.Modified) -> row (77, 98)
   | (CFai, Arch.Modified) -> row (51, 71)
   | (CTas, Arch.Modified) -> row (70, 89)
   | (CSwap, Arch.Modified) -> row (63, 84)
-  | (CCas, (Arch.Shared | Arch.Forward)) -> row (124, 142)
-  | (CFai, (Arch.Shared | Arch.Forward)) -> row (82, 102)
-  | (CTas, (Arch.Shared | Arch.Forward)) -> row (121, 141)
-  | (CSwap, (Arch.Shared | Arch.Forward)) -> row (95, 115)
+  | (CCas, Arch.Shared) -> row (124, 142)
+  | (CFai, Arch.Shared) -> row (82, 102)
+  | (CTas, Arch.Shared) -> row (121, 141)
+  | (CSwap, Arch.Shared) -> row (95, 115)
   | ((CCas | CFai | CTas | CSwap), (Arch.Owned | Arch.Exclusive | Arch.Invalid))
     ->
       None

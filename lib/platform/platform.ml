@@ -44,7 +44,6 @@ let get = function
   | Arch.Xeon2 -> xeon2
 
 let all = [ opteron; xeon; niagara; tilera ]
-let all_with_small = all @ [ opteron2; xeon2 ]
 
 let n_cores t = t.topo.Topology.n_cores
 let clock_ghz t = t.topo.Topology.clock_ghz

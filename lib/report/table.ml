@@ -62,10 +62,7 @@ let render t : string =
 let print t = print_endline (render t)
 
 (* Format helpers used throughout the bench harness. *)
-let fcell f = Printf.sprintf "%.2f" f
 let fcell1 f = Printf.sprintf "%.1f" f
-let icell i = string_of_int i
-let opt_icell = function None -> "-" | Some i -> string_of_int i
 
 (* "measured (paper)" comparison cell. *)
 let vs_paper ~measured ~paper =

@@ -99,18 +99,6 @@ let with_lock t ~tid f =
   t.release ~tid;
   r
 
-(* Run [f] under the robust lock; when the grant carries an
-   [Owner_died] witness, [recover] runs first — still under the lock —
-   to repair the protected state the dead holders may have left
-   inconsistent. *)
-let with_lock_robust t ~tid ~recover f =
-  (match acquire_robust t ~tid with
-  | Clean -> ()
-  | Owner_died { dead } -> recover dead);
-  let r = f () in
-  release_robust t ~tid;
-  r
-
 (* Timed acquisition: retry [try_acquire] under capped exponential
    backoff until it succeeds or [timeout] virtual cycles elapse.
    Returns [false] on timeout, with the lock state untouched.  Bounded

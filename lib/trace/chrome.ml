@@ -66,19 +66,16 @@ let memop_ix : Arch.memop -> int = function
   | Tas -> 4
   | Swap -> 5
 
-let cstate_ix : Arch.cstate -> int = function
-  | Modified -> 0
-  | Owned -> 1
-  | Exclusive -> 2
-  | Shared -> 3
-  | Forward -> 4
-  | Invalid -> 5
+let n_memops = 6
 
-let n_xfer_names = 6 * 6 * 6 * 6
+let n_xfer_names =
+  n_memops * Arch.n_cstates * Arch.n_cstates * Cost_model.n_ranks
 
 let xfer_name xfer_names op pre post dist =
+  let st = (Arch.cstate_index pre * Arch.n_cstates) + Arch.cstate_index post in
   let i =
-    (((((memop_ix op * 6) + cstate_ix pre) * 6) + cstate_ix post) * 6)
+    (((memop_ix op * Arch.n_cstates * Arch.n_cstates) + st)
+     * Cost_model.n_ranks)
     + Cost_model.rank_of_class dist
   in
   let s = xfer_names.(i) in

@@ -2,7 +2,7 @@
    profiles (acquisition-latency histogram, hold/wait split, handoff
    distance-class matrix mirroring Table 2's same-die/one-hop/two-hops
    structure, fairness), per-cache-line coherence-traffic accounting
-   and a MOESI/MESIF state-pair transition matrix.
+   and a MOESI/MESI state-pair transition matrix.
 
    Locks are merged *by name* across jobs: a figure section that runs
    the same algorithm at eight thread counts profiles as one row per
@@ -59,30 +59,6 @@ type lock_prof = {
   mutable by_tid : int array; (* acquisitions per thread id *)
 }
 
-let n_states = 6
-
-let state_index = function
-  | Arch.Modified -> 0
-  | Arch.Owned -> 1
-  | Arch.Exclusive -> 2
-  | Arch.Shared -> 3
-  | Arch.Forward -> 4
-  | Arch.Invalid -> 5
-
-let state_of_index = function
-  | 0 -> Arch.Modified
-  | 1 -> Arch.Owned
-  | 2 -> Arch.Exclusive
-  | 3 -> Arch.Shared
-  | 4 -> Arch.Forward
-  | _ -> Arch.Invalid
-
-let ranked_classes =
-  [|
-    Arch.Same_core; Arch.Same_die; Arch.Same_mcm; Arch.One_hop; Arch.Two_hops;
-    Arch.Max_hops;
-  |]
-
 type xfer_key = {
   xk_platform : string;
   xk_op : Arch.memop;
@@ -94,7 +70,8 @@ type t = {
   mutable lock_order : string list; (* reversed first-seen order *)
   locks : (string, lock_prof) Hashtbl.t;
   xfers : (xfer_key, agg) Hashtbl.t;
-  trans : int array array; (* pre-state x post-state transfer counts *)
+  trans : int array array;
+      (* pre-state x post-state transfer counts, by [Arch.cstate_index] *)
   lines : (int, agg) Hashtbl.t; (* per-address traffic *)
   rq_link : int array; (* resource-queued cycles behind links, by rank *)
   rq_dir : int array; (* same, behind home directories *)
@@ -149,10 +126,10 @@ let create () =
     lock_order = [];
     locks = Hashtbl.create 16;
     xfers = Hashtbl.create 64;
-    trans = Array.make_matrix n_states n_states 0;
+    trans = Array.make_matrix Arch.n_cstates Arch.n_cstates 0;
     lines = Hashtbl.create 64;
-    rq_link = Array.make (Array.length ranked_classes) 0;
-    rq_dir = Array.make (Array.length ranked_classes) 0;
+    rq_link = Array.make Cost_model.n_ranks 0;
+    rq_dir = Array.make Cost_model.n_ranks 0;
     totals = totals_zero;
     dropped = 0;
     n_jobs = 0;
@@ -172,7 +149,7 @@ let lock_prof t name =
           hold_cy = 0;
           rels = 0;
           wait_hist = Array.make n_buckets 0;
-          handoff = Array.make (Array.length ranked_classes) 0;
+          handoff = Array.make Cost_model.n_ranks 0;
           by_tid = [||];
         }
       in
@@ -230,8 +207,8 @@ let add_trace t (tr : Trace.t) =
                 a
           in
           bump a ~cy:lat ~q:queued;
-          t.trans.(state_index pre).(state_index post) <-
-            t.trans.(state_index pre).(state_index post) + 1;
+          let i = Arch.cstate_index pre and j = Arch.cstate_index post in
+          t.trans.(i).(j) <- t.trans.(i).(j) + 1;
           let la =
             match Hashtbl.find_opt t.lines addr with
             | Some a -> a
@@ -263,11 +240,13 @@ let lock_table t : Table.t =
     List.filter
       (fun r ->
         List.exists (fun n -> (Hashtbl.find t.locks n).handoff.(r) > 0) names)
-      [ 0; 1; 2; 3; 4; 5 ]
+      (List.init Cost_model.n_ranks Fun.id)
   in
   let headers =
     [ "lock"; "acqs"; "wait avg"; "wait max"; "hold avg"; "fair min/max" ]
-    @ List.map (fun r -> Arch.distance_name ranked_classes.(r)) used_ranks
+    @ List.map
+        (fun r -> Arch.distance_name Cost_model.class_of_rank.(r))
+        used_ranks
   in
   let aligns = Table.Left :: List.map (fun _ -> Table.Right) (List.tl headers) in
   let rows =
@@ -334,9 +313,11 @@ let xfer_rows t =
          | 0 ->
              compare
                (k1.xk_platform, Arch.memop_name k1.xk_op,
-                state_index k1.xk_pre, Cost_model.rank_of_class k1.xk_dist)
+                Arch.cstate_index k1.xk_pre,
+                Cost_model.rank_of_class k1.xk_dist)
                (k2.xk_platform, Arch.memop_name k2.xk_op,
-                state_index k2.xk_pre, Cost_model.rank_of_class k2.xk_dist)
+                Arch.cstate_index k2.xk_pre,
+                Cost_model.rank_of_class k2.xk_dist)
          | c -> c)
 
 (* Coherence traffic by (platform, op, pre-access state, distance
@@ -377,18 +358,16 @@ let transitions_table t : Table.t =
     Array.exists (fun r -> r.(i) > 0) t.trans
     || Array.exists (fun c -> c > 0) t.trans.(i)
   in
-  let states = List.filter used [ 0; 1; 2; 3; 4; 5 ] in
-  let headers =
-    "from\\to"
-    :: List.map (fun j -> String.make 1 (Arch.cstate_letter (state_of_index j))) states
-  in
+  let states = List.filter used (List.init Arch.n_cstates Fun.id) in
+  let letter i = String.make 1 (Arch.cstate_letter Arch.cstate_of_index.(i)) in
+  let headers = "from\\to" :: List.map letter states in
   let aligns = Table.Left :: List.map (fun _ -> Table.Right) states in
   let rows =
     List.filter_map
       (fun i ->
         if Array.exists (fun c -> c > 0) t.trans.(i) then
           Some
-            (String.make 1 (Arch.cstate_letter (state_of_index i))
+            (letter i
             :: List.map
                  (fun j ->
                    if t.trans.(i).(j) = 0 then "." else string_of_int t.trans.(i).(j))
@@ -436,7 +415,7 @@ let interconnect_table t : Table.t =
   let used =
     List.filter
       (fun r -> t.rq_link.(r) > 0 || t.rq_dir.(r) > 0)
-      [ 0; 1; 2; 3; 4; 5 ]
+      (List.init Cost_model.n_ranks Fun.id)
   in
   let total = max 1 (rq_total t) in
   let headers =
@@ -450,7 +429,7 @@ let interconnect_table t : Table.t =
       (fun r ->
         let l = t.rq_link.(r) and d = t.rq_dir.(r) in
         [
-          Arch.distance_name ranked_classes.(r);
+          Arch.distance_name Cost_model.class_of_rank.(r);
           string_of_int l;
           string_of_int d;
           string_of_int (l + d);

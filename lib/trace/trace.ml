@@ -130,8 +130,8 @@ let create ?(capacity = default_capacity) () =
     a_fault = 0;
     a_send = 0;
     a_recv = 0;
-    a_rq_link = Array.make 6 0;
-    a_rq_dir = Array.make 6 0;
+    a_rq_link = Array.make Cost_model.n_ranks 0;
+    a_rq_dir = Array.make Cost_model.n_ranks 0;
   }
 
 let sink_key : t option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)

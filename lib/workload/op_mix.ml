@@ -3,8 +3,6 @@
 
 type op = Get | Put | Remove
 
-let op_name = function Get -> "get" | Put -> "put" | Remove -> "remove"
-
 type t = { get : int; put : int; remove : int (* percentages *) }
 
 let make ~get ~put ~remove =
@@ -15,7 +13,6 @@ let make ~get ~put ~remove =
 (* The paper's standard mix, which keeps the table size constant. *)
 let paper = make ~get:80 ~put:10 ~remove:10
 let get_only = make ~get:100 ~put:0 ~remove:0
-let put_only = make ~get:0 ~put:100 ~remove:0
 
 let sample t rng =
   let r = Rng.int rng 100 in

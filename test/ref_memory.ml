@@ -424,7 +424,7 @@ let transition t (l : line) core (op : Arch.memop) =
             Coreset.add l.sharers core;
             Coreset.add l.sharers o
         | Arch.Owned when o >= 0 -> Coreset.add l.sharers core
-        | Arch.Shared | Arch.Forward -> Coreset.add l.sharers core
+        | Arch.Shared -> Coreset.add l.sharers core
         | Arch.Invalid | Arch.Modified | Arch.Exclusive | Arch.Owned ->
             (* a fresh exclusive fill — or, for an ownerless
                Modified/Exclusive/Owned line (inconsistent), its repair *)
@@ -963,7 +963,7 @@ let force_state t ~holder ?(second = -1) (st : Arch.cstate) (a : addr) =
       ignore (access t ~core:holder ~now:0 Arch.Load a)
   | Arch.Modified ->
       ignore (access t ~core:holder ~now:0 Arch.Store a ~operand:t.values.(a))
-  | Arch.Shared | Arch.Forward ->
+  | Arch.Shared ->
       ignore (access t ~core:holder ~now:0 Arch.Load a);
       ignore (access t ~core:second ~now:0 Arch.Load a);
       l.state <- Arch.Shared

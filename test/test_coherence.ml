@@ -200,7 +200,7 @@ let qcheck_protocol_invariants =
             | Arch.Modified | Arch.Exclusive ->
                 l.Memory.owner >= 0 && Coreset.is_empty l.Memory.sharers
             | Arch.Owned -> l.Memory.owner >= 0
-            | Arch.Shared | Arch.Forward ->
+            | Arch.Shared ->
                 l.Memory.owner = -1 && not (Coreset.is_empty l.Memory.sharers)
             | Arch.Invalid -> l.Memory.owner = -1 && Coreset.is_empty l.Memory.sharers
           in

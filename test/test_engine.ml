@@ -338,13 +338,11 @@ let two_phase () =
 let test_two_phase_run () =
   let times, finals, p1, p2, delta = two_phase () in
   let times', finals', _, p2', _ = two_phase () in
-  let no_wall p = { p with Sim.wall_ns = 0 } in
   let t1, _, t2, _ = times in
   check_bool "second run advances the clock" true (t2 > t1);
   check_bool "deterministic: times and verdicts" true (times = times');
   check_bool "deterministic: final values" true (finals = finals');
-  check_bool "deterministic: perf (minus wall)" true
-    (no_wall p2 = no_wall p2');
+  check_bool "deterministic: perf" true (p2 = p2');
   check_bool "perf grows across the two calls" true
     (p2.Sim.events > p1.Sim.events && p2.Sim.sim_cycles > p1.Sim.sim_cycles);
   check_bool "perf is cumulative: equals the domain-counter delta" true

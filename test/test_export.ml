@@ -36,9 +36,7 @@ let gen_name =
 
 let gen_memop = QCheck.Gen.oneofl Arch.[ Load; Store; Cas; Fai; Tas; Swap ]
 
-let gen_cstate =
-  QCheck.Gen.oneofl
-    Arch.[ Modified; Owned; Exclusive; Shared; Forward; Invalid ]
+let gen_cstate = QCheck.Gen.oneofa Arch.cstate_of_index
 
 let gen_dist =
   QCheck.Gen.oneofl

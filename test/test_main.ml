@@ -3,6 +3,7 @@ let () =
     [
       ("platform", Test_platform.suite);
       ("coherence", Test_coherence.suite);
+      ("protocol", Test_protocol.suite);
       ("interconnect", Test_interconnect.suite);
       ("engine", Test_engine.suite);
       ("eventq", Test_eventq.suite);

@@ -38,9 +38,6 @@ let dump jobs =
   Metrics.dump_csv b jobs;
   Buffer.contents b
 
-(* Wall time masked for identity checks. *)
-let no_wall p = { p with Sim.wall_ns = 0 }
-
 (* A moderately contended lock workload: spins, parks, coherence
    traffic and interconnect queueing all occur, so every sampled kind
    is exercised. *)
@@ -82,8 +79,7 @@ let test_two_sims_one_sink () =
   let last1 = (Metrics.max_ts sink - 1) / Metrics.grid sink in
   let r2 = lock_job () in
   ignore (Metrics.stop ());
-  check_bool "both runs identical (minus wall)" true
-    (no_wall r1.Harness.perf = no_wall r2.Harness.perf);
+  check_bool "both runs identical" true (r1.Harness.perf = r2.Harness.perf);
   check_bool "first simulation sampled something" true (first <> []);
   let second =
     List.filter (fun s -> not (List.mem s first)) (samples sink)
@@ -113,8 +109,7 @@ let test_no_perturbation () =
   check_bool "ops identical" true (plain.Harness.ops = sampled.Harness.ops);
   check_int "duration identical" plain.Harness.duration
     sampled.Harness.duration;
-  check_bool "perf identical (minus wall)" true
-    (no_wall plain.Harness.perf = no_wall sampled.Harness.perf)
+  check_bool "perf identical" true (plain.Harness.perf = sampled.Harness.perf)
 
 (* ------------------------- reconciliation -------------------------- *)
 

@@ -109,7 +109,7 @@ let view_for topo ~holder ?(second = None) (st : Arch.cstate) :
         home;
         llc_dirty = false;
       }
-  | Arch.Shared | Arch.Forward ->
+  | Arch.Shared ->
       {
         state = Arch.Shared;
         owner = -1;
@@ -128,11 +128,7 @@ let tolerance_ok ~expected ~actual =
 (* Every (platform, op, state, distance) cell the paper reports must be
    reproduced by the cost model within 12% (or 3 cycles). *)
 let test_table2_calibration () =
-  let states =
-    [
-      Arch.Modified; Arch.Owned; Arch.Exclusive; Arch.Shared; Arch.Invalid;
-    ]
-  in
+  let states = Array.to_list Arch.cstate_of_index in
   let ops = [ Arch.Load; Arch.Store; Arch.Cas; Arch.Fai; Arch.Tas; Arch.Swap ] in
   let checked = ref 0 in
   List.iter
@@ -470,6 +466,18 @@ let qcheck_tables_match_references =
          = Cost_model.class_to_core t ~requester other
       && Topology.distance_class t requester other = ref_class t requester other)
 
+(* [Arch]'s state numbering and [Cost_model]'s rank numbering are each
+   the one table their users index by: index and inverse must agree. *)
+let test_numberings () =
+  Array.iteri
+    (fun i st ->
+      Alcotest.(check int) (Arch.cstate_name st) i (Arch.cstate_index st))
+    Arch.cstate_of_index;
+  Array.iteri
+    (fun r d ->
+      Alcotest.(check int) (Arch.distance_name d) r (Cost_model.rank_of_class d))
+    Cost_model.class_of_rank
+
 let suite =
   [
     Alcotest.test_case "core counts" `Quick test_core_counts;
@@ -500,4 +508,6 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_tables_match_references;
     Alcotest.test_case "Tilera integer interpolation" `Quick
       test_tilera_scale_matches_float;
+    Alcotest.test_case "state and rank numberings round-trip" `Quick
+      test_numberings;
   ]

@@ -131,13 +131,12 @@ let test_job_stats_captured () =
 
 let perf_of (a, b, c, d, e, f) =
   {
-    Sim.perf_zero with
     Sim.events = a;
     parks = b;
     wakeups = c;
     elided_probes = d;
     sim_cycles = e;
-    wall_ns = f;
+    link_queued_cycles = f;
   }
 
 let test_perf_arithmetic () =
@@ -155,13 +154,11 @@ let test_cumulative_matches_per_run () =
   let before = Sim.cumulative_perf () in
   let r = sim_workload () in
   let delta = Sim.perf_diff (Sim.cumulative_perf ()) before in
-  let p = { r.Harness.perf with Sim.wall_ns = 0 } in
-  let d = { delta with Sim.wall_ns = 0 } in
-  check_bool "cumulative delta equals the run's perf" true (p = d)
+  check_bool "cumulative delta equals the run's perf" true
+    (r.Harness.perf = delta)
 
 (* The pool's summed per-job counters are independent of the domain
-   count (wall time excepted): the --jobs invariant at the stats
-   level. *)
+   count: the --jobs invariant at the stats level. *)
 let test_total_stats_jobs_invariant () =
   let thunks () =
     Array.init 4 (fun i () ->
@@ -252,7 +249,7 @@ let test_byte_identical_output () =
   let out4, perf4 = run_suite ~jobs:4 in
   check_bool "serial run rendered something" true (String.length out1 > 500);
   check_string "stdout byte-identical with 1 and 4 domains" out1 out4;
-  (* identical aggregated counters, wall time excepted *)
+  (* identical aggregated counters *)
   check_int "events" perf1.Sim.events perf4.Sim.events;
   check_int "parks" perf1.Sim.parks perf4.Sim.parks;
   check_int "wakeups" perf1.Sim.wakeups perf4.Sim.wakeups;
