@@ -3,13 +3,20 @@
 #
 #   bench/perf_pairs.sh PARENT_DIR CHANGE_DIR WORKLOAD SEED N
 #
-# First compares the two trees' code layout: the caml_curryN/caml_applyN
-# set of perf/main.exe (it sizes caml_startup, which is linked first) and
-# the address of Pace.kernel mod 64.  perf/ rescales host times by that
-# kernel's speed, so a layout difference moves every reading a few
-# percent; the script warns when they differ.
+# First prints each tree's build profile: whether dune compiles Sim with
+# -opaque, as its dev profile does (dune build --profile dev).  Without
+# -opaque (the release profile that dune-workspace selects) callers
+# inline across modules and host_s reads 4-12% lower, so the script
+# warns when the two trees differ.
 #
-# Then runs N pairs of the BENCHMARK.json command (--seconds from its
+# Then compares the two trees' code layout: the caml_curryN/caml_applyN
+# set of perf/main.exe (it sizes caml_startup, which is linked first),
+# printed as the arities only one tree has, and the address of
+# Pace.kernel mod 64.  perf/ rescales host times by that kernel's speed,
+# so a layout difference moves every reading a few percent; the script
+# warns when they differ.
+#
+# Finally runs N pairs of the BENCHMARK.json command (--seconds from its
 # run_seconds) on WORKLOAD at SEED, alternating which tree goes first,
 # and prints for every end-to-end metric each side's median [Q1, Q3],
 # the pairs the change won (ties count for neither), the median delta
@@ -20,10 +27,11 @@
 # opposite directions: then the pace readings, not the program, decide
 # the sign of host_s.  It also prints the medians of host_pace and the
 # failed job counts.  Raw outputs stay in a temporary directory, printed
-# first.  With N = 0 the script stops after the layout check.
+# first.  With N = 0 the script stops after the profile and layout checks.
 #
-# Needs bash, nm, awk and python3; both trees must already be built
-# (dune build), since the layout check reads their _build directories.
+# Needs bash, dune, nm, awk, comm and python3; both trees must already be
+# built (dune build), since the layout check reads their _build
+# directories.
 
 set -euo pipefail
 
@@ -45,9 +53,29 @@ for d in "$parent" "$change"; do
   fi
 done
 
+# ---- build profile check ----
+sim_rule=_build/default/lib/engine/.ssync_engine.objs/native/ssync_engine__Sim.cmx
+profile() {
+  local rule
+  if ! rule=$(cd "$1" && dune rules "$sim_rule" 2>/dev/null); then
+    echo "unknown (dune rules failed)"
+  elif grep -q -- '-opaque' <<<"$rule"; then
+    echo "Sim compiled with -opaque (no cross-module inlining)"
+  else
+    echo "Sim compiled without -opaque"
+  fi
+}
+ppro=$(profile "$parent"); cpro=$(profile "$change")
+echo "profile parent: $ppro"
+echo "profile change: $cpro"
+if [ "$ppro" != "$cpro" ]; then
+  echo "WARNING: the trees are built with different profiles; host_s" \
+    "differs by 4-12% on the five workloads for that reason alone"
+fi
+
 # ---- layout check ----
 arities() {
-  nm -n "$1/$exe" | grep -oE 'caml_(curry|apply)[0-9]+$' | sort -u | tr '\n' ' '
+  nm -n "$1/$exe" | grep -oE 'caml_(curry|apply)[0-9]+$' | LC_ALL=C sort -u
 }
 kernel_mod64() {
   local a
@@ -55,10 +83,14 @@ kernel_mod64() {
   echo $((0x$a % 64))
 }
 pa=$(arities "$parent"); ca=$(arities "$change")
+only() { # SET OTHER: the members of SET missing from OTHER
+  LC_ALL=C comm -23 <(echo "$1") <(echo "$2") | paste -sd ' ' -
+}
+op=$(only "$pa" "$ca"); oc=$(only "$ca" "$pa")
 pk=$(kernel_mod64 "$parent"); ck=$(kernel_mod64 "$change")
-echo "layout  parent: Pace.kernel mod 64 = $pk; $pa"
-echo "layout  change: Pace.kernel mod 64 = $ck; $ca"
-if [ "$pa" != "$ca" ] || [ "$pk" != "$ck" ]; then
+echo "layout  Pace.kernel mod 64: parent $pk, change $ck"
+echo "layout  curry/apply arities only in parent: ${op:-none}; only in change: ${oc:-none}"
+if [ -n "$op$oc" ] || [ "$pk" != "$ck" ]; then
   echo "WARNING: code layout differs between the trees; host times may" \
     "shift by a few percent on every workload for that reason alone"
 fi

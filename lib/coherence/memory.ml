@@ -143,10 +143,11 @@ let f_cas = 7
 let state_mask = 7
 let llc_bit = 8
 
-(* The codes of the states [transition] writes, looked up once: dune's
-   default profile compiles with [-opaque], so [Arch.cstate_index] on
-   every transition would be a real call (about 2% of host time on a
-   contended lock). *)
+(* The codes of the states [transition] writes, looked up once.  The
+   release build (dune-workspace) inlines [Arch.cstate_index], but a
+   build with [-opaque] ([dune build --profile dev]) would make each
+   lookup a real call, about 2% of host time on a contended lock; the
+   constants keep [transition] the same code under both. *)
 let c_modified = Arch.cstate_index Arch.Modified
 let c_owned = Arch.cstate_index Arch.Owned
 let c_exclusive = Arch.cstate_index Arch.Exclusive
@@ -1084,6 +1085,13 @@ let reset_resources t = Array.fill t.rbusy 0 (Array.length t.rbusy) 0
    the desired state and then accesses it").  [holder] is the core that
    ends up holding the line. *)
 let force_state t ~holder ?(second = -1) (st : Arch.cstate) (a : addr) =
+  let second =
+    if second >= 0 then second
+    else (holder + 1) mod t.platform.Platform.topo.Topology.n_cores
+  in
+  (* the holder's second load would keep the line Exclusive, and the
+     Shared relabel below would leave an owner with no sharers *)
+  if second = holder then invalid_arg "Memory.force_state: second = holder";
   let ls = t.ls and b = line_id t a * lw in
   (* wipe: back to invalid, [llc_dirty] clear *)
   ls.(b + f_state) <- c_invalid;
@@ -1093,10 +1101,6 @@ let force_state t ~holder ?(second = -1) (st : Arch.cstate) (a : addr) =
   ls.(b + f_pfw) <- -1;
   ls.(b + f_cas) <- -1;
   reset_resources t;
-  let second =
-    if second >= 0 then second
-    else (holder + 1) mod t.platform.Platform.topo.Topology.n_cores
-  in
   (match st with
   | Arch.Invalid -> ()
   | Arch.Exclusive ->

@@ -249,7 +249,8 @@ val force_state :
     original ccbench does; [holder] ends up holding the line, [second]
     is the extra sharer used for [Shared]/[Owned].  Also clears all
     interconnect-resource occupancy so isolated latency probes see an
-    idle machine. *)
+    idle machine.
+    @raise Invalid_argument if [second] equals [holder]. *)
 
 val reset_busy : t -> addr -> unit
 (** Clear the line's occupancy and all interconnect-resource occupancy

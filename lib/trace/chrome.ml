@@ -56,8 +56,8 @@ let grow a i fill =
   a'
 
 (* Transfer names ("load M>S two hops") are cached by (op, pre, post,
-   distance) in a table of one export call, each built the first time
-   it is written. *)
+   distance) in one table per domain, each built the first time it is
+   written and reused by every later export in that domain. *)
 let memop_ix : Arch.memop -> int = function
   | Load -> 0
   | Store -> 1
@@ -93,6 +93,8 @@ let xfer_name xfer_names op pre post dist =
     xfer_names.(i) <- s;
     s
   end
+
+let xfer_key = Domain.DLS.new_key (fun () -> Array.make n_xfer_names "")
 
 (* What a track currently has open, innermost first. *)
 type slice = Wait of int | Hold of int | Parked
@@ -373,7 +375,7 @@ let export_buffer ?(metrics : (string * Metrics.t) list = []) b
     (fun (label, m) ->
       if not (Hashtbl.mem by_label label) then Hashtbl.add by_label label m)
     metrics;
-  let xfer = Array.make n_xfer_names "" in
+  let xfer = Domain.DLS.get xfer_key in
   List.iteri
     (fun i (label, tr) ->
       export_job b ~xfer ~pid:(i + 1) ~label

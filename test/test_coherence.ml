@@ -631,6 +631,24 @@ let test_event_queue_allocation_free () =
   in
   check_int "push + pop at depth 16: minor words" 0 words
 
+(* A Shared line needs a second core: with [second = holder] the
+   holder's two loads leave the line Exclusive, and relabelling it
+   Shared would leave an owner and no sharers.  The call must fail
+   before it touches the line. *)
+let test_force_state_second_is_holder () =
+  List.iter
+    (fun (pid, st) ->
+      let m = mem_on pid in
+      let a = Memory.alloc m in
+      Memory.force_state m ~holder:3 Arch.Modified a;
+      Alcotest.check_raises
+        (Printf.sprintf "%s %s" (Arch.platform_name pid) (Arch.cstate_name st))
+        (Invalid_argument "Memory.force_state: second = holder")
+        (fun () -> Memory.force_state m ~holder:3 ~second:3 st a);
+      Alcotest.(check string) "line untouched" "Modified" (state_name m a))
+    [ (Arch.Xeon, Arch.Shared); (Arch.Opteron, Arch.Shared);
+      (Arch.Opteron, Arch.Owned) ]
+
 let suite =
   [
     Alcotest.test_case "first load fills Exclusive" `Quick
@@ -661,4 +679,6 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_flat_table_oracle;
     Alcotest.test_case "line setup allocates nothing" `Quick
       test_alloc_allocation_free;
+    Alcotest.test_case "force_state rejects second = holder" `Quick
+      test_force_state_second_is_holder;
   ]

@@ -223,8 +223,48 @@ let test_int_digits () =
     ([ 0; max_int; min_int; max_int - 1; min_int + 1 ]
     @ List.concat_map around pows)
 
+(* Transfer names are cached once per domain and reused by later
+   exports: a trace naming every (op, pre, post, distance) exports to
+   the same bytes twice in one domain, in a fresh domain, and in the
+   Printf reference. *)
+let test_name_cache_per_domain () =
+  let tr = Trace.create ~capacity:4096 () in
+  let ts = ref 0 in
+  Array.iter
+    (fun op ->
+      Array.iter
+        (fun pre ->
+          Array.iter
+            (fun post ->
+              Array.iter
+                (fun dist ->
+                  incr ts;
+                  Trace.emit tr ~ts:!ts
+                    (Trace.E_xfer
+                       {
+                         tid = !ts land 3 - 1; core = 0; op; addr = !ts; pre;
+                         post; dist; lat = 7; service = 5; queued = 1; rq = 0;
+                         rq_dir = true;
+                       }))
+                Cost_model.class_of_rank)
+            Arch.cstate_of_index)
+        Arch.cstate_of_index)
+    Arch.[| Load; Store; Cas; Fai; Tas; Swap |];
+  let jobs = [ ("xfer", tr) ] in
+  let export () = Chrome.export_string jobs in
+  let first = export () in
+  let want = Buffer.create 65536 in
+  Ref_export.export_buffer ~metrics:[] want jobs;
+  Alcotest.(check string) "first export" (Buffer.contents want) first;
+  Alcotest.(check string) "second export, same domain" first (export ());
+  Alcotest.(check string)
+    "fresh domain" first
+    (Domain.join (Domain.spawn export))
+
 let suite =
   [
     QCheck_alcotest.to_alcotest qcheck_exporters_match_reference;
     Alcotest.test_case "Writer.int = string_of_int" `Quick test_int_digits;
+    Alcotest.test_case "transfer names cached per domain" `Quick
+      test_name_cache_per_domain;
   ]
