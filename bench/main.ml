@@ -67,14 +67,18 @@
                                scorecard; exits 1 on any violation.
                                Combines with --quick/--jobs.
      bench/main.exe --compare-perf BASELINE FRESH
-                               perf guardrail: exit 1 if FRESH shows the
-                               simulator regressing vs BASELINE (>25%
-                               drop in simulated cycles per cpu second
-                               globally or in a non-trivial section,
-                               >25% growth in events executed globally
-                               or per section, or a section's cpu time
-                               blowing up >1.75x and >0.5s); all failing
-                               checks are reported before exiting *)
+                               perf guardrail: exit 1 if FRESH does not
+                               list BASELINE's sections, if any of a
+                               section's six engine counters (events,
+                               parks, wakeups, elided_probes,
+                               link_queued_cycles, sim_cycles; the
+                               total included) differs from BASELINE's,
+                               or if host time regressed (>25% drop in
+                               simulated cycles per cpu second globally
+                               or in a non-trivial section, or a
+                               section's cpu time blowing up >1.75x and
+                               >0.5s); every failing (section, counter)
+                               is reported before exiting *)
 
 open Ssync_bench
 
@@ -234,14 +238,23 @@ let section_time line =
   | Some t -> Some t
   | None -> field_num line "wall_s"
 
+(* The engine counters every section line carries.  They are
+   deterministic, so a fresh run must reproduce the baseline's exactly. *)
+let counter_keys =
+  [ "events"; "parks"; "wakeups"; "elided_probes"; "link_queued_cycles";
+    "sim_cycles" ]
+
+type parsed_section = {
+  ps_name : string;
+  ps_cpu : float option; (* cpu_s, or wall_s in serial-harness files *)
+  ps_mcps : float option; (* simulated Mcycles per cpu second *)
+  ps_counters : (string * float option) list; (* [counter_keys] order *)
+}
+
 type file_perf = {
   fp_mode : string;
-  fp_sections :
-    (string * float * float option * float option * float option) list;
-      (* section -> cpu_s (or wall_s), then events, sim Mcy/s and
-         sim_cycles when the format has them *)
-  fp_events : float;
-  fp_mcps : float; (* simulated Mcycles per cpu second *)
+  fp_mcps : float; (* the total's simulated Mcycles per cpu second *)
+  fp_sections : parsed_section list; (* file order, "total" included *)
 }
 
 let perf_summary path =
@@ -259,35 +272,27 @@ let perf_summary path =
         List.rev acc
   in
   let lines = lines [] in
-  let mode = List.find_map (fun l -> field_str l "mode") lines in
-  let total =
-    List.find_opt (fun l -> field_str l "section" = Some "total") lines
-  in
   let sections =
     List.filter_map
       (fun l ->
-        match field_str l "section" with
-        | Some name when name <> "total" -> (
-            match section_time l with
-            | Some t ->
-                Some
-                  ( name,
-                    t,
-                    field_num l "events",
-                    field_num l "sim_mcycles_per_s",
-                    field_num l "sim_cycles" )
-            | None -> None)
-        | _ -> None)
+        Option.map
+          (fun name ->
+            {
+              ps_name = name;
+              ps_cpu = section_time l;
+              ps_mcps = field_num l "sim_mcycles_per_s";
+              ps_counters = List.map (fun k -> (k, field_num l k)) counter_keys;
+            })
+          (field_str l "section"))
       lines
   in
-  match (mode, total) with
-  | Some m, Some t -> (
-      match (field_num t "events", field_num t "sim_mcycles_per_s") with
-      | Some ev, Some mcps ->
-          { fp_mode = m; fp_sections = sections; fp_events = ev; fp_mcps = mcps }
-      | _ ->
-          Printf.eprintf "--compare-perf: %s: malformed total line\n" path;
-          exit 2)
+  let total = List.find_opt (fun ps -> ps.ps_name = "total") sections in
+  match (List.find_map (fun l -> field_str l "mode") lines, total) with
+  | Some m, Some { ps_mcps = Some mcps; _ } ->
+      { fp_mode = m; fp_mcps = mcps; fp_sections = sections }
+  | Some _, Some _ ->
+      Printf.eprintf "--compare-perf: %s: malformed total line\n" path;
+      exit 2
   | _ ->
       Printf.eprintf "--compare-perf: %s: missing mode or total entry\n" path;
       exit 2
@@ -302,33 +307,53 @@ let compare_perf baseline_path fresh_path =
       b.fp_mode f.fp_mode;
     exit 2
   end;
+  let find fp name =
+    List.find_opt (fun ps -> ps.ps_name = name) fp.fp_sections
+  in
+  let bm = b.fp_mcps and fm = f.fp_mcps in
   Printf.printf
     "perf guardrail (%s mode):\n\
-    \  events       %12.0f -> %12.0f  (%+.1f%%, limit +25%%)\n\
     \  sim Mcy/s    %12.1f -> %12.1f  (%+.1f%%, limit -25%%)\n"
-    b.fp_mode b.fp_events f.fp_events
-    (100. *. ((f.fp_events /. b.fp_events) -. 1.))
-    b.fp_mcps f.fp_mcps
-    (100. *. ((f.fp_mcps /. b.fp_mcps) -. 1.));
+    b.fp_mode bm fm
+    (100. *. ((fm /. bm) -. 1.));
   (* Every check runs and every failure is reported before the non-zero
      exit, so one CI run shows the full damage instead of the first
      mismatch.  The failure list keeps file order, so the report is
      deterministic. *)
   let failures = ref [] in
   let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
-  if f.fp_events > 1.25 *. b.fp_events then
-    fail
-      "the simulator now executes >25%% more events for the same workload \
-       (lost elision/parking coverage?)";
-  if f.fp_mcps < 0.75 *. b.fp_mcps then
+  if fm < 0.75 *. bm then
     fail "simulated cycles per cpu second dropped >25%% (hot-path slowdown?)";
+  (* Both files must list the same sections, and every engine counter
+     of every section, the total included, must be equal: the counters
+     are deterministic, so a change that moves one must commit the
+     regenerated baseline. *)
   List.iter
-    (fun (name, ft, fev, fmcps, fscy) ->
-      match
-        List.find_opt (fun (n, _, _, _, _) -> n = name) b.fp_sections
-      with
-      | None -> ()
-      | Some (_, bt, bev, bmcps, _) ->
+    (fun ps ->
+      if find f ps.ps_name = None then
+        fail "section %s: in the baseline, missing from the fresh run"
+          ps.ps_name)
+    b.fp_sections;
+  let show = function Some v -> Printf.sprintf "%.0f" v | None -> "missing" in
+  List.iter
+    (fun fps ->
+      match find b fps.ps_name with
+      | None ->
+          fail "section %s: in the fresh run, missing from the baseline"
+            fps.ps_name
+      | Some bps ->
+          List.iter2
+            (fun (k, bv) (_, fv) ->
+              if bv = None || bv <> fv then
+                fail "section %s: %s %s -> %s (must be equal)" fps.ps_name k
+                  (show bv) (show fv))
+            bps.ps_counters fps.ps_counters)
+    f.fp_sections;
+  List.iter
+    (fun fps ->
+      match (find b fps.ps_name, fps.ps_cpu) with
+      | Some bps, Some ft when fps.ps_name <> "total" -> (
+          let bt = Option.value ~default:0. bps.ps_cpu in
           (* Per-section cpu time, with a deliberately generous
              threshold: the numbers are one-shot wall measurements on a
              possibly noisy host, so only flag a section that both blew
@@ -337,23 +362,10 @@ let compare_perf baseline_path fresh_path =
           if ft > 1.75 *. bt && ft -. bt > 0.5 then begin
             Printf.printf
               "  section %-22s %8.2fs -> %8.2fs  (limit 1.75x and +0.5s)\n"
-              name bt ft;
+              fps.ps_name bt ft;
             fail "section %s: cpu time %.2fs -> %.2fs (limit 1.75x and +0.5s)"
-              name bt ft
+              fps.ps_name bt ft
           end;
-          (* Per-section event counts are exact, not host-noisy, so they
-             localize an events regression to the section that caused
-             it; the absolute floor keeps tiny sections from tripping on
-             legitimate small changes. *)
-          (match (bev, fev) with
-          | Some be, Some fe when fe > 1.25 *. be && fe -. be > 1e6 ->
-              Printf.printf
-                "  section %-22s %8.0f -> %8.0f events  (limit 1.25x and \
-                 +1e6)\n"
-                name be fe;
-              fail "section %s: events %.0f -> %.0f (limit 1.25x and +1e6)"
-                name be fe
-          | _ -> ());
           (* Per-section simulator throughput (simulated Mcycles per
              cpu second): localizes a hot-path slowdown to the section
              that pays it.  Only sections with a non-trivial baseline
@@ -364,25 +376,30 @@ let compare_perf baseline_path fresh_path =
              to judge — cpu time there is dominated by host execution,
              so a Mcy/s ratio would be 0/0 noise.  Say so out loud
              rather than leaving a silent hole in the report. *)
-          match fscy with
+          match List.assoc "sim_cycles" fps.ps_counters with
           | Some 0. ->
               Printf.printf
                 "  section %-22s (sim_cycles 0: native section, throughput \
                  check skipped)\n"
-                name
+                fps.ps_name
           | _ -> (
-              match (bmcps, fmcps) with
+              match (bps.ps_mcps, fps.ps_mcps) with
               | Some bm, Some fm when bt >= 0.5 && bm > 0. && fm < 0.75 *. bm
                 ->
                   Printf.printf
                     "  section %-22s %8.1f -> %8.1f sim Mcy/s  (limit -25%%)\n"
-                    name bm fm;
-                  fail "section %s: sim Mcy/s %.1f -> %.1f (limit -25%%)" name
-                    bm fm
+                    fps.ps_name bm fm;
+                  fail "section %s: sim Mcy/s %.1f -> %.1f (limit -25%%)"
+                    fps.ps_name bm fm
               | _ -> ()))
+      | _ -> ())
     f.fp_sections;
   match List.rev !failures with
-  | [] -> Printf.printf "OK: within budget\n"
+  | [] ->
+      Printf.printf
+        "OK: %d sections, engine counters equal the baseline, host time \
+         within budget\n"
+        (List.length f.fp_sections)
   | fs ->
       List.iter (fun s -> Printf.printf "FAIL: %s\n" s) fs;
       exit 1

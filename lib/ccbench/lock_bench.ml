@@ -16,8 +16,8 @@ let lcg_next s = ((s * 1103515245) + 12345) land 0x3FFFFFFF
    pauses so the release is visible before it retries (section 6.1.2).
    [faults] injects deterministic preemption/jitter/crash interference
    (the lock-holder-preemption experiment); default none. *)
-let throughput ?faults ?(duration = 400_000) ?(cs_extra = 0) pid algo ~threads
-    ~n_locks : Harness.result =
+let throughput ?faults ?(duration = 400_000) pid algo ~threads ~n_locks :
+    Harness.result =
   let p = Platform.get pid in
   let local_work = Platform.local_work_for p ~threads in
   Harness.run ?faults p ~threads ~duration
@@ -40,7 +40,6 @@ let throughput ?faults ?(duration = 400_000) ?(cs_extra = 0) pid algo ~threads
         (* the protected data: one read and one write *)
         let v = Sim.load data.(i) in
         Sim.store data.(i) (v + 1);
-        if cs_extra > 0 then Sim.pause cs_extra;
         lock.Lock_type.release ~tid;
         Sim.pause local_work;
         incr n
@@ -52,13 +51,13 @@ let throughput ?faults ?(duration = 400_000) ?(cs_extra = 0) pid algo ~threads
    Figures 8 and 11. *)
 type best = { algo : Simlock.algo; mops : float; scalability : float }
 
-let best_of ?duration ?cs_extra pid ~threads ~n_locks : best =
+let best_of ?duration pid ~threads ~n_locks : best =
   let p = Platform.get pid in
   let algos = Simlock.algos_for p in
   let results =
     List.map
       (fun a ->
-        (a, (throughput ?duration ?cs_extra pid a ~threads ~n_locks).Harness.mops))
+        (a, (throughput ?duration pid a ~threads ~n_locks).Harness.mops))
       algos
   in
   let best_algo, best_mops =
@@ -70,7 +69,7 @@ let best_of ?duration ?cs_extra pid ~threads ~n_locks : best =
     List.fold_left
       (fun acc a ->
         Float.max acc
-          (throughput ?duration ?cs_extra pid a ~threads:1 ~n_locks)
+          (throughput ?duration pid a ~threads:1 ~n_locks)
             .Harness.mops)
       0. algos
   in
@@ -86,8 +85,8 @@ let best_of ?duration ?cs_extra pid ~threads ~n_locks : best =
    acquires and releases, then hands control to the measuring thread
    through a separate flag line; only the measuring thread's
    acquire+release is timed. *)
-let uncontested_latency ?(rounds = 60) pid algo (distance : Arch.distance) :
-    float option =
+let uncontested_latency pid algo (distance : Arch.distance) : float option =
+  let rounds = 60 in
   let p = Platform.get pid in
   let topo = p.Platform.topo in
   match Topology.pair_at_distance topo distance with
@@ -123,7 +122,8 @@ let uncontested_latency ?(rounds = 60) pid algo (distance : Arch.distance) :
 
 (* Single-thread acquisition latency (Figure 6's "single thread" bar):
    the same core re-acquires a lock it just released. *)
-let single_thread_latency ?(rounds = 60) pid algo : float =
+let single_thread_latency pid algo : float =
+  let rounds = 60 in
   let p = Platform.get pid in
   let sim = Sim.create p in
   let mem = Sim.memory sim in

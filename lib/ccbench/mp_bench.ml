@@ -9,8 +9,8 @@ type one_to_one = { one_way : float; round_trip : float }
 
 (* Figure 9: two cores exchange messages; one-way latency is the mean
    send-to-receive delay, round-trip the full ping-pong cycle. *)
-let one_to_one ?(rounds = 100) ?prefetchw pid (distance : Arch.distance) :
-    one_to_one option =
+let one_to_one ?prefetchw pid (distance : Arch.distance) : one_to_one option =
+  let rounds = 100 in
   let p = Platform.get pid in
   match Topology.pair_at_distance p.Platform.topo distance with
   | None -> None

@@ -50,12 +50,13 @@
    cost-model view (refilled from the table before every cost-model
    call; it owns its sharer set), the resource-path buffer and the
    [last_result] out-parameter — plus the running [Stats.t] and, when
-   metrics are on, the virtual-time accumulator, so the engine's
-   per-operation path allocates nothing.  Most accesses of a run are
-   loads that hit in the requester's own cache; with metrics off and no
-   spinner parked on the line, [access_lat_in] serves them on a short
-   path that returns the platform's hit latency without consulting the
-   cost model. *)
+   metrics are on, the domain's metrics sink, which every sampled
+   access writes into directly, so the engine's per-operation path
+   allocates nothing.  Most accesses of a run are loads that hit in
+   the requester's own cache; with metrics off and no spinner parked
+   on the line, [access_lat_in] serves them on a short path that
+   returns the platform's hit latency without consulting the cost
+   model. *)
 
 open Ssync_platform
 module Trace = Ssync_trace.Trace
@@ -211,10 +212,9 @@ type t = {
          memory operation *)
   stats : Stats.t;
   macc : Metrics.t option;
-      (* this memory's metrics accumulator, a [Metrics.branch] of the
-         domain sink cached at creation like [trace]: [None] when
-         metrics are off, so the sampled hot path costs one option
-         match.  Drained into the sink by [drain_metrics]. *)
+      (* the domain's metrics sink, cached at creation like [trace]
+         and written as each sample is taken: [None] when metrics are
+         off, so the sampled hot path costs one option match *)
   trace : Trace.t option;
       (* the domain's trace sink, cached at creation time so the
          untraced hot path pays exactly one option match per access *)
@@ -293,7 +293,7 @@ let create platform =
     path = Array.make Cost_model.max_path_len 0;
     last_result = 0;
     stats = Stats.create ();
-    macc = Option.map Metrics.branch metrics;
+    macc = metrics;
     trace;
     msince =
       (match metrics with
@@ -327,17 +327,6 @@ let platform t = t.platform
 let stats t = t.stats
 let n_lines t = t.n_lines
 let line_words t = t.platform.Platform.topo.Topology.line_words
-
-let metrics t = t.macc
-
-(* Fold the memory's metrics accumulator into the domain's sink — called
-   by the engine when a run completes; the merge empties the
-   accumulator, so callers that step a simulation through several runs
-   drain incrementally without overlap. *)
-let drain_metrics t =
-  match (Metrics.current (), t.macc) with
-  | Some sink, Some m -> Metrics.merge ~into:sink m
-  | _ -> ()
 
 (* Append one line homed at node [home]; returns its line id.  Every
    cell of the entry is written explicitly: the arrays may be recycled

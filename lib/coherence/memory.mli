@@ -99,6 +99,11 @@ val no_tie : int -> bool
 type t
 
 val create : Platform.t -> t
+(** A memory with no lines.  It caches the domain's [Trace] and
+    [Metrics] sinks, if installed, and starts a new epoch on each, so
+    successive memories of one job land on disjoint segments of its
+    timeline; every sample it takes goes straight into the sink. *)
+
 val platform : t -> Platform.t
 
 val stats : t -> Stats.t
@@ -108,17 +113,6 @@ val n_lines : t -> int
 
 val line_words : t -> int
 (** Words per cache line on this memory's platform. *)
-
-val metrics : t -> Ssync_metrics.Metrics.t option
-(** This memory's metrics accumulator ([None] when metrics are off).
-    The engine charges its own virtual-time gauges — thread run-state
-    spans, park/wake counts — into it alongside the coherence-level
-    samples the memory records. *)
-
-val drain_metrics : t -> unit
-(** Fold the metrics accumulator into the domain's [Metrics] sink and
-    empty it (no-op when metrics are off).  The engine calls it at the
-    end of every run. *)
 
 val dispose : t -> unit
 (** Return the memory's line table, wait-list heads and word arrays to

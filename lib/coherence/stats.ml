@@ -66,10 +66,7 @@ let record_elided t op ~count ~latency ~local =
   if local then t.local_hits <- t.local_hits + count;
   t.elided_probes <- t.elided_probes + count
 
-(* Accumulate [src] into [dst] field-wise.  Used to aggregate the
-   per-simulation statistics of independent jobs (each owning its own
-   [Memory.t]) into one per-section total after a parallel fan-out —
-   merging values beats sharing a global that domains would race on. *)
+(* Add [src] into [dst] field-wise. *)
 let add dst src =
   let add_counter d s =
     d.count <- d.count + s.count;
@@ -84,21 +81,13 @@ let add dst src =
   dst.link_queued_cycles <- dst.link_queued_cycles + src.link_queued_cycles;
   dst.elided_probes <- dst.elided_probes + src.elided_probes
 
-(* An independent snapshot of [t]. *)
+(* An independent snapshot of [t].  It stays a [create] and an [add]:
+   small enough to inline into perf/'s callers, where any other shape
+   changes their size and moves the pace kernel's alignment (see the
+   layout check in bench/perf_pairs.sh). *)
 let copy t =
   let c = create () in
   add c t;
   c
 
 let total_ops t = t.loads.count + t.stores.count + t.atomics.count
-
-let mean_latency c =
-  if c.count = 0 then 0. else float_of_int c.cycles /. float_of_int c.count
-
-let pp ppf t =
-  Format.fprintf ppf
-    "loads=%d (avg %.1f cy) stores=%d (avg %.1f cy) atomics=%d (avg %.1f cy) \
-     local-hits=%d invalidations=%d queued=%d cy (links/dirs %d cy)"
-    t.loads.count (mean_latency t.loads) t.stores.count (mean_latency t.stores)
-    t.atomics.count (mean_latency t.atomics) t.local_hits t.invalidations
-    t.queued_cycles t.link_queued_cycles

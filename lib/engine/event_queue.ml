@@ -189,10 +189,6 @@ type t = {
   mutable chain_last : chain;
 }
 
-(* Allocating view of a popped event, kept for tests and casual
-   callers; the simulator uses [pop_into]. *)
-type event = { time : int; seq : int; run : unit -> unit }
-
 (* Caller-owned cell refilled by [pop_into]; [p_node] only by ordered
    queues. *)
 type popped = {
@@ -376,14 +372,6 @@ let pop_into t (p : popped) =
     if t.ordered then p.p_node <- t.nodes.(0);
     remove_root t;
     true
-  end
-
-let pop t =
-  if t.size = 0 then None
-  else begin
-    let e = { time = t.times.(0); seq = t.seqs.(0); run = t.runs.(0) } in
-    remove_root t;
-    Some e
   end
 
 (* Non-allocating variant for the simulator's hot path: one field read. *)

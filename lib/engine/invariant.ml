@@ -25,7 +25,7 @@
      there is a lost queue position (e.g. a botched dead-node
      excision).  [E_wait] is emitted before the queue-entry operation
      issues, so two near-simultaneous waiters can enqueue in either
-     order: the default slack (threads + 3) absorbs that and still
+     order: a slack of the thread count + 3 absorbs that and still
      catches systematic queue-jumping.  Crash-stopped threads are
      exempt (excising a corpse legitimately reorders its neighbours).
 
@@ -83,8 +83,7 @@ type lock_state = {
   overtaken : (int, int) Hashtbl.t; (* tid -> times overtaken while waiting *)
 }
 
-let check ?slack ?(fifo = fifo_lock) ~(completed : int -> bool) (tr : Trace.t)
-    : report =
+let check ~(completed : int -> bool) (tr : Trace.t) : report =
   let locks : (int, lock_state) Hashtbl.t = Hashtbl.create 8 in
   let state lk =
     match Hashtbl.find_opt locks lk with
@@ -186,9 +185,8 @@ let check ?slack ?(fifo = fifo_lock) ~(completed : int -> bool) (tr : Trace.t)
       | Trace.E_wake { tid; _ } -> Hashtbl.remove parked tid
       | Trace.E_xfer _ | Trace.E_send _ | Trace.E_recv _ -> ());
   (* bounded overtaking, judged after the full replay so the slack can
-     default to the observed thread count *)
-  let n_tids = Hashtbl.length tids in
-  let slack = match slack with Some s -> s | None -> n_tids + 3 in
+     follow the observed thread count *)
+  let slack = Hashtbl.length tids + 3 in
   let max_ot = ref 0 in
   Hashtbl.iter
     (fun lk s ->
@@ -196,7 +194,7 @@ let check ?slack ?(fifo = fifo_lock) ~(completed : int -> bool) (tr : Trace.t)
         (fun tid n ->
           if not (crashed tid) then begin
             if n > !max_ot then max_ot := n;
-            if fifo (Trace.lock_name tr lk) && n > slack then
+            if fifo_lock (Trace.lock_name tr lk) && n > slack then
               flag
                 {
                   v_kind = Overtaking;

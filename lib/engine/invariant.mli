@@ -35,22 +35,13 @@ type report = {
 val ok : report -> bool
 (** No violations. *)
 
-val fifo_lock : string -> bool
-(** Default FIFO classification by lock name: the ticket variants,
-    ARRAY, MCS and CLH grant in arrival order; TAS/TTAS/MUTEX and the
-    hierarchical cohorts do not. *)
-
-val check :
-  ?slack:int ->
-  ?fifo:(string -> bool) ->
-  completed:(int -> bool) ->
-  Ssync_trace.Trace.t ->
-  report
+val check : completed:(int -> bool) -> Ssync_trace.Trace.t -> report
 (** [check ~completed tr] replays [tr].  [completed] maps an engine tid
     to whether that thread's body returned ({!Harness.result.completed}
-    composed with {!Harness.spawn_order}).  [slack] bounds tolerated
-    overtaking for FIFO locks (default: observed thread count + 3,
-    absorbing the wait-announce/queue-entry race).  [fifo] overrides
-    the FIFO classification. *)
+    composed with {!Harness.spawn_order}).  FIFO locks (by name: the
+    ticket variants, ARRAY, MCS and CLH grant in arrival order;
+    TAS/TTAS/MUTEX and the hierarchical cohorts do not) may overtake a
+    live waiter at most the observed thread count + 3 times, which
+    absorbs the wait-announce/queue-entry race. *)
 
 val pp_violation : violation -> string

@@ -52,10 +52,10 @@
    With a [Metrics] sink installed (the [--metrics] / heatmap paths)
    the engine charges thread run-state gauges — how many simulated
    threads were runnable, spinning or parked on each virtual-time
-   bucket — plus park/wake event counts into the memory's metrics
-   accumulator, alongside the coherence-level samples the memory model
-   records there.  [run_health] drains the accumulator into the sink
-   when a run ends. *)
+   bucket — plus park/wake event counts into the sink, alongside the
+   coherence-level samples the memory model writes there.  Each sample
+   goes into the sink as it is taken; [run_health] closes the open
+   run-state spans when a run ends. *)
 
 open Ssync_platform
 open Ssync_coherence
@@ -162,7 +162,7 @@ and t = {
       (* the domain's trace sink, cached at creation time (zero
          overhead when off: one option match per hook site) *)
   macc : Metrics.t option;
-      (* the memory's metrics accumulator, cached likewise *)
+      (* the domain's metrics sink, cached likewise *)
   mutable cell : cell;
       (* the running domain's current-thread cell, captured at run
          start so the queue's runners need no domain-local lookup *)
@@ -246,7 +246,7 @@ let create ?(faults = Fault.none) ?(parking = true) platform =
     booked_lq = 0;
     run_until = max_int;
     trace = Trace.current ();
-    macc = Memory.metrics mem;
+    macc = Metrics.current ();
     cell = Domain.DLS.get cell_key;
   }
 
@@ -933,27 +933,6 @@ let verdict_to_string = function
       Printf.sprintf "stalled (tid %d on core %d, last progress at %d)" tid
         core last_progress
 
-let health_to_string h =
-  let base = verdict_to_string h.verdict in
-  let extras =
-    List.filter
-      (fun s -> s <> "")
-      [
-        (if h.crashed = [] then ""
-         else
-           Printf.sprintf "crashed tids: %s"
-             (String.concat "," (List.map string_of_int h.crashed)));
-        (if h.preemptions = 0 then ""
-         else Printf.sprintf "%d preemptions" h.preemptions);
-        (if h.jitter_events = 0 then ""
-         else Printf.sprintf "%d jittered ops" h.jitter_events);
-        (if h.dropped_events = 0 then ""
-         else Printf.sprintf "%d events dropped" h.dropped_events);
-      ]
-  in
-  if extras = [] then base
-  else Printf.sprintf "%s; %s" base (String.concat "; " extras)
-
 (* The live thread that has gone the longest without progress — the
    watchdog's culprit.  Ties break toward the lowest tid so the verdict
    is deterministic. *)
@@ -1071,7 +1050,6 @@ let run_health ?(until = max_int) ?(max_events = 200_000_000) t =
   let lq = (Memory.stats t.mem).Stats.link_queued_cycles in
   t.cum.c_link_queued <- t.cum.c_link_queued + (lq - t.booked_lq);
   t.booked_lq <- lq;
-  Memory.drain_metrics t.mem;
   let verdict =
     if t.live <= 0 then Completed
     else

@@ -81,7 +81,6 @@ type health = {
 }
 
 val verdict_to_string : verdict -> string
-val health_to_string : health -> string
 
 val run_health : ?until:int -> ?max_events:int -> t -> int * health
 (** Run until no events remain; returns the final virtual time and the

@@ -1,7 +1,7 @@
 (* Virtual-time telemetry accumulators.  See metrics.mli for the
    determinism argument.  The table maps (kind, id, bucket) to cycle
-   sums plus an epoch base, deliberately order-independent so branches
-   can be merged in any order without changing a byte of the dump.
+   sums plus an epoch base; sums commute, so the order in which the
+   samples arrive changes no byte of the dump.
 
    Every sampled access adds to it, so the table is open addressing
    with linear probing over parallel int arrays: [add] allocates
@@ -87,7 +87,6 @@ type t = {
   w : int;  (* grid width, cycles per bucket *)
   mutable base : int;  (* epoch base, absolute cycles, grid-aligned *)
   mutable max_ts : int;  (* highest absolute cycle sampled *)
-  init : int;  (* capacity at creation, restored by [merge] *)
   mutable used : int;  (* occupied slots *)
   mutable kinds : int array;  (* -1 = empty slot *)
   mutable ids : int array;
@@ -95,12 +94,12 @@ type t = {
   mutable vals : int array;
 }
 
-let make ~cap ~w ~base =
+let create () =
+  let cap = 256 in
   {
-    w;
-    base;
-    max_ts = base;
-    init = cap;
+    w = !bucket_cycles;
+    base = 0;
+    max_ts = 0;
     used = 0;
     kinds = Array.make cap (-1);
     ids = Array.make cap 0;
@@ -108,18 +107,9 @@ let make ~cap ~w ~base =
     vals = Array.make cap 0;
   }
 
-let create () = make ~cap:256 ~w:!bucket_cycles ~base:0
 let grid t = t.w
 let base t = t.base
 let max_ts t = t.max_ts
-
-(* Empty the table at capacity [cap] (a power of two). *)
-let alloc t cap =
-  t.used <- 0;
-  t.kinds <- Array.make cap (-1);
-  t.ids <- Array.make cap 0;
-  t.bks <- Array.make cap 0;
-  t.vals <- Array.make cap 0
 
 (* The slot holding key (kind, id, bucket), or the empty slot where it
    belongs.  The table is at most half full, so the probe ends. *)
@@ -150,9 +140,15 @@ let rec add t kind id bucket v =
     if 2 * t.used > Array.length t.kinds then grow t
   end
 
+(* Double the capacity (a power of two) and re-add every sample. *)
 and grow t =
   let kinds = t.kinds and ids = t.ids and bks = t.bks and vals = t.vals in
-  alloc t (2 * Array.length kinds);
+  let cap = 2 * Array.length kinds in
+  t.used <- 0;
+  t.kinds <- Array.make cap (-1);
+  t.ids <- Array.make cap 0;
+  t.bks <- Array.make cap 0;
+  t.vals <- Array.make cap 0;
   for s = 0 to Array.length kinds - 1 do
     if kinds.(s) >= 0 then add t kinds.(s) ids.(s) bks.(s) vals.(s)
   done
@@ -180,20 +176,8 @@ let bump t ~kind ~id ~ts n =
     add t kind id (a / t.w) n
   end
 
-let merge ~into t =
-  if into.w <> t.w then invalid_arg "Metrics.merge: grid mismatch";
-  let kinds = t.kinds in
-  for s = 0 to Array.length kinds - 1 do
-    if kinds.(s) >= 0 then add into kinds.(s) t.ids.(s) t.bks.(s) t.vals.(s)
-  done;
-  if t.max_ts > into.max_ts then into.max_ts <- t.max_ts;
-  alloc t t.init;
-  t.max_ts <- t.base
-
 let new_epoch t =
   if t.max_ts > t.base then t.base <- ((t.max_ts / t.w) + 1) * t.w
-
-let branch t = make ~cap:64 ~w:t.w ~base:t.base
 
 (* ------------------------------ sinks ------------------------------ *)
 

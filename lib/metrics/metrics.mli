@@ -9,10 +9,10 @@
     byte-identical at any [--jobs] (per-job sinks, fresh per job).
 
     The discipline mirrors [Trace]: {!requested} is read once per job
-    by the submitting domain; instrumentation sites cache the sink (or
-    a branch of it) at creation and pay one option check when metrics
-    are off; probes are time-free, so sampled runs replay the identical
-    virtual-time schedule. *)
+    by the submitting domain; instrumentation sites cache the sink at
+    creation, add every sample to it as they take it, and pay one
+    option check when metrics are off; probes are time-free, so sampled
+    runs replay the identical virtual-time schedule. *)
 
 type t
 
@@ -80,10 +80,6 @@ val current : unit -> t option
 
 (** {1 Accumulation} *)
 
-val branch : t -> t
-(** A private accumulator sharing [t]'s grid and epoch base — handed to
-    a memory at creation; {!merge} it back when its run ends. *)
-
 val span : t -> kind:int -> id:int -> t0:int -> t1:int -> weight:int -> unit
 (** Add [weight] cycles-per-cycle over virtual span [\[t0, t1)]
     (epoch-relative; the accumulator's base is applied).  No-op when
@@ -95,14 +91,10 @@ val bump : t -> kind:int -> id:int -> ts:int -> int -> unit
 (** Add a point count at virtual time [ts] (epoch-relative).
     @raise Invalid_argument if it would record a negative [kind]. *)
 
-val merge : into:t -> t -> unit
-(** Fold [t]'s samples (and high-water mark) into [into], then reset
-    [t] for reuse.  Grids must match. *)
-
 val new_epoch : t -> unit
-(** Advance the epoch base past every merged sample, rounded up to the
-    grid, so a new job segment on the same sink cannot collide with the
-    previous one. *)
+(** Advance the epoch base past every sample recorded so far, rounded
+    up to the grid, so a new job segment on the same sink cannot
+    collide with the previous one. *)
 
 (** {1 Reading} *)
 

@@ -472,9 +472,13 @@ let op_latency (t : Topology.t) (op : Arch.memop) ~requester (v : view) : int =
      model functions above (and, for the small two-socket platforms, of
      [scaled_small], whose cross-socket ratio never applies when the
      requester itself is the data source): the general dispatch below
-     would return exactly the same number, but only after building its
-     per-call row closures — which dominates the simulator's hot path,
-     where most accesses are cache hits. *)
+     would return exactly the same number, but only after the work the
+     platform functions do before they look at the operation
+     ([opteron_directory_penalty] and [source_class] on the Opteron,
+     [source_class] and a sharer count on the Xeon, the home-hop and
+     sharer counts on the Tilera) —
+     work the simulator's hot path, where most accesses are cache
+     hits, would pay on every access. *)
   match op with
   | Arch.Load when holds v requester -> load_hit_latency t
   | Arch.Store

@@ -92,13 +92,6 @@ type t = {
 let acquire_robust t ~tid = (Lazy.force t.robust).acquire_robust ~tid
 let release_robust t ~tid = (Lazy.force t.robust).release_robust ~tid
 
-(* Run [f] under the lock. *)
-let with_lock t ~tid f =
-  t.acquire ~tid;
-  let r = f () in
-  t.release ~tid;
-  r
-
 (* Timed acquisition: retry [try_acquire] under capped exponential
    backoff until it succeeds or [timeout] virtual cycles elapse.
    Returns [false] on timeout, with the lock state untouched.  Bounded

@@ -458,8 +458,10 @@ let array_lock mem ~home_core ~n_slots ~n_threads : Lock_type.t =
    acquiring CAS/swap; a releaser requeues past dead sleepers; when the
    owner dies, the head live sleeper claims the mutex with EOWNERDEAD
    (after pruning dead sleepers ahead of it). *)
-let mutex ?(syscall_cycles = 900) ?(sleep_cycles = 1800) mem ~home_core
-    ~n_threads : Lock_type.t =
+let mutex mem ~home_core ~n_threads : Lock_type.t =
+  (* a futex syscall's entry or exit, and the sleep a waiter takes
+     before the releaser's wake reaches it *)
+  let syscall_cycles = 900 and sleep_cycles = 1800 in
   let lock = Memory.alloc ~home_core mem in
   let sleepers : int list ref = ref [] in
   (* each thread's grant-flag line, allocated mid-run by the thread's

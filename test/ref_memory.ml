@@ -1,9 +1,11 @@
 (* Reference memory for the differential test in test_coherence.ml:
    the record-per-line [Memory] the library shipped before its line
    state moved into one flat int table, kept verbatim except for this
-   header and the [Stats] alias.  Every line is a mutable record with
-   its own [Coreset], and the cost-model view aliases that set.  Only
-   test code uses this module. *)
+   header, the [Stats] alias and its metrics plumbing, which writes
+   every sample straight into the domain's sink as [Memory] does.
+   Every line is a mutable record with its own [Coreset], and the
+   cost-model view aliases that set.  Only test code uses this
+   module. *)
 
 open Ssync_platform
 module Trace = Ssync_trace.Trace
@@ -93,10 +95,9 @@ type t = {
          memory operation *)
   stats : Stats.t;
   macc : Metrics.t option;
-      (* this memory's metrics accumulator, a [Metrics.branch] of the
-         domain sink cached at creation like [trace]: [None] when
-         metrics are off, so the sampled hot path costs one option
-         match.  Drained into the sink by [drain_metrics]. *)
+      (* the domain's metrics sink, cached at creation like [trace]
+         and written as each sample is taken: [None] when metrics are
+         off, so the sampled hot path costs one option match *)
   trace : Trace.t option;
       (* the domain's trace sink, cached at creation time so the
          untraced hot path pays exactly one option match per access *)
@@ -174,7 +175,7 @@ let create platform =
     path = Array.make Cost_model.max_path_len 0;
     last_result = 0;
     stats = Stats.create ();
-    macc = Option.map Metrics.branch metrics;
+    macc = metrics;
     trace;
     msince =
       (match metrics with
@@ -207,17 +208,6 @@ let platform t = t.platform
 let stats t = t.stats
 let n_lines t = t.n_lines
 let line_words t = t.platform.Platform.topo.Topology.line_words
-
-let metrics t = t.macc
-
-(* Fold the memory's metrics accumulator into the domain's sink — called
-   by the engine when a run completes; the merge empties the
-   accumulator, so callers that step a simulation through several runs
-   drain incrementally without overlap. *)
-let drain_metrics t =
-  match (Metrics.current (), t.macc) with
-  | Some sink, Some m -> Metrics.merge ~into:sink m
-  | _ -> ()
 
 (* Append one line homed at node [home]; returns its line id.  Every
    per-line cell is initialised explicitly: the arrays may be recycled

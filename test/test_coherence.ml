@@ -369,9 +369,18 @@ let qcheck_flat_table_oracle =
       let p = Platform.get pid in
       let n = Platform.n_cores p in
       let cores = [| 0; 1; n / 2; n - 1 |] in
-      if metrics then ignore (Ssync_metrics.Metrics.start ());
+      (* each side writes its samples into a sink of its own *)
+      let with_sink create =
+        let sink =
+          if metrics then Some (Ssync_metrics.Metrics.start ()) else None
+        in
+        let x = create p in
+        if metrics then ignore (Ssync_metrics.Metrics.stop ());
+        (x, sink)
+      in
+      let m, sink_m = with_sink Memory.create in
+      let r, sink_r = with_sink R.create in
       (* three padded words homed mid-machine and three on one line *)
-      let m = Memory.create p and r = R.create p in
       let addrs =
         let padded = Memory.alloc_n ~home_core:(n / 2) m 3 in
         let packed = Memory.alloc_packed m 3 in
@@ -379,7 +388,6 @@ let qcheck_flat_table_oracle =
         ignore (R.alloc_packed r 3);
         [| padded; padded + 1; padded + 2; packed; packed + 1; packed + 2 |]
       in
-      if metrics then ignore (Ssync_metrics.Metrics.stop ());
       let now = ref 0 in
       let wakes_m = ref [] and wakes_r = ref [] in
       let parked = ref [||] in
@@ -519,8 +527,7 @@ let qcheck_flat_table_oracle =
         && List.for_all
              (fun res -> Memory.resource_busy m res = R.resource_busy r res)
              (List.init (Cost_model.n_resources p.Platform.topo) Fun.id)
-        && samples (Memory.metrics m) = samples (R.metrics r)
-        && (Memory.metrics m = None) = not metrics
+        && samples sink_m = samples sink_r
       in
       Memory.dispose m;
       R.dispose r;

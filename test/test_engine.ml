@@ -14,14 +14,10 @@ let test_event_queue_order () =
   Event_queue.push q ~time:30 (fun () -> order := 30 :: !order);
   Event_queue.push q ~time:10 (fun () -> order := 10 :: !order);
   Event_queue.push q ~time:20 (fun () -> order := 20 :: !order);
-  let rec drain () =
-    match Event_queue.pop q with
-    | None -> ()
-    | Some e ->
-        e.Event_queue.run ();
-        drain ()
-  in
-  drain ();
+  let p = Event_queue.make_popped () in
+  while Event_queue.pop_into q p do
+    p.Event_queue.p_run ()
+  done;
   Alcotest.(check (list int)) "time order" [ 30; 20; 10 ] !order
 
 let test_event_queue_fifo_ties () =
@@ -30,14 +26,10 @@ let test_event_queue_fifo_ties () =
   for i = 0 to 9 do
     Event_queue.push q ~time:5 (fun () -> order := i :: !order)
   done;
-  let rec drain () =
-    match Event_queue.pop q with
-    | None -> ()
-    | Some e ->
-        e.Event_queue.run ();
-        drain ()
-  in
-  drain ();
+  let p = Event_queue.make_popped () in
+  while Event_queue.pop_into q p do
+    p.Event_queue.p_run ()
+  done;
   Alcotest.(check (list int)) "fifo on ties" [ 9; 8; 7; 6; 5; 4; 3; 2; 1; 0 ]
     !order
 

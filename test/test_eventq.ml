@@ -123,14 +123,10 @@ let test_tie_order () =
   for i = 0 to n - 1 do
     Event_queue.push q ~time:7 (fun () -> order := i :: !order)
   done;
-  let rec drain () =
-    match Event_queue.pop q with
-    | None -> ()
-    | Some e ->
-        e.Event_queue.run ();
-        drain ()
-  in
-  drain ();
+  let p = Event_queue.make_popped () in
+  while Event_queue.pop_into q p do
+    p.Event_queue.p_run ()
+  done;
   check_bool "fifo among ties" true
     (!order = List.rev (List.init n (fun i -> i)))
 

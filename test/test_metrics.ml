@@ -14,10 +14,11 @@
    - a planted saturation case shows up where it was planted: read
      streams from every node funneled at one link drive its sampled
      busy cycles to >= 90% of a steady-state bucket;
-   - the table agrees with a [Map] model over random span, bump,
-     branch, merge and new-epoch sequences, at the default grid and at
-     one cycle per bucket, and adding to a key already present
-     allocates nothing. *)
+   - the table agrees with a [Map] model over random span, bump and
+     new-epoch sequences, at the default grid and at one cycle per
+     bucket, and adding to a key already present allocates nothing;
+   - a memory accessed outside any run (ccbench's single accesses)
+     writes its samples into the sink all the same. *)
 
 open Ssync_platform
 open Ssync_coherence
@@ -69,7 +70,7 @@ let samples m =
   List.rev !acc
 
 (* Two identical simulations in one sink: [Memory.create] advances the
-   epoch base past everything the first one drained, so the second
+   epoch base past everything the first one sampled, so the second
    one's samples never touch the first one's buckets — they are the
    first one's samples shifted by a whole number of buckets. *)
 let test_two_sims_one_sink () =
@@ -264,43 +265,35 @@ let m_bump md ~kind ~id ~ts n =
   end
 
 type op =
-  | Span of int * int * int * int * int * int
-      (* acc, kind, id, t0, len, weight *)
-  | Bump of int * int * int * int * int  (* acc, kind, id, ts, n *)
-  | Branch of int
-  | Merge of int * int  (* into, from *)
-  | Epoch of int
+  | Span of int * int * int * int * int  (* kind, id, t0, len, weight *)
+  | Bump of int * int * int * int  (* kind, id, ts, n *)
+  | Epoch
 
 let show_op = function
-  | Span (a, k, i, t0, len, w) ->
-      Printf.sprintf "Span(%d,%d,%d,%d,%d,%d)" a k i t0 len w
-  | Bump (a, k, i, ts, n) -> Printf.sprintf "Bump(%d,%d,%d,%d,%d)" a k i ts n
-  | Branch a -> Printf.sprintf "Branch %d" a
-  | Merge (a, b) -> Printf.sprintf "Merge(%d,%d)" a b
-  | Epoch a -> Printf.sprintf "Epoch %d" a
+  | Span (k, i, t0, len, w) -> Printf.sprintf "Span(%d,%d,%d,%d,%d)" k i t0 len w
+  | Bump (k, i, ts, n) -> Printf.sprintf "Bump(%d,%d,%d,%d)" k i ts n
+  | Epoch -> "Epoch"
 
 (* [max_t] bounds timestamps and [max_len] span lengths: at one cycle
    per bucket, short spans over a wide range give few keys per span but
    large bucket indices. *)
 let gen_ops ~max_t ~max_len =
   QCheck.Gen.(
-    let acc = int_range 0 7 and kind = int_range 0 (Metrics.n_kinds + 1) in
+    let kind = int_range 0 (Metrics.n_kinds + 1) in
     let id = int_range (-2) 40 and ts = int_range (-50) max_t in
     list_size (int_range 1 300)
       (frequency
          [
            ( 8,
              map3
-               (fun (a, k, i) t0 (len, w) -> Span (a, k, i, t0, len, w))
-               (triple acc kind id) ts
+               (fun (k, i) t0 (len, w) -> Span (k, i, t0, len, w))
+               (pair kind id) ts
                (pair (int_range (-5) max_len) (int_range (-3) 6)) );
            ( 5,
              map3
-               (fun (a, k, i) ts n -> Bump (a, k, i, ts, n))
-               (triple acc kind id) ts (int_range (-3) 5) );
-           (1, map (fun a -> Branch a) acc);
-           (1, map2 (fun a b -> Merge (a, b)) acc acc);
-           (1, map (fun a -> Epoch a) acc);
+               (fun (k, i) ts n -> Bump (k, i, ts, n))
+               (pair kind id) ts (int_range (-3) 5) );
+           (1, return Epoch);
          ]))
 
 let samples_of m =
@@ -310,45 +303,24 @@ let samples_of m =
   List.rev !acc
 
 let run_ops ops =
-  let model =
+  let t = Metrics.create () in
+  let md =
     { w = !Metrics.bucket_cycles; base = 0; max_ts = 0; m = KM.empty }
   in
-  let accs = ref [| (Metrics.create (), model) |] in
-  let pick a = !accs.(a mod Array.length !accs) in
   List.iter
     (function
-      | Span (a, kind, id, t0, len, weight) ->
-          let t, md = pick a in
+      | Span (kind, id, t0, len, weight) ->
           Metrics.span t ~kind ~id ~t0 ~t1:(t0 + len) ~weight;
           m_span md ~kind ~id ~t0 ~t1:(t0 + len) ~weight
-      | Bump (a, kind, id, ts, n) ->
-          let t, md = pick a in
+      | Bump (kind, id, ts, n) ->
           Metrics.bump t ~kind ~id ~ts n;
           m_bump md ~kind ~id ~ts n
-      | Branch a ->
-          let t, md = pick a in
-          accs :=
-            Array.append !accs
-              [|
-                (Metrics.branch t, { md with max_ts = md.base; m = KM.empty });
-              |]
-      | Merge (a, b) ->
-          let n = Array.length !accs in
-          if a mod n <> b mod n then begin
-            let t, md = pick a and t', md' = pick b in
-            Metrics.merge ~into:t t';
-            KM.iter (fun k v -> m_add md k v) md'.m;
-            md.max_ts <- max md.max_ts md'.max_ts;
-            md'.m <- KM.empty;
-            md'.max_ts <- md'.base
-          end
-      | Epoch a ->
-          let t, md = pick a in
+      | Epoch ->
           Metrics.new_epoch t;
           if md.max_ts > md.base then
             md.base <- ((md.max_ts / md.w) + 1) * md.w)
     ops;
-  !accs
+  (t, md)
 
 let agrees (t, md) =
   let kinds = List.init (Metrics.n_kinds + 3) (fun k -> k - 1) in
@@ -378,7 +350,7 @@ let model_test ~name ~grid ~max_t ~max_len =
       Metrics.bucket_cycles := grid;
       Fun.protect
         ~finally:(fun () -> Metrics.bucket_cycles := saved)
-        (fun () -> Array.for_all agrees (run_ops ops)))
+        (fun () -> agrees (run_ops ops)))
 
 let qcheck_model_default_grid =
   model_test ~name:"table = Map model (default grid)" ~grid:65536
@@ -419,6 +391,18 @@ let test_add_allocation_free () =
   check_int "10k span/bump on present keys: minor words" 0
     (int_of_float (Gc.minor_words () -. w0))
 
+(* ccbench's Table 2 cells access a [Memory] directly and never run
+   the engine: the two accesses of the Opteron remote-directory load
+   must still reach the sink, as their trace events reach the trace. *)
+let test_access_without_run_sampled () =
+  let sink = Metrics.start () in
+  ignore (Ssync_ccbench.Ccbench.opteron_remote_directory_load ());
+  ignore (Metrics.stop ());
+  check_bool "line occupancy sampled" true
+    (Metrics.total sink ~kind:Metrics.k_line_occ > 0);
+  check_bool "directory busy cycles sampled" true
+    (Metrics.total sink ~kind:Metrics.k_dir_busy > 0)
+
 let suite =
   [
     Alcotest.test_case "dump identical across --jobs" `Quick
@@ -438,4 +422,6 @@ let suite =
       test_negative_kind_rejected;
     Alcotest.test_case "adding to a present key allocates nothing" `Quick
       test_add_allocation_free;
+    Alcotest.test_case "accesses outside a run are sampled" `Quick
+      test_access_without_run_sampled;
   ]
