@@ -26,8 +26,10 @@
 # time before pace rescaling, and warns when the two medians move in
 # opposite directions: then the pace readings, not the program, decide
 # the sign of host_s.  It also prints the medians of host_pace and the
-# failed job counts.  Raw outputs stay in a temporary directory, printed
-# first.  With N = 0 the script stops after the profile and layout checks.
+# failed job counts.  A run that prints no JSON line (a crash or a kill)
+# is named with its output file, wins no pair and is counted on its
+# side's failed-jobs line; the medians use the runs that finished.  Raw
+# outputs stay in a temporary directory, printed first.  With N = 0 the script stops after the profile and layout checks.
 #
 # Needs bash, dune, nm, awk, comm and python3; both trees must already be
 # built (dune build), since the layout check reads their _build
@@ -125,8 +127,13 @@ import json, statistics, sys
 out, n, bench = sys.argv[1], int(sys.argv[2]), json.load(open(sys.argv[3]))
 
 def load(side, i):
-    lines = open(f"{out}/{side}.{i}.txt").read().splitlines()
-    res = json.loads(next(l for l in reversed(lines) if l.startswith("{")))
+    path = f"{out}/{side}.{i}.txt"
+    lines = open(path).read().splitlines()
+    js = [l for l in lines if l.startswith("{")]
+    if not js:
+        print(f"lost    {side} run {i} printed no JSON line (crashed or killed): {path}")
+        return None
+    res = json.loads(js[-1])
     for l in lines:
         f = l.split()
         if len(f) >= 2 and f[0] in ("host_raw_s", "host_pace"):
@@ -134,6 +141,8 @@ def load(side, i):
     return res
 
 runs = {s: [load(s, i) for i in range(1, n + 1)] for s in ("parent", "change")}
+# pairs whose two runs both printed their JSON line; a lost run wins no pair
+pairs = [(a, b) for a, b in zip(runs["parent"], runs["change"]) if a and b]
 
 def quart(xs):
     if len(xs) == 1:
@@ -142,11 +151,14 @@ def quart(xs):
     return med, q1, q3
 
 def values(side, name):
-    return [r["metrics"][name]["value"] for r in runs[side]]
+    return [r["metrics"][name]["value"] for r in runs[side] if r]
 
 def row(name, lower, rule):
     p, c = values("parent", name), values("change", name)
-    won = sum(1 for a, b in zip(p, c) if (b < a if lower else b > a))
+    won = sum(1 for a, b in pairs
+              if (b["metrics"][name]["value"] < a["metrics"][name]["value"]
+                  if lower else
+                  b["metrics"][name]["value"] > a["metrics"][name]["value"]))
     (pm, pq1, pq3), (cm, cq1, cq3) = quart(p), quart(c)
     delta = 100.0 * (cm - pm) / pm if pm else float("nan")
     gap = (pm - cm) if lower else (cm - pm)
@@ -156,21 +168,27 @@ def row(name, lower, rule):
     print(f"{name:<14}{ps:>32}{cs:>32}{won:>5}/{n:<3}{delta:>+8.1f}%  {verdict}")
     return delta
 
-print(f"{'metric':<14}{'parent median [Q1, Q3]':>32}{'change median [Q1, Q3]':>32}"
-      f"{'won':>8}{'delta':>9}  rule")
-deltas = {}
-for m in bench["end_to_end"]:
-    deltas[m["name"]] = row(m["name"], m["better"] == "lower", True)
-    if m["name"] == "host_s":
-        deltas["host_raw_s"] = row("host_raw_s", True, False)
-d, r = deltas["host_s"], deltas["host_raw_s"]
-if d * r < 0:
-    print(f"WARNING: host_s ({d:+.1f}%) and host_raw_s ({r:+.1f}%) move in"
-          " opposite directions; the pace readings decide the sign of host_s")
-print(f"{'host_pace':<14} median parent {statistics.median(values('parent', 'host_pace')):.4g}"
-      f"  change {statistics.median(values('change', 'host_pace')):.4g}")
+if all(values(s, "host_s") for s in runs):
+    print(f"{'metric':<14}{'parent median [Q1, Q3]':>32}{'change median [Q1, Q3]':>32}"
+          f"{'won':>8}{'delta':>9}  rule")
+    deltas = {}
+    for m in bench["end_to_end"]:
+        deltas[m["name"]] = row(m["name"], m["better"] == "lower", True)
+        if m["name"] == "host_s":
+            deltas["host_raw_s"] = row("host_raw_s", True, False)
+    d, r = deltas["host_s"], deltas["host_raw_s"]
+    if d * r < 0:
+        print(f"WARNING: host_s ({d:+.1f}%) and host_raw_s ({r:+.1f}%) move in"
+              " opposite directions; the pace readings decide the sign of host_s")
+    print(f"{'host_pace':<14} median parent {statistics.median(values('parent', 'host_pace')):.4g}"
+          f"  change {statistics.median(values('change', 'host_pace')):.4g}")
+else:
+    print("no summary: every run of one side was lost")
 for side in ("parent", "change"):
-    failed = [r["failed"] for r in runs[side]]
-    attempted = [r["attempted"] for r in runs[side]]
-    print(f"failed jobs   {side}: {sum(failed)} of {sum(attempted)} attempted")
+    done = [r for r in runs[side] if r]
+    failed = sum(r["failed"] for r in done)
+    attempted = sum(r["attempted"] for r in done)
+    lost = n - len(done)
+    print(f"failed jobs   {side}: {failed} of {attempted} attempted"
+          + (f"; {lost} of {n} runs lost (no JSON line)" if lost else ""))
 PY

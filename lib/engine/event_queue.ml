@@ -1,14 +1,21 @@
 (* A min-priority queue of timed events.  Ties are broken by insertion
    order so simulation runs are deterministic and FIFO-fair.
 
-   The store is a 4-ary implicit min-heap in struct-of-arrays layout:
-   half the levels of the binary heap it replaces, and the four
-   children of a node sit in consecutive array slots, so a sift-down
-   touches two cache lines per level instead of four scattered words.
-   (A calendar-style near-future lane was tried here and reverted: at
-   the queue sizes the simulator actually runs — tens of events —
-   sift paths are 2–3 levels, and the lane's binary search per push
-   plus two-lane head comparison per pop cost more than they saved.)
+   The store is a 4-ary implicit min-heap whose arrays hold only ints:
+   each entry's time, tie-break (push seq) and slot.  Half the levels of
+   a binary heap, and the four children of a node sit in consecutive
+   array slots, so a sift-down touches two cache lines per level
+   instead of four scattered words.  The sifts hold the entry being
+   placed aside and move each displaced entry into the hole it leaves,
+   three int stores per level and no write barrier.  An event's
+   closure (and an ordered queue's node) stays put in a slot table,
+   written once at push; free slots are a stack, so a thread that
+   re-queues its own runner gets back the slot it just freed, still
+   holding that runner, and the write is skipped.  (A calendar-style
+   near-future lane was tried here and reverted: at the queue sizes the
+   simulator actually runs — tens of events — sift paths are 2–3
+   levels, and the lane's binary search per push plus two-lane head
+   comparison per pop cost more than they saved.)
 
    The heap is popped through a caller-owned [popped] cell, so the
    simulator's main loop moves millions of events without allocating:
@@ -171,10 +178,16 @@ let precedes a b =
   a != b && precedes_cursor a a.n_chain (idx a) b b.n_chain (idx b)
 
 type t = {
+  (* the heap, in heap order over [0, size): each event's time, its
+     tie-break (push seq; unused by ordered queues) and its slot *)
   mutable times : int array;
   mutable seqs : int array;
+  mutable slots : int array;
+      (* over [size, capacity): the free slots, the next one to take
+         first *)
   mutable runs : (unit -> unit) array;
-  mutable nodes : node array;  (* ordered queues only *)
+      (* by slot; a free slot keeps its last closure *)
+  mutable nodes : node array;  (* by slot; ordered queues only *)
   mutable size : int;
   mutable next_seq : int;
   mutable next_t : int; (* cached [times.(0)]; [max_int] when empty *)
@@ -200,12 +213,20 @@ type popped = {
 let no_run () = ()
 let make_popped () = { p_time = 0; p_run = no_run; p_node = nil }
 
+(* The initial capacity.  A simulation usually queues about one event
+   per thread, and [grow] doubles the arrays for more.  A new queue's
+   four arrays allocate 4 x 49 words: the peak RSS of a workload of many
+   short simulations (perf's [observed]) follows the GC's phase, and
+   moves with any change in that figure. *)
+let capacity = 48
+
 let create ?(ordered = false) () =
   {
-    times = Array.make 64 0;
-    seqs = Array.make 64 0;
-    runs = Array.make 64 no_run;
-    nodes = (if ordered then Array.make 64 nil else [||]);
+    times = Array.make capacity 0;
+    seqs = Array.make capacity 0;
+    slots = Array.init capacity Fun.id;
+    runs = Array.make capacity no_run;
+    nodes = (if ordered then Array.make capacity nil else [||]);
     size = 0;
     next_seq = 0;
     next_t = max_int;
@@ -228,138 +249,144 @@ let child t ~time =
   { n_time = time; n_seq = seq; n_parent = t.cur; n_rank = -1;
     n_chain = no_chain; n_later = nil }
 
-let before t i j =
-  t.times.(i) < t.times.(j)
-  || t.times.(i) = t.times.(j)
-     &&
-     if t.ordered then precedes t.nodes.(i) t.nodes.(j)
-     else t.seqs.(i) < t.seqs.(j)
-
-let swap t i j =
-  let tm = t.times.(i) in
-  t.times.(i) <- t.times.(j);
-  t.times.(j) <- tm;
-  let sq = t.seqs.(i) in
-  t.seqs.(i) <- t.seqs.(j);
-  t.seqs.(j) <- sq;
-  let rn = t.runs.(i) in
-  t.runs.(i) <- t.runs.(j);
-  t.runs.(j) <- rn;
-  if t.ordered then begin
-    let nd = t.nodes.(i) in
-    t.nodes.(i) <- t.nodes.(j);
-    t.nodes.(j) <- nd
-  end
-
-let rec sift_up t i =
-  if i > 0 then begin
-    let parent = (i - 1) / 4 in
-    if before t i parent then begin
-      swap t i parent;
-      sift_up t parent
+(* Settle the event (time, seq, slot) at hole [i] or above it, moving
+   each ancestor it pops before one level down.  On an unordered queue
+   only a push lifts, and its seq is larger than every queued one, so
+   times alone decide. *)
+let sift_up t i time seq slot =
+  let times = t.times and seqs = t.seqs and slots = t.slots in
+  let i = ref i and go = ref true in
+  while !go && !i > 0 do
+    let p = (!i - 1) lsr 2 in
+    let tp = times.(p) in
+    if
+      tp > time
+      || (tp = time && t.ordered && precedes t.nodes.(slot) t.nodes.(slots.(p)))
+    then begin
+      times.(!i) <- tp;
+      seqs.(!i) <- seqs.(p);
+      slots.(!i) <- slots.(p);
+      i := p
     end
-  end
+    else go := false
+  done;
+  times.(!i) <- time;
+  seqs.(!i) <- seq;
+  slots.(!i) <- slot
 
-let rec sift_down t i =
-  let first = (4 * i) + 1 in
-  if first < t.size then begin
-    let last = Int.min (first + 3) (t.size - 1) in
-    let smallest = ref i in
-    for c = first to last do
-      if before t c !smallest then smallest := c
-    done;
-    if !smallest <> i then begin
-      swap t i !smallest;
-      sift_down t !smallest
+(* Settle the event (time, seq, slot) at hole [i] or below it: while
+   the earliest of the event and the hole's children is a child, that
+   child moves up into the hole.  The event is the first candidate, and
+   each child in array order replaces the candidate it pops before, so
+   on an ordered queue the result depends only on these [precedes]
+   answers, even for two nodes it leaves unordered. *)
+let sift_down t i time seq slot =
+  let times = t.times and seqs = t.seqs and slots = t.slots and n = t.size in
+  let i = ref i and go = ref true in
+  while !go do
+    let first = (4 * !i) + 1 in
+    if first >= n then go := false
+    else begin
+      let m = ref (-1) and tm = ref time and qm = ref seq and sm = ref slot in
+      for c = first to Int.min (first + 3) (n - 1) do
+        let tc = times.(c) in
+        if
+          tc < !tm
+          || tc = !tm
+             &&
+             if t.ordered then precedes t.nodes.(slots.(c)) t.nodes.(!sm)
+             else seqs.(c) < !qm
+        then begin
+          m := c;
+          tm := tc;
+          qm := seqs.(c);
+          sm := slots.(c)
+        end
+      done;
+      if !m < 0 then go := false
+      else begin
+        times.(!i) <- !tm;
+        seqs.(!i) <- !qm;
+        slots.(!i) <- !sm;
+        i := !m
+      end
     end
-  end
+  done;
+  times.(!i) <- time;
+  seqs.(!i) <- seq;
+  slots.(!i) <- slot
 
-(* Grow copies only the live entries — the dead tail of the old arrays
-   (cleared slots from popped events) is never touched. *)
+(* Double the capacity of a full queue; the new slots join the free
+   stack. *)
 let grow t =
   let cap = Array.length t.times in
   let times = Array.make (2 * cap) 0
   and seqs = Array.make (2 * cap) 0
+  and slots = Array.init (2 * cap) Fun.id
   and runs = Array.make (2 * cap) no_run in
-  Array.blit t.times 0 times 0 t.size;
-  Array.blit t.seqs 0 seqs 0 t.size;
-  Array.blit t.runs 0 runs 0 t.size;
+  Array.blit t.times 0 times 0 cap;
+  Array.blit t.seqs 0 seqs 0 cap;
+  Array.blit t.slots 0 slots 0 cap;
+  Array.blit t.runs 0 runs 0 cap;
   t.times <- times;
   t.seqs <- seqs;
+  t.slots <- slots;
   t.runs <- runs;
   if t.ordered then begin
     let nodes = Array.make (2 * cap) nil in
-    Array.blit t.nodes 0 nodes 0 t.size;
+    Array.blit t.nodes 0 nodes 0 cap;
     t.nodes <- nodes
   end
 
+(* Queue [run] at [time] with tie-break [seq] and, on an ordered queue,
+   node [n], in the free slot on top.  A popped slot keeps its closure,
+   and a thread that re-queues its own runner gets back the slot it
+   just freed, so the closure write is mostly skipped. *)
+let insert t ~time ~seq run n =
+  let i = t.size in
+  if i = Array.length t.times then grow t;
+  let slot = t.slots.(i) in
+  if t.runs.(slot) != run then t.runs.(slot) <- run;
+  if t.ordered then t.nodes.(slot) <- n;
+  if time < t.next_t then t.next_t <- time;
+  t.size <- i + 1;
+  sift_up t i time seq slot
+
 let push t ~time run =
   if time < 0 then invalid_arg "Event_queue.push: negative time";
-  if t.size = Array.length t.times then grow t;
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
-  if time < t.next_t then t.next_t <- time;
-  t.times.(t.size) <- time;
-  t.seqs.(t.size) <- seq;
-  t.runs.(t.size) <- run;
-  t.size <- t.size + 1;
-  sift_up t (t.size - 1)
+  insert t ~time ~seq run nil
 
 (* Push [run] at [n.n_time] on an ordered queue, sorted among same-time
    events by node [n] (see [precedes]). *)
 let push_node t n run =
-  let time = n.n_time in
-  if time < 0 then invalid_arg "Event_queue.push_node: negative time";
-  if t.size = Array.length t.times then grow t;
-  if time < t.next_t then t.next_t <- time;
-  let i = t.size in
-  t.times.(i) <- time;
-  t.runs.(i) <- run;
-  t.nodes.(i) <- n;
-  t.size <- i + 1;
-  sift_up t i
+  if n.n_time < 0 then invalid_arg "Event_queue.push_node: negative time";
+  insert t ~time:n.n_time ~seq:0 run n
 
-(* Remove the root, assuming size > 0, and refresh the cached head. *)
-let remove_root t =
-  t.size <- t.size - 1;
-  t.times.(0) <- t.times.(t.size);
-  t.seqs.(0) <- t.seqs.(t.size);
-  t.runs.(0) <- t.runs.(t.size);
-  t.runs.(t.size) <- no_run;
-  (* release the closure *)
-  if t.ordered then begin
-    t.nodes.(0) <- t.nodes.(t.size);
-    t.nodes.(t.size) <- nil
-  end;
-  if t.size > 0 then begin
-    sift_down t 0;
-    t.next_t <- t.times.(0)
-  end
-  else t.next_t <- max_int
-
-(* Remove slot [i] of an ordered queue, assuming i < size. *)
+(* Take heap entry [i], assuming i < size: its slot goes back on the
+   free stack, and the last entry fills the hole and sifts down; then
+   whatever is left at [i] sifts up, as the last entry may pop before
+   the removed one's ancestors. *)
 let remove_at t i =
-  t.size <- t.size - 1;
-  let last = t.size in
+  let last = t.size - 1 in
+  let slot = t.slots.(i) in
+  t.size <- last;
   if i < last then begin
-    t.times.(i) <- t.times.(last);
-    t.runs.(i) <- t.runs.(last);
-    t.nodes.(i) <- t.nodes.(last)
+    let time = t.times.(last) and seq = t.seqs.(last) in
+    let moved = t.slots.(last) in
+    t.slots.(last) <- slot;
+    sift_down t i time seq moved;
+    if i > 0 then sift_up t i t.times.(i) t.seqs.(i) t.slots.(i)
   end;
-  t.runs.(last) <- no_run;
-  t.nodes.(last) <- nil;
-  if i < last then begin
-    sift_down t i;
-    sift_up t i
-  end;
-  t.next_t <- (if t.size > 0 then t.times.(0) else max_int)
+  t.next_t <- (if last > 0 then t.times.(0) else max_int)
 
 (* Withdraw a queued event of an ordered queue by its node; no-op when
    it is not queued.  A linear scan: the queue holds about one event
    per thread. *)
 let remove t n =
   let i = ref 0 in
-  while !i < t.size && t.nodes.(!i) != n do
+  while !i < t.size && t.nodes.(t.slots.(!i)) != n do
     incr i
   done;
   if !i < t.size then remove_at t !i
@@ -367,10 +394,11 @@ let remove t n =
 let pop_into t (p : popped) =
   if t.size = 0 then false
   else begin
+    let slot = t.slots.(0) in
     p.p_time <- t.times.(0);
-    p.p_run <- t.runs.(0);
-    if t.ordered then p.p_node <- t.nodes.(0);
-    remove_root t;
+    p.p_run <- t.runs.(slot);
+    if t.ordered then p.p_node <- t.nodes.(slot);
+    remove_at t 0;
     true
   end
 

@@ -623,20 +623,47 @@ let test_alloc_allocation_free () =
   check_int "1,000 allocs on fresh arrays: minor words" 0 words;
   check_int "lines" 1_000 (Memory.n_lines m)
 
+(* Pop + push at a steady depth, 1 and 16 events and 200 (past the
+   initial capacity, grown during the unmeasured fill); an ordered queue
+   pushes prebuilt nodes, same-time ones included, so its sifts call
+   [precedes]. *)
 let test_event_queue_allocation_free () =
   let module Q = Ssync_engine.Event_queue in
-  let q = Q.create () and p = Q.make_popped () in
-  for i = 0 to 15 do
-    Q.push q ~time:i ignore
-  done;
-  let words =
-    minor_words_during (fun () ->
-        for i = 1 to n_guard do
-          ignore (Q.pop_into q p);
-          Q.push q ~time:(p.Q.p_time + 1 + (i land 15)) p.Q.p_run
-        done)
-  in
-  check_int "push + pop at depth 16: minor words" 0 words
+  List.iter
+    (fun depth ->
+      let q = Q.create () and p = Q.make_popped () in
+      for i = 0 to depth - 1 do
+        Q.push q ~time:i ignore
+      done;
+      let words =
+        minor_words_during (fun () ->
+            for i = 1 to n_guard do
+              ignore (Q.pop_into q p);
+              Q.push q ~time:(p.Q.p_time + 1 + (i land 15)) p.Q.p_run
+            done)
+      in
+      check_int
+        (Printf.sprintf "push + pop at depth %d: minor words" depth)
+        0 words;
+      let q = Q.create ~ordered:true () in
+      let nodes =
+        Array.init (depth + n_guard) (fun k ->
+            Q.child q ~time:((k / 2) + (k land 15)))
+      in
+      for k = 0 to depth - 1 do
+        Q.push_node q nodes.(k) ignore
+      done;
+      let words =
+        minor_words_during (fun () ->
+            for k = depth to depth + n_guard - 1 do
+              ignore (Q.pop_into q p);
+              Q.push_node q nodes.(k) p.Q.p_run
+            done)
+      in
+      check_int
+        (Printf.sprintf "ordered push + pop at depth %d: minor words" depth)
+        0 words)
+    [ 1; 16; 200 ]
 
 (* A Shared line needs a second core: with [second = holder] the
    holder's two loads leave the line Exclusive, and relabelling it

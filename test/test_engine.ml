@@ -399,6 +399,36 @@ let test_direct_run_allocation_free () =
         (List.rev !words))
     [ true; false ]
 
+(* A step that cannot direct-run is queued: the thread suspends, and the
+   queue pushes and pops its runner.  Threads pausing the same span in
+   lockstep tie the queue head at every step, so none direct-runs.  A
+   queued step allocates the suspension's continuation and its [Some],
+   4 words, and nothing in the queue.  Runs of [n] and [2n] pauses per
+   thread are measured whole, and their difference cancels each thread's
+   start and finish. *)
+let test_queued_step_allocation () =
+  let run_words threads n =
+    let sim = Sim.create Platform.opteron in
+    for core = 0 to threads - 1 do
+      Sim.spawn sim ~core (fun () ->
+          for _ = 1 to n do
+            Sim.pause 10
+          done)
+    done;
+    Test_coherence.minor_words_during (fun () -> ignore (Sim.run sim))
+  in
+  let n = 1_000 in
+  List.iter
+    (fun threads ->
+      let words = run_words threads (2 * n) - run_words threads n in
+      let steps = threads * n in
+      check_bool
+        (Printf.sprintf "%d threads: %d words for %d queued steps (at most 4 each)"
+           threads words steps)
+        true
+        (words <= 4 * steps))
+    [ 2; 32 ]
+
 (* The spin primitives pause [poll] before every probe, the first one
    included, since callers probe before they call: on a cached word
    already unequal to [while_] (a 3-cycle Opteron hit), [~poll:100]
@@ -593,6 +623,8 @@ let suite =
       test_fault_spec_validation;
     Alcotest.test_case "direct-run ops allocate nothing" `Quick
       test_direct_run_allocation_free;
+    Alcotest.test_case "a queued step allocates at most 4 words" `Quick
+      test_queued_step_allocation;
     Alcotest.test_case "ops outside a thread raise Effect.Unhandled" `Quick
       test_ops_outside_threads;
     Alcotest.test_case "a finished simulation can be collected" `Quick

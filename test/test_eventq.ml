@@ -1,8 +1,9 @@
-(* Property tests of the event queue (4-ary struct-of-arrays min-heap)
-   against a reference model: a sorted association list keyed by
-   (time, insertion seq).  The model is the contract the simulator
-   depends on — global (time, seq) pop order, [next_time]/[pop_into]
-   agreement, and [clear] resetting to a fresh queue. *)
+(* Property tests of the event queue (a 4-ary min-heap of int arrays
+   over a closure slot table) against reference models: sorted lists
+   keyed by (time, insertion seq), and for an ordered queue by (time,
+   [precedes]).  The models are the contract the simulator depends on:
+   the global pop order, an ordered queue's [remove] by node, and
+   [next_time] agreeing with the model's head. *)
 
 open Ssync_engine
 
@@ -145,9 +146,117 @@ let test_regressing_push () =
   ignore (Event_queue.pop_into q p);
   check_int "popped the early one" 100 p.Event_queue.p_time
 
+(* An ordered queue against a sorted list of (time, node, id) kept in
+   (time, [precedes]) order.  Each step pushes a [child] of the node
+   that ran last at a time just after it (same-time pushes from several
+   pushers are common), pops one event and marks its node run with
+   [ran], or removes a queued event picked by index (an index past the
+   end removes an already popped node, a no-op).  A fill of 80 pushes
+   first grows the arrays past their initial capacity. *)
+type ostep = O_push of int | O_pop | O_remove of int
+
+let gen_ordered =
+  QCheck.Gen.(
+    list_size (int_range 0 300)
+      (frequency
+         [
+           (3, map (fun dt -> O_push dt) (int_range 0 3));
+           (2, return O_pop);
+           (1, map (fun k -> O_remove k) (int_range 0 120));
+         ]))
+
+let arb_ordered =
+  QCheck.make gen_ordered ~print:(fun s ->
+      String.concat ";"
+        (List.map
+           (function
+             | O_push dt -> Printf.sprintf "P%d" dt
+             | O_pop -> "pop"
+             | O_remove k -> Printf.sprintf "R%d" k)
+           s))
+
+let run_ordered script =
+  let q = Event_queue.create ~ordered:true () in
+  let p = Event_queue.make_popped () in
+  let model = ref [] and popped = ref [] in
+  let ran = ref None and rank = ref 0 and now = ref 0 and next_id = ref 0 in
+  let ok = ref true in
+  let check_head () =
+    let head = match !model with [] -> max_int | (t, _, _) :: _ -> t in
+    if Event_queue.next_time q <> head then ok := false
+  in
+  let push dt =
+    let time = !now + dt and id = !next_id in
+    incr next_id;
+    let n = Event_queue.child q ~time in
+    Event_queue.push_node q n (fun () -> ran := Some id);
+    let rec insert = function
+      | ((t, m, _) as e) :: rest
+        when t < time || (t = time && Event_queue.precedes m n) ->
+          e :: insert rest
+      | rest -> (time, n, id) :: rest
+    in
+    model := insert !model
+  in
+  let pop () =
+    let got = Event_queue.pop_into q p in
+    match !model with
+    | [] -> if got then ok := false
+    | (t, n, id) :: rest ->
+        model := rest;
+        ran := None;
+        if got then p.Event_queue.p_run ();
+        if (not got) || p.Event_queue.p_time <> t
+           || p.Event_queue.p_node != n || !ran <> Some id
+        then ok := false
+        else begin
+          incr rank;
+          Event_queue.ran q n ~rank:!rank;
+          now := t;
+          popped := n :: !popped
+        end
+  in
+  let remove k =
+    let queued = List.length !model in
+    if k < queued then begin
+      let _, n, _ = List.nth !model k in
+      Event_queue.remove q n;
+      model := List.filter (fun (_, m, _) -> m != n) !model
+    end
+    else
+      match !popped with
+      | n :: _ -> Event_queue.remove q n
+      | [] -> ()
+  in
+  for _ = 1 to 80 do
+    push 0;
+    check_head ()
+  done;
+  List.iter
+    (fun step ->
+      (match step with
+      | O_push dt -> push dt
+      | O_pop -> pop ()
+      | O_remove k -> remove k);
+      check_head ())
+    script;
+  List.iter
+    (fun _ ->
+      pop ();
+      check_head ())
+    !model;
+  !ok && Event_queue.length q = 0
+  && not (Event_queue.pop_into q p)
+
+let qcheck_ordered_vs_model =
+  QCheck.Test.make ~count:300
+    ~name:"ordered queue = (time, precedes) model (child, ran, remove)"
+    arb_ordered run_ordered
+
 let suite =
   [
     QCheck_alcotest.to_alcotest qcheck_vs_model;
+    QCheck_alcotest.to_alcotest qcheck_ordered_vs_model;
     Alcotest.test_case "same-time FIFO order" `Quick test_tie_order;
     Alcotest.test_case "push behind the base pops first" `Quick
       test_regressing_push;
