@@ -881,11 +881,10 @@ let access_lat_in t ~core ~now (op : Arch.memop) (a : addr)
     (match t.trace with
     | Some tr ->
         let st = state_at ls b in
-        Trace.emit tr ~ts:now
-          (Trace.E_xfer
-             { tid = Trace.cur_tid tr; core; op; addr = a; pre = st;
-               post = st; dist = dist_of t ~core li; lat = service;
-               service; queued = 0; rq = 0; rq_dir = false })
+        Trace.xfer tr ~ts:now ~tid:(Trace.cur_tid tr) ~addr:a ~lat:service
+          ~service ~queued:0 ~rq:0
+          (Trace.xfer_head ~core ~op ~pre:st ~post:st
+             ~dist:(dist_of t ~core li) ~rq_dir:false)
     | None -> ());
     t.last_result <- t.values.(a);
     service
@@ -1030,13 +1029,12 @@ let access_lat_in t ~core ~now (op : Arch.memop) (a : addr)
     | Some tr ->
         if local then Trace.note_local tr ~cycles:latency
         else
-          Trace.emit tr ~ts:now
-            (Trace.E_xfer
-               { tid = Trace.cur_tid tr; core; op; addr = a; pre = pre_state;
-                 post = state_at ls b; dist = tr_dist; lat = latency; service;
-                 queued = (if posted then 0 else queued);
-                 rq = (if posted then 0 else rqueued);
-                 rq_dir = (!qres >= 0 && !qres < n_nodes) })
+          Trace.xfer tr ~ts:now ~tid:(Trace.cur_tid tr) ~addr:a ~lat:latency
+            ~service
+            ~queued:(if posted then 0 else queued)
+            ~rq:(if posted then 0 else rqueued)
+            (Trace.xfer_head ~core ~op ~pre:pre_state ~post:(state_at ls b)
+               ~dist:tr_dist ~rq_dir:(!qres >= 0 && !qres < n_nodes))
     | None -> ());
     (let last = t.wqs.(li) in
      if last != no_waiter then wake_disturbed t ~line:li last);

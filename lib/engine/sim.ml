@@ -65,11 +65,11 @@ module Metrics = Ssync_metrics.Metrics
 
 (* Per-thread bookkeeping for faults and the watchdog.  [pend_ik] holds
    the thread's suspended continuation between its suspension and the
-   event that resumes it; [run_ik], a closure allocated once per
-   thread, continues it, so every resumption — a step's completion or a
-   wake — schedules that one runner instead of allocating a fresh
-   closure.  A coroutine has at most one pending resumption, so one
-   slot suffices. *)
+   event that resumes it, and [no_k] when none is pending; [run_ik], a
+   closure allocated once per thread, continues it, so every
+   resumption — a step's completion or a wake — schedules that one
+   runner instead of allocating a fresh closure.  A coroutine has at
+   most one pending resumption, so one slot suffices. *)
 type thread_state = {
   sim : t;
   me : thread_state option;
@@ -82,7 +82,7 @@ type thread_state = {
   mutable last_progress : int;
   mutable finished : bool;
   mutable crashed : bool;
-  mutable pend_ik : (int, unit) Effect.Deep.continuation option;
+  mutable pend_ik : (int, unit) Effect.Deep.continuation;
   mutable pend_iv : int;
   mutable pend_at : int;
       (* when [E_suspend] resumes the thread: the completion time of
@@ -213,6 +213,26 @@ type _ Effect.t += E_suspend : int Effect.t
 
 exception Simulation_runaway of int
 
+(* "No continuation pending": one captured from a fiber that is never
+   resumed, compared with [==].  A [pend_ik] of type [option] would box
+   a [Some] at every suspension. *)
+let no_k : (int, unit) Effect.Deep.continuation =
+  let k : (int, unit) Effect.Deep.continuation option ref = ref None in
+  Effect.Deep.match_with
+    (fun () -> ignore (Effect.perform E_suspend))
+    ()
+    {
+      retc = Fun.id;
+      exnc = raise;
+      effc =
+        (fun (type a) (eff : a Effect.t) ->
+          match eff with
+          | E_suspend ->
+              Some (fun (c : (a, unit) Effect.Deep.continuation) -> k := Some c)
+          | _ -> None);
+    };
+  Option.get !k
+
 let create ?(faults = Fault.none) ?(parking = true) platform =
   let faults = Fault.validate faults in
   let mem = Memory.create platform in
@@ -305,7 +325,7 @@ let[@inline] sched t ~at run =
 let trace_fault t st kind cycles =
   match t.trace with
   | Some tr ->
-      Trace.emit tr ~ts:t.now (Trace.E_fault { tid = st.tid; kind; cycles })
+      Trace.fault tr ~ts:t.now ~tid:st.tid ~kind ~cycles
   | None -> ()
 
 (* Extra completion delay at a scheduling point: latency jitter (memory
@@ -536,7 +556,7 @@ let[@inline] note_park t st a =
   m_trans t st ~at:t.now m_parked;
   m_bump t ~kind:Metrics.k_parks ~ts:t.now;
   match t.trace with
-  | Some tr -> Trace.emit tr ~ts:t.now (Trace.E_park { tid = st.tid; addr = a })
+  | Some tr -> Trace.park tr ~ts:t.now ~tid:st.tid ~addr:a
   | None -> ()
 
 let[@inline] note_wake t st a ~at s =
@@ -544,7 +564,7 @@ let[@inline] note_wake t st a ~at s =
   m_bump t ~kind:Metrics.k_wakes ~ts:at;
   m_trans t st ~at s;
   match t.trace with
-  | Some tr -> Trace.emit tr ~ts:at (Trace.E_wake { tid = st.tid; addr = a })
+  | Some tr -> Trace.wake tr ~ts:at ~tid:st.tid ~addr:a
   | None -> ()
 
 (* How far an exact park looks ahead for a firing fault draw: a waiter
@@ -856,18 +876,18 @@ let spawn t ~core body =
       last_progress = t.now;
       finished = false;
       crashed = false;
-      pend_ik = None;
+      pend_ik = no_k;
       pend_iv = 0;
       pend_at = 0;
       run_ik =
         (fun () ->
           st.last_progress <- t.now;
-          match st.pend_ik with
-          | Some k ->
-              st.pend_ik <- None;
-              enter t st;
-              Effect.Deep.continue k st.pend_iv
-          | None -> ());
+          let k = st.pend_ik in
+          if k != no_k then begin
+            st.pend_ik <- no_k;
+            enter t st;
+            Effect.Deep.continue k st.pend_iv
+          end);
       spin_addr = -1;
       replay =
         (fun at ->
@@ -881,7 +901,7 @@ let spawn t ~core body =
   if t.exact then st.xp <- make_exact t st;
   Hashtbl.replace t.tstates tid st;
   (match t.trace with
-  | Some tr -> Trace.emit tr ~ts:t.now (Trace.E_thread { tid; core })
+  | Some tr -> Trace.thread tr ~ts:t.now ~tid ~core
   | None -> ());
   let open Effect.Deep in
   (* the handler's answer to [E_suspend], built once per thread rather
@@ -889,7 +909,7 @@ let spawn t ~core body =
   let on_suspend =
     Some
       (fun (k : (int, unit) continuation) ->
-        st.pend_ik <- Some k;
+        st.pend_ik <- k;
         if st.pend_at >= 0 then wake t st ~at:st.pend_at)
   in
   let handler : (unit, unit) handler =

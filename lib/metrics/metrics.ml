@@ -213,16 +213,17 @@ let total_id t ~kind ~id =
     done;
   !acc
 
-let iter_sorted t f =
-  let kinds = t.kinds and ids = t.ids and bks = t.bks and vals = t.vals in
-  let slots = Array.make t.used 0 in
-  let n = ref 0 in
+let iter t f =
+  let kinds = t.kinds in
   for s = 0 to Array.length kinds - 1 do
-    if kinds.(s) >= 0 then begin
-      slots.(!n) <- s;
-      incr n
-    end
-  done;
+    let k = kinds.(s) in
+    if k >= 0 then f ~kind:k ~id:t.ids.(s) ~bucket:t.bks.(s) t.vals.(s)
+  done
+
+(* [slots] sorted in place by (kind, id, bucket), comparing the three
+   ints in turn. *)
+let compare_sort t slots =
+  let kinds = t.kinds and ids = t.ids and bks = t.bks in
   Array.stable_sort
     (fun a b ->
       let c = Int.compare kinds.(a) kinds.(b) in
@@ -230,10 +231,95 @@ let iter_sorted t f =
       else
         let c = Int.compare ids.(a) ids.(b) in
         if c <> 0 then c else Int.compare bks.(a) bks.(b))
-    slots;
-  Array.iter
-    (fun s -> f ~kind:kinds.(s) ~id:ids.(s) ~bucket:bks.(s) vals.(s))
     slots
+
+(* [slots] sorted by [keys] (the key of [slots.(i)] is [keys.(i)], all
+   in [\[0, max_key\]]): an LSD radix sort, one byte per pass, as many
+   passes as [max_key] has bytes (a shift of [Sys.int_size] or more
+   is undefined, so the passes stop there).  Returns the sorted
+   slots. *)
+let radix_sort keys slots ~max_key =
+  let n = Array.length slots in
+  let keys = ref keys and slots = ref slots in
+  let keys' = ref (Array.make n 0) and slots' = ref (Array.make n 0) in
+  let count = Array.make 257 0 in
+  let shift = ref 0 in
+  while !shift < Sys.int_size && max_key lsr !shift > 0 do
+    let ks = !keys and ss = !slots and kd = !keys' and sd = !slots' in
+    Array.fill count 0 257 0;
+    for i = 0 to n - 1 do
+      let d = ((ks.(i) lsr !shift) land 255) + 1 in
+      count.(d) <- count.(d) + 1
+    done;
+    for d = 1 to 255 do
+      count.(d) <- count.(d) + count.(d - 1)
+    done;
+    for i = 0 to n - 1 do
+      let k = ks.(i) in
+      let d = (k lsr !shift) land 255 in
+      let p = count.(d) in
+      count.(d) <- p + 1;
+      kd.(p) <- k;
+      sd.(p) <- ss.(i)
+    done;
+    keys := kd;
+    slots := sd;
+    keys' := ks;
+    slots' := ss;
+    shift := !shift + 8
+  done;
+  !slots
+
+(* The occupied slots in (kind, id, bucket) order.  Every key is
+   packed into one int, relative to the smallest kind, id and bucket
+   present, as ((kind * n_ids) + id) * n_buckets + bucket, and the
+   packed keys are radix-sorted.  When a span or the product does not
+   fit in an int (ids far apart, or a huge bucket range at a fine
+   grid), the slots are compared field by field instead. *)
+let sorted_slots t =
+  let kinds = t.kinds and ids = t.ids and bks = t.bks in
+  let slots = Array.make t.used 0 in
+  let n = ref 0 and kmin = ref max_int and kmax = ref min_int in
+  let imin = ref max_int and imax = ref min_int in
+  let bmin = ref max_int and bmax = ref min_int in
+  for s = 0 to Array.length kinds - 1 do
+    let k = kinds.(s) in
+    if k >= 0 then begin
+      slots.(!n) <- s;
+      incr n;
+      let i = ids.(s) and b = bks.(s) in
+      if k < !kmin then kmin := k;
+      if k > !kmax then kmax := k;
+      if i < !imin then imin := i;
+      if i > !imax then imax := i;
+      if b < !bmin then bmin := b;
+      if b > !bmax then bmax := b
+    end
+  done;
+  let kmin = !kmin and imin = !imin and bmin = !bmin in
+  let nk = !kmax - kmin + 1 and ni = !imax - imin + 1 in
+  let nb = !bmax - bmin + 1 in
+  if t.used <= 1 then slots
+  else if
+    nk > 0 && ni > 0 && nb > 0 && ni <= max_int / nb
+    && nk <= max_int / (ni * nb)
+  then
+    let keys =
+      Array.map
+        (fun s ->
+          ((((kinds.(s) - kmin) * ni) + ids.(s) - imin) * nb) + bks.(s) - bmin)
+        slots
+    in
+    radix_sort keys slots ~max_key:((nk * ni * nb) - 1)
+  else begin
+    compare_sort t slots;
+    slots
+  end
+
+let iter_sorted t f =
+  Array.iter
+    (fun s -> f ~kind:t.kinds.(s) ~id:t.ids.(s) ~bucket:t.bks.(s) t.vals.(s))
+    (sorted_slots t)
 
 (* ------------------------------ dumps ------------------------------ *)
 

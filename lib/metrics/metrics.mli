@@ -110,6 +110,9 @@ val total : t -> kind:int -> int
 
 val total_id : t -> kind:int -> id:int -> int
 
+val iter : t -> (kind:int -> id:int -> bucket:int -> int -> unit) -> unit
+(** Visit samples in table order, which is unspecified. *)
+
 val iter_sorted : t -> (kind:int -> id:int -> bucket:int -> int -> unit) -> unit
 (** Visit samples in (kind, id, bucket) order — the dump order. *)
 

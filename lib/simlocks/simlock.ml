@@ -94,13 +94,15 @@ let instrumented tr (platform : Platform.t) ~n_threads (l : Lock_type.t) :
     let t1 = Sim.now () in
     let tid = Sim.self_tid () in
     let core = Sim.self_core () in
-    let dist =
-      if !holder_core < 0 then None
-      else Some (Topology.distance_class topo !holder_core core)
+    let handoff =
+      if !holder_core < 0 then -1
+      else
+        Cost_model.rank_of_class
+          (Topology.distance_class topo !holder_core core)
     in
     holder_core := core;
     if tid >= 0 && tid < Array.length acquired_at then acquired_at.(tid) <- t1;
-    Trace.emit tr ~ts:t1 (Trace.E_acq { tid; lock = id; wait = t1 - t0; dist })
+    Trace.acq tr ~ts:t1 ~tid ~lock:id ~wait:(t1 - t0) ~handoff
   in
   (* [E_rel] is emitted at release ENTRY, before the underlying release
      runs: the critical section ends here ([held] is pure CS time, not
@@ -118,15 +120,14 @@ let instrumented tr (platform : Platform.t) ~n_threads (l : Lock_type.t) :
         t1 - acquired_at.(etid)
       else 0
     in
-    Trace.emit tr ~ts:t1 (Trace.E_rel { tid = etid; lock = id; held })
+    Trace.rel tr ~ts:t1 ~tid:etid ~lock:id ~held
   in
   {
     Lock_type.name = l.Lock_type.name;
     acquire =
       (fun ~tid ->
         let t0 = Sim.now () in
-        Trace.emit tr ~ts:t0
-          (Trace.E_wait { tid = Sim.self_tid (); lock = id });
+        Trace.wait tr ~ts:t0 ~tid:(Sim.self_tid ()) ~lock:id;
         l.Lock_type.acquire ~tid;
         note_acquire ~t0);
     release =
@@ -148,8 +149,7 @@ let instrumented tr (platform : Platform.t) ~n_threads (l : Lock_type.t) :
            Lock_type.acquire_robust =
              (fun ~tid ->
                let t0 = Sim.now () in
-               Trace.emit tr ~ts:t0
-                 (Trace.E_wait { tid = Sim.self_tid (); lock = id });
+               Trace.wait tr ~ts:t0 ~tid:(Sim.self_tid ()) ~lock:id;
                let g = r.Lock_type.acquire_robust ~tid in
                note_acquire ~t0;
                g);

@@ -102,15 +102,13 @@ let create ?(prefetchw = false) ?(use_hw = true) mem (platform : Platform.t)
 let trace_send t =
   match t.trace with
   | Some (tr, id) ->
-      Trace.emit tr ~ts:(Sim.now ())
-        (Trace.E_send { tid = Sim.self_tid (); chan = id })
+      Trace.send tr ~ts:(Sim.now ()) ~tid:(Sim.self_tid ()) ~chan:id
   | None -> ()
 
 let trace_recv t =
   match t.trace with
   | Some (tr, id) ->
-      Trace.emit tr ~ts:(Sim.now ())
-        (Trace.E_recv { tid = Sim.self_tid (); chan = id })
+      Trace.recv tr ~ts:(Sim.now ()) ~tid:(Sim.self_tid ()) ~chan:id
   | None -> ()
 
 (* Blocking send of [payload] (>= 0).  Must be called from the sending

@@ -56,28 +56,11 @@ let grow a i fill =
   a'
 
 (* Transfer names ("load M>S two hops") are cached by (op, pre, post,
-   distance) in one table per domain, each built the first time it is
-   written and reused by every later export in that domain. *)
-let memop_ix : Arch.memop -> int = function
-  | Load -> 0
-  | Store -> 1
-  | Cas -> 2
-  | Fai -> 3
-  | Tas -> 4
-  | Swap -> 5
-
-let n_memops = 6
-
-let n_xfer_names =
-  n_memops * Arch.n_cstates * Arch.n_cstates * Cost_model.n_ranks
-
-let xfer_name xfer_names op pre post dist =
-  let st = (Arch.cstate_index pre * Arch.n_cstates) + Arch.cstate_index post in
-  let i =
-    (((memop_ix op * Arch.n_cstates * Arch.n_cstates) + st)
-     * Cost_model.n_ranks)
-    + Cost_model.rank_of_class dist
-  in
+   distance), read off the event's head word, in one table per domain,
+   each built the first time it is written and reused by every later
+   export in that domain. *)
+let xfer_name xfer_names h =
+  let i = Trace.xfer_key h in
   let s = xfer_names.(i) in
   if String.length s > 0 then s
   else begin
@@ -85,16 +68,17 @@ let xfer_name xfer_names op pre post dist =
       W.escape
         (String.concat ""
            [
-             Arch.memop_name op; " "; String.make 1 (Arch.cstate_letter pre);
-             ">"; String.make 1 (Arch.cstate_letter post); " ";
-             Arch.distance_name dist;
+             Arch.memop_name (Trace.head_op h); " ";
+             String.make 1 (Arch.cstate_letter (Trace.head_pre h)); ">";
+             String.make 1 (Arch.cstate_letter (Trace.head_post h)); " ";
+             Arch.distance_name (Trace.head_dist h);
            ])
     in
     xfer_names.(i) <- s;
     s
   end
 
-let xfer_key = Domain.DLS.new_key (fun () -> Array.make n_xfer_names "")
+let xfer_key = Domain.DLS.new_key (fun () -> Array.make Trace.n_xfer_keys "")
 
 (* What a track currently has open, innermost first. *)
 type slice = Wait of int | Hold of int | Parked
@@ -176,18 +160,22 @@ let meta b ~name ~pid ~tid ~value =
   W.escaped b value;
   Buffer.add_string b "\"}}"
 
-let event j ts (ev : Trace.event) =
+(* Write the event at offset [o] of the ring [r]. *)
+let event j r o =
   let b = j.b in
-  match ev with
-  | E_thread { tid; _ } ->
+  let ts = r.(o) and h = r.(o + 1) and tid = r.(o + 2) in
+  match Trace.kind h with
+  | Thread ->
       instant j ~pfx:"" ~name:"spawn" ~ts ~tid:(track tid);
       Buffer.add_char b '}'
-  | E_wait { tid; lock } ->
+  | Wait ->
+      let lock = r.(o + 3) in
       let t = stack j tid in
       j.stacks.(t) <- Wait lock :: j.stacks.(t);
       head j ~pfx:"wait " ~name:(escaped j j.locks lock) ~ph:"B" ~ts ~tid:t;
       Buffer.add_char b '}'
-  | E_acq { tid; lock; wait; dist } ->
+  | Acq ->
+      let lock = r.(o + 3) in
       let t = stack j tid in
       (match j.stacks.(t) with
       | Wait l :: rest when l = lock ->
@@ -196,15 +184,16 @@ let event j ts (ev : Trace.event) =
       | _ -> ());
       j.stacks.(t) <- Hold lock :: j.stacks.(t);
       head j ~pfx:"hold " ~name:(escaped j j.locks lock) ~ph:"B" ~ts ~tid:t;
-      str_int b ",\"args\":{\"wait\":" wait;
-      (match dist with
-      | None -> ()
-      | Some d ->
-          Buffer.add_string b ",\"handoff\":\"";
-          W.escaped b (Arch.distance_name d);
-          Buffer.add_char b '"');
+      str_int b ",\"args\":{\"wait\":" r.(o + 4);
+      let rank = Trace.head_handoff h in
+      if rank >= 0 then begin
+        Buffer.add_string b ",\"handoff\":\"";
+        W.escaped b (Arch.distance_name Cost_model.class_of_rank.(rank));
+        Buffer.add_char b '"'
+      end;
       Buffer.add_string b "}}"
-  | E_rel { tid; lock; held } -> (
+  | Rel -> (
+      let lock = r.(o + 3) in
       let t = stack j tid in
       match j.stacks.(t) with
       | Hold l :: rest when l = lock ->
@@ -212,26 +201,24 @@ let event j ts (ev : Trace.event) =
           close j ~pfx:"hold " ~name:(escaped j j.locks lock) ~ts ~tid:t
       | _ ->
           instant j ~pfx:"release " ~name:(escaped j j.locks lock) ~ts ~tid:t;
-          str_int b ",\"args\":{\"held\":" held;
+          str_int b ",\"args\":{\"held\":" r.(o + 4);
           Buffer.add_string b "}}")
-  | E_xfer { tid; core; op; addr; pre; post; dist; lat; service; queued; rq; _ }
-    ->
-      head j ~pfx:"" ~name:(xfer_name j.xfer op pre post dist) ~ph:"X" ~ts
-        ~tid:(track tid);
-      str_int b ",\"dur\":" lat;
-      str_int b ",\"args\":{\"addr\":" addr;
-      str_int b ",\"core\":" core;
-      str_int b ",\"service\":" service;
-      str_int b ",\"queued\":" queued;
-      str_int b ",\"rqueued\":" rq;
+  | Xfer ->
+      head j ~pfx:"" ~name:(xfer_name j.xfer h) ~ph:"X" ~ts ~tid:(track tid);
+      str_int b ",\"dur\":" r.(o + 4);
+      str_int b ",\"args\":{\"addr\":" r.(o + 3);
+      str_int b ",\"core\":" (Trace.head_core h);
+      str_int b ",\"service\":" r.(o + 5);
+      str_int b ",\"queued\":" r.(o + 6);
+      str_int b ",\"rqueued\":" r.(o + 7);
       Buffer.add_string b "}}"
-  | E_park { tid; addr } ->
+  | Park ->
       let t = stack j tid in
       j.stacks.(t) <- Parked :: j.stacks.(t);
       head j ~pfx:"" ~name:"parked" ~ph:"B" ~ts ~tid:t;
-      str_int b ",\"args\":{\"addr\":" addr;
+      str_int b ",\"args\":{\"addr\":" r.(o + 3);
       Buffer.add_string b "}}"
-  | E_wake { tid; _ } -> (
+  | Wake -> (
       let t = stack j tid in
       match j.stacks.(t) with
       | Parked :: rest ->
@@ -240,82 +227,88 @@ let event j ts (ev : Trace.event) =
       | _ ->
           instant j ~pfx:"" ~name:"wake" ~ts ~tid:t;
           Buffer.add_char b '}')
-  | E_fault { tid; kind; cycles } ->
+  | Fault ->
       let name =
-        match kind with
+        match Trace.head_fault h with
         | Jitter -> "jitter"
         | Preempt -> "preempt"
         | Crash -> "crash"
       in
       instant j ~pfx:"" ~name ~ts ~tid:(track tid);
-      str_int b ",\"args\":{\"cycles\":" cycles;
+      str_int b ",\"args\":{\"cycles\":" r.(o + 3);
       Buffer.add_string b "}}"
-  | E_send { tid; chan } | E_recv { tid; chan } ->
-      let name = match ev with E_send _ -> "send" | _ -> "recv" in
+  | (Send | Recv) as k ->
+      let name = match k with Send -> "send" | _ -> "recv" in
       instant j ~pfx:"" ~name ~ts ~tid:(track tid);
       Buffer.add_string b ",\"args\":{\"chan\":\"";
-      Buffer.add_string b (escaped j j.chans chan);
+      Buffer.add_string b (escaped j j.chans r.(o + 3));
       Buffer.add_string b "\"}}"
 
-(* Growable column of (kind, bucket, value) triples for the
-   counter-track aggregation. *)
-type col = { mutable a : int array; mutable n : int }
+(* One counter sample: kind [k]'s value [v] at the start of bucket
+   [bk]. *)
+let counter j ~w k bk v =
+  head j ~pfx:"" ~name:(W.escape (Metrics.kind_name k)) ~ph:"C" ~ts:(bk * w)
+    ~tid:counter_track;
+  str_int j.b ",\"args\":{\"value\":" v;
+  Buffer.add_string j.b "}}"
 
-let push c k bk v =
-  if c.n + 2 >= Array.length c.a then c.a <- grow c.a (c.n + 2) 0;
-  c.a.(c.n) <- k;
-  c.a.(c.n + 1) <- bk;
-  c.a.(c.n + 2) <- v;
-  c.n <- c.n + 3
-
-(* Indices of [c]'s triples sorted by field [f], then field [g]. *)
-let order c f g =
-  let a = c.a in
-  let ix = Array.init (c.n / 3) Fun.id in
-  Array.stable_sort
-    (fun x y ->
-      let d = Int.compare a.((3 * x) + f) a.((3 * y) + f) in
-      if d <> 0 then d else Int.compare a.((3 * x) + g) a.((3 * y) + g))
-    ix;
-  ix
+(* Sinks whose (kind, bucket) box is too sparse for the grid below: the
+   same samples through a table and a sort. *)
+let counters_sparse j m ~w =
+  let sums = Hashtbl.create 64 in
+  Metrics.iter m (fun ~kind ~id:_ ~bucket v ->
+      let key = (bucket, kind) in
+      let prev = Option.value ~default:0 (Hashtbl.find_opt sums key) in
+      Hashtbl.replace sums key (prev + v));
+  let cells = Hashtbl.fold (fun key v acc -> (key, v) :: acc) sums [] in
+  let zeros =
+    List.filter_map
+      (fun ((bk, k), _) ->
+        if Hashtbl.mem sums (bk + 1, k) then None else Some ((bk + 1, k), 0))
+      cells
+  in
+  List.iter
+    (fun ((bk, k), v) -> counter j ~w k bk v)
+    (List.sort compare (zeros @ cells))
 
 (* Sampled metric timelines as Perfetto counter tracks: one counter
    per kind (ids aggregated), bucket-major so the shared tid's
    timestamps stay monotone; a zero sample after each run of activity
    stops the viewer's step function from holding the last value
-   forever. *)
+   forever.  The ids are summed out into a dense grid over the box of
+   (kind, bucket) keys, one column per bucket plus one past the last,
+   walked bucket by bucket: a present cell writes its sum, and an
+   absent one whose previous bucket was present writes the closing
+   zero.  A box of more than 16 cells per sample, plus 4096, goes
+   through [counters_sparse] instead. *)
 let counters j m =
-  let s = { a = [||]; n = 0 } in
-  Metrics.iter_sorted m (fun ~kind ~id:_ ~bucket v -> push s kind bucket v);
-  (* sum ids out in (kind, bucket) order, closing each run of buckets
-     with a zero *)
-  let by_kind = order s 0 1 in
-  let kind_at i = s.a.(3 * by_kind.(i))
-  and bucket_at i = s.a.((3 * by_kind.(i)) + 1) in
-  let o = { a = [||]; n = 0 } in
-  let n = Array.length by_kind in
-  let i = ref 0 in
-  while !i < n do
-    let k = kind_at !i and bk = bucket_at !i in
-    let v = ref 0 in
-    while !i < n && kind_at !i = k && bucket_at !i = bk do
-      v := !v + s.a.((3 * by_kind.(!i)) + 2);
-      incr i
-    done;
-    push o k bk !v;
-    if not (!i < n && kind_at !i = k && bucket_at !i = bk + 1) then
-      push o k (bk + 1) 0
-  done;
   let w = Metrics.grid m in
-  Array.iter
-    (fun x ->
-      let k = o.a.(3 * x) and bk = o.a.((3 * x) + 1) in
-      head j ~pfx:""
-        ~name:(W.escape (Metrics.kind_name k))
-        ~ph:"C" ~ts:(bk * w) ~tid:counter_track;
-      str_int j.b ",\"args\":{\"value\":" o.a.((3 * x) + 2);
-      Buffer.add_string j.b "}}")
-    (order o 1 0)
+  let kmin = ref max_int and kmax = ref (-1) in
+  let bmin = ref max_int and bmax = ref min_int and n = ref 0 in
+  Metrics.iter m (fun ~kind ~id:_ ~bucket _ ->
+      incr n;
+      if kind < !kmin then kmin := kind;
+      if kind > !kmax then kmax := kind;
+      if bucket < !bmin then bmin := bucket;
+      if bucket > !bmax then bmax := bucket);
+  let kmin = !kmin and bmin = !bmin in
+  let nk = !kmax - kmin + 1 and nb = !bmax - bmin + 2 in
+  if !n = 0 then ()
+  else if nk <= 0 || nb <= 0 || nk > (4096 + (16 * !n)) / nb then
+    counters_sparse j m ~w
+  else begin
+    let sums = Array.make (nk * nb) 0 and present = Bytes.make (nk * nb) '0' in
+    Metrics.iter m (fun ~kind ~id:_ ~bucket v ->
+        let c = ((bucket - bmin) * nk) + kind - kmin in
+        sums.(c) <- sums.(c) + v;
+        Bytes.unsafe_set present c '1');
+    for c = 0 to (nk * nb) - 1 do
+      let k = kmin + (c mod nk) and bk = bmin + (c / nk) in
+      if Bytes.get present c = '1' then counter j ~w k bk sums.(c)
+      else if c >= nk && Bytes.get present (c - nk) = '1' then
+        counter j ~w k bk 0
+    done
+  end
 
 let export_job b ~xfer ~pid ~label ?metrics (tr : Trace.t) =
   meta b ~name:"process_name" ~pid ~tid:0 ~value:label;
@@ -337,26 +330,28 @@ let export_job b ~xfer ~pid ~label ?metrics (tr : Trace.t) =
   (* thread tracks: one per E_thread (re-spawns across epochs reuse the
      tid's track), plus the setup track if anything ran outside a
      simulated thread, plus the counter track when used *)
+  let r = Trace.ring tr in
   let uses_setup = ref false in
-  Trace.iter tr (fun e ->
-      match e.Trace.ev with
-      | Trace.E_thread { tid; core } ->
+  Trace.iter_offsets tr (fun o ->
+      match Trace.kind r.(o + 1) with
+      | Thread ->
+          let tid = r.(o + 2) in
           let t = track tid in
           if t >= Array.length j.named then j.named <- grow j.named t false;
           if not j.named.(t) then begin
             j.named.(t) <- true;
             meta_head b ~name:"thread_name" ~pid ~tid;
             str_int b "\"name\":\"tid " tid;
-            str_int b " @ core " core;
+            str_int b " @ core " r.(o + 3);
             Buffer.add_string b "\"}}"
           end
-      | Trace.E_xfer { tid; _ } -> if tid < 0 then uses_setup := true
+      | Xfer -> if r.(o + 2) < 0 then uses_setup := true
       | _ -> ());
   if !uses_setup then
     meta b ~name:"thread_name" ~pid ~tid:setup_track ~value:"(setup)";
   if metrics <> None then
     meta b ~name:"thread_name" ~pid ~tid:counter_track ~value:"(metrics)";
-  Trace.iter tr (fun { Trace.ts; ev } -> event j ts ev);
+  Trace.iter_offsets tr (event j r);
   match metrics with None -> () | Some m -> counters j m
 
 (* [export_buffer b jobs] writes the merged trace of [(label, trace)]

@@ -11,7 +11,9 @@
     [Simlock.create] / [Channel.create]), so with no trace installed
     the instrumentation costs one [option] match per hook site and the
     lock wrappers are never even built.  Install a sink with {!start}
-    before creating the simulation.
+    before creating the simulation.  When on, producers write through
+    the per-kind emitters ({!xfer}, {!acq}, ...), which store ints into
+    a flat ring and allocate nothing.
 
     Storage is a ring buffer: once [capacity] events have been
     recorded the oldest are overwritten ({!dropped} counts them), but
@@ -78,9 +80,62 @@ val stop : unit -> t option
 
 val current : unit -> t option
 
-(* {2 Producer hooks} *)
+(* {2 Producer hooks}
+
+   One emitter per event kind.  Each writes the event's ints into the
+   ring and bumps its aggregates; none allocates.  [ts] is
+   epoch-relative (negative times count as 0).  Every emitter takes at
+   most 11 parameters: the program already carries OCaml's partial
+   application stubs up to that arity, and one more would move code
+   (see DESIGN.md, "Observability"). *)
+
+val thread : t -> ts:int -> tid:int -> core:int -> unit
+val wait : t -> ts:int -> tid:int -> lock:int -> unit
+
+val acq : t -> ts:int -> tid:int -> lock:int -> wait:int -> handoff:int -> unit
+(** [handoff] is the [Cost_model.rank_of_class] of the distance from
+    the previous holder's core, -1 for the lock's first acquisition. *)
+
+val rel : t -> ts:int -> tid:int -> lock:int -> held:int -> unit
+
+val xfer_head :
+  core:int ->
+  op:Arch.memop ->
+  pre:Arch.cstate ->
+  post:Arch.cstate ->
+  dist:Arch.distance ->
+  rq_dir:bool ->
+  int
+(** A transfer's head word: its kind and small fields, packed.  [core]
+    must lie in [\[min_core, max_core\]]. *)
+
+val xfer :
+  t ->
+  ts:int ->
+  tid:int ->
+  addr:int ->
+  lat:int ->
+  service:int ->
+  queued:int ->
+  rq:int ->
+  int ->
+  unit
+(** A transfer, given its {!xfer_head}. *)
+
+val park : t -> ts:int -> tid:int -> addr:int -> unit
+val wake : t -> ts:int -> tid:int -> addr:int -> unit
+val fault : t -> ts:int -> tid:int -> kind:fault_kind -> cycles:int -> unit
+val send : t -> ts:int -> tid:int -> chan:int -> unit
+val recv : t -> ts:int -> tid:int -> chan:int -> unit
+
+val min_core : int
+val max_core : int
+(** The cores a transfer's head word holds: 46-bit signed. *)
 
 val emit : t -> ts:int -> event -> unit
+(** The entry view of the emitters: [emit t ~ts ev] writes what [ev]'s
+    emitter writes.
+    @raise Invalid_argument if a transfer's core is out of range. *)
 
 val set_tid : t -> int -> unit
 (** Thread on whose behalf the next memory accesses run (-1 outside
@@ -117,7 +172,48 @@ val dropped : t -> int
 (** Events overwritten after the ring filled. *)
 
 val iter : t -> (entry -> unit) -> unit
-(** Chronological (= emission) order over the retained events. *)
+(** Chronological (= emission) order over the retained events, each
+    decoded into an entry (the view for tests, [Profile] and
+    [Invariant]; exporters read {!ring}). *)
+
+(** {2 The ring's ints}
+
+    Each retained event is 8 consecutive ints of {!ring}, at the
+    offset [o] that {!iter_offsets} passes: the timestamp at [o] (epoch
+    base applied), the head word at [o + 1], the tid at [o + 2] and
+    payload ints at [o + 3] on.  The payload by kind: a [Thread]'s
+    core; a [Wait]'s lock; an [Acq]'s lock and wait; a [Rel]'s lock
+    and held time; an [Xfer]'s addr, lat, service, queued and rq; a
+    [Park]'s or [Wake]'s address; a [Fault]'s cycles; a [Send]'s or
+    [Recv]'s channel.  The other fields sit in the head word. *)
+
+type kind = Thread | Wait | Acq | Rel | Xfer | Park | Wake | Fault | Send | Recv
+
+val ring : t -> int array
+(** The ring's current array (replaced as the ring grows). *)
+
+val iter_offsets : t -> (int -> unit) -> unit
+(** The offsets of the retained events, oldest first. *)
+
+val kind : int -> kind
+(** Of a head word, like the [head_] readers below. *)
+
+val head_op : int -> Arch.memop
+val head_pre : int -> Arch.cstate
+val head_post : int -> Arch.cstate
+val head_dist : int -> Arch.distance
+val head_core : int -> int
+
+val head_handoff : int -> int
+(** An acquisition's handoff rank, -1 for none (see {!acq}). *)
+
+val head_fault : int -> fault_kind
+
+val n_xfer_keys : int
+
+val xfer_key : int -> int
+(** A transfer's (op, pre, post, distance) as one int in
+    [\[0, n_xfer_keys)], for tables indexed by those four. *)
 
 (** Aggregate counters over the whole run — never dropped, so they
     reconcile with [Sim.perf] even when the ring wrapped. *)

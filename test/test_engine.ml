@@ -402,8 +402,8 @@ let test_direct_run_allocation_free () =
 (* A step that cannot direct-run is queued: the thread suspends, and the
    queue pushes and pops its runner.  Threads pausing the same span in
    lockstep tie the queue head at every step, so none direct-runs.  A
-   queued step allocates the suspension's continuation and its [Some],
-   4 words, and nothing in the queue.  Runs of [n] and [2n] pauses per
+   queued step allocates the suspension's continuation, 2 words, and
+   nothing in the queue.  Runs of [n] and [2n] pauses per
    thread are measured whole, and their difference cancels each thread's
    start and finish. *)
 let test_queued_step_allocation () =
@@ -423,10 +423,10 @@ let test_queued_step_allocation () =
       let words = run_words threads (2 * n) - run_words threads n in
       let steps = threads * n in
       check_bool
-        (Printf.sprintf "%d threads: %d words for %d queued steps (at most 4 each)"
+        (Printf.sprintf "%d threads: %d words for %d queued steps (at most 2 each)"
            threads words steps)
         true
-        (words <= 4 * steps))
+        (words <= 2 * steps))
     [ 2; 32 ]
 
 (* The spin primitives pause [poll] before every probe, the first one
@@ -623,7 +623,7 @@ let suite =
       test_fault_spec_validation;
     Alcotest.test_case "direct-run ops allocate nothing" `Quick
       test_direct_run_allocation_free;
-    Alcotest.test_case "a queued step allocates at most 4 words" `Quick
+    Alcotest.test_case "a queued step allocates at most 2 words" `Quick
       test_queued_step_allocation;
     Alcotest.test_case "ops outside a thread raise Effect.Unhandled" `Quick
       test_ops_outside_threads;

@@ -7,8 +7,9 @@
    capacities force wrap-around (so closes lose their opening events),
    all ten event kinds appear, thread ids include -1, lock and channel
    ids include unregistered ones, and the int payloads include zero,
-   negative, large and extreme values.  Names mix JSON's special
-   characters with control bytes and UTF-8. *)
+   negative, large and extreme values (a transfer's core within the
+   46 bits the ring gives it).  Names mix JSON's special characters
+   with control bytes and UTF-8. *)
 
 open Ssync_platform
 module Trace = Ssync_trace.Trace
@@ -24,6 +25,18 @@ let gen_int =
         (1, int_range 1_000_000_000 (1 lsl 40));
         (1, oneofl [ 0; -1; max_int; min_int; max_int - 1 ]);
         (1, int);
+      ])
+
+(* A transfer's core lives in 46 bits of the ring's head word. *)
+let gen_core =
+  QCheck.Gen.(
+    frequency
+      [
+        (4, int_range 0 5000);
+        (2, int_range (-5) 5);
+        (1, int_range 1_000_000_000 (1 lsl 40));
+        (1, oneofl [ 0; -1; Trace.max_core; Trace.min_core ]);
+        (1, int_range Trace.min_core Trace.max_core);
       ])
 
 let gen_name =
@@ -68,7 +81,7 @@ let gen_event =
                 tid; core; op; addr; pre; post; dist; lat; service; queued; rq;
                 rq_dir = rq land 1 = 0;
               })
-          (triple tid gen_int gen_int)
+          (triple tid gen_core gen_int)
           (triple gen_memop gen_cstate gen_cstate)
           gen_dist
           (quad gen_int gen_int gen_int gen_int) );
@@ -117,23 +130,35 @@ let build j =
   tr
 
 (* A metric sink filled by short spans and bumps, so no span walks an
-   unbounded number of buckets; kinds include two past [n_kinds]. *)
+   unbounded number of buckets, and new epochs, so bucket indices start
+   past an epoch base.  Bucket gaps (closing zeros on the counter
+   tracks) and several ids per (kind, bucket) are common; kinds include
+   two past [n_kinds], written as numbers, and a rare kind of 2^40,
+   whose box is too sparse for the counter tracks' grid. *)
 type sample =
   | Span of int * int * int * int * int
   | Bump of int * int * int * int
+  | Epoch
 
 let gen_sample =
   QCheck.Gen.(
-    let kind = int_range 0 (Metrics.n_kinds + 1) and id = int_range (-1) 4 in
+    let kind =
+      frequency
+        [ (60, int_range 0 (Metrics.n_kinds + 1)); (1, return (1 lsl 40)) ]
+    and id = int_range (-1) 4 in
     let ts = int_range (-100) 1_000_000 in
-    oneof
+    frequency
       [
-        map2
-          (fun (k, i, t0) (len, w) -> Span (k, i, t0, t0 + len, w))
-          (triple kind id ts)
-          (pair (int_range (-10) 300_000) (int_range (-3) 8));
-        map2 (fun (k, i, ts) n -> Bump (k, i, ts, n)) (triple kind id ts)
-          (int_range (-2) 5);
+        ( 10,
+          map2
+            (fun (k, i, t0) (len, w) -> Span (k, i, t0, t0 + len, w))
+            (triple kind id ts)
+            (pair (int_range (-10) 300_000) (int_range (-3) 8)) );
+        ( 10,
+          map2
+            (fun (k, i, ts) n -> Bump (k, i, ts, n))
+            (triple kind id ts) (int_range (-2) 5) );
+        (1, return Epoch);
       ])
 
 let fill samples =
@@ -142,7 +167,8 @@ let fill samples =
     (function
       | Span (kind, id, t0, t1, weight) ->
           Metrics.span m ~kind ~id ~t0 ~t1 ~weight
-      | Bump (kind, id, ts, n) -> Metrics.bump m ~kind ~id ~ts n)
+      | Bump (kind, id, ts, n) -> Metrics.bump m ~kind ~id ~ts n
+      | Epoch -> Metrics.new_epoch m)
     samples;
   m
 
@@ -209,6 +235,37 @@ let qcheck_exporters_match_reference =
     ~name:"exporters = Printf reference, byte for byte"
     (QCheck.make gen_case) prop
 
+(* One sink with every feature the counter tracks handle, exported
+   through the grid and, with a kind of 2^40 added, through the sparse
+   path. *)
+let test_counter_tracks () =
+  let w = !Metrics.bucket_cycles in
+  let planted extra =
+    fill
+      ([
+         (* two ids in one (kind, bucket) *)
+         Bump (0, 0, 0, 3); Bump (0, 1, 0, 4);
+         (* buckets 1 and 2 empty: a closing zero, then a restart *)
+         Bump (0, 2, 3 * w, 5);
+         (* a numeric kind name *)
+         Bump (Metrics.n_kinds + 1, 0, w, 2);
+         (* a run over three buckets *)
+         Span (1, 0, w / 2, (5 * w) / 2, 1);
+         (* bucket indices past an epoch base *)
+         Epoch; Bump (0, 0, 0, 9); Bump (2, 3, w, 1);
+       ]
+      @ extra)
+  in
+  List.iter
+    (fun (name, m) ->
+      let jobs = [ ("job", Trace.create ()) ] and metrics = [ ("job", m) ] in
+      let want = Buffer.create 4096 in
+      Ref_export.export_buffer ~metrics want jobs;
+      Alcotest.(check string)
+        name (Buffer.contents want)
+        (Chrome.export_string ~metrics jobs))
+    [ ("grid", planted []); ("sparse", planted [ Bump (1 lsl 40, 0, 0, 1) ]) ]
+
 (* Digit boundaries, where a hand-written [int] breaks first. *)
 let test_int_digits () =
   let module W = Metrics.Writer in
@@ -267,4 +324,6 @@ let suite =
     Alcotest.test_case "Writer.int = string_of_int" `Quick test_int_digits;
     Alcotest.test_case "transfer names cached per domain" `Quick
       test_name_cache_per_domain;
+    Alcotest.test_case "counter tracks = reference, grid and sparse" `Quick
+      test_counter_tracks;
   ]

@@ -16,7 +16,9 @@
      busy cycles to >= 90% of a steady-state bucket;
    - the table agrees with a [Map] model over random span, bump and
      new-epoch sequences, at the default grid and at one cycle per
-     bucket, and adding to a key already present allocates nothing;
+     bucket, with [iter_sorted]'s packed keys and with ids too far
+     apart to pack, and adding to a key already present allocates
+     nothing;
    - a memory accessed outside any run (ccbench's single accesses)
      writes its samples into the sink all the same. *)
 
@@ -277,10 +279,10 @@ let show_op = function
 (* [max_t] bounds timestamps and [max_len] span lengths: at one cycle
    per bucket, short spans over a wide range give few keys per span but
    large bucket indices. *)
-let gen_ops ~max_t ~max_len =
+let gen_ops ?(id = QCheck.Gen.int_range (-2) 40) ~max_t ~max_len () =
   QCheck.Gen.(
     let kind = int_range 0 (Metrics.n_kinds + 1) in
-    let id = int_range (-2) 40 and ts = int_range (-50) max_t in
+    let ts = int_range (-50) max_t in
     list_size (int_range 1 300)
       (frequency
          [
@@ -341,10 +343,10 @@ let agrees (t, md) =
               [ -2; -1; 0; 1; 7; 40; 41 ])
        kinds
 
-let model_test ~name ~grid ~max_t ~max_len =
+let model_test ?id ~name ~grid ~max_t ~max_len () =
   QCheck.Test.make ~count:200 ~name
     (QCheck.make ~print:(fun ops -> String.concat "; " (List.map show_op ops))
-       (gen_ops ~max_t ~max_len))
+       (gen_ops ?id ~max_t ~max_len ()))
     (fun ops ->
       let saved = !Metrics.bucket_cycles in
       Metrics.bucket_cycles := grid;
@@ -354,11 +356,25 @@ let model_test ~name ~grid ~max_t ~max_len =
 
 let qcheck_model_default_grid =
   model_test ~name:"table = Map model (default grid)" ~grid:65536
-    ~max_t:2_000_000 ~max_len:400_000
+    ~max_t:2_000_000 ~max_len:400_000 ()
 
 let qcheck_model_unit_grid =
   model_test ~name:"table = Map model (1-cycle buckets)" ~grid:1
-    ~max_t:(1 lsl 40) ~max_len:40
+    ~max_t:(1 lsl 40) ~max_len:40 ()
+
+(* Ids 2^52 apart pack into keys of up to 62 bits, so [iter_sorted]
+   runs every radix pass; ids 2^61 apart make a (kind, id, bucket) box
+   that does not fit in an int, so it compares the fields instead. *)
+let qcheck_model_wide_ids =
+  List.map
+    (fun (name, far) ->
+      model_test ~name
+        ~id:QCheck.Gen.(frequency [ (3, int_range (-2) 40); (1, oneofl far) ])
+        ~grid:65536 ~max_t:2_000_000 ~max_len:400_000 ())
+    [
+      ("table = Map model (62-bit packed keys)", [ 1 lsl 52 ]);
+      ("table = Map model (keys past the packed range)", [ min_int / 4; max_int / 4 ]);
+    ]
 
 let test_negative_kind_rejected () =
   let m = Metrics.create () in
@@ -425,3 +441,4 @@ let suite =
     Alcotest.test_case "accesses outside a run are sampled" `Quick
       test_access_without_run_sampled;
   ]
+  @ List.map QCheck_alcotest.to_alcotest qcheck_model_wide_ids

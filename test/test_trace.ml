@@ -63,6 +63,183 @@ let test_epoch_offsets () =
       check_bool "second epoch offset past the first" true (b >= a)
   | _ -> Alcotest.fail "expected two events"
 
+(* Events of every kind, with the values each field can take at its
+   edges: both handoff forms and every distance, the setup track's tid
+   -1, every (op, pre, post, distance) with both [rq_dir] values, a
+   transfer's core at both ends of its range, and extreme ints in
+   every full-int field. *)
+let all_kinds =
+  let open Trace in
+  let ints = [ 0; 1; -1; 4242; max_int; min_int; 1 lsl 40; -(1 lsl 40) ] in
+  let cores = [| 0; 79; -1; Trace.max_core; Trace.min_core |] in
+  let ops = Arch.[ Load; Store; Cas; Fai; Tas; Swap ] in
+  let states = Array.to_list Arch.cstate_of_index in
+  let dists = Array.to_list Cost_model.class_of_rank in
+  let plain =
+    List.concat_map
+      (fun x ->
+        [
+          E_thread { tid = -1; core = x };
+          E_wait { tid = x; lock = x };
+          E_acq { tid = -1; lock = x; wait = x; dist = None };
+          E_rel { tid = x; lock = -1; held = x };
+          E_park { tid = 3; addr = x };
+          E_wake { tid = x; addr = -1 };
+          E_fault { tid = x; kind = Jitter; cycles = x };
+          E_send { tid = x; chan = x };
+          E_recv { tid = -1; chan = x };
+        ])
+      ints
+  in
+  let acqs =
+    List.map (fun d -> E_acq { tid = 2; lock = 1; wait = 77; dist = Some d }) dists
+  in
+  let faults =
+    List.map
+      (fun kind -> E_fault { tid = 0; kind; cycles = max_int })
+      [ Jitter; Preempt; Crash ]
+  in
+  let i = ref 0 in
+  let xfers =
+    List.concat_map
+      (fun op ->
+        List.concat_map
+          (fun pre ->
+            List.concat_map
+              (fun post ->
+                List.concat_map
+                  (fun dist ->
+                    List.map
+                      (fun rq_dir ->
+                        incr i;
+                        let x = List.nth ints (!i mod List.length ints) in
+                        E_xfer
+                          {
+                            tid = (!i mod 3) - 1; core = cores.(!i mod 5); op;
+                            addr = x; pre; post; dist; lat = -x; service = x;
+                            queued = !i; rq = x; rq_dir;
+                          })
+                      [ true; false ])
+                  dists)
+              states)
+          states)
+      ops
+  in
+  plain @ acqs @ faults @ xfers
+
+let retained tr =
+  let acc = ref [] in
+  Trace.iter tr (fun e -> acc := (e.Trace.ts, e.Trace.ev) :: !acc);
+  List.rev !acc
+
+let test_ring_round_trip () =
+  let evs = List.mapi (fun i ev -> (i, ev)) all_kinds in
+  let tr = Trace.create ~capacity:(List.length evs) () in
+  List.iter (fun (ts, ev) -> Trace.emit tr ~ts ev) evs;
+  check_int "nothing dropped" 0 (Trace.dropped tr);
+  check_bool "every event reads back as emitted" true (retained tr = evs);
+  let xfer core =
+    Trace.E_xfer
+      {
+        tid = 0; core; op = Arch.Load; addr = 0; pre = Arch.Invalid;
+        post = Arch.Shared; dist = Arch.One_hop; lat = 0; service = 0;
+        queued = 0; rq = 0; rq_dir = false;
+      }
+  in
+  List.iter
+    (fun core ->
+      Alcotest.check_raises (Printf.sprintf "core %d" core)
+        (Invalid_argument "Trace.emit: transfer core out of range") (fun () ->
+          Trace.emit tr ~ts:0 (xfer core)))
+    [ Trace.max_core + 1; Trace.min_core - 1; max_int; min_int ]
+
+(* Mixed kinds through a wrap: the ring keeps the last [capacity]
+   events, in order. *)
+let test_ring_mixed_wrap () =
+  let evs = List.filteri (fun i _ -> i < 100) (List.rev all_kinds) in
+  let evs = List.mapi (fun i ev -> (10 * i, ev)) evs in
+  let tr = Trace.create ~capacity:64 () in
+  List.iter (fun (ts, ev) -> Trace.emit tr ~ts ev) evs;
+  check_int "ring holds its capacity" 64 (Trace.length tr);
+  check_int "oldest events dropped" 36 (Trace.dropped tr);
+  check_int "emitted counts everything" 100 (Trace.totals tr).Trace.t_emitted;
+  check_bool "the last 64 events, in order" true
+    (retained tr = List.filteri (fun i _ -> i >= 36) evs)
+
+(* Emitters write ints into the ring: 10k emits of each kind into a
+   ring already at its capacity (so it wraps and never grows), and 10k
+   traced [Memory] transfers and local hits, allocate nothing. *)
+let test_emit_allocation_free () =
+  let during = Test_coherence.minor_words_during in
+  let tr = Trace.create ~capacity:1024 () in
+  let lock = Trace.new_lock tr "L" and chan = Trace.new_chan tr "C" in
+  let head =
+    Trace.xfer_head ~core:3 ~op:Arch.Cas ~pre:Arch.Shared ~post:Arch.Modified
+      ~dist:Arch.One_hop ~rq_dir:true
+  in
+  List.iter
+    (fun (name, emit) ->
+      let words =
+        during (fun () ->
+            for i = 1 to 10_000 do
+              emit i
+            done)
+        - during ignore
+      in
+      check_int (name ^ ": 10k emits, minor words") 0 words)
+    [
+      ("thread", fun i -> Trace.thread tr ~ts:i ~tid:(i land 7) ~core:i);
+      ("wait", fun i -> Trace.wait tr ~ts:i ~tid:1 ~lock);
+      ( "acq",
+        fun i -> Trace.acq tr ~ts:i ~tid:1 ~lock ~wait:i ~handoff:((i mod 7) - 1)
+      );
+      ("rel", fun i -> Trace.rel tr ~ts:i ~tid:1 ~lock ~held:i);
+      ( "xfer",
+        fun i ->
+          Trace.xfer tr ~ts:i ~tid:(-1) ~addr:i ~lat:i ~service:i ~queued:1
+            ~rq:(i land 3) head );
+      ("park", fun i -> Trace.park tr ~ts:i ~tid:2 ~addr:i);
+      ("wake", fun i -> Trace.wake tr ~ts:i ~tid:2 ~addr:i);
+      ( "fault",
+        fun i -> Trace.fault tr ~ts:i ~tid:0 ~kind:Trace.Preempt ~cycles:i );
+      ("send", fun i -> Trace.send tr ~ts:i ~tid:0 ~chan);
+      ("recv", fun i -> Trace.recv tr ~ts:i ~tid:1 ~chan);
+    ];
+  check_int "the ring stayed at its capacity" 1024 (Trace.length tr);
+  let tr = Trace.start ~capacity:1024 () in
+  let m =
+    Fun.protect
+      ~finally:(fun () -> ignore (Trace.stop ()))
+      (fun () -> Memory.create Platform.opteron)
+  in
+  let a = Memory.alloc m in
+  let access ~core op i =
+    ignore
+      (Memory.access_lat_in m ~core ~now:(i * 1_000) op a ~operand:i
+         ~operand2:0 ~fetch:false)
+  in
+  access ~core:0 Arch.Store 0;
+  List.iter
+    (fun (name, core, op, count) ->
+      let before = count (Trace.totals tr) in
+      let words =
+        during (fun () ->
+            for i = 1 to 10_000 do
+              access ~core:(core i) op i
+            done)
+        - during ignore
+      in
+      check_int (name ^ " recorded") 10_000 (count (Trace.totals tr) - before);
+      check_int (name ^ ": 10k traced accesses, minor words") 0 words)
+    [
+      ( "transfers", (fun i -> i land 1), Arch.Store,
+        fun tt -> tt.Trace.t_xfers );
+      (* core 0 made the last store *)
+      ("local load hits", (fun _ -> 0), Arch.Load, fun tt -> tt.Trace.t_local);
+      ("local store hits", (fun _ -> 0), Arch.Store, fun tt -> tt.Trace.t_local);
+    ];
+  Memory.dispose m
+
 (* ----------------- traced simulation + reconciliation -------------- *)
 
 (* A contended lock workload on the Opteron: parks, wakes and elided
@@ -469,4 +646,9 @@ let suite =
     Alcotest.test_case "strict JSON parser rejects bad strings" `Quick
       test_parser_is_strict;
     Alcotest.test_case "exports escape every name" `Quick test_names_escaped;
+    Alcotest.test_case "ring: every kind round-trips" `Quick
+      test_ring_round_trip;
+    Alcotest.test_case "ring: mixed kinds wrap" `Quick test_ring_mixed_wrap;
+    Alcotest.test_case "ring: emits allocate nothing" `Quick
+      test_emit_allocation_free;
   ]
