@@ -14,7 +14,11 @@
 # printed as the arities only one tree has, and the address of
 # Pace.kernel mod 64.  perf/ rescales host times by that kernel's speed,
 # so a layout difference moves every reading a few percent; the script
-# warns when they differ.
+# warns when they differ.  It prints the same for the engine's hot
+# functions (Memory.access_lat_in and access_lat_inner, Sim.mem_op,
+# Event_queue.push and pop_into, Cost_model.op_latency, fill_path and
+# resource_hold), which move with any size change in the modules linked
+# ahead of them, and warns when any of those differ.
 #
 # Finally runs N pairs of the BENCHMARK.json command (--seconds from its
 # run_seconds) on WORKLOAD at SEED, alternating which tree goes first,
@@ -79,22 +83,34 @@ fi
 arities() {
   nm -n "$1/$exe" | grep -oE 'caml_(curry|apply)[0-9]+$' | LC_ALL=C sort -u
 }
-kernel_mod64() {
+mod64() { # TREE MODULE.FUNCTION: the function's address mod 64
   local a
-  a=$(nm -n "$1/$exe" | awk '/Pace\.kernel/ {print $1; exit}')
-  echo $((0x$a % 64))
+  a=$(nm -n "$1/$exe" | grep -E "__${2/./\\.}_[0-9]+$" | head -1 | cut -d' ' -f1 || true)
+  if [ -n "$a" ]; then echo $((0x$a % 64)); else echo missing; fi
 }
 pa=$(arities "$parent"); ca=$(arities "$change")
 only() { # SET OTHER: the members of SET missing from OTHER
   LC_ALL=C comm -23 <(echo "$1") <(echo "$2") | paste -sd ' ' -
 }
 op=$(only "$pa" "$ca"); oc=$(only "$ca" "$pa")
-pk=$(kernel_mod64 "$parent"); ck=$(kernel_mod64 "$change")
+pk=$(mod64 "$parent" Pace.kernel); ck=$(mod64 "$change" Pace.kernel)
 echo "layout  Pace.kernel mod 64: parent $pk, change $ck"
 echo "layout  curry/apply arities only in parent: ${op:-none}; only in change: ${oc:-none}"
+hot_moved=
+for f in Memory.access_lat_in Memory.access_lat_inner Sim.mem_op \
+         Event_queue.push Event_queue.pop_into Cost_model.op_latency \
+         Cost_model.fill_path Cost_model.resource_hold; do
+  ph=$(mod64 "$parent" "$f"); ch=$(mod64 "$change" "$f")
+  echo "layout  $f mod 64: parent $ph, change $ch"
+  [ "$ph" = "$ch" ] || hot_moved="$hot_moved $f"
+done
 if [ -n "$op$oc" ] || [ "$pk" != "$ck" ]; then
   echo "WARNING: code layout differs between the trees; host times may" \
     "shift by a few percent on every workload for that reason alone"
+fi
+if [ -n "$hot_moved" ]; then
+  echo "WARNING: engine hot functions moved mod 64:$hot_moved; host times of" \
+    "the workloads that run them may shift by a few percent for that reason alone"
 fi
 [ "$n" -eq 0 ] && exit 0
 

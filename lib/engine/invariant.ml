@@ -11,10 +11,10 @@
    Checked properties:
 
    - Mutual exclusion, strict.  At most one thread holds each lock at
-     a time.  The instrumented wrapper emits [E_rel] at release ENTRY
-     and every grant is produced by an operation issued inside the
-     predecessor's release, so in the ring a lock's release always
-     precedes its successor's [E_acq]: any grant that finds a live
+     a time.  The instrumented wrapper records a release ([Trace.rel])
+     at release ENTRY and every grant is produced by an operation issued
+     inside the predecessor's release, so in the ring a lock's release
+     always precedes its successor's grant: any grant that finds a live
      holder outstanding is a genuine double grant.  A grant past a
      crash-stopped holder is a recovery steal, counted, not flagged
      (the corpse's release will never arrive).
@@ -23,11 +23,12 @@
      waiting before another must not be overtaken more than [slack]
      times; queue locks grant in arrival order, so unbounded overtaking
      there is a lost queue position (e.g. a botched dead-node
-     excision).  [E_wait] is emitted before the queue-entry operation
-     issues, so two near-simultaneous waiters can enqueue in either
-     order: a slack of the thread count + 3 absorbs that and still
-     catches systematic queue-jumping.  Crash-stopped threads are
-     exempt (excising a corpse legitimately reorders its neighbours).
+     excision).  A wait ([Trace.wait]) is recorded before the
+     queue-entry operation issues, so two near-simultaneous waiters can
+     enqueue in either order: a slack of the thread count + 3 absorbs
+     that and still catches systematic queue-jumping.  Crash-stopped
+     threads are exempt (excising a corpse legitimately reorders its
+     neighbours).
 
    - No lost wakeups.  A thread whose last park has no matching wake
      must have crashed or completed; otherwise a releaser forgot it
@@ -79,7 +80,7 @@ let fifo_lock name =
 
 type lock_state = {
   mutable outstanding : (int * int) list; (* (tid, acq ts), newest first *)
-  wait_since : (int, int) Hashtbl.t; (* tid -> E_wait ts *)
+  wait_since : (int, int) Hashtbl.t; (* tid -> wait ts *)
   overtaken : (int, int) Hashtbl.t; (* tid -> times overtaken while waiting *)
 }
 
@@ -107,19 +108,22 @@ let check ~(completed : int -> bool) (tr : Trace.t) : report =
   let violations = ref [] in
   let acqs = ref 0 and rels = ref 0 and steals = ref 0 in
   let flag v = violations := v :: !violations in
-  Trace.iter tr (fun { Trace.ts; ev } ->
-      match ev with
-      | Trace.E_thread { tid; _ } ->
+  let r = Trace.ring tr in
+  Trace.iter_offsets tr (fun o ->
+      let ts = r.(o) and h = r.(o + 1) and tid = r.(o + 2) in
+      match Trace.kind h with
+      | Thread ->
           spawned := tid :: !spawned;
           Hashtbl.replace tids tid ()
-      | Trace.E_fault { tid; kind = Trace.Crash; _ } ->
-          if not (Hashtbl.mem crash_ts tid) then Hashtbl.add crash_ts tid ts
-      | Trace.E_fault _ -> ()
-      | Trace.E_wait { tid; lock } ->
+      | Fault ->
+          if Trace.head_fault h = Trace.Crash && not (Hashtbl.mem crash_ts tid)
+          then Hashtbl.add crash_ts tid ts
+      | Wait ->
           Hashtbl.replace tids tid ();
-          let s = state lock in
+          let s = state r.(o + 3) in
           Hashtbl.replace s.wait_since tid ts
-      | Trace.E_acq { tid; lock; _ } ->
+      | Acq ->
+          let lock = r.(o + 3) in
           Hashtbl.replace tids tid ();
           incr acqs;
           let s = state lock in
@@ -166,7 +170,8 @@ let check ~(completed : int -> bool) (tr : Trace.t) : report =
                   (1 + Option.value ~default:0 (Hashtbl.find_opt s.overtaken w)))
             s.wait_since;
           Hashtbl.remove s.overtaken tid
-      | Trace.E_rel { tid; lock; _ } ->
+      | Rel ->
+          let lock = r.(o + 3) in
           incr rels;
           let s = state lock in
           if List.mem_assoc tid s.outstanding then
@@ -181,9 +186,9 @@ let check ~(completed : int -> bool) (tr : Trace.t) : report =
                 v_detail =
                   Printf.sprintf "t%d released without holding" tid;
               }
-      | Trace.E_park { tid; _ } -> Hashtbl.replace parked tid ts
-      | Trace.E_wake { tid; _ } -> Hashtbl.remove parked tid
-      | Trace.E_xfer _ | Trace.E_send _ | Trace.E_recv _ -> ());
+      | Park -> Hashtbl.replace parked tid ts
+      | Wake -> Hashtbl.remove parked tid
+      | Xfer | Send | Recv -> ());
   (* bounded overtaking, judged after the full replay so the slack can
      follow the observed thread count *)
   let slack = Hashtbl.length tids + 3 in

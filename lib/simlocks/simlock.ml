@@ -104,11 +104,11 @@ let instrumented tr (platform : Platform.t) ~n_threads (l : Lock_type.t) :
     if tid >= 0 && tid < Array.length acquired_at then acquired_at.(tid) <- t1;
     Trace.acq tr ~ts:t1 ~tid ~lock:id ~wait:(t1 - t0) ~handoff
   in
-  (* [E_rel] is emitted at release ENTRY, before the underlying release
-     runs: the critical section ends here ([held] is pure CS time, not
-     release-protocol time), and any successor's grant is produced by an
-     effect issued inside the release — so in the trace ring a lock's
-     E_rel always precedes the next E_acq, which is what lets the
+  (* The release is recorded at release ENTRY, before the underlying
+     release runs: the critical section ends here ([held] is pure CS
+     time, not release-protocol time), and any successor's grant is
+     produced by an effect issued inside the release — so in the trace
+     ring a lock's release always precedes the next grant, which lets the
      invariant checker assert strict mutual exclusion.  (Emitting on
      return breaks that order for handoff protocols with post-grant
      work, e.g. MUTEX's wake syscall.) *)

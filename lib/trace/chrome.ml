@@ -327,7 +327,7 @@ let export_job b ~xfer ~pid ~label ?metrics (tr : Trace.t) =
       chans = { esc = [||]; of_id = Trace.chan_name };
     }
   in
-  (* thread tracks: one per E_thread (re-spawns across epochs reuse the
+  (* thread tracks: one per spawn (re-spawns across epochs reuse the
      tid's track), plus the setup track if anything ran outside a
      simulated thread, plus the counter track when used *)
   let r = Trace.ring tr in

@@ -56,7 +56,9 @@ type lock_prof = {
   mutable rels : int;
   wait_hist : int array;
   handoff : int array; (* by Cost_model.rank_of_class *)
-  mutable by_tid : int array; (* acquisitions per thread id *)
+  mutable by_tid : int array;
+      (* acquisitions per thread id; -1 for a tid that has neither
+         waited on nor acquired the lock *)
 }
 
 type xfer_key = {
@@ -157,16 +159,24 @@ let lock_prof t name =
       t.lock_order <- name :: t.lock_order;
       lp
 
-let count_tid lp tid =
+(* Count [tid] among the lock's threads, adding [n] acquisitions. *)
+let count_tid lp tid n =
   if tid >= 0 then begin
     let len = Array.length lp.by_tid in
     if tid >= len then begin
-      let bigger = Array.make (max (tid + 1) (max 8 (2 * len))) 0 in
+      let bigger = Array.make (max (tid + 1) (max 8 (2 * len))) (-1) in
       Array.blit lp.by_tid 0 bigger 0 len;
       lp.by_tid <- bigger
     end;
-    lp.by_tid.(tid) <- lp.by_tid.(tid) + 1
+    lp.by_tid.(tid) <- Int.max 0 lp.by_tid.(tid) + n
   end
+
+(* Fewest and most acquisitions of one thread, over the threads that
+   waited on or acquired the lock. *)
+let fairness lp =
+  match List.filter (fun c -> c >= 0) (Array.to_list lp.by_tid) with
+  | [] -> None
+  | c :: cs -> Some (List.fold_left min c cs, List.fold_left max c cs)
 
 let add_trace t (tr : Trace.t) =
   t.n_jobs <- t.n_jobs + 1;
@@ -175,26 +185,30 @@ let add_trace t (tr : Trace.t) =
   let rql, rqd = Trace.rq_by_rank tr in
   Array.iteri (fun r v -> t.rq_link.(r) <- t.rq_link.(r) + v) rql;
   Array.iteri (fun r v -> t.rq_dir.(r) <- t.rq_dir.(r) + v) rqd;
-  let plat = Trace.platform tr in
-  Trace.iter tr (fun { Trace.ev; _ } ->
-      match ev with
-      | Trace.E_acq { tid; lock; wait; dist } ->
-          let lp = lock_prof t (Trace.lock_name tr lock) in
+  let plat = Trace.platform tr and r = Trace.ring tr in
+  let lock o = lock_prof t (Trace.lock_name tr r.(o + 3)) in
+  Trace.iter_offsets tr (fun o ->
+      let h = r.(o + 1) in
+      match Trace.kind h with
+      | Acq ->
+          let lp = lock o and wait = r.(o + 4) in
           lp.acqs <- lp.acqs + 1;
           lp.wait_cy <- lp.wait_cy + wait;
           if wait > lp.max_wait then lp.max_wait <- wait;
           lp.wait_hist.(bucket_of wait) <- lp.wait_hist.(bucket_of wait) + 1;
-          (match dist with
-          | None -> lp.first_acqs <- lp.first_acqs + 1
-          | Some d ->
-              let r = Cost_model.rank_of_class d in
-              lp.handoff.(r) <- lp.handoff.(r) + 1);
-          count_tid lp tid
-      | Trace.E_rel { lock; held; _ } ->
-          let lp = lock_prof t (Trace.lock_name tr lock) in
+          let rank = Trace.head_handoff h in
+          if rank < 0 then lp.first_acqs <- lp.first_acqs + 1
+          else lp.handoff.(rank) <- lp.handoff.(rank) + 1;
+          count_tid lp r.(o + 2) 1
+      | Wait -> count_tid (lock o) r.(o + 2) 0
+      | Rel ->
+          let lp = lock o in
           lp.rels <- lp.rels + 1;
-          lp.hold_cy <- lp.hold_cy + held
-      | Trace.E_xfer { op; addr; pre; post; dist; lat; queued; _ } ->
+          lp.hold_cy <- lp.hold_cy + r.(o + 4)
+      | Xfer ->
+          let addr = r.(o + 3) and lat = r.(o + 4) and queued = r.(o + 6) in
+          let op = Trace.head_op h and pre = Trace.head_pre h in
+          let post = Trace.head_post h and dist = Trace.head_dist h in
           let key =
             { xk_platform = plat; xk_op = op; xk_pre = pre; xk_dist = dist }
           in
@@ -254,12 +268,9 @@ let lock_table t : Table.t =
       (fun n ->
         let lp = Hashtbl.find t.locks n in
         let fair =
-          match Array.to_list lp.by_tid with
-          | [] -> "-"
-          | c0 :: cs ->
-              let mn = List.fold_left min c0 cs
-              and mx = List.fold_left max c0 cs in
-              Printf.sprintf "%d/%d" mn mx
+          match fairness lp with
+          | None -> "-"
+          | Some (mn, mx) -> Printf.sprintf "%d/%d" mn mx
         in
         let handoffs = Array.fold_left ( + ) 0 lp.handoff in
         [

@@ -40,33 +40,6 @@ open Ssync_platform
 
 type fault_kind = Jitter | Preempt | Crash
 
-type event =
-  | E_thread of { tid : int; core : int }
-  | E_wait of { tid : int; lock : int }
-  | E_acq of { tid : int; lock : int; wait : int; dist : Arch.distance option }
-  | E_rel of { tid : int; lock : int; held : int }
-  | E_xfer of {
-      tid : int;
-      core : int;
-      op : Arch.memop;
-      addr : int;
-      pre : Arch.cstate;
-      post : Arch.cstate;
-      dist : Arch.distance;
-      lat : int;
-      service : int;
-      queued : int;
-      rq : int;  (* interconnect-resource share of [queued] *)
-      rq_dir : bool;  (* [rq] charged to the home directory, not a link *)
-    }
-  | E_park of { tid : int; addr : int }
-  | E_wake of { tid : int; addr : int }
-  | E_fault of { tid : int; kind : fault_kind; cycles : int }
-  | E_send of { tid : int; chan : int }
-  | E_recv of { tid : int; chan : int }
-
-type entry = { ts : int; ev : event }
-
 type totals = {
   t_emitted : int;
   t_acquires : int;
@@ -375,72 +348,6 @@ let iter_offsets t f =
     o := !o + width;
     if !o = len then o := 0
   done
-
-(* ------------------------ the entry view --------------------------- *)
-
-let emit t ~ts = function
-  | E_thread { tid; core } -> thread t ~ts ~tid ~core
-  | E_wait { tid; lock } -> wait t ~ts ~tid ~lock
-  | E_acq { tid; lock; wait; dist } ->
-      let handoff =
-        match dist with None -> -1 | Some d -> Cost_model.rank_of_class d
-      in
-      acq t ~ts ~tid ~lock ~wait ~handoff
-  | E_rel { tid; lock; held } -> rel t ~ts ~tid ~lock ~held
-  | E_xfer
-      { tid; core; op; addr; pre; post; dist; lat; service; queued; rq; rq_dir }
-    ->
-      if core < min_core || core > max_core then
-        invalid_arg "Trace.emit: transfer core out of range";
-      xfer t ~ts ~tid ~addr ~lat ~service ~queued ~rq
-        (xfer_head ~core ~op ~pre ~post ~dist ~rq_dir)
-  | E_park { tid; addr } -> park t ~ts ~tid ~addr
-  | E_wake { tid; addr } -> wake t ~ts ~tid ~addr
-  | E_fault { tid; kind; cycles } -> fault t ~ts ~tid ~kind ~cycles
-  | E_send { tid; chan } -> send t ~ts ~tid ~chan
-  | E_recv { tid; chan } -> recv t ~ts ~tid ~chan
-
-let decode r o =
-  let h = r.(o + 1) and tid = r.(o + 2) and p0 = r.(o + 3) in
-  match kind h with
-  | Thread -> E_thread { tid; core = p0 }
-  | Wait -> E_wait { tid; lock = p0 }
-  | Acq ->
-      let rank = head_handoff h in
-      E_acq
-        {
-          tid;
-          lock = p0;
-          wait = r.(o + 4);
-          dist =
-            (if rank < 0 then None else Some Cost_model.class_of_rank.(rank));
-        }
-  | Rel -> E_rel { tid; lock = p0; held = r.(o + 4) }
-  | Xfer ->
-      E_xfer
-        {
-          tid;
-          core = head_core h;
-          op = head_op h;
-          addr = p0;
-          pre = head_pre h;
-          post = head_post h;
-          dist = head_dist h;
-          lat = r.(o + 4);
-          service = r.(o + 5);
-          queued = r.(o + 6);
-          rq = r.(o + 7);
-          rq_dir = head_rq_dir h;
-        }
-  | Park -> E_park { tid; addr = p0 }
-  | Wake -> E_wake { tid; addr = p0 }
-  | Fault -> E_fault { tid; kind = head_fault h; cycles = p0 }
-  | Send -> E_send { tid; chan = p0 }
-  | Recv -> E_recv { tid; chan = p0 }
-
-let iter t f =
-  let r = t.ring in
-  iter_offsets t (fun o -> f { ts = r.(o); ev = decode r o })
 
 (* Resource-queued wait cycles by distance rank: [(links, dirs)].
    Aggregate counters (never drop with the ring), so the profiler's

@@ -1,10 +1,12 @@
 (** Structured trace recorder for the simulation engine.
 
-    A trace is a per-domain sink of typed events — lock
+    A trace is a per-domain sink of events — lock
     acquire/release/handoff, coherence transfers with protocol state
     and distance class, park/wake, fault injections, message send/recv
     — emitted by the engine, the memory model, the lock factory and
-    the MP channel at the virtual time each event occurs.
+    the MP channel at the virtual time each event occurs, and kept as
+    ints in one flat ring that consumers read in place (see "The
+    ring's ints" below).
 
     The contract is zero overhead when off: producers cache
     {!current} at creation time ([Sim.create] / [Memory.create] /
@@ -25,42 +27,6 @@
 open Ssync_platform
 
 type fault_kind = Jitter | Preempt | Crash
-
-type event =
-  | E_thread of { tid : int; core : int }  (** thread spawned *)
-  | E_wait of { tid : int; lock : int }  (** blocking acquire started *)
-  | E_acq of { tid : int; lock : int; wait : int; dist : Arch.distance option }
-      (** lock acquired after [wait] cycles; [dist] is the handoff
-          distance class from the previous holder's core ([None] for
-          the lock's first acquisition) *)
-  | E_rel of { tid : int; lock : int; held : int }
-  | E_xfer of {
-      tid : int;  (** -1 when issued outside a simulated thread *)
-      core : int;
-      op : Arch.memop;
-      addr : int;
-      pre : Arch.cstate;  (** line state when the request was issued *)
-      post : Arch.cstate;
-      dist : Arch.distance;  (** class to the data source (or home) *)
-      lat : int;  (** cycles charged to the requesting thread *)
-      service : int;  (** raw transfer service latency *)
-      queued : int;  (** occupancy-queueing share of [lat] *)
-      rq : int;
-          (** interconnect-resource share of [queued]: cycles spent
-              behind a busy link or home directory rather than the
-              line itself (equals [Stats.link_queued_cycles]'s
-              per-access contribution) *)
-      rq_dir : bool;
-          (** [rq] was charged to the transfer's home directory; [false]
-              = charged to an interconnect link *)
-    }  (** a non-local coherence transaction *)
-  | E_park of { tid : int; addr : int }  (** addr -1 = [Sim.parker] *)
-  | E_wake of { tid : int; addr : int }
-  | E_fault of { tid : int; kind : fault_kind; cycles : int }
-  | E_send of { tid : int; chan : int }
-  | E_recv of { tid : int; chan : int }
-
-type entry = { ts : int; ev : event }
 
 type t
 
@@ -132,11 +98,6 @@ val min_core : int
 val max_core : int
 (** The cores a transfer's head word holds: 46-bit signed. *)
 
-val emit : t -> ts:int -> event -> unit
-(** The entry view of the emitters: [emit t ~ts ev] writes what [ev]'s
-    emitter writes.
-    @raise Invalid_argument if a transfer's core is out of range. *)
-
 val set_tid : t -> int -> unit
 (** Thread on whose behalf the next memory accesses run (-1 outside
     simulated threads). *)
@@ -151,7 +112,7 @@ val new_epoch : t -> unit
     timeline per job. *)
 
 val new_lock : t -> string -> int
-(** Register a lock; the returned id keys {!E_wait}/{!E_acq}/{!E_rel}. *)
+(** Register a lock; the returned id keys {!wait}, {!acq} and {!rel}. *)
 
 val lock_name : t -> int -> string
 val new_chan : t -> string -> int
@@ -171,11 +132,6 @@ val length : t -> int
 val dropped : t -> int
 (** Events overwritten after the ring filled. *)
 
-val iter : t -> (entry -> unit) -> unit
-(** Chronological (= emission) order over the retained events, each
-    decoded into an entry (the view for tests, [Profile] and
-    [Invariant]; exporters read {!ring}). *)
-
 (** {2 The ring's ints}
 
     Each retained event is 8 consecutive ints of {!ring}, at the
@@ -184,8 +140,16 @@ val iter : t -> (entry -> unit) -> unit
     payload ints at [o + 3] on.  The payload by kind: a [Thread]'s
     core; a [Wait]'s lock; an [Acq]'s lock and wait; a [Rel]'s lock
     and held time; an [Xfer]'s addr, lat, service, queued and rq; a
-    [Park]'s or [Wake]'s address; a [Fault]'s cycles; a [Send]'s or
-    [Recv]'s channel.  The other fields sit in the head word. *)
+    [Park]'s or [Wake]'s address (-1 for [Sim.parker]); a [Fault]'s
+    cycles; a [Send]'s or [Recv]'s channel.  The other fields sit in
+    the head word.  The tid is -1 for a transfer issued outside a
+    simulated thread.  A transfer's [lat] is the cycles charged to the
+    requester, [service] the raw transfer latency, [queued] the
+    occupancy-queueing share of [lat] and [rq] the share of [queued]
+    spent behind a busy link or home directory (its
+    [Stats.link_queued_cycles] contribution); its [pre] state is the
+    line's when the request was issued, and its distance is the class
+    to the data source (or home). *)
 
 type kind = Thread | Wait | Acq | Rel | Xfer | Park | Wake | Fault | Send | Recv
 
@@ -203,6 +167,9 @@ val head_pre : int -> Arch.cstate
 val head_post : int -> Arch.cstate
 val head_dist : int -> Arch.distance
 val head_core : int -> int
+
+val head_rq_dir : int -> bool
+(** A transfer's [rq] was charged to its home directory, not a link. *)
 
 val head_handoff : int -> int
 (** An acquisition's handoff rank, -1 for none (see {!acq}). *)

@@ -10,6 +10,7 @@
 open Ssync_platform
 module Metrics = Ssync_metrics.Metrics
 module Trace = Ssync_trace.Trace
+module V = Trace_view
 
 let add_escaped b s =
   String.iter
@@ -65,15 +66,15 @@ let export_job b ~pid ~label ?metrics (tr : Trace.t) =
      simulated thread, plus the counter track when used *)
   let named = Hashtbl.create 32 in
   let uses_setup = ref false in
-  Trace.iter tr (fun e ->
-      match e.Trace.ev with
-      | Trace.E_thread { tid; core } ->
+  V.iter tr (fun e ->
+      match e.V.ev with
+      | V.E_thread { tid; core } ->
           if not (Hashtbl.mem named tid) then begin
             Hashtbl.replace named tid ();
             meta b ~name:"thread_name" ~pid ~tid
               ~value:(Printf.sprintf "tid %d @ core %d" tid core)
           end
-      | Trace.E_xfer { tid; _ } -> if tid < 0 then uses_setup := true
+      | V.E_xfer { tid; _ } -> if tid < 0 then uses_setup := true
       | _ -> ());
   if !uses_setup then
     meta b ~name:"thread_name" ~pid ~tid:setup_track ~value:"(setup)";
@@ -89,17 +90,17 @@ let export_job b ~pid ~label ?metrics (tr : Trace.t) =
         s
   in
   let close b ~ts ~tid name = obj b ~name ~ph:"E" ~ts ~pid ~tid "" in
-  Trace.iter tr (fun { Trace.ts; ev } ->
+  V.iter tr (fun { V.ts; ev } ->
       match ev with
-      | Trace.E_thread { tid; _ } ->
+      | V.E_thread { tid; _ } ->
           obj b ~name:"spawn" ~ph:"i" ~ts ~pid ~tid:(track tid) ",\"s\":\"t\""
-      | Trace.E_wait { tid; lock } ->
+      | V.E_wait { tid; lock } ->
           let s = stack tid in
           s := Wait lock :: !s;
           obj b
             ~name:("wait " ^ Trace.lock_name tr lock)
             ~ph:"B" ~ts ~pid ~tid:(track tid) ""
-      | Trace.E_acq { tid; lock; wait; dist } ->
+      | V.E_acq { tid; lock; wait; dist } ->
           let s = stack tid in
           (match !s with
           | Wait l :: rest when l = lock ->
@@ -117,7 +118,7 @@ let export_job b ~pid ~label ?metrics (tr : Trace.t) =
           obj b
             ~name:("hold " ^ Trace.lock_name tr lock)
             ~ph:"B" ~ts ~pid ~tid:(track tid) args
-      | Trace.E_rel { tid; lock; held } ->
+      | V.E_rel { tid; lock; held } ->
           let s = stack tid in
           (match !s with
           | Hold l :: rest when l = lock ->
@@ -128,7 +129,7 @@ let export_job b ~pid ~label ?metrics (tr : Trace.t) =
                 ~name:("release " ^ Trace.lock_name tr lock)
                 ~ph:"i" ~ts ~pid ~tid:(track tid)
                 (Printf.sprintf ",\"s\":\"t\",\"args\":{\"held\":%d}" held))
-      | Trace.E_xfer
+      | V.E_xfer
           { tid; core; op; addr; pre; post; dist; lat; service; queued; rq; _ }
         ->
           let name =
@@ -139,12 +140,12 @@ let export_job b ~pid ~label ?metrics (tr : Trace.t) =
             (Printf.sprintf
                ",\"dur\":%d,\"args\":{\"addr\":%d,\"core\":%d,\"service\":%d,\"queued\":%d,\"rqueued\":%d}"
                lat addr core service queued rq)
-      | Trace.E_park { tid; addr } ->
+      | V.E_park { tid; addr } ->
           let s = stack tid in
           s := Parked :: !s;
           obj b ~name:"parked" ~ph:"B" ~ts ~pid ~tid:(track tid)
             (Printf.sprintf ",\"args\":{\"addr\":%d}" addr)
-      | Trace.E_wake { tid; _ } ->
+      | V.E_wake { tid; _ } ->
           let s = stack tid in
           (match !s with
           | Parked :: rest ->
@@ -153,7 +154,7 @@ let export_job b ~pid ~label ?metrics (tr : Trace.t) =
           | _ ->
               obj b ~name:"wake" ~ph:"i" ~ts ~pid ~tid:(track tid)
                 ",\"s\":\"t\"")
-      | Trace.E_fault { tid; kind; cycles } ->
+      | V.E_fault { tid; kind; cycles } ->
           let name =
             match kind with
             | Trace.Jitter -> "jitter"
@@ -162,11 +163,11 @@ let export_job b ~pid ~label ?metrics (tr : Trace.t) =
           in
           obj b ~name ~ph:"i" ~ts ~pid ~tid:(track tid)
             (Printf.sprintf ",\"s\":\"t\",\"args\":{\"cycles\":%d}" cycles)
-      | Trace.E_send { tid; chan } ->
+      | V.E_send { tid; chan } ->
           obj b ~name:"send" ~ph:"i" ~ts ~pid ~tid:(track tid)
             (Printf.sprintf ",\"s\":\"t\",\"args\":{\"chan\":\"%s\"}"
                (escape (Trace.chan_name tr chan)))
-      | Trace.E_recv { tid; chan } ->
+      | V.E_recv { tid; chan } ->
           obj b ~name:"recv" ~ph:"i" ~ts ~pid ~tid:(track tid)
             (Printf.sprintf ",\"s\":\"t\",\"args\":{\"chan\":\"%s\"}"
                (escape (Trace.chan_name tr chan))));

@@ -9,6 +9,7 @@
 
 open Ssync_platform
 module Trace = Ssync_trace.Trace
+module V = Trace_view
 module Metrics = Ssync_metrics.Metrics
 module Stats = Ssync_coherence.Stats
 
@@ -742,8 +743,8 @@ let access_lat_in t ~core ~now (op : Arch.memop) (a : addr)
       ~local:false ~invalidated:0;
     (match t.trace with
     | Some tr ->
-        Trace.emit tr ~ts:now
-          (Trace.E_xfer
+        V.emit tr ~ts:now
+          (V.E_xfer
              { tid = Trace.cur_tid tr; core; op; addr = a; pre = l.state;
                post = l.state; dist = dist_of t ~core l; lat = service;
                service; queued = 0; rq = 0; rq_dir = false })
@@ -890,8 +891,8 @@ let access_lat_in t ~core ~now (op : Arch.memop) (a : addr)
     | Some tr ->
         if local then Trace.note_local tr ~cycles:latency
         else
-          Trace.emit tr ~ts:now
-            (Trace.E_xfer
+          V.emit tr ~ts:now
+            (V.E_xfer
                { tid = Trace.cur_tid tr; core; op; addr = a; pre = pre_state;
                  post = l.state; dist = tr_dist; lat = latency; service;
                  queued = (if posted then 0 else queued);

@@ -13,6 +13,7 @@
 
 open Ssync_platform
 module Trace = Ssync_trace.Trace
+module V = Trace_view
 module Chrome = Ssync_trace.Chrome
 module Metrics = Ssync_metrics.Metrics
 
@@ -62,21 +63,21 @@ let gen_event =
   let tid = int_range (-1) 3 and id = int_range (-1) 3 in
   frequency
     [
-      (1, map2 (fun tid core -> Trace.E_thread { tid; core }) tid gen_int);
-      (3, map2 (fun tid lock -> Trace.E_wait { tid; lock }) tid id);
+      (1, map2 (fun tid core -> V.E_thread { tid; core }) tid gen_int);
+      (3, map2 (fun tid lock -> V.E_wait { tid; lock }) tid id);
       ( 3,
         map4
-          (fun tid lock wait dist -> Trace.E_acq { tid; lock; wait; dist })
+          (fun tid lock wait dist -> V.E_acq { tid; lock; wait; dist })
           tid id gen_int (opt gen_dist) );
       ( 3,
         map3
-          (fun tid lock held -> Trace.E_rel { tid; lock; held })
+          (fun tid lock held -> V.E_rel { tid; lock; held })
           tid id gen_int );
       ( 3,
         map4
           (fun (tid, core, addr) (op, pre, post) dist
                (lat, service, queued, rq) ->
-            Trace.E_xfer
+            V.E_xfer
               {
                 tid; core; op; addr; pre; post; dist; lat; service; queued; rq;
                 rq_dir = rq land 1 = 0;
@@ -85,16 +86,16 @@ let gen_event =
           (triple gen_memop gen_cstate gen_cstate)
           gen_dist
           (quad gen_int gen_int gen_int gen_int) );
-      (2, map2 (fun tid addr -> Trace.E_park { tid; addr }) tid gen_int);
-      (2, map2 (fun tid addr -> Trace.E_wake { tid; addr }) tid gen_int);
+      (2, map2 (fun tid addr -> V.E_park { tid; addr }) tid gen_int);
+      (2, map2 (fun tid addr -> V.E_wake { tid; addr }) tid gen_int);
       ( 1,
         map3
-          (fun tid kind cycles -> Trace.E_fault { tid; kind; cycles })
+          (fun tid kind cycles -> V.E_fault { tid; kind; cycles })
           tid
           (oneofl Trace.[ Jitter; Preempt; Crash ])
           gen_int );
-      (1, map2 (fun tid chan -> Trace.E_send { tid; chan }) tid id);
-      (1, map2 (fun tid chan -> Trace.E_recv { tid; chan }) tid id);
+      (1, map2 (fun tid chan -> V.E_send { tid; chan }) tid id);
+      (1, map2 (fun tid chan -> V.E_recv { tid; chan }) tid id);
     ]
 
 type job = {
@@ -102,7 +103,7 @@ type job = {
   capacity : int;
   locks : string list;
   chans : string list;
-  events : (int * Trace.event) list;
+  events : (int * V.event) list;
   epoch_at : int;  (* emit index before which [Trace.new_epoch] runs *)
 }
 
@@ -125,7 +126,7 @@ let build j =
   List.iteri
     (fun i (ts, ev) ->
       if i = j.epoch_at then Trace.new_epoch tr;
-      Trace.emit tr ~ts ev)
+      V.emit tr ~ts ev)
     j.events;
   tr
 
@@ -296,8 +297,8 @@ let test_name_cache_per_domain () =
               Array.iter
                 (fun dist ->
                   incr ts;
-                  Trace.emit tr ~ts:!ts
-                    (Trace.E_xfer
+                  V.emit tr ~ts:!ts
+                    (V.E_xfer
                        {
                          tid = !ts land 3 - 1; core = 0; op; addr = !ts; pre;
                          post; dist; lat = 7; service = 5; queued = 1; rq = 0;

@@ -9,6 +9,7 @@ open Ssync_coherence
 open Ssync_engine
 open Ssync_simlocks
 module Trace = Ssync_trace.Trace
+module V = Trace_view
 module Metrics = Ssync_metrics.Metrics
 
 let check_int = Alcotest.(check int)
@@ -618,9 +619,9 @@ let traced_job ~parking p algo =
           ~window:15_000)
   in
   let events = ref [] in
-  Trace.iter tr (fun e ->
-      match e.Trace.ev with
-      | Trace.E_park _ | Trace.E_wake _ -> ()
+  V.iter tr (fun e ->
+      match e.V.ev with
+      | V.E_park _ | V.E_wake _ -> ()
       | _ -> events := e :: !events);
   let m k = Metrics.total ms ~kind:k in
   let totals =
@@ -647,7 +648,7 @@ let test_faults_trace_metrics () =
       check_bool (label ^ ": spinners parked") true (parks > 0);
       check_bool (label ^ ": faults traced") true
         (List.exists
-           (fun e -> match e.Trace.ev with Trace.E_fault _ -> true | _ -> false)
+           (fun e -> match e.V.ev with V.E_fault _ -> true | _ -> false)
            ev0);
       check_int (label ^ ": trace length") (List.length ev0) (List.length ev1);
       check_bool (label ^ ": trace events") true (ev0 = ev1);

@@ -226,6 +226,7 @@ let test_rstats_accounting () =
 
 let test_invariant_checker_teeth () =
   let module Trace = Ssync_trace.Trace in
+  let module V = Trace_view in
   let mk () =
     let tr = Trace.create () in
     let lk = Trace.new_lock tr "MCS" in
@@ -233,14 +234,14 @@ let test_invariant_checker_teeth () =
   in
   let spawn tr tids =
     List.iter
-      (fun t -> Trace.emit tr ~ts:0 (Trace.E_thread { tid = t; core = t }))
+      (fun t -> V.emit tr ~ts:0 (V.E_thread { tid = t; core = t }))
       tids
   in
   let acq tr lk ~ts tid =
-    Trace.emit tr ~ts (Trace.E_acq { tid; lock = lk; wait = 0; dist = None })
+    V.emit tr ~ts (V.E_acq { tid; lock = lk; wait = 0; dist = None })
   in
   let rel tr lk ~ts tid =
-    Trace.emit tr ~ts (Trace.E_rel { tid; lock = lk; held = 10 })
+    V.emit tr ~ts (V.E_rel { tid; lock = lk; held = 10 })
   in
   let all_done _ = true in
   (* clean alternation: no violations *)
@@ -268,8 +269,8 @@ let test_invariant_checker_teeth () =
   let tr, lk = mk () in
   spawn tr [ 0; 1 ];
   acq tr lk ~ts:10 0;
-  Trace.emit tr ~ts:12
-    (Trace.E_fault { tid = 0; kind = Trace.Crash; cycles = 0 });
+  V.emit tr ~ts:12
+    (V.E_fault { tid = 0; kind = Trace.Crash; cycles = 0 });
   acq tr lk ~ts:15 1;
   rel tr lk ~ts:25 1;
   let rep = Invariant.check ~completed:(fun t -> t <> 0) tr in
@@ -278,9 +279,9 @@ let test_invariant_checker_teeth () =
   (* unbounded overtaking on a FIFO lock: t1 waits while t0 churns *)
   let tr, lk = mk () in
   spawn tr [ 0; 1 ];
-  Trace.emit tr ~ts:5 (Trace.E_wait { tid = 1; lock = lk });
+  V.emit tr ~ts:5 (V.E_wait { tid = 1; lock = lk });
   for i = 0 to 19 do
-    Trace.emit tr ~ts:((i * 20) + 6) (Trace.E_wait { tid = 0; lock = lk });
+    V.emit tr ~ts:((i * 20) + 6) (V.E_wait { tid = 0; lock = lk });
     acq tr lk ~ts:((i * 20) + 10) 0;
     rel tr lk ~ts:((i * 20) + 15) 0
   done;
@@ -293,7 +294,7 @@ let test_invariant_checker_teeth () =
   (* a never-woken park from a live incomplete thread is a lost wakeup *)
   let tr, _ = mk () in
   spawn tr [ 0; 1 ];
-  Trace.emit tr ~ts:10 (Trace.E_park { tid = 1; addr = 7 });
+  V.emit tr ~ts:10 (V.E_park { tid = 1; addr = 7 });
   let rep = Invariant.check ~completed:(fun t -> t = 0) tr in
   check_bool "lost wakeup flagged" true
     (List.exists
@@ -302,8 +303,8 @@ let test_invariant_checker_teeth () =
   (* ...but not when the sleeper was woken, crashed, or completed *)
   let tr, _ = mk () in
   spawn tr [ 0; 1 ];
-  Trace.emit tr ~ts:10 (Trace.E_park { tid = 1; addr = 7 });
-  Trace.emit tr ~ts:20 (Trace.E_wake { tid = 1; addr = 7 });
+  V.emit tr ~ts:10 (V.E_park { tid = 1; addr = 7 });
+  V.emit tr ~ts:20 (V.E_wake { tid = 1; addr = 7 });
   let rep = Invariant.check ~completed:(fun t -> t = 0) tr in
   check_bool "woken sleeper not flagged for wakeup" true
     (not

@@ -12,14 +12,21 @@
    - exports are byte-identical at --jobs 1 and --jobs 4;
    - profile invariants: acquisitions equal releases for a
      acquire/release-balanced workload, the handoff matrix sums to
-     acquisitions minus first acquisitions, and per-thread fairness
-     counts sum to the acquisition count. *)
+     acquisitions minus first acquisitions, per-thread fairness
+     counts sum to the acquisition count, and the fairness min/max is
+     the per-thread op counts' min/max;
+   - the consumers on a wrapped ring: [Profile] and [Invariant] read
+     exactly the retained window, and the totals still reconcile.
+
+   Tests state events through [Trace_view], the boxed view of the
+   ring's ints. *)
 
 open Ssync_platform
 open Ssync_coherence
 open Ssync_engine
 open Ssync_simlocks
 module Trace = Ssync_trace.Trace
+module V = Trace_view
 module Chrome = Ssync_trace.Chrome
 module Profile = Ssync_trace.Profile
 
@@ -32,15 +39,15 @@ let check_string = Alcotest.(check string)
 let test_ring_wrap () =
   let tr = Trace.create ~capacity:64 () in
   for i = 0 to 99 do
-    Trace.emit tr ~ts:i (Trace.E_park { tid = 0; addr = i })
+    V.emit tr ~ts:i (V.E_park { tid = 0; addr = i })
   done;
   check_int "ring holds its capacity" 64 (Trace.length tr);
   check_int "oldest events dropped" 36 (Trace.dropped tr);
   let first = ref (-1) and count = ref 0 and last = ref (-1) in
-  Trace.iter tr (fun e ->
-      if !first < 0 then first := e.Trace.ts;
-      check_bool "iter is chronological" true (e.Trace.ts >= !last);
-      last := e.Trace.ts;
+  V.iter tr (fun e ->
+      if !first < 0 then first := e.V.ts;
+      check_bool "iter is chronological" true (e.V.ts >= !last);
+      last := e.V.ts;
       incr count);
   check_int "iter covers the retained window" 64 !count;
   check_int "retained window starts after the drop" 36 !first;
@@ -50,13 +57,13 @@ let test_ring_wrap () =
 
 let test_epoch_offsets () =
   let tr = Trace.create () in
-  Trace.emit tr ~ts:500 (Trace.E_park { tid = 0; addr = 0 });
+  V.emit tr ~ts:500 (V.E_park { tid = 0; addr = 0 });
   Trace.new_epoch tr;
   (* the second sim restarts at ts 0; its events must land after the
      first sim's on the shared timeline *)
-  Trace.emit tr ~ts:0 (Trace.E_wake { tid = 0; addr = 0 });
+  V.emit tr ~ts:0 (V.E_wake { tid = 0; addr = 0 });
   let tss = ref [] in
-  Trace.iter tr (fun e -> tss := e.Trace.ts :: !tss);
+  V.iter tr (fun e -> tss := e.V.ts :: !tss);
   match List.rev !tss with
   | [ a; b ] ->
       check_int "first epoch timestamp" 500 a;
@@ -69,7 +76,7 @@ let test_epoch_offsets () =
    transfer's core at both ends of its range, and extreme ints in
    every full-int field. *)
 let all_kinds =
-  let open Trace in
+  let open V in
   let ints = [ 0; 1; -1; 4242; max_int; min_int; 1 lsl 40; -(1 lsl 40) ] in
   let cores = [| 0; 79; -1; Trace.max_core; Trace.min_core |] in
   let ops = Arch.[ Load; Store; Cas; Fai; Tas; Swap ] in
@@ -127,31 +134,14 @@ let all_kinds =
   in
   plain @ acqs @ faults @ xfers
 
-let retained tr =
-  let acc = ref [] in
-  Trace.iter tr (fun e -> acc := (e.Trace.ts, e.Trace.ev) :: !acc);
-  List.rev !acc
+let retained tr = List.map (fun e -> (e.V.ts, e.V.ev)) (V.entries tr)
 
 let test_ring_round_trip () =
   let evs = List.mapi (fun i ev -> (i, ev)) all_kinds in
   let tr = Trace.create ~capacity:(List.length evs) () in
-  List.iter (fun (ts, ev) -> Trace.emit tr ~ts ev) evs;
+  List.iter (fun (ts, ev) -> V.emit tr ~ts ev) evs;
   check_int "nothing dropped" 0 (Trace.dropped tr);
-  check_bool "every event reads back as emitted" true (retained tr = evs);
-  let xfer core =
-    Trace.E_xfer
-      {
-        tid = 0; core; op = Arch.Load; addr = 0; pre = Arch.Invalid;
-        post = Arch.Shared; dist = Arch.One_hop; lat = 0; service = 0;
-        queued = 0; rq = 0; rq_dir = false;
-      }
-  in
-  List.iter
-    (fun core ->
-      Alcotest.check_raises (Printf.sprintf "core %d" core)
-        (Invalid_argument "Trace.emit: transfer core out of range") (fun () ->
-          Trace.emit tr ~ts:0 (xfer core)))
-    [ Trace.max_core + 1; Trace.min_core - 1; max_int; min_int ]
+  check_bool "every event reads back as emitted" true (retained tr = evs)
 
 (* Mixed kinds through a wrap: the ring keeps the last [capacity]
    events, in order. *)
@@ -159,7 +149,7 @@ let test_ring_mixed_wrap () =
   let evs = List.filteri (fun i _ -> i < 100) (List.rev all_kinds) in
   let evs = List.mapi (fun i ev -> (10 * i, ev)) evs in
   let tr = Trace.create ~capacity:64 () in
-  List.iter (fun (ts, ev) -> Trace.emit tr ~ts ev) evs;
+  List.iter (fun (ts, ev) -> V.emit tr ~ts ev) evs;
   check_int "ring holds its capacity" 64 (Trace.length tr);
   check_int "oldest events dropped" 36 (Trace.dropped tr);
   check_int "emitted counts everything" 100 (Trace.totals tr).Trace.t_emitted;
@@ -244,11 +234,11 @@ let test_emit_allocation_free () =
 
 (* A contended lock workload on the Opteron: parks, wakes and elided
    probes all occur, so the reconciliation is non-trivial. *)
-let traced_workload () =
-  Harness.run Platform.opteron ~threads:8 ~duration:60_000
+let traced_workload ?(threads = 8) () =
+  Harness.run Platform.opteron ~threads ~duration:60_000
     ~setup:(fun mem ->
       let p = Platform.opteron in
-      (Simlock.create mem p ~n_threads:8 Simlock.Ticket, Memory.alloc mem))
+      (Simlock.create mem p ~n_threads:threads Simlock.Ticket, Memory.alloc mem))
     ~body:(fun (lock, data) _mem ~tid ~deadline ->
       let n = ref 0 in
       while Sim.now () < deadline do
@@ -260,8 +250,8 @@ let traced_workload () =
       done;
       !n)
 
-let with_trace f =
-  let tr = Trace.start () in
+let with_trace ?capacity f =
+  let tr = Trace.start ?capacity () in
   match f () with
   | v ->
       ignore (Trace.stop ());
@@ -310,7 +300,7 @@ let test_profile_invariants () =
         (lp.Profile.acqs - lp.Profile.first_acqs)
         handoffs;
       check_int "fairness counts sum to acqs" lp.Profile.acqs
-        (Array.fold_left ( + ) 0 lp.Profile.by_tid);
+        (Array.fold_left (fun s c -> s + Int.max 0 c) 0 lp.Profile.by_tid);
       check_int "histogram sums to acqs" lp.Profile.acqs
         (Array.fold_left ( + ) 0 lp.Profile.wait_hist)
   | l -> Alcotest.failf "expected one lock, got %d" (List.length l));
@@ -323,6 +313,81 @@ let test_profile_invariants () =
     ]
   in
   check_int "all tables render" 6 (List.length tbls)
+
+(* The fairness column spans the threads that waited on or acquired
+   the lock, not the padding of its per-tid array: a 3-thread run's
+   min/max acquisitions are its per-thread op counts' (one acquisition
+   per op). *)
+let test_profile_fairness () =
+  let r, tr = with_trace (traced_workload ~threads:3) in
+  let lp = Hashtbl.find (Profile.of_traces [ tr ]).Profile.locks "TICKET" in
+  let ops = Array.to_list r.Harness.ops in
+  Alcotest.(check (option (pair int int)))
+    "fair min/max = min/max of Harness ops"
+    (Some (List.fold_left min max_int ops, List.fold_left max 0 ops))
+    (Profile.fairness lp)
+
+(* A ring far smaller than the run: [Profile] and [Invariant] read
+   exactly the retained window, which replayed into a ring that holds
+   it all gives the same lock, transfer and line tables and the same
+   report; the profile carries the drop count, the report is marked
+   truncated, and the aggregates still reconcile with [Sim.perf]. *)
+let test_consumers_on_wrapped_ring () =
+  let r, tr = with_trace ~capacity:256 traced_workload in
+  let tt = Trace.totals tr and p = r.Harness.perf in
+  check_bool "the ring wrapped" true (Trace.dropped tr > 0);
+  let window = Trace.create ~capacity:(Trace.length tr) () in
+  ignore (Trace.new_lock window (Trace.lock_name tr 0));
+  Trace.set_platform window (Trace.platform tr);
+  V.iter tr (fun e -> V.emit window ~ts:e.V.ts e.V.ev);
+  check_int "the replay holds the window" 0 (Trace.dropped window);
+  let prof = Profile.of_traces [ tr ] and want = Profile.of_traces [ window ] in
+  let lp = Hashtbl.find prof.Profile.locks "TICKET" in
+  check_bool "lock profile = the window's" true
+    (lp = Hashtbl.find want.Profile.locks "TICKET");
+  (* the window's sums, read through the decoder *)
+  let acqs = ref 0 and wait = ref 0 and held = ref 0 in
+  let xfers = ref 0 and lat = ref 0 and queued = ref 0 in
+  V.iter tr (fun e ->
+      match e.V.ev with
+      | V.E_acq { wait = w; _ } ->
+          incr acqs;
+          wait := !wait + w
+      | V.E_rel { held = h; _ } -> held := !held + h
+      | V.E_xfer { lat = l; queued = q; _ } ->
+          incr xfers;
+          lat := !lat + l;
+          queued := !queued + q
+      | _ -> ());
+  check_int "profile acquisitions = the window's" !acqs lp.Profile.acqs;
+  check_bool "fewer than the run made" true (!acqs < tt.Trace.t_acquires);
+  check_int "wait cycles = the window's" !wait lp.Profile.wait_cy;
+  check_int "hold cycles = the window's" !held lp.Profile.hold_cy;
+  let sum f = Hashtbl.fold (fun _ a s -> s + f a) prof.Profile.xfers 0 in
+  check_int "transfers = the window's" !xfers (sum (fun a -> a.Profile.cnt));
+  check_int "transfer cycles = the window's" !lat (sum (fun a -> a.Profile.cy));
+  check_int "queued cycles = the window's" !queued (sum (fun a -> a.Profile.q));
+  check_bool "transfer rows = the window's" true
+    (Profile.xfer_rows prof = Profile.xfer_rows want);
+  check_bool "transitions = the window's" true
+    (prof.Profile.trans = want.Profile.trans);
+  check_bool "hottest lines = the window's" true
+    (Profile.lines_table prof = Profile.lines_table want);
+  check_int "profile carries the drop count" (Trace.dropped tr)
+    prof.Profile.dropped;
+  check_bool "profile totals = the trace's" true (prof.Profile.totals = tt);
+  check_int "parks reconcile" p.Sim.parks tt.Trace.t_parks;
+  check_int "wakeups reconcile" p.Sim.wakeups tt.Trace.t_wakes;
+  check_int "elided probes reconcile" p.Sim.elided_probes tt.Trace.t_elided;
+  check_int "link queued cycles reconcile" p.Sim.link_queued_cycles
+    (Profile.rq_total prof);
+  let check tr = Invariant.check ~completed:(fun _ -> true) tr in
+  let rep = check tr in
+  check_bool "report marked truncated" true rep.Invariant.truncated;
+  check_int "report acquisitions = the window's" !acqs
+    rep.Invariant.acquisitions;
+  check_bool "report = the window's" true
+    (rep = { (check window) with Invariant.truncated = true })
 
 (* ------------------- minimal JSON schema checker ------------------- *)
 
@@ -573,11 +638,11 @@ let test_names_escaped () =
   let tr = Trace.create () in
   let lock = Trace.new_lock tr ("L" ^ nasty) in
   let chan = Trace.new_chan tr ("C" ^ nasty) in
-  Trace.emit tr ~ts:1 (Trace.E_wait { tid = 0; lock });
-  Trace.emit tr ~ts:2
-    (Trace.E_acq { tid = 0; lock; wait = 1; dist = Some Arch.One_hop });
-  Trace.emit tr ~ts:3 (Trace.E_send { tid = 0; chan });
-  Trace.emit tr ~ts:4 (Trace.E_rel { tid = 1; lock; held = 2 });
+  V.emit tr ~ts:1 (V.E_wait { tid = 0; lock });
+  V.emit tr ~ts:2
+    (V.E_acq { tid = 0; lock; wait = 1; dist = Some Arch.One_hop });
+  V.emit tr ~ts:3 (V.E_send { tid = 0; chan });
+  V.emit tr ~ts:4 (V.E_rel { tid = 1; lock; held = 2 });
   let m = Metrics.create () in
   Metrics.bump m ~kind:Metrics.k_parks ~id:0 ~ts:0 1;
   let label = "J" ^ nasty in
@@ -651,4 +716,8 @@ let suite =
     Alcotest.test_case "ring: mixed kinds wrap" `Quick test_ring_mixed_wrap;
     Alcotest.test_case "ring: emits allocate nothing" `Quick
       test_emit_allocation_free;
+    Alcotest.test_case "profile fairness spans the lock's threads" `Quick
+      test_profile_fairness;
+    Alcotest.test_case "profile and invariants read a wrapped ring" `Quick
+      test_consumers_on_wrapped_ring;
   ]
