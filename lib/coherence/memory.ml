@@ -47,16 +47,19 @@
    of a record and its sharer set.
 
    The memory keeps one set of per-access scratch state — the
-   cost-model view (refilled from the table before every cost-model
-   call; it owns its sharer set), the resource-path buffer and the
-   [last_result] out-parameter — plus the running [Stats.t] and, when
-   metrics are on, the domain's metrics sink, which every sampled
+   cost-model view (filled from the table once per access, before the
+   access mutates the line, and read by every cost-model call the
+   access makes; it owns its sharer set), the resource-path buffer and
+   the [last_result] out-parameter — plus the running [Stats.t] and,
+   when metrics are on, the domain's metrics sink, which every sampled
    access writes into directly, so the engine's per-operation path
-   allocates nothing.  Most accesses of a run are loads that hit in
-   the requester's own cache; with metrics off and no spinner parked
-   on the line, [access_lat_in] serves them on a short path that
-   returns the platform's hit latency without consulting the cost
-   model. *)
+   allocates nothing.  Most accesses of a run hit in the requester's
+   own cache: loads of a line it holds, stores and atomics on a line it
+   holds alone, Modified or Exclusive.  On a line no spinner is parked
+   on, [access_lat_in] serves them on a short path, metrics on or off,
+   that skips the queueing, the resource path, the transition and the
+   wake walk; a load hit there returns the platform's hit latency
+   without filling the view. *)
 
 open Ssync_platform
 module Trace = Ssync_trace.Trace
@@ -455,7 +458,8 @@ let poke t a v =
 
 (* Refill the scratch view from line [li]'s entry.  The view owns its
    sharer set, so it describes the line only until the next mutation:
-   fill it just before each cost-model call. *)
+   an access fills it once, before it changes the line, and hands the
+   same view to each of its cost-model calls. *)
 let view_of_line t li : Cost_model.view =
   let v = t.scratch and ls = t.ls and b = li * lw in
   v.Cost_model.state <- state_at ls b;
@@ -501,20 +505,18 @@ let foreign_reservation ls b ~core op ~operand ~operand2 =
 let store_buffer_retire = 12
 
 
-(* What the next probe of this spin would cost (a foreign-reservation
-   probe is a directed read, costed as a load).  Shared between
-   [access], [try_park_in] (the parked poll grid must charge the same
-   per-probe cost the literal loop would) and [wake_disturbed] (a parked
-   waiter whose probe cost changed must replay for real to stay on the
-   polled schedule). *)
-let probe_cost t li ~core (op : Arch.memop) ~operand ~operand2 =
+(* What the next probe of this spin would cost on the line at [b],
+   whose view [v] is (a foreign-reservation probe is a directed read,
+   costed as a load).  Shared between [access], [try_park_in] (the
+   parked poll grid must charge the same per-probe cost the literal
+   loop would) and [wake_disturbed] (a parked waiter whose probe cost
+   changed must replay for real to stay on the polled schedule). *)
+let probe_cost t v b ~core (op : Arch.memop) ~operand ~operand2 =
   let cost_op =
-    if foreign_reservation t.ls (li * lw) ~core op ~operand ~operand2 then
-      Arch.Load
+    if foreign_reservation t.ls b ~core op ~operand ~operand2 then Arch.Load
     else cost_op_of op ~operand ~operand2
   in
-  Cost_model.op_latency t.platform.Platform.topo cost_op ~requester:core
-    (view_of_line t li)
+  Cost_model.op_latency t.platform.Platform.topo cost_op ~requester:core v
 
 (* Protocol state transition after [core] performs [op] on the line at
    [b].  MOESI (Opteron) keeps a dirty line in the previous owner's
@@ -635,7 +637,7 @@ let inert_hit t ~core (op : Arch.memop) (a : addr) ~operand ~operand2 ~while_ =
   if
     probe_inert t.ls (li * lw) ~value:t.values.(a) ~core op ~operand ~operand2
       ~while_
-  then probe_cost t li ~core op ~operand ~operand2
+  then probe_cost t (view_of_line t li) (li * lw) ~core op ~operand ~operand2
   else -1
 
 (* Park a spinner whose next probe issues at [now + poll] and would be
@@ -647,7 +649,9 @@ let inert_hit t ~core (op : Arch.memop) (a : addr) ~operand ~operand2 ~while_ =
 let park t ~core ~now (op : Arch.memop) (a : addr) ~operand ~operand2 ~while_
     ~poll ~tie ~replay =
   let li = line_id t a in
-  let hit = probe_cost t li ~core op ~operand ~operand2 in
+  let hit =
+    probe_cost t (view_of_line t li) (li * lw) ~core op ~operand ~operand2
+  in
   let w =
     {
       w_core = core;
@@ -775,9 +779,12 @@ let unpark t w ~at =
    one word of a packed line is revalidated by an access to *any* word
    of the line: its own value may be untouched (the probe stays inert
    and it stays parked), but the line state the probe relies on may
-   have changed under it — false sharing hits parked spinners too. *)
+   have changed under it — false sharing hits parked spinners too.
+   The walk mutates no line state, so one view serves every waiter's
+   probe cost. *)
 let wake_disturbed t ~line:li last =
   let ls = t.ls and b = li * lw in
+  let v = view_of_line t li in
   (* unlink the woken in place, chaining them through [w_link];
      [tail] tracks the circle's last waiter as they go *)
   let woken = ref no_waiter and woken_tail = ref no_waiter in
@@ -788,7 +795,7 @@ let wake_disturbed t ~line:li last =
     if
       probe_inert ls b ~value:t.values.(w.w_addr) ~core:w.w_core w.w_op
         ~operand:w.w_operand ~operand2:w.w_operand2 ~while_:w.w_while
-      && probe_cost t li ~core:w.w_core w.w_op ~operand:w.w_operand
+      && probe_cost t v b ~core:w.w_core w.w_op ~operand:w.w_operand
            ~operand2:w.w_operand2
          = w.w_hit
     then prev := w
@@ -819,13 +826,33 @@ let wake_disturbed t ~line:li last =
     w'.w_replay w'.w_next
   done
 
-(* Distance class of the transfer serving [core]'s request on line [li]
-   in its *pre-access* state: to the data source when a cached copy
-   exists, to the line's home otherwise.  Trace-only; must run before
-   [transition] mutates the line. *)
-let dist_of t ~core li : Arch.distance =
-  Cost_model.source_class t.platform.Platform.topo ~requester:core
-    (view_of_line t li)
+(* Does [access_lat_in]'s short path serve this access?  A load by a
+   core holding the line, or a store or atomic by the owner of a
+   Modified or Exclusive line: a local hit that queues behind nothing
+   and changes no other core's copy.  Such a line has no sharers, so
+   the transition invalidates nothing and at most relabels Exclusive as
+   Modified; and its prefetch reservation is -1 or the owner, so no
+   foreign reservation turns a prefetchw probe into a directed read
+   (test/test_protocol.ml checks both after every step of an
+   exhaustive search). *)
+let[@inline] short_hit ls b core (op : Arch.memop) =
+  match op with
+  | Arch.Load -> holds ls b core
+  | Arch.Store | Arch.Cas | Arch.Fai | Arch.Tas | Arch.Swap ->
+      ls.(b + f_owner) = core
+      &&
+      let s = ls.(b + f_state) land state_mask in
+      s = c_modified || s = c_exclusive
+
+(* Sharer gauge: close the span since line [li]'s last sample at
+   [upto], weighted by the line's current population of copies. *)
+let[@inline] sample_sharers t m ls b li ~upto =
+  if upto > t.msince.(li) then begin
+    Metrics.span m ~kind:Metrics.k_line_sharers ~id:li ~t0:t.msince.(li)
+      ~t1:upto
+      ~weight:(n_sharers ls b + if ls.(b + f_owner) >= 0 then 1 else 0);
+    t.msince.(li) <- upto
+  end
 
 (* Perform [op] on [a] from [core] at virtual time [now]; returns
    (completion latency in cycles, result value).  For [Cas], [operand]
@@ -841,30 +868,60 @@ let dist_of t ~core li : Arch.distance =
    engine's per-operation path (the [access_lat] wrapper offers them
    optional for casual callers).
 
-   A load hitting in the requester's own cache, on a line no spinner is
-   parked on, with metrics off, takes a short path: it costs
-   [Cost_model.load_hit_latency], moves no protocol state and queues
-   behind nothing, so it skips the cost-model view, the resource path,
-   the transition and the generic [Stats.record]. *)
+   A local hit ([short_hit]) on a line no spinner is parked on takes a
+   short path, metrics on or off: it queues behind nothing, crosses no
+   resource and moves no other core's copy, so it skips the queueing,
+   the resource path, the transition and the wake walk, and does
+   exactly what the general path does for it.  Every path fills the
+   cost-model view at most once, before anything mutates the line, and
+   reads the latency, the resource path and the trace's distance class
+   off that one view. *)
 let access_lat_in t ~core ~now (op : Arch.memop) (a : addr)
     ~operand ~operand2 ~fetch : int =
   let topo = t.platform.Platform.topo in
   Topology.check topo core;
   let li = line_id t a in
   let ls = t.ls and b = li * lw in
-  if
-    op = Arch.Load && t.wqs.(li) == no_waiter && t.macc == None
-    && holds ls b core
-  then begin
-    (* exactly what the general path below does for such a load *)
-    ls.(b + f_pfw) <- -1;
-    if ls.(b + f_cas) = core then ls.(b + f_cas) <- -1;
-    Stats.record_local_load t.stats ~latency:t.hit_lat;
-    (match t.trace with
-    | Some tr -> Trace.note_local tr ~cycles:t.hit_lat
+  if t.wqs.(li) == no_waiter && short_hit ls b core op then begin
+    (match t.macc with
+    | Some m -> sample_sharers t m ls b li ~upto:now
     | None -> ());
-    t.last_result <- t.values.(a);
-    t.hit_lat
+    let latency =
+      if op = Arch.Load then begin
+        (* [Cost_model.op_latency]'s answer for a load by a holder,
+           without filling the view *)
+        Stats.record_local_load t.stats ~latency:t.hit_lat;
+        t.last_result <- t.values.(a);
+        t.hit_lat
+      end
+      else begin
+        let service =
+          Cost_model.op_latency topo (cost_op_of op ~operand ~operand2)
+            ~requester:core (view_of_line t li)
+        in
+        (* the transition and the [llc_dirty] update: the write leaves
+           the line Modified at [core], in the LLC too when posted *)
+        let posted = op = Arch.Store && operand2 = 1 in
+        ls.(b + f_state) <-
+          (if posted then c_modified lor llc_bit else c_modified);
+        let observed = t.values.(a) in
+        let result = apply_data t a op ~operand ~operand2 in
+        t.last_result <- (if fetch && op = Arch.Cas then observed else result);
+        let latency =
+          if posted then Int.min service store_buffer_retire else service
+        in
+        Stats.record t.stats op ~latency ~queued:0 ~rqueued:0 ~local:true
+          ~invalidated:0;
+        latency
+      end
+    in
+    ls.(b + f_pfw) <-
+      (if is_pfw_probe op ~operand ~operand2 then core else -1);
+    if ls.(b + f_cas) = core then ls.(b + f_cas) <- -1;
+    (match t.trace with
+    | Some tr -> Trace.note_local tr ~cycles:latency
+    | None -> ());
+    latency
   end
   else if foreign_reservation ls b ~core op ~operand ~operand2 then begin
     (* Directed read under another waiter's exclusive-prefetch
@@ -873,9 +930,8 @@ let access_lat_in t ~core ~now (op : Arch.memop) (a : addr)
        queueing — so concurrent prefetchw pollers neither steal the
        reservation nor serialize on the line (section 5.3's directed
        handoff).  Nothing mutates, so parked waiters are untouched. *)
-    let service =
-      Cost_model.op_latency topo Arch.Load ~requester:core (view_of_line t li)
-    in
+    let v = view_of_line t li in
+    let service = Cost_model.op_latency topo Arch.Load ~requester:core v in
     Stats.record t.stats op ~latency:service ~queued:0 ~rqueued:0
       ~local:false ~invalidated:0;
     (match t.trace with
@@ -884,7 +940,8 @@ let access_lat_in t ~core ~now (op : Arch.memop) (a : addr)
         Trace.xfer tr ~ts:now ~tid:(Trace.cur_tid tr) ~addr:a ~lat:service
           ~service ~queued:0 ~rq:0
           (Trace.xfer_head ~core ~op ~pre:st ~post:st
-             ~dist:(dist_of t ~core li) ~rq_dir:false)
+             ~dist:(Cost_model.source_class topo ~requester:core v)
+             ~rq_dir:false)
     | None -> ());
     t.last_result <- t.values.(a);
     service
@@ -905,17 +962,16 @@ let access_lat_in t ~core ~now (op : Arch.memop) (a : addr)
     let bypass = local || is_pfw || favored in
     let busy_until = ls.(b + f_busy) in
     let start_line = if bypass then now else Int.max now busy_until in
-    let service =
-      Cost_model.op_latency topo cost_op ~requester:core (view_of_line t li)
-    in
+    (* the line in its pre-access state: the source and sharer set the
+       request actually hits *)
+    let v = view_of_line t li in
+    let service = Cost_model.op_latency topo cost_op ~requester:core v in
     (* the interconnect resources this transfer crosses: queue behind
        them (unless bypassing) and hold them for the transfer's service
        below *)
     let n_nodes = topo.Topology.n_nodes in
     let npath =
-      if local then 0
-      else Cost_model.fill_path topo ~requester:core (view_of_line t li)
-          t.path
+      if local then 0 else Cost_model.fill_path topo ~requester:core v t.path
     in
     (* the resource that delayed this transfer the longest (the argmax
        of the loop below): the one the resource-queued wait is
@@ -938,10 +994,12 @@ let access_lat_in t ~core ~now (op : Arch.memop) (a : addr)
     let queued = start - now in
     let rqueued = start - start_line in
     let pre_state = state_at ls b in
-    (* pre-transition: the source/sharer set the request actually hit *)
+    (* trace-only distance class: to the data source when a cached copy
+       exists, to the line's home otherwise *)
     let tr_dist =
       match t.trace with
-      | Some _ when not local -> dist_of t ~core li
+      | Some _ when not local ->
+          Cost_model.source_class topo ~requester:core v
       | _ -> Arch.Same_core
     in
     (* telemetry (time-free probes: nothing below reads them back).
@@ -959,14 +1017,7 @@ let access_lat_in t ~core ~now (op : Arch.memop) (a : addr)
           in
           Metrics.span m ~kind ~id ~t0:start_line ~t1:start ~weight:1
         end;
-        let pop =
-          n_sharers ls b + if ls.(b + f_owner) >= 0 then 1 else 0
-        in
-        if start > t.msince.(li) then begin
-          Metrics.span m ~kind:Metrics.k_line_sharers ~id:li
-            ~t0:t.msince.(li) ~t1:start ~weight:pop;
-          t.msince.(li) <- start
-        end
+        sample_sharers t m ls b li ~upto:start
     | None -> ());
     if not local then begin
       let nb =

@@ -126,10 +126,12 @@ val access_lat_in :
   operand:int -> operand2:int -> fetch:bool -> int
 (** {!access_lat} with every operand explicit: the engine's
     per-operation path, which allocates nothing (optional arguments
-    would box a [Some] per call).  With metrics off, a load that hits
-    in the requester's own cache on a line without parked waiters takes
-    a short path; its latency, result and effects on the line and the
-    statistics are those of the general path. *)
+    would box a [Some] per call).  A local hit on a line without
+    parked waiters — a load by a core holding the line, or a store or
+    atomic by the owner of a Modified or Exclusive line — takes a short
+    path, metrics on or off; its latency, result and effects on the
+    line, the statistics, the trace and the metrics are those of the
+    general path. *)
 
 val try_park_in :
   t -> core:int -> now:int -> Arch.memop -> addr ->

@@ -17,7 +17,11 @@
      always precedes its successor's grant: any grant that finds a live
      holder outstanding is a genuine double grant.  A grant past a
      crash-stopped holder is a recovery steal, counted, not flagged
-     (the corpse's release will never arrive).
+     (the corpse's release will never arrive).  On a ring that dropped
+     its oldest events, a release of a lock before the lock's first
+     grant in the retained window ends a hold granted before the
+     window, so it is not flagged either; a release without a hold
+     after that grant still is.
 
    - Bounded overtaking (FIFO locks only).  A thread that started
      waiting before another must not be overtaken more than [slack]
@@ -80,6 +84,7 @@ let fifo_lock name =
 
 type lock_state = {
   mutable outstanding : (int * int) list; (* (tid, acq ts), newest first *)
+  mutable granted : bool; (* a grant of the lock has been replayed *)
   wait_since : (int, int) Hashtbl.t; (* tid -> wait ts *)
   overtaken : (int, int) Hashtbl.t; (* tid -> times overtaken while waiting *)
 }
@@ -93,6 +98,7 @@ let check ~(completed : int -> bool) (tr : Trace.t) : report =
         let s =
           {
             outstanding = [];
+            granted = false;
             wait_since = Hashtbl.create 16;
             overtaken = Hashtbl.create 16;
           }
@@ -108,6 +114,7 @@ let check ~(completed : int -> bool) (tr : Trace.t) : report =
   let violations = ref [] in
   let acqs = ref 0 and rels = ref 0 and steals = ref 0 in
   let flag v = violations := v :: !violations in
+  let truncated = Trace.dropped tr > 0 in
   let r = Trace.ring tr in
   Trace.iter_offsets tr (fun o ->
       let ts = r.(o) and h = r.(o + 1) and tid = r.(o + 2) in
@@ -137,6 +144,7 @@ let check ~(completed : int -> bool) (tr : Trace.t) : report =
               s.outstanding
           in
           steals := !steals + List.length dead;
+          s.granted <- true;
           s.outstanding <- live;
           if s.outstanding <> [] then
             flag
@@ -176,7 +184,7 @@ let check ~(completed : int -> bool) (tr : Trace.t) : report =
           let s = state lock in
           if List.mem_assoc tid s.outstanding then
             s.outstanding <- List.remove_assoc tid s.outstanding
-          else
+          else if s.granted || not truncated then
             flag
               {
                 v_kind = Mutual_exclusion;
@@ -252,7 +260,7 @@ let check ~(completed : int -> bool) (tr : Trace.t) : report =
     crashed =
       List.sort compare (Hashtbl.fold (fun tid _ acc -> tid :: acc) crash_ts []);
     spawned = List.sort compare !spawned;
-    truncated = Trace.dropped tr > 0;
+    truncated;
   }
 
 let pp_violation v =

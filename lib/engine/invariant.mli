@@ -2,8 +2,10 @@
 
     Replays a {!Ssync_trace.Trace.t} and asserts: mutual exclusion
     (recovery steals past crash-stopped holders are counted, not
-    flagged), bounded overtaking for FIFO locks, no lost wakeups, and
-    post-recovery liveness (every non-crashed thread completed).
+    flagged; on a ring that dropped events, neither is a release that
+    ends a hold granted before the retained window), bounded overtaking
+    for FIFO locks, no lost wakeups, and post-recovery liveness (every
+    non-crashed thread completed).
 
     All thread ids are ENGINE tids (spawn order) — what the engine and
     the instrumented lock wrappers stamp on events.  Map

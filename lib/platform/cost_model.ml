@@ -11,8 +11,9 @@
 
    Everything [op_latency] and [fill_path] reach runs once per simulated
    access, so it allocates nothing and makes no C call: owners are ints,
-   topology queries read [Topology]'s tables, sharer sets are scanned
-   bit by bit, and comparisons are [Int] ones.  The exception is a
+   topology queries read [Topology]'s tables, sharer scans visit the set
+   bits only, each located in constant time ([Coreset.bit_index]), and
+   comparisons are [Int] ones.  The exception is a
    transfer on the two-socket platforms (Opteron2, Xeon2), whose
    [scaled_small] builds a remapped view per call; no benchmark
    workload runs one. *)
@@ -42,7 +43,7 @@ let holds v core = v.owner = core || Coreset.mem v.sharers core
 
 (* Cycles of a load served from the requester's own L1.  The one copy of
    these constants: the per-platform models, [op_latency]'s local-load
-   branch and [Memory]'s local-hit path all return this. *)
+   branch and [Memory]'s short path for load hits all return this. *)
 let load_hit_latency (t : Topology.t) =
   match t.id with
   | Arch.Opteron | Arch.Opteron2 | Arch.Niagara -> 3
@@ -68,7 +69,10 @@ let n_ranks = Array.length class_of_rank
 
 (* Core ids live in two bitset words (Coreset): bit [i] of [w0] is core
    [i], bit [i] of [w1] is core [63 + i].  The scans below walk one word
-   from its lowest set bit up, so cores come in ascending id order. *)
+   from its lowest set bit up, so cores come in ascending id order; each
+   step isolates the lowest set bit and maps it to its core with
+   [Coreset.bit_index], a multiply and a table load, so a scan costs one
+   step per sharer, not per bit position below it. *)
 
 (* Least [rank * 128 + core] over the sharers in word [w] (cores from
    [base]) as seen from the node-pair row [row]: the closest sharer by

@@ -1,11 +1,13 @@
-(* Reference memory for the differential test in test_coherence.ml:
+(* Reference memory for the differential tests in test_coherence.ml:
    the record-per-line [Memory] the library shipped before its line
    state moved into one flat int table, kept verbatim except for this
    header, the [Stats] alias and its metrics plumbing, which writes
    every sample straight into the domain's sink as [Memory] does.
    Every line is a mutable record with its own [Coreset], and the
-   cost-model view aliases that set.  Only test code uses this
-   module. *)
+   cost-model view aliases that set.  Its short path ([fast_hit])
+   takes only load hits, with metrics off, so it is also the twin the
+   local-hit test checks [Memory]'s wider short path against.  Only
+   test code uses this module. *)
 
 open Ssync_platform
 module Trace = Ssync_trace.Trace

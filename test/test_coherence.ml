@@ -224,13 +224,89 @@ let qcheck_latency_monotone_queueing =
       (* the second atomic can never be cheaper than its own service *)
       l1 > 0 && l2 > 0)
 
+(* ------------------------ reference twins ------------------------ *)
+
+(* [Ref_memory] is the record-per-line memory [Memory]'s flat table
+   replaced, with the short path it had then: load hits only, metrics
+   off.  The helpers read both memories' observable state in one
+   shape. *)
+
+module R = Ref_memory
+
+let waiter_grid wq ~link ~fields =
+  match wq with
+  | None -> []
+  | Some last ->
+      let rec from w = fields w :: (if w == last then [] else from (link w)) in
+      from (link last)
+
+let line_m m a =
+  let l = Memory.line m a in
+  ( (l.Memory.state, l.Memory.owner, Coreset.elements l.Memory.sharers),
+    (l.Memory.home, l.Memory.busy_until, l.Memory.pfw_owner),
+    (l.Memory.cas_pending, l.Memory.llc_dirty),
+    waiter_grid l.Memory.wq
+      ~link:(fun w -> w.Memory.w_link)
+      ~fields:(fun w -> (w.Memory.w_core, w.Memory.w_addr, w.Memory.w_next)) )
+
+let line_r r a =
+  let l = R.line r a in
+  ( (l.R.state, l.R.owner, Coreset.elements l.R.sharers),
+    (l.R.home, l.R.busy_until, l.R.pfw_owner),
+    (l.R.cas_pending, l.R.llc_dirty),
+    waiter_grid l.R.wq
+      ~link:(fun w -> w.R.w_link)
+      ~fields:(fun w -> (w.R.w_core, w.R.w_addr, w.R.w_next)) )
+
+(* A sink's per-kind totals and every sample, in key order. *)
+let samples = function
+  | None -> []
+  | Some mt ->
+      let l = ref [] in
+      Ssync_metrics.Metrics.iter_sorted mt (fun ~kind ~id ~bucket v ->
+          l := (kind, id, bucket, v) :: !l);
+      List.init Ssync_metrics.Metrics.n_kinds (fun kind ->
+          Ssync_metrics.Metrics.total mt ~kind)
+      :: [ List.concat_map (fun (k, i, b, v) -> [ k; i; b; v ]) !l ]
+
+(* A [Memory] and a [Ref_memory] on [p], each writing into a sink of
+   its own when [metrics]. *)
+let twins p ~metrics =
+  let with_sink create =
+    let sink =
+      if metrics then Some (Ssync_metrics.Metrics.start ()) else None
+    in
+    let x = create p in
+    if metrics then ignore (Ssync_metrics.Metrics.stop ());
+    (x, sink)
+  in
+  let m, sink_m = with_sink Memory.create in
+  let r, sink_r = with_sink R.create in
+  (m, sink_m, r, sink_r)
+
+(* Both memories' words, lines, resources, statistics and samples
+   agree. *)
+let twins_agree p (m, sink_m, r, sink_r) addrs =
+  Memory.stats m = R.stats r
+  && Array.for_all
+       (fun a -> Memory.peek m a = R.peek r a && line_m m a = line_r r a)
+       addrs
+  && List.for_all
+       (fun res -> Memory.resource_busy m res = R.resource_busy r res)
+       (List.init (Cost_model.n_resources p.Platform.topo) Fun.id)
+  && samples sink_m = samples sink_r
+
 (* ------------------------- local-hit path ------------------------ *)
 
-(* [access_lat_in] serves a load hit on a line without parked waiters
-   through a shortcut that applies only with metrics off.  So a memory
-   created under a metrics sink takes the general path for every access,
-   and must agree with a twin that takes the shortcut: access by access,
-   in the wakes of parked spinners, and in its final state. *)
+(* [access_lat_in] serves a local hit on a line without parked waiters
+   (a load by a holder, a store or atomic by the owner of a Modified or
+   Exclusive line) on a short path, metrics on or off.  [Ref_memory]
+   takes its general path for every such store and atomic, and for
+   every access with metrics on, so it is the short path's independent
+   twin: each random program runs on both, with metrics off and again
+   with metrics on, and must agree access by access, in the wakes of
+   parked spinners, and in the final words, lines, resources,
+   statistics and samples. *)
 let qcheck_local_hit_path =
   let gen =
     QCheck.Gen.(
@@ -247,87 +323,63 @@ let qcheck_local_hit_path =
       let p = Platform.get pid in
       let n = Platform.n_cores p in
       let cores = [| 0; 1; n / 2; n - 1 |] in
-      (* three padded words homed mid-machine and three on one line *)
-      let build () =
-        let m = Memory.create p in
+      let run ~metrics =
+        let ((m, _, r, _) as tw) = twins p ~metrics in
+        (* three padded words homed mid-machine and three on one line *)
         let padded = Memory.alloc_n ~home_core:(n / 2) m 3 in
         let packed = Memory.alloc_packed m 3 in
-        (m, [| padded; padded + 1; padded + 2; packed; packed + 1; packed + 2 |])
-      in
-      ignore (Ssync_metrics.Metrics.start ());
-      let general, addrs = build () in
-      ignore (Ssync_metrics.Metrics.stop ());
-      let fast, _ = build () in
-      let now = ref 0 in
-      let wakes_general = ref [] and wakes_fast = ref [] in
-      let step m wakes (ci, opcode, wi, dt) =
-        let core = cores.(ci) and a = addrs.(wi) in
-        let access op ~operand ~operand2 ~fetch =
-          let lat =
-            Memory.access_lat_in m ~core ~now:!now op a ~operand ~operand2
-              ~fetch
-          in
-          (lat, Memory.last_result m)
+        ignore (R.alloc_n ~home_core:(n / 2) r 3);
+        ignore (R.alloc_packed r 3);
+        let addrs =
+          [| padded; padded + 1; padded + 2; packed; packed + 1; packed + 2 |]
         in
-        match opcode with
-        | 0 | 1 | 2 -> access Arch.Load ~operand:0 ~operand2:0 ~fetch:false
-        | 3 -> access Arch.Store ~operand:dt ~operand2:0 ~fetch:false
-        | 4 -> access Arch.Store ~operand:dt ~operand2:1 ~fetch:false
-        | 5 ->
-            access Arch.Cas ~operand:(Memory.peek m a) ~operand2:dt
-              ~fetch:false
-        | 6 -> access Arch.Cas ~operand:0 ~operand2:1 ~fetch:true
-        | 7 -> access Arch.Fai ~operand:1 ~operand2:0 ~fetch:false
-        | 8 -> access Arch.Fai ~operand:0 ~operand2:0 ~fetch:false
-        | 9 -> access Arch.Tas ~operand:0 ~operand2:0 ~fetch:false
-        | 10 -> access Arch.Swap ~operand:dt ~operand2:0 ~fetch:false
-        | _ ->
-            (* park a load spinner on the value it sees, if inert *)
-            let parked =
+        let now = ref 0 in
+        let wakes_m = ref [] and wakes_r = ref [] in
+        let step (ci, opcode, wi, dt) =
+          now := !now + dt;
+          let core = cores.(ci) and a = addrs.(wi) in
+          let access op ~operand ~operand2 ~fetch =
+            let lm =
+              Memory.access_lat_in m ~core ~now:!now op a ~operand ~operand2
+                ~fetch
+            in
+            let lr =
+              R.access_lat_in r ~core ~now:!now op a ~operand ~operand2 ~fetch
+            in
+            lm = lr && Memory.last_result m = R.last_result r
+          in
+          match opcode with
+          | 0 | 1 | 2 -> access Arch.Load ~operand:0 ~operand2:0 ~fetch:false
+          | 3 -> access Arch.Store ~operand:dt ~operand2:0 ~fetch:false
+          | 4 -> access Arch.Store ~operand:dt ~operand2:1 ~fetch:false
+          | 5 ->
+              access Arch.Cas ~operand:(Memory.peek m a) ~operand2:dt
+                ~fetch:false
+          | 6 -> access Arch.Cas ~operand:0 ~operand2:1 ~fetch:true
+          | 7 -> access Arch.Fai ~operand:1 ~operand2:0 ~fetch:false
+          | 8 -> access Arch.Fai ~operand:0 ~operand2:0 ~fetch:false
+          | 9 -> access Arch.Tas ~operand:0 ~operand2:0 ~fetch:false
+          | 10 -> access Arch.Swap ~operand:dt ~operand2:0 ~fetch:false
+          | _ ->
+              (* park a load spinner on the value it sees, if inert *)
+              let while_ = Memory.peek m a and poll = dt + 1 in
               Memory.try_park_in m ~core ~now:!now Arch.Load a ~operand:0
-                ~operand2:0 ~while_:(Memory.peek m a) ~poll:(dt + 1)
-                ~replay:(fun at -> wakes := (core, at) :: !wakes)
-            in
-            ((if parked then 1 else 0), 0)
+                ~operand2:0 ~while_ ~poll
+                ~replay:(fun at -> wakes_m := (core, at) :: !wakes_m)
+              = R.try_park_in r ~core ~now:!now Arch.Load a ~operand:0
+                  ~operand2:0 ~while_ ~poll
+                  ~replay:(fun at -> wakes_r := (core, at) :: !wakes_r)
+        in
+        let ok =
+          List.for_all step ops
+          && !wakes_m = !wakes_r
+          && twins_agree p tw addrs
+        in
+        Memory.dispose m;
+        R.dispose r;
+        ok
       in
-      let waiter_grid = function
-        | None -> []
-        | Some last ->
-            let rec from w =
-              w.Memory.w_next
-              :: (if w == last then [] else from w.Memory.w_link)
-            in
-            from last.Memory.w_link
-      in
-      let line_state m a =
-        let l = Memory.line m a in
-        ( (l.Memory.state, l.Memory.owner, Coreset.elements l.Memory.sharers),
-          (l.Memory.busy_until, l.Memory.pfw_owner, l.Memory.cas_pending),
-          (l.Memory.llc_dirty, waiter_grid l.Memory.wq) )
-      in
-      let per_access_equal =
-        List.for_all
-          (fun ((_, _, _, dt) as op) ->
-            now := !now + dt;
-            let g = step general wakes_general op in
-            let f = step fast wakes_fast op in
-            g = f)
-          ops
-      in
-      let resources =
-        List.init (Cost_model.n_resources p.Platform.topo) Fun.id
-      in
-      per_access_equal
-      && !wakes_general = !wakes_fast
-      && Memory.stats general = Memory.stats fast
-      && Array.for_all
-           (fun a ->
-             Memory.peek general a = Memory.peek fast a
-             && line_state general a = line_state fast a)
-           addrs
-      && List.for_all
-           (fun r -> Memory.resource_busy general r = Memory.resource_busy fast r)
-           resources)
+      run ~metrics:false && run ~metrics:true)
 
 (* ------------------------ flat-table oracle ---------------------- *)
 
@@ -338,15 +390,6 @@ let qcheck_local_hit_path =
    metrics on or off.  Every access must return the same latency and
    result, and the wakes, statistics, words, lines, resources and
    metric samples must agree at the end. *)
-
-module R = Ref_memory
-
-let waiter_grid wq ~link ~fields =
-  match wq with
-  | None -> []
-  | Some last ->
-      let rec from w = fields w :: (if w == last then [] else from (link w)) in
-      from (link last)
 
 let qcheck_flat_table_oracle =
   let gen =
@@ -369,17 +412,7 @@ let qcheck_flat_table_oracle =
       let p = Platform.get pid in
       let n = Platform.n_cores p in
       let cores = [| 0; 1; n / 2; n - 1 |] in
-      (* each side writes its samples into a sink of its own *)
-      let with_sink create =
-        let sink =
-          if metrics then Some (Ssync_metrics.Metrics.start ()) else None
-        in
-        let x = create p in
-        if metrics then ignore (Ssync_metrics.Metrics.stop ());
-        (x, sink)
-      in
-      let m, sink_m = with_sink Memory.create in
-      let r, sink_r = with_sink R.create in
+      let ((m, _, r, _) as tw) = twins p ~metrics in
       (* three padded words homed mid-machine and three on one line *)
       let addrs =
         let padded = Memory.alloc_n ~home_core:(n / 2) m 3 in
@@ -488,46 +521,8 @@ let qcheck_flat_table_oracle =
             Memory.probe_latency m ~core Arch.Store a
             = R.probe_latency r ~core Arch.Store a
       in
-      let line_m a =
-        let l = Memory.line m a in
-        ( (l.Memory.state, l.Memory.owner, Coreset.elements l.Memory.sharers),
-          (l.Memory.home, l.Memory.busy_until, l.Memory.pfw_owner),
-          (l.Memory.cas_pending, l.Memory.llc_dirty),
-          waiter_grid l.Memory.wq
-            ~link:(fun w -> w.Memory.w_link)
-            ~fields:(fun w -> (w.Memory.w_core, w.Memory.w_addr, w.Memory.w_next)) )
-      in
-      let line_r a =
-        let l = R.line r a in
-        ( (l.R.state, l.R.owner, Coreset.elements l.R.sharers),
-          (l.R.home, l.R.busy_until, l.R.pfw_owner),
-          (l.R.cas_pending, l.R.llc_dirty),
-          waiter_grid l.R.wq
-            ~link:(fun w -> w.R.w_link)
-            ~fields:(fun w -> (w.R.w_core, w.R.w_addr, w.R.w_next)) )
-      in
-      let samples acc =
-        match acc with
-        | None -> []
-        | Some mt ->
-            let l = ref [] in
-            Ssync_metrics.Metrics.iter_sorted mt (fun ~kind ~id ~bucket v ->
-                l := (kind, id, bucket, v) :: !l);
-            List.init Ssync_metrics.Metrics.n_kinds (fun kind ->
-                Ssync_metrics.Metrics.total mt ~kind)
-            :: [ List.concat_map (fun (k, i, b, v) -> [ k; i; b; v ]) !l ]
-      in
       let ok =
-        List.for_all step steps
-        && !wakes_m = !wakes_r
-        && Memory.stats m = R.stats r
-        && Array.for_all
-             (fun a -> Memory.peek m a = R.peek r a && line_m a = line_r a)
-             addrs
-        && List.for_all
-             (fun res -> Memory.resource_busy m res = R.resource_busy r res)
-             (List.init (Cost_model.n_resources p.Platform.topo) Fun.id)
-        && samples sink_m = samples sink_r
+        List.for_all step steps && !wakes_m = !wakes_r && twins_agree p tw addrs
       in
       Memory.dispose m;
       R.dispose r;
@@ -592,6 +587,32 @@ let test_access_allocation_free () =
         ~access:(fun i -> access a ~core:c1 Arch.Load ~operand:0 i);
       check "local store hit" ~setup:no_setup
         ~access:(fun i -> access a ~core:c1 Arch.Store ~operand:i i);
+      check "local atomic hit" ~setup:no_setup
+        ~access:(fun i -> access a ~core:c1 Arch.Fai ~operand:1 i);
+      (* the same hits on a memory sampled into a metrics sink: each
+         closes a sharer-gauge span 10 cycles long, within a handful of
+         grid buckets, so it adds to keys already in the sink's table *)
+      let sink = Ssync_metrics.Metrics.start () in
+      let ms = mem_on pid in
+      ignore (Ssync_metrics.Metrics.stop ());
+      let b = Memory.alloc ~home_core:c1 ms in
+      Memory.force_state ms ~holder:c1 Arch.Modified b;
+      List.iteri
+        (fun k (kind, op, operand) ->
+          check (kind ^ ", metrics on") ~setup:no_setup ~access:(fun i ->
+              ignore
+                (Memory.access_lat_in ms ~core:c1
+                   ~now:(((k + 1) * 1_000_000) + (i * 10))
+                   op b ~operand:(operand i) ~operand2:0 ~fetch:false)))
+        [
+          ("local load hit", Arch.Load, Fun.const 0);
+          ("local store hit", Arch.Store, Fun.id);
+          ("local atomic hit", Arch.Fai, Fun.const 1);
+        ];
+      check_bool "the sharer gauge was sampled" true
+        (Ssync_metrics.(Metrics.total sink ~kind:Metrics.k_line_sharers)
+         >= 3 * n_guard * 10);
+      Memory.dispose ms;
       check "far-pair Modified transfer" ~setup:no_setup ~access:(fun i ->
           access a ~core:(if i land 1 = 0 then c1 else c2) Arch.Store ~operand:i
             i);

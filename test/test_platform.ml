@@ -478,6 +478,62 @@ let test_numberings () =
       Alcotest.(check int) (Arch.distance_name d) r (Cost_model.rank_of_class d))
     Cost_model.class_of_rank
 
+(* [Coreset]'s bit tricks against the loops they replaced: Kernighan's
+   count, one iteration per set bit, and a shift loop for the index of
+   a one-bit word. *)
+let loop_popcount w =
+  let n = ref 0 and w = ref w in
+  while !w <> 0 do
+    w := !w land (!w - 1);
+    incr n
+  done;
+  !n
+
+let loop_bit_index b =
+  let i = ref 0 and b = ref b in
+  while !b <> 1 do
+    b := !b lsr 1;
+    incr i
+  done;
+  !i
+
+(* [bit_index] of every one-bit word (bits 0-62: the sign bit too), and
+   the set bit of a one-core set in either word for cores 0-125;
+   [popcount] and [cardinal] on 0, -1, [min_int], [max_int] and 10^5
+   random words, negative ones included. *)
+let test_coreset_bits () =
+  for i = 0 to 62 do
+    let b = 1 lsl i in
+    check_int (Printf.sprintf "bit_index (1 lsl %d)" i) (loop_bit_index b)
+      (Coreset.bit_index b)
+  done;
+  for c = 0 to Coreset.capacity - 1 do
+    Alcotest.(check (list int))
+      (Printf.sprintf "core %d round-trips" c)
+      [ c ]
+      (Coreset.elements (Coreset.of_list [ c ]))
+  done;
+  let rng = Random.State.make [| 27 |] in
+  let words =
+    [ 0; -1; min_int; max_int ]
+    @ List.init 100_000 (fun _ -> Int64.to_int (Random.State.bits64 rng))
+  in
+  check_bool "some random words are negative" true
+    (List.exists (( > ) 0) words);
+  let first_miss f =
+    List.find_opt
+      (fun (w0, w1) -> f w0 w1)
+      (List.combine words (List.rev words))
+  in
+  Alcotest.(check (option (pair int int)))
+    "popcount = loop" None
+    (first_miss (fun w _ -> Coreset.popcount w <> loop_popcount w));
+  Alcotest.(check (option (pair int int)))
+    "cardinal = loops" None
+    (first_miss (fun w0 w1 ->
+         Coreset.cardinal { Coreset.w0; w1 }
+         <> loop_popcount w0 + loop_popcount w1))
+
 let suite =
   [
     Alcotest.test_case "core counts" `Quick test_core_counts;
@@ -510,4 +566,5 @@ let suite =
       test_tilera_scale_matches_float;
     Alcotest.test_case "state and rank numberings round-trip" `Quick
       test_numberings;
+    Alcotest.test_case "coreset bit tricks = loops" `Quick test_coreset_bits;
   ]

@@ -82,7 +82,11 @@ let key m base values =
     |]
     values
 
-(* The directory invariants, or the first that fails. *)
+(* The directory invariants, or the first that fails.  [Memory]'s short
+   path for a store or atomic by the owner of a Modified or Exclusive
+   line relies on two of them: such a line has no sharers to
+   invalidate, and its prefetch reservation is -1 or the owner's, so
+   no foreign reservation can turn the access into a directed read. *)
 let violation ~moesi (l : Memory.line) =
   let sh = l.Memory.sharers and o = l.Memory.owner in
   let no_sh = Coreset.is_empty sh in
@@ -95,6 +99,8 @@ let violation ~moesi (l : Memory.line) =
       Some "M/E/I line with sharers"
   | Arch.Shared when no_sh -> Some "Shared line without sharers"
   | _ when o >= 0 && Coreset.mem sh o -> Some "owner among the sharers"
+  | _ when l.Memory.pfw_owner >= 0 && l.Memory.pfw_owner <> o ->
+      Some "prefetch reservation held by a non-owner"
   | _ -> None
 
 let show_path path =

@@ -16,7 +16,9 @@
      counts sum to the acquisition count, and the fairness min/max is
      the per-thread op counts' min/max;
    - the consumers on a wrapped ring: [Profile] and [Invariant] read
-     exactly the retained window, and the totals still reconcile.
+     exactly the retained window, and the totals still reconcile;
+     [Invariant] takes a release that ends a hold granted before the
+     window for what it is.
 
    Tests state events through [Trace_view], the boxed view of the
    ring's ints. *)
@@ -389,6 +391,62 @@ let test_consumers_on_wrapped_ring () =
   check_bool "report = the window's" true
     (rep = { (check window) with Invariant.truncated = true })
 
+(* A wrapped ring can start inside a hold: the window's first event of
+   the lock is then a release whose grant was dropped.  Across ring
+   capacities 240-270 the 8-thread run's window starts inside a hold at
+   several of them, and [Invariant] reports no violation at any.  On
+   hand-made rings, a release without a hold after the lock's first
+   grant in the window is still flagged, and so is one before it on a
+   ring that dropped nothing. *)
+let test_invariant_window_starts_in_hold () =
+  let check tr = Invariant.check ~completed:(fun _ -> true) tr in
+  let violations rep =
+    List.map Invariant.pp_violation rep.Invariant.violations
+  in
+  let starts_in_hold tr =
+    let first = ref None in
+    V.iter tr (fun e ->
+        match (!first, e.V.ev) with
+        | None, V.E_acq _ -> first := Some false
+        | None, V.E_rel _ -> first := Some true
+        | _ -> ());
+    !first = Some true
+  in
+  let in_hold = ref 0 in
+  for capacity = 240 to 270 do
+    let _, tr = with_trace ~capacity traced_workload in
+    check_bool "the ring wrapped" true (Trace.dropped tr > 0);
+    if starts_in_hold tr then incr in_hold;
+    Alcotest.(check (list string))
+      (Printf.sprintf "capacity %d: violations" capacity)
+      [] (violations (check tr))
+  done;
+  check_bool "some windows start inside a hold" true (!in_hold > 0);
+  (* t1's hold began before the window; t3 releases a lock it never
+     held, after t2's grant *)
+  let ring ~capacity =
+    let tr = Trace.create ~capacity () in
+    let lock = Trace.new_lock tr "L" in
+    List.iteri
+      (fun i ev -> V.emit tr ~ts:i ev)
+      [
+        V.E_park { tid = 0; addr = 0 };
+        V.E_rel { tid = 1; lock; held = 5 };
+        V.E_acq { tid = 2; lock; wait = 0; dist = None };
+        V.E_rel { tid = 2; lock; held = 1 };
+        V.E_rel { tid = 3; lock; held = 1 };
+      ];
+    tr
+  in
+  let t3 = "[mutual-exclusion] L t3 @4: t3 released without holding" in
+  Alcotest.(check (list string))
+    "wrapped ring: the release after the grant" [ t3 ]
+    (violations (check (ring ~capacity:4)));
+  Alcotest.(check (list string))
+    "whole ring: both releases without a hold"
+    [ "[mutual-exclusion] L t1 @1: t1 released without holding"; t3 ]
+    (violations (check (ring ~capacity:8)))
+
 (* ------------------- minimal JSON schema checker ------------------- *)
 
 (* Just enough of a JSON parser to validate the exporters' output,
@@ -720,4 +778,6 @@ let suite =
       test_profile_fairness;
     Alcotest.test_case "profile and invariants read a wrapped ring" `Quick
       test_consumers_on_wrapped_ring;
+    Alcotest.test_case "invariants: a window may start inside a hold" `Quick
+      test_invariant_window_starts_in_hold;
   ]
