@@ -142,29 +142,29 @@ let placement_throughput pid ~threads ~scattered ~duration =
       fun tid -> (tid mod n_nodes * per_node) + (tid / n_nodes)
     end
   in
-  let sim = Sim.create p in
-  let mem = Sim.memory sim in
-  let lock =
-    Simlock.create ~home_core:(place 0) mem p ~n_threads:threads Simlock.Ticket
-  in
-  let ops = Array.make threads 0 in
-  let b = Sim.make_barrier threads in
-  for tid = 0 to threads - 1 do
-    Sim.spawn sim ~core:(place tid) (fun () ->
-        Sim.await b;
-        let deadline = Sim.now () + duration in
-        let n = ref 0 in
-        while Sim.now () < deadline do
-          lock.Lock_type.acquire ~tid;
-          Sim.pause 40;
-          lock.Lock_type.release ~tid;
-          Sim.pause 80;
-          incr n
-        done;
-        ops.(tid) <- !n)
-  done;
-  ignore (Sim.run sim ~until:(duration * 8));
-  Platform.mops p ~ops:(Array.fold_left ( + ) 0 ops) ~cycles:duration
+  Harness.simulate ~until:(duration * 8) p (fun sim mem ->
+      let lock =
+        Simlock.create ~home_core:(place 0) mem p ~n_threads:threads
+          Simlock.Ticket
+      in
+      let ops = Array.make threads 0 in
+      let b = Sim.make_barrier threads in
+      for tid = 0 to threads - 1 do
+        Sim.spawn sim ~core:(place tid) (fun () ->
+            Sim.await b;
+            let deadline = Sim.now () + duration in
+            let n = ref 0 in
+            while Sim.now () < deadline do
+              lock.Lock_type.acquire ~tid;
+              Sim.pause 40;
+              lock.Lock_type.release ~tid;
+              Sim.pause 80;
+              incr n
+            done;
+            ops.(tid) <- !n)
+      done;
+      fun _ ->
+        Platform.mops p ~ops:(Array.fold_left ( + ) 0 ops) ~cycles:duration)
 
 let placement_platforms = [ (Arch.Opteron, 12); (Arch.Xeon, 10) ]
 

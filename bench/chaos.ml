@@ -25,7 +25,6 @@ open Ssync_platform
 open Ssync_coherence
 open Ssync_engine
 open Ssync_simlocks
-module Trace = Ssync_trace.Trace
 
 type cfg = {
   pid : Arch.platform_id;
@@ -116,10 +115,9 @@ let put last a v =
 
 let run_one (c : cfg) : outcome =
   let p = Platform.get c.pid in
-  ignore (Trace.start ~capacity:(1 lsl 18) ());
   let faults = Fault.crash_stop ~seed:c.seed c.victims in
   let captured = ref None in
-  let r =
+  let run () =
     Harness.run ~faults p ~threads:c.threads ~duration:c.duration
       ~setup:(fun mem ->
         let sh =
@@ -151,7 +149,10 @@ let run_one (c : cfg) : outcome =
         done;
         !n)
   in
-  let tr = match Trace.stop () with Some t -> t | None -> assert false in
+  let { Section.value = r; trace; _ } =
+    Section.observe ~trace:true ~capacity:(1 lsl 18) run ()
+  in
+  let tr = Option.get trace in
   let sh = Option.get !captured in
   let order = Harness.spawn_order ~threads:c.threads in
   let completed etid =

@@ -17,38 +17,39 @@ let hr title = Printf.printf "\n==== %s ====\n%!" title
 let ssht_lock_throughput pid algo ~threads ~n_buckets ~capacity ~duration :
     float =
   let p = Platform.get pid in
-  let sim = Sim.create p in
-  let mem = Sim.memory sim in
-  let t =
-    Ssync_ssht.Ssht_sim.create ~lock_algo:algo ~home_core:(Platform.place p 0)
-      mem p ~n_threads:threads ~n_buckets ~capacity
-  in
-  let key_space = n_buckets * capacity in
-  let local_work = Platform.local_work_for p ~threads in
-  let b = Sim.make_barrier threads in
-  let ops = Array.make threads 0 in
-  for tid = 0 to threads - 1 do
-    Sim.spawn sim ~core:(Platform.place p tid) (fun () ->
-        if tid = 0 then Ssync_ssht.Ssht_sim.prefill t ~tid ~key_space;
-        Sim.await b;
-        let rng = Rng.create ~seed:(tid + 1) in
-        let deadline = Sim.now () + duration in
-        let n = ref 0 in
-        while Sim.now () < deadline do
-          let k = Rng.int rng key_space in
-          Sim.pause local_work; (* key handling, hashing *)
-          (match Op_mix.sample Op_mix.paper rng with
-          | Op_mix.Get ->
-              ignore (Ssync_ssht.Ssht_sim.get_or t ~tid k ~default:0)
-          | Op_mix.Put -> ignore (Ssync_ssht.Ssht_sim.put t ~tid k (k * 2))
-          | Op_mix.Remove -> ignore (Ssync_ssht.Ssht_sim.remove t ~tid k));
-          incr n
-        done;
-        ops.(tid) <- !n)
-  done;
-  ignore (Sim.run sim ~until:((duration * 12) + 80_000_000));
   (* the bound leaves room for the pre-fill phase before the barrier *)
-  Platform.mops p ~ops:(Array.fold_left ( + ) 0 ops) ~cycles:duration
+  Harness.simulate ~until:((duration * 12) + 80_000_000) p (fun sim mem ->
+      let t =
+        Ssync_ssht.Ssht_sim.create ~lock_algo:algo
+          ~home_core:(Platform.place p 0) mem p ~n_threads:threads ~n_buckets
+          ~capacity
+      in
+      let key_space = n_buckets * capacity in
+      let local_work = Platform.local_work_for p ~threads in
+      let b = Sim.make_barrier threads in
+      let ops = Array.make threads 0 in
+      for tid = 0 to threads - 1 do
+        Sim.spawn sim ~core:(Platform.place p tid) (fun () ->
+            if tid = 0 then Ssync_ssht.Ssht_sim.prefill t ~tid ~key_space;
+            Sim.await b;
+            let rng = Rng.create ~seed:(tid + 1) in
+            let deadline = Sim.now () + duration in
+            let n = ref 0 in
+            while Sim.now () < deadline do
+              let k = Rng.int rng key_space in
+              Sim.pause local_work; (* key handling, hashing *)
+              (match Op_mix.sample Op_mix.paper rng with
+              | Op_mix.Get ->
+                  ignore (Ssync_ssht.Ssht_sim.get_or t ~tid k ~default:0)
+              | Op_mix.Put ->
+                  ignore (Ssync_ssht.Ssht_sim.put t ~tid k (k * 2))
+              | Op_mix.Remove -> ignore (Ssync_ssht.Ssht_sim.remove t ~tid k));
+              incr n
+            done;
+            ops.(tid) <- !n)
+      done;
+      fun _ ->
+        Platform.mops p ~ops:(Array.fold_left ( + ) 0 ops) ~cycles:duration)
 
 (* Message-passing ssht: one server per three threads (paper's best). *)
 let ssht_mp_throughput pid ~threads ~n_buckets ~capacity ~duration : float =
@@ -58,53 +59,53 @@ let ssht_mp_throughput pid ~threads ~n_buckets ~capacity ~duration : float =
   in
   let n_clients = max 1 (threads - n_servers) in
   if n_servers + n_clients > Platform.n_cores p then 0.
-  else begin
-    let sim = Sim.create p in
-    let mem = Sim.memory sim in
-    let server_cores = Array.init n_servers (fun i -> Platform.place p i) in
-    let client_cores =
-      Array.init n_clients (fun i -> Platform.place p (n_servers + i))
-    in
-    let t =
-      Ssync_ssht.Ssht_mp.create mem p ~server_cores ~client_cores
-        ~touch_lines:3
-        ~server_work:(Platform.local_work p)
-    in
-    let key_space = n_buckets * capacity in
-    (* prefill directly into the server partitions (free, like the
-       lock-based prefill which happens before the measured window) *)
-    for k = 0 to (key_space / 2) - 1 do
-      let s = Ssync_ssht.Ssht_mp.server_of t k in
-      Hashtbl.replace t.Ssync_ssht.Ssht_mp.servers.(s).Ssync_ssht.Ssht_mp.table
-        k (k * 2)
-    done;
-    for i = 0 to n_servers - 1 do
-      Sim.spawn sim ~core:server_cores.(i) (fun () ->
-          Ssync_ssht.Ssht_mp.run_server t i)
-    done;
-    let ops = Array.make n_clients 0 in
-    let b = Sim.make_barrier n_clients in
-    for c = 0 to n_clients - 1 do
-      Sim.spawn sim ~core:client_cores.(c) (fun () ->
-          Sim.await b;
-          let rng = Rng.create ~seed:(c + 1) in
-          let deadline = Sim.now () + duration in
-          let n = ref 0 in
-          while Sim.now () < deadline do
-            let k = Rng.int rng key_space in
-            Sim.pause (Platform.local_work p); (* key handling, hashing *)
-            (match Op_mix.sample Op_mix.paper rng with
-            | Op_mix.Get -> ignore (Ssync_ssht.Ssht_mp.get t ~client:c k)
-            | Op_mix.Put -> ignore (Ssync_ssht.Ssht_mp.put t ~client:c k (k * 2))
-            | Op_mix.Remove -> ignore (Ssync_ssht.Ssht_mp.remove t ~client:c k));
-            incr n
-          done;
-          ops.(c) <- !n;
-          Ssync_ssht.Ssht_mp.stop t ~client:c)
-    done;
-    ignore (Sim.run sim ~until:(duration * 12));
-    Platform.mops p ~ops:(Array.fold_left ( + ) 0 ops) ~cycles:duration
-  end
+  else
+    Harness.simulate ~until:(duration * 12) p (fun sim mem ->
+        let server_cores = Array.init n_servers (fun i -> Platform.place p i) in
+        let client_cores =
+          Array.init n_clients (fun i -> Platform.place p (n_servers + i))
+        in
+        let t =
+          Ssync_ssht.Ssht_mp.create mem p ~server_cores ~client_cores
+            ~touch_lines:3
+            ~server_work:(Platform.local_work p)
+        in
+        let key_space = n_buckets * capacity in
+        (* prefill directly into the server partitions (free, like the
+           lock-based prefill which happens before the measured window) *)
+        for k = 0 to (key_space / 2) - 1 do
+          let s = Ssync_ssht.Ssht_mp.server_of t k in
+          Hashtbl.replace
+            t.Ssync_ssht.Ssht_mp.servers.(s).Ssync_ssht.Ssht_mp.table k (k * 2)
+        done;
+        for i = 0 to n_servers - 1 do
+          Sim.spawn sim ~core:server_cores.(i) (fun () ->
+              Ssync_ssht.Ssht_mp.run_server t i)
+        done;
+        let ops = Array.make n_clients 0 in
+        let b = Sim.make_barrier n_clients in
+        for c = 0 to n_clients - 1 do
+          Sim.spawn sim ~core:client_cores.(c) (fun () ->
+              Sim.await b;
+              let rng = Rng.create ~seed:(c + 1) in
+              let deadline = Sim.now () + duration in
+              let n = ref 0 in
+              while Sim.now () < deadline do
+                let k = Rng.int rng key_space in
+                Sim.pause (Platform.local_work p); (* key handling, hashing *)
+                (match Op_mix.sample Op_mix.paper rng with
+                | Op_mix.Get -> ignore (Ssync_ssht.Ssht_mp.get t ~client:c k)
+                | Op_mix.Put ->
+                    ignore (Ssync_ssht.Ssht_mp.put t ~client:c k (k * 2))
+                | Op_mix.Remove ->
+                    ignore (Ssync_ssht.Ssht_mp.remove t ~client:c k));
+                incr n
+              done;
+              ops.(c) <- !n;
+              Ssync_ssht.Ssht_mp.stop t ~client:c)
+        done;
+        fun _ ->
+          Platform.mops p ~ops:(Array.fold_left ( + ) 0 ops) ~cycles:duration)
 
 let fig11 ?(duration = 150_000) () =
   let thread_samples pid =
@@ -321,76 +322,82 @@ let extra_small_platforms () =
 (* STM bank benchmark: lock-based vs message-passing TM2C backends. *)
 let stm_throughput pid backend ~threads ~accounts ~duration : float =
   let p = Platform.get pid in
-  let sim = Sim.create p in
-  let mem = Sim.memory sim in
-  let txns = Array.make threads 0 in
-  (match backend with
-  | `Lock ->
-      let t = Ssync_tm.Tm_sim.create_lock_based ~home_core:(Platform.place p 0)
-          mem ~n_cells:accounts in
-      let b = Sim.make_barrier threads in
-      for tid = 0 to threads - 1 do
-        Sim.spawn sim ~core:(Platform.place p tid) (fun () ->
-            Sim.await b;
-            let rng = Rng.create ~seed:(tid + 1) in
-            let deadline = Sim.now () + duration in
-            let n = ref 0 in
-            while Sim.now () < deadline do
-              let a = Rng.int rng accounts and c = Rng.int rng accounts in
-              if a <> c then begin
-                let cells = List.sort_uniq compare [ a; c ] in
-                ignore
-                  (Ssync_tm.Tm_sim.transaction_lock_based t ~cells (fun vs ->
-                       match (cells, vs) with
-                       | ([ x; y ], [| vx; vy |]) -> [ (x, vx - 1); (y, vy + 1) ]
-                       | _ -> []));
-                incr n
-              end
-            done;
-            txns.(tid) <- !n)
-      done;
-      ignore (Sim.run sim ~until:(duration * 12))
-  | `Mp ->
-      let n_servers =
-        max 1 (threads / Ssync_simmp.Client_server.default_server_share)
-      in
-      let n_clients = max 1 (threads - n_servers) in
-      let server_cores = Array.init n_servers (fun i -> Platform.place p i) in
-      let client_cores =
-        Array.init n_clients (fun i -> Platform.place p (n_servers + i))
-      in
-      let t =
-        Ssync_tm.Tm_sim.create_mp_based mem p ~n_cells:accounts ~server_cores
-          ~client_cores
-      in
-      for i = 0 to n_servers - 1 do
-        Sim.spawn sim ~core:server_cores.(i) (fun () ->
-            Ssync_tm.Tm_sim.run_mp_server t i)
-      done;
-      let b = Sim.make_barrier n_clients in
-      for c = 0 to n_clients - 1 do
-        Sim.spawn sim ~core:client_cores.(c) (fun () ->
-            Sim.await b;
-            let rng = Rng.create ~seed:(c + 1) in
-            let deadline = Sim.now () + duration in
-            let n = ref 0 in
-            while Sim.now () < deadline do
-              let a = Rng.int rng accounts and x = Rng.int rng accounts in
-              if a <> x then begin
-                let cells = List.sort_uniq compare [ a; x ] in
-                ignore
-                  (Ssync_tm.Tm_sim.transaction_mp t ~client:c ~cells (fun vs ->
-                       match (cells, vs) with
-                       | ([ i; j ], [| vi; vj |]) -> [ (i, vi - 1); (j, vj + 1) ]
-                       | _ -> []));
-                incr n
-              end
-            done;
-            txns.(c) <- !n;
-            Ssync_tm.Tm_sim.stop_mp t ~client:c)
-      done;
-      ignore (Sim.run sim ~until:(duration * 12)));
-  Platform.mops p ~ops:(Array.fold_left ( + ) 0 txns) ~cycles:duration
+  Harness.simulate ~until:(duration * 12) p (fun sim mem ->
+      let txns = Array.make threads 0 in
+      (match backend with
+      | `Lock ->
+          let t =
+            Ssync_tm.Tm_sim.create_lock_based ~home_core:(Platform.place p 0)
+              mem ~n_cells:accounts
+          in
+          let b = Sim.make_barrier threads in
+          for tid = 0 to threads - 1 do
+            Sim.spawn sim ~core:(Platform.place p tid) (fun () ->
+                Sim.await b;
+                let rng = Rng.create ~seed:(tid + 1) in
+                let deadline = Sim.now () + duration in
+                let n = ref 0 in
+                while Sim.now () < deadline do
+                  let a = Rng.int rng accounts and c = Rng.int rng accounts in
+                  if a <> c then begin
+                    let cells = List.sort_uniq compare [ a; c ] in
+                    ignore
+                      (Ssync_tm.Tm_sim.transaction_lock_based t ~cells
+                         (fun vs ->
+                           match (cells, vs) with
+                           | [ x; y ], [| vx; vy |] ->
+                               [ (x, vx - 1); (y, vy + 1) ]
+                           | _ -> []));
+                    incr n
+                  end
+                done;
+                txns.(tid) <- !n)
+          done
+      | `Mp ->
+          let n_servers =
+            max 1 (threads / Ssync_simmp.Client_server.default_server_share)
+          in
+          let n_clients = max 1 (threads - n_servers) in
+          let server_cores =
+            Array.init n_servers (fun i -> Platform.place p i)
+          in
+          let client_cores =
+            Array.init n_clients (fun i -> Platform.place p (n_servers + i))
+          in
+          let t =
+            Ssync_tm.Tm_sim.create_mp_based mem p ~n_cells:accounts
+              ~server_cores ~client_cores
+          in
+          for i = 0 to n_servers - 1 do
+            Sim.spawn sim ~core:server_cores.(i) (fun () ->
+                Ssync_tm.Tm_sim.run_mp_server t i)
+          done;
+          let b = Sim.make_barrier n_clients in
+          for c = 0 to n_clients - 1 do
+            Sim.spawn sim ~core:client_cores.(c) (fun () ->
+                Sim.await b;
+                let rng = Rng.create ~seed:(c + 1) in
+                let deadline = Sim.now () + duration in
+                let n = ref 0 in
+                while Sim.now () < deadline do
+                  let a = Rng.int rng accounts and x = Rng.int rng accounts in
+                  if a <> x then begin
+                    let cells = List.sort_uniq compare [ a; x ] in
+                    ignore
+                      (Ssync_tm.Tm_sim.transaction_mp t ~client:c ~cells
+                         (fun vs ->
+                           match (cells, vs) with
+                           | [ i; j ], [| vi; vj |] ->
+                               [ (i, vi - 1); (j, vj + 1) ]
+                           | _ -> []));
+                    incr n
+                  end
+                done;
+                txns.(c) <- !n;
+                Ssync_tm.Tm_sim.stop_mp t ~client:c)
+          done);
+      fun _ ->
+        Platform.mops p ~ops:(Array.fold_left ( + ) 0 txns) ~cycles:duration)
 
 let extra_stm ?(duration = 150_000) () =
   let contentions = [ ("low (512 accts)", 512); ("high (8 accts)", 8) ] in

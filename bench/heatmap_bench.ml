@@ -6,7 +6,7 @@
    home directory and the links toward it — exactly the asymmetric
    pressure the utilization heatmaps exist to make visible at a
    glance.  Each job runs with a fresh metrics sink
-   ([Metrics.requested]), and every render below is a pure function of
+   ([Section.observe]), and every render below is a pure function of
    the sampled grids, so stdout is byte-identical at any --jobs
    count.
 
@@ -201,39 +201,34 @@ let render (p : Platform.t) (r : Harness.result) (m : Metrics.t) =
     (ranked (by_id m ~kind:Metrics.k_line_occ))
 
 let run ~quick ~jobs () =
-  Metrics.requested := true;
-  (* a finer grid than the dump default: these windows are short and
-     the strips should resolve the barrier ramp and the steady state *)
-  Metrics.bucket_cycles := 4096;
   let duration = if quick then 50_000 else 150_000 in
   let platforms = Platform.all in
   let thunks =
-    Array.of_list (List.map (fun p () -> job p ~duration) platforms)
+    Array.of_list
+      (List.map
+         (fun p ->
+           (* a finer grid than the dump default: these windows are
+              short and the strips should resolve the barrier ramp and
+              the steady state *)
+           Section.observe ~metrics:true ~grid:4096 (fun () ->
+               job p ~duration))
+         platforms)
   in
   let t0 = Unix.gettimeofday () in
   let results = Pool.run ~jobs thunks in
-  let sinks = Pool.metrics results in
+  let sinks = Array.map (fun (o, _) -> Option.get o.Section.metrics) results in
   Printf.printf
     "Virtual-time utilization heatmaps — every core hammering one word \
      homed on the last node (%d-cycle window)\n%s\n"
     duration Heatmap.legend;
-  if List.length sinks <> List.length platforms then begin
-    (* every job gets a sink when sampling is on, so this is
-       unreachable short of an engine bug *)
-    Printf.eprintf "heatmap: %d sinks for %d jobs\n" (List.length sinks)
-      (List.length platforms);
-    exit 2
-  end;
   List.iteri
-    (fun i p ->
-      let r, _ = results.(i) in
-      render p r (List.nth sinks i))
+    (fun i p -> render p (fst results.(i)).Section.value sinks.(i))
     platforms;
   Printf.eprintf "\n(heatmap wall time: %.1fs, %d jobs)\n"
     (Unix.gettimeofday () -. t0)
     jobs;
   let tot k =
-    List.fold_left (fun a m -> a + Metrics.total m ~kind:k) 0 sinks
+    Array.fold_left (fun a m -> a + Metrics.total m ~kind:k) 0 sinks
   in
   let p = (Pool.total_stats results).Pool.perf in
   (* the samples must be the engine's truth, not a parallel count *)

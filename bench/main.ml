@@ -230,14 +230,6 @@ let field_str line key =
       | None -> None)
   | Some _ -> None
 
-(* Per-section cpu seconds: [cpu_s] in the current format, falling back
-   to [wall_s] for baselines written by the serial harness (where the
-   two were the same thing). *)
-let section_time line =
-  match field_num line "cpu_s" with
-  | Some t -> Some t
-  | None -> field_num line "wall_s"
-
 (* The engine counters every section line carries.  They are
    deterministic, so a fresh run must reproduce the baseline's exactly. *)
 let counter_keys =
@@ -246,7 +238,7 @@ let counter_keys =
 
 type parsed_section = {
   ps_name : string;
-  ps_cpu : float option; (* cpu_s, or wall_s in serial-harness files *)
+  ps_cpu : float; (* cpu_s *)
   ps_mcps : float option; (* simulated Mcycles per cpu second *)
   ps_counters : (string * float option) list; (* [counter_keys] order *)
 }
@@ -277,12 +269,20 @@ let perf_summary path =
       (fun l ->
         Option.map
           (fun name ->
-            {
-              ps_name = name;
-              ps_cpu = section_time l;
-              ps_mcps = field_num l "sim_mcycles_per_s";
-              ps_counters = List.map (fun k -> (k, field_num l k)) counter_keys;
-            })
+            match field_num l "cpu_s" with
+            | None ->
+                Printf.eprintf
+                  "--compare-perf: %s: section %s: malformed line (no cpu_s)\n"
+                  path name;
+                exit 2
+            | Some cpu ->
+                {
+                  ps_name = name;
+                  ps_cpu = cpu;
+                  ps_mcps = field_num l "sim_mcycles_per_s";
+                  ps_counters =
+                    List.map (fun k -> (k, field_num l k)) counter_keys;
+                })
           (field_str l "section"))
       lines
   in
@@ -351,9 +351,9 @@ let compare_perf baseline_path fresh_path =
     f.fp_sections;
   List.iter
     (fun fps ->
-      match (find b fps.ps_name, fps.ps_cpu) with
-      | Some bps, Some ft when fps.ps_name <> "total" -> (
-          let bt = Option.value ~default:0. bps.ps_cpu in
+      match find b fps.ps_name with
+      | Some bps when fps.ps_name <> "total" -> (
+          let bt = bps.ps_cpu and ft = fps.ps_cpu in
           (* Per-section cpu time, with a deliberately generous
              threshold: the numbers are one-shot wall measurements on a
              possibly noisy host, so only flag a section that both blew
@@ -405,64 +405,79 @@ let compare_perf baseline_path fresh_path =
       exit 1
 
 (* ------------------------------------------------------------------ *)
-(* Tracing: label every job "[section]/[index]" in submission order and
-   export the merged Chrome trace.  The per-job sinks are filled inside
-   whatever domain ran the job and merged here in submission order, so
-   the file is byte-identical at any --jobs count.  All chatter goes to
-   stderr: stdout (the rendered tables) must stay byte-identical with
-   and without --trace. *)
-let job_labels planned =
-  List.concat_map
-    (fun (name, s) ->
-      List.init (Array.length s.Section.jobs) (fun j ->
-          Printf.sprintf "%s/%d" name j))
-    planned
+(* Planning and running.  [plan] picks the named sections in
+   declaration order (an unknown name exits 1); [run_planned] fans all
+   their jobs across the pool, each run under [Section.observe], and
+   pairs every job's observation with its "[section]/[index]" label in
+   submission order. *)
+let plan ~quick names =
+  List.iter
+    (fun n ->
+      if not (List.exists (fun (s, _, _) -> s = n) sections) then begin
+        Printf.eprintf "unknown section %S (use --list to see the choices)\n" n;
+        exit 1
+      end)
+    names;
+  List.filter_map
+    (fun (name, _, mk) ->
+      if List.mem name names then Some (name, mk ~quick) else None)
+    sections
 
-let export_trace path planned results =
-  let labels = job_labels planned in
-  let traces = Ssync_engine.Pool.traces results in
-  if List.length labels <> List.length traces then
-    (* every job gets a sink when tracing is on, so this is unreachable
-       short of an engine bug — don't write a mislabeled file *)
-    Printf.eprintf "(trace: label/trace count mismatch — %s not written)\n" path
-  else begin
-    (* when --metrics is also on, the sampled timelines ride along as
-       Perfetto counter tracks under each job's process *)
-    let msinks = Ssync_engine.Pool.metrics results in
-    let metrics =
-      if List.length msinks = List.length labels then
-        List.combine labels msinks
-      else []
-    in
-    Ssync_trace.Chrome.export_file ~metrics path (List.combine labels traces);
-    let sum f = List.fold_left (fun a tr -> a + f tr) 0 traces in
-    let events = sum Ssync_trace.Trace.length in
-    let dropped = sum Ssync_trace.Trace.dropped in
-    Printf.eprintf
-      "(trace: %d jobs, %d events%s written to %s — load it at \
-       https://ui.perfetto.dev)\n"
-      (List.length traces) events
-      (if dropped > 0 then
-         Printf.sprintf " retained (oldest %d overwritten)" dropped
-       else "")
-      path
-  end
+let run_planned ~jobs ~trace ~metrics planned =
+  let all_jobs =
+    Array.concat
+      (List.map
+         (fun (_, s) -> Array.map (Section.observe ~trace ~metrics) s.Section.jobs)
+         planned)
+  in
+  let results = Ssync_engine.Pool.run ~jobs all_jobs in
+  let labels =
+    List.concat_map
+      (fun (name, s) ->
+        List.init (Array.length s.Section.jobs) (Printf.sprintf "%s/%d" name))
+      planned
+  in
+  (results, List.map2 (fun l (o, _) -> (l, o)) labels (Array.to_list results))
 
-(* --metrics: dump every job's sampled metric grid, labeled like the
-   trace.  The dump is byte-identical at any --jobs (per-job sinks in
-   submission order; samples are keyed by virtual time and stable
-   ids), so CI can diff two runs directly. *)
-let export_metrics path planned results =
-  let labels = job_labels planned in
-  let sinks = Ssync_engine.Pool.metrics results in
-  if List.length labels <> List.length sinks then
-    Printf.eprintf "(metrics: label/sink count mismatch — %s not written)\n"
-      path
-  else begin
-    Ssync_metrics.Metrics.dump_file path (List.combine labels sinks);
-    Printf.eprintf "(metrics: %d jobs written to %s)\n" (List.length sinks)
-      path
-  end
+let traces observed =
+  List.filter_map
+    (fun (l, o) -> Option.map (fun tr -> (l, tr)) o.Section.trace)
+    observed
+
+let sinks observed =
+  List.filter_map
+    (fun (l, o) -> Option.map (fun m -> (l, m)) o.Section.metrics)
+    observed
+
+(* --trace: the merged Chrome trace of every observed job, one process
+   per label; with --metrics, the sampled timelines ride along as
+   Perfetto counter tracks under each job's process.  All chatter goes
+   to stderr. *)
+let export_trace path observed =
+  let traces = traces observed in
+  Ssync_trace.Chrome.export_file ~metrics:(sinks observed) path traces;
+  let sum f = List.fold_left (fun a (_, tr) -> a + f tr) 0 traces in
+  let dropped = sum Ssync_trace.Trace.dropped in
+  Printf.eprintf
+    "(trace: %d jobs, %d events%s written to %s — load it at \
+     https://ui.perfetto.dev)\n"
+    (List.length traces) (sum Ssync_trace.Trace.length)
+    (if dropped > 0 then
+       Printf.sprintf " retained (oldest %d overwritten)" dropped
+     else "")
+    path
+
+(* --metrics: every job's sampled metric grid, labeled like the trace;
+   samples are keyed by virtual time and stable ids, so CI can diff two
+   runs directly. *)
+let export_metrics path observed =
+  let sinks = sinks observed in
+  Ssync_metrics.Metrics.dump_file path sinks;
+  Printf.eprintf "(metrics: %d jobs written to %s)\n" (List.length sinks) path
+
+let export ~trace_file ~metrics_file observed =
+  Option.iter (fun path -> export_trace path observed) trace_file;
+  Option.iter (fun path -> export_metrics path observed) metrics_file
 
 (* ------------------------------------------------------------------ *)
 (* [profile] subcommand: run the selected sections traced, skip their
@@ -476,30 +491,15 @@ let run_profile ~quick ~jobs ~trace_file ~metrics_file names =
   let module Trace = Ssync_trace.Trace in
   let module Profile = Ssync_trace.Profile in
   let module Table = Ssync_report.Table in
-  let names = if names = [] then [ "fig3" ] else names in
-  List.iter
-    (fun n ->
-      if not (List.exists (fun (s, _, _) -> s = n) sections) then begin
-        Printf.eprintf "unknown section %S (use --list to see the choices)\n" n;
-        exit 1
-      end)
-    names;
-  Trace.requested := true;
-  let planned =
-    List.filter_map
-      (fun (name, _, mk) ->
-        if List.mem name names then Some (name, mk ~quick) else None)
-      sections
-  in
-  let all_jobs =
-    Array.concat (List.map (fun (_, s) -> s.Section.jobs) planned)
-  in
+  let planned = plan ~quick (if names = [] then [ "fig3" ] else names) in
   let t0 = Unix.gettimeofday () in
-  let results = Ssync_engine.Pool.run ~jobs all_jobs in
-  let prof = Profile.of_traces (Ssync_engine.Pool.traces results) in
+  let results, observed =
+    run_planned ~jobs ~trace:true ~metrics:(metrics_file <> None) planned
+  in
+  let prof = Profile.of_traces (List.map snd (traces observed)) in
   Printf.printf "Contention & coherence profile — sections: %s (%d jobs)\n"
     (String.concat " " (List.map (fun (n, _) -> n) planned))
-    (Array.length all_jobs);
+    (Array.length results);
   let section title tbl =
     Printf.printf "\n%s\n" title;
     Table.print tbl
@@ -522,12 +522,7 @@ let run_profile ~quick ~jobs ~trace_file ~metrics_file names =
     section "Interconnect wait attribution (queued cycles by distance)"
       (Profile.interconnect_table prof);
   section "Run summary" (Profile.summary_table prof);
-  (match trace_file with
-  | Some path -> export_trace path planned results
-  | None -> ());
-  (match metrics_file with
-  | Some path -> export_metrics path planned results
-  | None -> ());
+  export ~trace_file ~metrics_file observed;
   Printf.eprintf "\n(profile wall time: %.1fs, %d jobs)\n"
     (Unix.gettimeofday () -. t0) jobs;
   let p = (Ssync_engine.Pool.total_stats results).Ssync_engine.Pool.perf in
@@ -597,7 +592,6 @@ let () =
     | [] -> []
     | "--metrics" :: f :: rest when f <> "--metrics" ->
         metrics_file := Some f;
-        Ssync_metrics.Metrics.requested := true;
         strip_metrics rest
     | [ "--metrics" ] | "--metrics" :: _ ->
         Printf.eprintf "--metrics: missing output file\n";
@@ -628,38 +622,21 @@ let () =
   if List.mem "--list" args then
     List.iter (fun (name, desc, _) -> Printf.printf "%-22s %s\n" name desc) sections
   else begin
-    let wanted =
-      match args with
-      | [] -> List.map (fun (n, _, _) -> n) sections
-      | names ->
-          List.iter
-            (fun n ->
-              if not (List.exists (fun (s, _, _) -> s = n) sections) then begin
-                Printf.eprintf
-                  "unknown section %S (use --list to see the choices)\n" n;
-                exit 1
-              end)
-            names;
-          names
+    let planned =
+      plan ~quick
+        (if args = [] then List.map (fun (n, _, _) -> n) sections else args)
     in
     Printf.printf
       "SSYNC benchmark harness — reproduction of David, Guerraoui, \
        Trigonakis, SOSP'13.\nAll cross-platform numbers come from the \
        calibrated simulator; see EXPERIMENTS.md.\n%!";
-    if !trace_file <> None then Ssync_trace.Trace.requested := true;
     let t0 = Unix.gettimeofday () in
-    (* Plan every selected section, fan all their jobs across the pool,
-       then render in declaration order. *)
-    let planned =
-      List.filter_map
-        (fun (name, _, mk) ->
-          if List.mem name wanted then Some (name, mk ~quick) else None)
-        sections
+    (* Fan every job of the planned sections across the pool, then
+       render in declaration order. *)
+    let results, observed =
+      run_planned ~jobs:!jobs ~trace:(!trace_file <> None)
+        ~metrics:(!metrics_file <> None) planned
     in
-    let all_jobs =
-      Array.concat (List.map (fun (_, s) -> s.Section.jobs) planned)
-    in
-    let results = Ssync_engine.Pool.run ~jobs:!jobs all_jobs in
     let perfs = ref [] in
     let start = ref 0 in
     List.iter
@@ -681,12 +658,7 @@ let () =
           }
           :: !perfs)
       planned;
-    (match !trace_file with
-    | Some path -> export_trace path planned results
-    | None -> ());
-    (match !metrics_file with
-    | Some path -> export_metrics path planned results
-    | None -> ());
+    export ~trace_file:!trace_file ~metrics_file:!metrics_file observed;
     let total_wall = Unix.gettimeofday () -. t0 in
     (* stderr, so stdout stays byte-identical across runs and --jobs *)
     Printf.eprintf "\n(total wall time: %.1fs, %d jobs)\n" total_wall !jobs;

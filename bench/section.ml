@@ -21,6 +21,34 @@ type t = {
   render : unit -> unit;
 }
 
+module Trace = Ssync_trace.Trace
+module Metrics = Ssync_metrics.Metrics
+
+(* A job's value with the sinks it ran under. *)
+type 'a observed = {
+  value : 'a;
+  trace : Trace.t option;
+  metrics : Metrics.t option;
+}
+
+(* [observe ~trace ~metrics job] runs [job] under fresh sinks installed
+   in whatever domain executes it (a trace ring of [capacity] events, a
+   metrics accumulator on [grid]), uninstalls them when the job returns
+   or raises, and returns them with its value.  One sink per job makes
+   every export byte-identical at any --jobs count; sinks leave virtual
+   time alone, so stdout is byte-identical with and without them. *)
+let observe ?(trace = false) ?(metrics = false) ?capacity ?grid
+    (job : unit -> 'a) () : 'a observed =
+  Fun.protect
+    ~finally:(fun () ->
+      if trace then ignore (Trace.stop ());
+      if metrics then ignore (Metrics.stop ()))
+    (fun () ->
+      let trace = if trace then Some (Trace.start ?capacity ()) else None in
+      let metrics = if metrics then Some (Metrics.start ?grid ()) else None in
+      let value = job () in
+      { value; trace; metrics })
+
 let make ~jobs render = { jobs; render }
 let serial render = { jobs = [||]; render }
 

@@ -16,49 +16,49 @@ type cell = {
 }
 
 (* One measured cell: bring a fresh line to [state] held by a core at
-   [distance] from the requester, then access it. *)
+   [distance] from the requester, then access it.  Only the Opteron's
+   MOESI protocol has an Owned state. *)
 let measure_cell pid (op : Arch.memop) (state : Arch.cstate)
     (distance : Arch.distance) : cell option =
   let p = Platform.get pid in
   let topo = p.Platform.topo in
   match Topology.pair_at_distance topo distance with
-  | None -> None
-  | Some (requester, holder) ->
+  | Some (requester, holder)
+    when state <> Arch.Owned || pid = Arch.Opteron || pid = Arch.Opteron2 ->
       let mem = Memory.create p in
-      (* the model is deterministic: one shot equals the paper's
-         10000-repetition mean *)
-      let a = Memory.alloc ~home_core:holder mem in
-      (* second sharer (for Shared/Owned) must differ from the requester *)
-      let second =
-        let n = Platform.n_cores p in
-        let cand = (holder + 1) mod n in
-        if cand = requester then (holder + 2) mod n else cand
-      in
-      (match state with
-      | Arch.Owned when not (pid = Arch.Opteron || pid = Arch.Opteron2) ->
-          ()
-      | _ -> Memory.force_state mem ~holder ~second state a);
-      if
-        state = Arch.Owned && not (pid = Arch.Opteron || pid = Arch.Opteron2)
-      then None
-      else begin
-        Memory.reset_busy mem a;
-        (* operands chosen per op: a CAS that succeeds in place, a FAI
-           incrementing by 1, a store/swap writing the current value *)
-        let operand, operand2 =
-          let v = Memory.peek mem a in
-          match op with
-          | Arch.Cas -> (v, v)
-          | Arch.Fai -> (1, 0)
-          | Arch.Load | Arch.Store | Arch.Tas | Arch.Swap -> (v, 0)
-        in
-        let latency, _ =
-          Memory.access mem ~core:requester ~now:1_000 op a ~operand ~operand2
-        in
-        Some
-          { op; state; distance; paper = Latencies.table2 pid op state distance;
-            measured = latency }
-      end
+      Fun.protect
+        ~finally:(fun () -> Memory.dispose mem)
+        (fun () ->
+          (* the model is deterministic: one shot equals the paper's
+             10000-repetition mean *)
+          let a = Memory.alloc ~home_core:holder mem in
+          (* second sharer (for Shared/Owned) must differ from the
+             requester *)
+          let second =
+            let n = Platform.n_cores p in
+            let cand = (holder + 1) mod n in
+            if cand = requester then (holder + 2) mod n else cand
+          in
+          Memory.force_state mem ~holder ~second state a;
+          Memory.reset_busy mem a;
+          (* operands chosen per op: a CAS that succeeds in place, a FAI
+             incrementing by 1, a store/swap writing the current value *)
+          let operand, operand2 =
+            let v = Memory.peek mem a in
+            match op with
+            | Arch.Cas -> (v, v)
+            | Arch.Fai -> (1, 0)
+            | Arch.Load | Arch.Store | Arch.Tas | Arch.Swap -> (v, 0)
+          in
+          let latency, _ =
+            Memory.access mem ~core:requester ~now:1_000 op a ~operand
+              ~operand2
+          in
+          Some
+            { op; state; distance;
+              paper = Latencies.table2 pid op state distance;
+              measured = latency })
+  | _ -> None
 
 let states_for pid =
   match pid with
@@ -90,9 +90,12 @@ let table3 pid : (Arch.cache_level * int option) list =
 let opteron_remote_directory_load () : int =
   let p = Platform.opteron in
   let mem = Memory.create p in
-  (* home on die 5; requester die 0, owner die 3: everybody remote *)
-  let a = Memory.alloc ~home_core:(5 * 6) mem in
-  ignore (Memory.access mem ~core:18 ~now:0 Arch.Store a ~operand:1);
-  Memory.reset_busy mem a;
-  let lat, _ = Memory.access mem ~core:0 ~now:1000 Arch.Load a in
-  lat
+  Fun.protect
+    ~finally:(fun () -> Memory.dispose mem)
+    (fun () ->
+      (* home on die 5; requester die 0, owner die 3: everybody remote *)
+      let a = Memory.alloc ~home_core:(5 * 6) mem in
+      ignore (Memory.access mem ~core:18 ~now:0 Arch.Store a ~operand:1);
+      Memory.reset_busy mem a;
+      let lat, _ = Memory.access mem ~core:0 ~now:1000 Arch.Load a in
+      lat)

@@ -92,55 +92,54 @@ let uncontested_latency pid algo (distance : Arch.distance) : float option =
   match Topology.pair_at_distance topo distance with
   | None -> None
   | Some (measurer, partner) ->
-      let sim = Sim.create p in
-      let mem = Sim.memory sim in
-      let lock = Simlock.create ~home_core:partner mem p ~n_threads:2 algo in
-      let turn = Memory.alloc ~home_core:partner mem in
-      let total = ref 0 in
-      Sim.spawn sim ~core:partner (fun () ->
-          for _ = 1 to rounds do
-            while Sim.load turn <> 0 do
-              Sim.pause 25
-            done;
-            lock.Lock_type.acquire ~tid:1;
-            lock.Lock_type.release ~tid:1;
-            Sim.store turn 1
-          done);
-      Sim.spawn sim ~core:measurer (fun () ->
-          for _ = 1 to rounds do
-            while Sim.load turn <> 1 do
-              Sim.pause 25
-            done;
-            let t0 = Sim.now () in
-            lock.Lock_type.acquire ~tid:0;
-            lock.Lock_type.release ~tid:0;
-            total := !total + (Sim.now () - t0);
-            Sim.store turn 0
-          done);
-      ignore (Sim.run sim);
-      Some (float_of_int !total /. float_of_int rounds)
+      Some
+        (Harness.simulate p (fun sim mem ->
+             let lock =
+               Simlock.create ~home_core:partner mem p ~n_threads:2 algo
+             in
+             let turn = Memory.alloc ~home_core:partner mem in
+             let total = ref 0 in
+             Sim.spawn sim ~core:partner (fun () ->
+                 for _ = 1 to rounds do
+                   while Sim.load turn <> 0 do
+                     Sim.pause 25
+                   done;
+                   lock.Lock_type.acquire ~tid:1;
+                   lock.Lock_type.release ~tid:1;
+                   Sim.store turn 1
+                 done);
+             Sim.spawn sim ~core:measurer (fun () ->
+                 for _ = 1 to rounds do
+                   while Sim.load turn <> 1 do
+                     Sim.pause 25
+                   done;
+                   let t0 = Sim.now () in
+                   lock.Lock_type.acquire ~tid:0;
+                   lock.Lock_type.release ~tid:0;
+                   total := !total + (Sim.now () - t0);
+                   Sim.store turn 0
+                 done);
+             fun _ -> float_of_int !total /. float_of_int rounds))
 
 (* Single-thread acquisition latency (Figure 6's "single thread" bar):
    the same core re-acquires a lock it just released. *)
 let single_thread_latency pid algo : float =
   let rounds = 60 in
   let p = Platform.get pid in
-  let sim = Sim.create p in
-  let mem = Sim.memory sim in
-  let lock = Simlock.create ~home_core:0 mem p ~n_threads:1 algo in
-  let total = ref 0 in
-  Sim.spawn sim ~core:0 (fun () ->
-      (* warm up *)
-      lock.Lock_type.acquire ~tid:0;
-      lock.Lock_type.release ~tid:0;
-      for _ = 1 to rounds do
-        let t0 = Sim.now () in
-        lock.Lock_type.acquire ~tid:0;
-        lock.Lock_type.release ~tid:0;
-        total := !total + (Sim.now () - t0)
-      done);
-  ignore (Sim.run sim);
-  float_of_int !total /. float_of_int rounds
+  Harness.simulate p (fun sim mem ->
+      let lock = Simlock.create ~home_core:0 mem p ~n_threads:1 algo in
+      let total = ref 0 in
+      Sim.spawn sim ~core:0 (fun () ->
+          (* warm up *)
+          lock.Lock_type.acquire ~tid:0;
+          lock.Lock_type.release ~tid:0;
+          for _ = 1 to rounds do
+            let t0 = Sim.now () in
+            lock.Lock_type.acquire ~tid:0;
+            lock.Lock_type.release ~tid:0;
+            total := !total + (Sim.now () - t0)
+          done);
+      fun _ -> float_of_int !total /. float_of_int rounds)
 
 (* ------------------------------------------------------------------ *)
 (* Figure 3: mean acquire+release latency of the three ticket-lock

@@ -1162,3 +1162,6 @@ let force_state t ~holder ?(second = -1) (st : Arch.cstate) (a : addr) =
 let reset_busy t a =
   t.ls.(line_id t a * lw + f_busy) <- 0;
   reset_resources t
+
+(* Last in the file, so that it moves none of the access paths' code. *)
+let release_pool () = Domain.DLS.get pool_key := []

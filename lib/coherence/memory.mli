@@ -121,6 +121,10 @@ val dispose : t -> unit
     references the memory; the next {!create} on this domain reuses the
     arrays, sparing the per-job setup allocation churn. *)
 
+val release_pool : unit -> unit
+(** Empty the calling domain's recycling pool, so the arrays it holds
+    can be collected; the next {!create} allocates fresh ones. *)
+
 val access_lat_in :
   t -> core:int -> now:int -> Arch.memop -> addr ->
   operand:int -> operand2:int -> fetch:bool -> int

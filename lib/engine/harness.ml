@@ -11,11 +11,12 @@
    verdict ([Stalled {tid; core; last_progress}]) plus fault-injection
    counters.  Callers that care must check [completed_all].
 
-   [run] is a pure function of its arguments: every invocation builds
-   its own [Sim.t]/[Memory.t], draws from its own seeded RNG, and the
-   engine's perf counters are domain-local — so concurrent runs on
-   different domains (see [Pool]) compute exactly what serial runs
-   would, and [result] is a plain value safe to ship across domains. *)
+   [simulate] and [run] are pure functions of their arguments: every
+   invocation builds its own [Sim.t]/[Memory.t], draws from its own
+   seeded RNG, and the engine's perf counters are domain-local — so
+   concurrent runs on different domains (see [Pool]) compute exactly
+   what serial runs would, and [result] is a plain value safe to ship
+   across domains. *)
 
 open Ssync_platform
 open Ssync_coherence
@@ -59,6 +60,23 @@ let spawn_order ~threads =
     order;
   order
 
+(* The one lifecycle of every simulation: [build sim mem] allocates and
+   spawns, and returns the closure that reads the result; [simulate]
+   runs the simulation (to [until], if given) in between and hands that
+   closure the run's health.  The memory is disposed on every exit, an
+   exception included, so the closure reads it before that or not at
+   all. *)
+let simulate ?faults ?parking ?until platform
+    (build : Sim.t -> Memory.t -> Sim.health -> 'a) : 'a =
+  let sim = Sim.create ?faults ?parking platform in
+  let mem = Sim.memory sim in
+  Fun.protect
+    ~finally:(fun () -> Memory.dispose mem)
+    (fun () ->
+      let result = build sim mem in
+      let _, health = Sim.run_health ?until sim in
+      result health)
+
 (* [body shared mem ~tid ~deadline] runs inside a simulated thread and
    returns the number of operations it completed; it must poll
    [Sim.now () < deadline] to terminate.  [setup] builds the shared
@@ -66,19 +84,15 @@ let spawn_order ~threads =
    default to the first participating thread's memory node, as in the
    paper (section 6).  [faults] (default: none) injects deterministic
    preemption/jitter/crash faults into the run. *)
-let run ?(faults = Fault.none) ?parking (platform : Platform.t) ~threads
-    ~duration ~(setup : Memory.t -> 'a)
+let run ?faults ?parking (platform : Platform.t) ~threads ~duration
+    ~(setup : Memory.t -> 'a)
     ~(body : 'a -> Memory.t -> tid:int -> deadline:int -> int) : result =
   if threads <= 0 then invalid_arg "Harness.run: threads must be positive";
   if threads > Platform.n_cores platform then
     invalid_arg
       (Printf.sprintf "Harness.run: %d threads > %d cores on %s" threads
          (Platform.n_cores platform) platform.Platform.name);
-  let sim = Sim.create ~faults ?parking platform in
-  let mem = Sim.memory sim in
-  Fun.protect
-    ~finally:(fun () -> Memory.dispose mem)
-    (fun () ->
+  simulate ?faults ?parking ~until:(duration * 4) platform (fun sim mem ->
       let shared = setup mem in
       let ops = Array.make threads 0 in
       let completed = Array.make threads false in
@@ -92,29 +106,29 @@ let run ?(faults = Fault.none) ?parking (platform : Platform.t) ~threads
               ops.(tid) <- body shared mem ~tid ~deadline;
               completed.(tid) <- true))
         (spawn_order ~threads);
-      let _, health = Sim.run_health sim ~until:(duration * 4) in
-      let total_ops = total_of ops in
-      {
-        platform;
-        threads;
-        ops;
-        completed;
-        duration;
-        total_ops;
-        mops = Platform.mops platform ~ops:total_ops ~cycles:duration;
-        health;
-        perf = Sim.perf sim;
-      })
+      fun health ->
+        let total_ops = total_of ops in
+        {
+          platform;
+          threads;
+          ops;
+          completed;
+          duration;
+          total_ops;
+          mops = Platform.mops platform ~ops:total_ops ~cycles:duration;
+          health;
+          perf = Sim.perf sim;
+        })
 
 (* Latency-style harness: like [run] but the body accumulates cycles of
    interest (e.g. acquire+release latency) into its return value
    together with the op count; returns mean cycles per op. *)
-let run_latency ?faults ?parking platform ~threads ~duration ~setup
+let run_latency platform ~threads ~duration ~setup
     ~(body : 'a -> Memory.t -> tid:int -> deadline:int -> int * int) :
     result * float =
   let cycles_acc = Array.make threads 0 in
   let r =
-    run ?faults ?parking platform ~threads ~duration ~setup
+    run platform ~threads ~duration ~setup
       ~body:(fun shared mem ~tid ~deadline ->
         let n, cy = body shared mem ~tid ~deadline in
         cycles_acc.(tid) <- cy;

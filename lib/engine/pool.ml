@@ -17,25 +17,18 @@
 
    Each job's engine-counter delta ([Sim.perf]) and wall time are
    captured inside the domain that executed it; callers sum the per-job
-   stats into per-section totals instead of reading a global. *)
+   stats into per-section totals instead of reading a global.  A job
+   that wants a trace or metrics sink installs it itself, in the
+   domain that runs it, and returns it with its value.
 
-module Trace = Ssync_trace.Trace
-module Metrics = Ssync_metrics.Metrics
+   Jobs recycle their memories' arrays through the executing domain's
+   pool ([Memory.dispose]); [run] empties the calling domain's pool
+   before it returns, so the last jobs' line tables do not outlive the
+   run.  Worker domains' pools die with the domains. *)
 
 type stats = {
   wall_ns : int;  (** wall-clock spent executing the job *)
   perf : Sim.perf;  (** engine-counter delta attributable to the job *)
-  trace : Trace.t option;
-      (** the job's trace, when tracing was requested ([Trace.requested]):
-          one fresh sink per job, installed in the executing domain, so
-          the per-job traces are independent of the job-to-domain
-          assignment and merge deterministically in submission order *)
-  metrics : Metrics.t option;
-      (** the job's virtual-time metrics ([Metrics.requested]): like
-          [trace], one fresh sink per job installed around it in the
-          executing domain — samples are keyed by virtual time and
-          stable ids only, so the dumps are byte-identical at any
-          [--jobs] count *)
 }
 
 type 'a outcome = Ok_r of 'a | Error_r of exn | Not_run
@@ -60,10 +53,8 @@ let default_jobs () = Domain.recommended_domain_count ()
 (* Run [thunks.(i)] capturing its result, engine-counter delta and wall
    time.  Must execute in the domain that owns the slot's work so the
    domain-local counters attribute correctly. *)
-let exec_one ~traced ~sampled (thunks : (unit -> 'a) array)
-    (results : 'a outcome array) (stats : stats array) i =
-  let trace = if traced then Some (Trace.start ()) else None in
-  let metrics = if sampled then Some (Metrics.start ()) else None in
+let exec_one (thunks : (unit -> 'a) array) (results : 'a outcome array)
+    (stats : stats array) i =
   let before = Sim.cumulative_perf () in
   let t0 = Unix.gettimeofday () in
   (results.(i) <-
@@ -71,15 +62,8 @@ let exec_one ~traced ~sampled (thunks : (unit -> 'a) array)
     | v -> Ok_r v
     | exception e -> Error_r e));
   let wall_ns = int_of_float ((Unix.gettimeofday () -. t0) *. 1e9) in
-  if traced then ignore (Trace.stop ());
-  if sampled then ignore (Metrics.stop ());
   stats.(i) <-
-    {
-      wall_ns;
-      perf = Sim.perf_diff (Sim.cumulative_perf ()) before;
-      trace;
-      metrics;
-    }
+    { wall_ns; perf = Sim.perf_diff (Sim.cumulative_perf ()) before }
 
 let finish (results : 'a outcome array) (stats : stats array) :
     ('a * stats) array =
@@ -116,19 +100,12 @@ let run ?jobs (thunks : (unit -> 'a) array) : ('a * stats) array =
   let jobs = match jobs with Some j -> j | None -> default_jobs () in
   if jobs < 1 then invalid_arg "Pool.run: jobs must be >= 1";
   let results = Array.make n Not_run in
-  let stats =
-    Array.make n
-      { wall_ns = 0; perf = Sim.perf_zero; trace = None; metrics = None }
-  in
-  (* read once in the submitting domain; workers capture the values, so
-     no domain races on the flags themselves *)
-  let traced = !Trace.requested in
-  let sampled = !Metrics.requested in
+  let stats = Array.make n { wall_ns = 0; perf = Sim.perf_zero } in
   if jobs = 1 || n <= 1 then
     (* Inline path: no domains, no atomics — the reference behaviour
        the parallel path must reproduce byte-for-byte. *)
     for i = 0 to n - 1 do
-      exec_one ~traced ~sampled thunks results stats i
+      exec_one thunks results stats i
     done
   else begin
     let next = Atomic.make 0 in
@@ -136,7 +113,7 @@ let run ?jobs (thunks : (unit -> 'a) array) : ('a * stats) array =
       let rec loop () =
         let i = Atomic.fetch_and_add next 1 in
         if i < n then begin
-          exec_one ~traced ~sampled thunks results stats i;
+          exec_one thunks results stats i;
           loop ()
         end
       in
@@ -147,6 +124,7 @@ let run ?jobs (thunks : (unit -> 'a) array) : ('a * stats) array =
     worker ();
     Array.iter Domain.join domains
   end;
+  Ssync_coherence.Memory.release_pool ();
   (* Re-raises the exception of the lowest-indexed failed job, so error
      reporting is as deterministic as success is. *)
   finish results stats
@@ -154,20 +132,6 @@ let run ?jobs (thunks : (unit -> 'a) array) : ('a * stats) array =
 let total_stats (results : ('a * stats) array) : stats =
   Array.fold_left
     (fun acc (_, s) ->
-      {
-        wall_ns = acc.wall_ns + s.wall_ns;
-        perf = Sim.perf_add acc.perf s.perf;
-        trace = None;
-        metrics = None;
-      })
-    { wall_ns = 0; perf = Sim.perf_zero; trace = None; metrics = None }
+      { wall_ns = acc.wall_ns + s.wall_ns; perf = Sim.perf_add acc.perf s.perf })
+    { wall_ns = 0; perf = Sim.perf_zero }
     results
-
-(* Per-job traces in submission order (empty when tracing was off). *)
-let traces (results : ('a * stats) array) : Trace.t list =
-  Array.to_list results |> List.filter_map (fun (_, s) -> s.trace)
-
-(* Per-job metrics sinks in submission order (empty when sampling was
-   off). *)
-let metrics (results : ('a * stats) array) : Metrics.t list =
-  Array.to_list results |> List.filter_map (fun (_, s) -> s.metrics)

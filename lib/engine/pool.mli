@@ -11,17 +11,6 @@
 type stats = {
   wall_ns : int;  (** wall-clock spent executing the job *)
   perf : Sim.perf;  (** engine-counter delta attributable to the job *)
-  trace : Ssync_trace.Trace.t option;
-      (** the job's trace when [Ssync_trace.Trace.requested] was set at
-          submission time: a fresh sink installed around the job in
-          whatever domain executed it, so per-job traces are
-          independent of scheduling and merge deterministically in
-          submission order *)
-  metrics : Ssync_metrics.Metrics.t option;
-      (** the job's virtual-time metrics when
-          [Ssync_metrics.Metrics.requested] was set at submission time;
-          per-job sinks like [trace], so dumps are byte-identical at
-          any [jobs] count *)
 }
 
 exception Job_failures of (int * exn) list
@@ -39,18 +28,11 @@ val run : ?jobs:int -> (unit -> 'a) array -> ('a * stats) array
     to {!default_jobs}; [jobs = 1] (or a single job) executes inline on
     the calling domain with no domains or atomics involved.  Domains
     pull jobs off a shared counter, so long and short jobs balance
-    dynamically.  If exactly one job raises, its exception is re-raised
-    after all jobs finish; if several fail, {!Job_failures} reports
-    them all.  Raises [Invalid_argument] when [jobs < 1]. *)
+    dynamically.  Before returning, [run] empties the calling domain's
+    [Memory] recycling pool, so no job's arrays outlive the run.  If
+    exactly one job raises, its exception is re-raised after all jobs
+    finish; if several fail, {!Job_failures} reports them all.  Raises
+    [Invalid_argument] when [jobs < 1]. *)
 
 val total_stats : ('a * stats) array -> stats
-(** Sum of the per-job stats (field-wise; [trace] is [None] — merge
-    traces with {!traces} instead). *)
-
-val traces : ('a * stats) array -> Ssync_trace.Trace.t list
-(** The per-job traces in submission order; empty when tracing was
-    off. *)
-
-val metrics : ('a * stats) array -> Ssync_metrics.Metrics.t list
-(** The per-job metrics sinks in submission order; empty when sampling
-    was off. *)
+(** Sum of the per-job stats, field-wise. *)

@@ -55,9 +55,6 @@ module Writer = struct
     end
 end
 
-let requested = ref false
-let bucket_cycles = ref 65536
-
 (* Deterministic timeline kinds. *)
 let k_dir_busy = 0
 let k_link_busy = 1
@@ -94,10 +91,11 @@ type t = {
   mutable vals : int array;
 }
 
-let create () =
+let create ?(grid = 65536) () =
+  if grid < 1 then invalid_arg "Metrics.create: grid must be positive";
   let cap = 256 in
   {
-    w = !bucket_cycles;
+    w = grid;
     base = 0;
     max_ts = 0;
     used = 0;
@@ -184,8 +182,8 @@ let new_epoch t =
 let sink_key : t option ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref None)
 let current () = !(Domain.DLS.get sink_key)
 
-let start () =
-  let t = create () in
+let start ?grid () =
+  let t = create ?grid () in
   Domain.DLS.get sink_key := Some t;
   t
 
@@ -329,9 +327,13 @@ let add_kind b k =
   if k >= 0 && k < n_kinds then Buffer.add_string b kind_names.(k)
   else Writer.int b k
 
+(* The grid a dump's header names: the first job's (the jobs of one run
+   share it), the default with no job. *)
+let dump_grid = function [] -> 65536 | (_, t) :: _ -> t.w
+
 let dump_csv buf jobs =
   Buffer.add_string buf "# ssync metrics v1 bucket_cycles=";
-  Writer.int buf !bucket_cycles;
+  Writer.int buf (dump_grid jobs);
   Buffer.add_char buf '\n';
   List.iter
     (fun (label, t) ->
@@ -351,7 +353,7 @@ let dump_csv buf jobs =
 
 let dump_json buf jobs =
   Buffer.add_string buf "{\"bucket_cycles\": ";
-  Writer.int buf !bucket_cycles;
+  Writer.int buf (dump_grid jobs);
   Buffer.add_string buf ", \"jobs\": [";
   List.iteri
     (fun j (label, t) ->

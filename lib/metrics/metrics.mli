@@ -8,21 +8,13 @@
     which contributions arrive — the property that makes the dump
     byte-identical at any [--jobs] (per-job sinks, fresh per job).
 
-    The discipline mirrors [Trace]: {!requested} is read once per job
-    by the submitting domain; instrumentation sites cache the sink at
-    creation, add every sample to it as they take it, and pay one
-    option check when metrics are off; probes are time-free, so sampled
-    runs replay the identical virtual-time schedule. *)
+    The discipline mirrors [Trace]: a job that wants samples installs
+    a sink in the domain that runs it; instrumentation sites cache the
+    sink at creation, add every sample to it as they take it, and pay
+    one option check when metrics are off; probes are time-free, so
+    sampled runs replay the identical virtual-time schedule. *)
 
 type t
-
-val requested : bool ref
-(** Should jobs sample metrics?  Set by the benchmark driver
-    ([--metrics], [heatmap]) before submitting jobs; read once per job. *)
-
-val bucket_cycles : int ref
-(** Grid width in virtual cycles (default [65536]).  Fixed into an
-    accumulator at {!create}; change it only between jobs. *)
 
 (** {1 Kinds}
 
@@ -66,11 +58,14 @@ val n_kinds : int
 
 (** {1 Sinks} *)
 
-val create : unit -> t
-(** Fresh accumulator at epoch base 0, grid {!bucket_cycles}. *)
+val create : ?grid:int -> unit -> t
+(** Fresh accumulator at epoch base 0, [grid] virtual cycles per bucket
+    (default [65536]).
+    @raise Invalid_argument if [grid < 1]. *)
 
-val start : unit -> t
-(** Install a fresh accumulator as the calling domain's sink. *)
+val start : ?grid:int -> unit -> t
+(** Install a fresh accumulator ({!create}) as the calling domain's
+    sink. *)
 
 val stop : unit -> t option
 (** Uninstall and return the domain's sink. *)
@@ -119,7 +114,8 @@ val iter_sorted : t -> (kind:int -> id:int -> bucket:int -> int -> unit) -> unit
 val dump_csv : Buffer.t -> (string * t) list -> unit
 (** One section per job, in the given (submission) order: a [# job
     <label>] header, then [kind,id,bucket,value] lines in
-    {!iter_sorted} order. *)
+    {!iter_sorted} order.  The file header names the first job's grid
+    (the default for no job), so the jobs' sinks should share one. *)
 
 val dump_json : Buffer.t -> (string * t) list -> unit
 (** Same content as {!dump_csv} as a JSON document. *)

@@ -15,7 +15,7 @@ type t = {
   mutable scan_from : int; (* round-robin fairness cursor *)
 }
 
-let create ?prefetchw ?use_hw mem platform ~server_core ~client_cores : t =
+let create mem platform ~server_core ~client_cores : t =
   let n = Array.length client_cores in
   if n = 0 then invalid_arg "Client_server.create: no clients";
   {
@@ -23,12 +23,12 @@ let create ?prefetchw ?use_hw mem platform ~server_core ~client_cores : t =
     client_cores;
     to_server =
       Array.init n (fun i ->
-          Channel.create ?prefetchw ?use_hw mem platform
-            ~sender_core:client_cores.(i) ~receiver_core:server_core);
+          Channel.create mem platform ~sender_core:client_cores.(i)
+            ~receiver_core:server_core);
     to_client =
       Array.init n (fun i ->
-          Channel.create ?prefetchw ?use_hw mem platform
-            ~sender_core:server_core ~receiver_core:client_cores.(i));
+          Channel.create mem platform ~sender_core:server_core
+            ~receiver_core:client_cores.(i));
     scan_from = 0;
   }
 

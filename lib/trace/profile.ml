@@ -7,9 +7,10 @@
    Locks are merged *by name* across jobs: a figure section that runs
    the same algorithm at eight thread counts profiles as one row per
    algorithm, and the [profile] subcommand's one-job-per-algorithm
-   layout profiles each algorithm exactly.  Jobs are folded in
-   submission order and every table sorts its rows explicitly, so the
-   report is deterministic at any [--jobs] count.
+   layout profiles each algorithm exactly.  Fairness is per job, since
+   thread ids name different threads in different jobs.  Jobs are
+   folded in submission order and every table sorts its rows
+   explicitly, so the report is deterministic at any [--jobs] count.
 
    The ring buffer may have dropped early events; [dropped] is carried
    into the summary so a truncated profile is never mistaken for a
@@ -57,8 +58,11 @@ type lock_prof = {
   wait_hist : int array;
   handoff : int array; (* by Cost_model.rank_of_class *)
   mutable by_tid : int array;
-      (* acquisitions per thread id; -1 for a tid that has neither
-         waited on nor acquired the lock *)
+      (* acquisitions per thread id in the trace last added; -1 for a
+         tid that has neither waited on nor acquired the lock *)
+  mutable fair : (int * int) option;
+      (* the least fair trace's fewest and most acquisitions of one
+         thread *)
 }
 
 type xfer_key = {
@@ -153,6 +157,7 @@ let lock_prof t name =
           wait_hist = Array.make n_buckets 0;
           handoff = Array.make Cost_model.n_ranks 0;
           by_tid = [||];
+          fair = None;
         }
       in
       Hashtbl.replace t.locks name lp;
@@ -172,14 +177,25 @@ let count_tid lp tid n =
   end
 
 (* Fewest and most acquisitions of one thread, over the threads that
-   waited on or acquired the lock. *)
-let fairness lp =
+   waited on or acquired the lock, in the least fair trace: the lowest
+   min/max ratio (0 when no thread acquired it), the earliest trace on
+   ties. *)
+let fairness lp = lp.fair
+
+let ratio (mn, mx) = if mx = 0 then 0. else float_of_int mn /. float_of_int mx
+
+let settle_fairness lp =
   match List.filter (fun c -> c >= 0) (Array.to_list lp.by_tid) with
-  | [] -> None
-  | c :: cs -> Some (List.fold_left min c cs, List.fold_left max c cs)
+  | [] -> ()
+  | c :: cs -> (
+      let f = (List.fold_left min c cs, List.fold_left max c cs) in
+      match lp.fair with
+      | Some w when ratio w <= ratio f -> ()
+      | _ -> lp.fair <- Some f)
 
 let add_trace t (tr : Trace.t) =
   t.n_jobs <- t.n_jobs + 1;
+  Hashtbl.iter (fun _ lp -> lp.by_tid <- [||]) t.locks;
   t.totals <- totals_add t.totals (Trace.totals tr);
   t.dropped <- t.dropped + Trace.dropped tr;
   let rql, rqd = Trace.rq_by_rank tr in
@@ -232,7 +248,8 @@ let add_trace t (tr : Trace.t) =
                 a
           in
           bump la ~cy:lat ~q:queued
-      | _ -> ())
+      | _ -> ());
+  Hashtbl.iter (fun _ lp -> settle_fairness lp) t.locks
 
 let of_traces (trs : Trace.t list) =
   let t = create () in
@@ -245,7 +262,8 @@ let mean num den = if den = 0 then 0. else float_of_int num /. float_of_int den
 (* ------------------------------- tables ------------------------------- *)
 
 (* Per-lock contention: acquisition counts, wait/hold split, fairness
-   (min/max acquisitions over participating threads) and the handoff
+   (min/max acquisitions over one job's participating threads, in the
+   least fair job) and the handoff
    distance-class distribution — only classes some lock actually used
    get a column, in Table 2's rank order. *)
 let lock_table t : Table.t =
@@ -257,7 +275,8 @@ let lock_table t : Table.t =
       (List.init Cost_model.n_ranks Fun.id)
   in
   let headers =
-    [ "lock"; "acqs"; "wait avg"; "wait max"; "hold avg"; "fair min/max" ]
+    [ "lock"; "acqs"; "wait avg"; "wait max"; "hold avg";
+      "fair min/max (worst job)" ]
     @ List.map
         (fun r -> Arch.distance_name Cost_model.class_of_rank.(r))
         used_ranks

@@ -91,7 +91,6 @@ type t = {
   a_rq_dir : int array; (* same, charged to home directories *)
 }
 
-let requested = ref false
 let width = 8
 let default_capacity = 1 lsl 16
 

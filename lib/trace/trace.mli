@@ -30,10 +30,6 @@ type fault_kind = Jitter | Preempt | Crash
 
 type t
 
-val requested : bool ref
-(** Set by the CLI ([--trace] / [profile]); [Pool] reads it once per
-    run and installs a fresh sink around every job when set. *)
-
 val create : ?capacity:int -> unit -> t
 (** A fresh sink (default capacity [2^16] events). *)
 

@@ -230,9 +230,12 @@ let export_buffer ?(metrics : (string * Metrics.t) list = []) b
 
 (* ----------------------------- metrics ----------------------------- *)
 
+(* The jobs' common grid; the default when there is none. *)
+let grid_of = function [] -> 65536 | (_, m) :: _ -> Metrics.grid m
+
 let dump_csv buf jobs =
   Buffer.add_string buf
-    (Printf.sprintf "# ssync metrics v1 bucket_cycles=%d\n" !Metrics.bucket_cycles);
+    (Printf.sprintf "# ssync metrics v1 bucket_cycles=%d\n" (grid_of jobs));
   List.iter
     (fun (label, t) ->
       Buffer.add_string buf (Printf.sprintf "# job %s\n" label);
@@ -243,7 +246,7 @@ let dump_csv buf jobs =
 
 let dump_json buf jobs =
   Buffer.add_string buf
-    (Printf.sprintf "{\"bucket_cycles\": %d, \"jobs\": [" !Metrics.bucket_cycles);
+    (Printf.sprintf "{\"bucket_cycles\": %d, \"jobs\": [" (grid_of jobs));
   List.iteri
     (fun j (label, t) ->
       if j > 0 then Buffer.add_char buf ',';

@@ -162,6 +162,38 @@ let test_harness_rejects_bad_args () =
            ~setup:(fun _ -> ())
            ~body:(fun () _ ~tid:_ ~deadline:_ -> 0)))
 
+(* [Harness.simulate] gives the memory back on every exit: after it
+   returns, and after an exception from [build], from a thread during
+   the run or from the result closure, the memory it built holds no
+   line, though the run had allocated one. *)
+let test_simulate_disposes () =
+  let exception Stop in
+  let simulate raise_in =
+    let built = ref None in
+    let v =
+      try
+        Harness.simulate ~until:10_000 Platform.opteron (fun sim mem ->
+            built := Some mem;
+            let a = Memory.alloc mem in
+            if raise_in = `Build then raise Stop;
+            Sim.spawn sim ~core:0 (fun () ->
+                ignore (Sim.fai a);
+                if raise_in = `Run then raise Stop);
+            fun _ -> if raise_in = `Result then raise Stop else Memory.n_lines mem)
+      with Stop -> -1
+    in
+    (v, Memory.n_lines (Option.get !built))
+  in
+  let v, after = simulate `None in
+  check_bool "the run had a line" true (v > 0);
+  check_int "disposed on return" 0 after;
+  List.iter
+    (fun (name, where) ->
+      let v, after = simulate where in
+      check_int (name ^ " raised") (-1) v;
+      check_int ("disposed when " ^ name ^ " raises") 0 after)
+    [ ("build", `Build); ("the run", `Run); ("the result closure", `Result) ]
+
 (* ------------------------------------------------------------------ *)
 (* Fault injection and the progress watchdog. *)
 
@@ -632,4 +664,6 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_no_lost_updates;
     Alcotest.test_case "spins pause before every probe" `Quick
       test_spin_pauses_first;
+    Alcotest.test_case "simulate disposes on every exit" `Quick
+      test_simulate_disposes;
   ]

@@ -240,7 +240,7 @@ let qcheck_exporters_match_reference =
    through the grid and, with a kind of 2^40 added, through the sparse
    path. *)
 let test_counter_tracks () =
-  let w = !Metrics.bucket_cycles in
+  let w = Metrics.grid (Metrics.create ()) in
   let planted extra =
     fill
       ([

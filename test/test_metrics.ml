@@ -31,11 +31,6 @@ let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let check_string = Alcotest.(check string)
 
-let with_sampling f =
-  let saved = !Metrics.requested in
-  Metrics.requested := true;
-  Fun.protect ~finally:(fun () -> Metrics.requested := saved) f
-
 let dump jobs =
   let b = Buffer.create 4096 in
   Metrics.dump_csv b jobs;
@@ -51,11 +46,18 @@ let lock_job () =
 (* ------------------------- jobs identity --------------------------- *)
 
 let run_pool ~jobs =
-  with_sampling (fun () ->
-      let thunks = Array.init 3 (fun _ () -> lock_job ()) in
-      let results = Pool.run ~jobs thunks in
-      let labels = List.init 3 (fun i -> Printf.sprintf "job/%d" i) in
-      (results, List.combine labels (Pool.metrics results)))
+  let thunks =
+    Array.init 3 (fun _ -> Ssync_bench.Section.observe ~metrics:true lock_job)
+  in
+  let results = Pool.run ~jobs thunks in
+  ( results,
+    List.concat
+      (List.mapi
+         (fun i (o, _) ->
+           match o.Ssync_bench.Section.metrics with
+           | Some m -> [ (Printf.sprintf "job/%d" i, m) ]
+           | None -> [])
+         (Array.to_list results)) )
 
 let test_jobs_identity () =
   let _, m1 = run_pool ~jobs:1 in
@@ -103,11 +105,8 @@ let test_two_sims_one_sink () =
 let test_no_perturbation () =
   let plain = lock_job () in
   let sampled =
-    with_sampling (fun () ->
-        ignore (Metrics.start ());
-        let r = lock_job () in
-        ignore (Metrics.stop ());
-        r)
+    (Ssync_bench.Section.observe ~metrics:true lock_job ()).Ssync_bench.Section
+      .value
   in
   check_bool "ops identical" true (plain.Harness.ops = sampled.Harness.ops);
   check_int "duration identical" plain.Harness.duration
@@ -304,11 +303,9 @@ let samples_of m =
       acc := ((kind, id, bucket), v) :: !acc);
   List.rev !acc
 
-let run_ops ops =
-  let t = Metrics.create () in
-  let md =
-    { w = !Metrics.bucket_cycles; base = 0; max_ts = 0; m = KM.empty }
-  in
+let run_ops ~grid ops =
+  let t = Metrics.create ~grid () in
+  let md = { w = grid; base = 0; max_ts = 0; m = KM.empty } in
   List.iter
     (function
       | Span (kind, id, t0, len, weight) ->
@@ -347,12 +344,7 @@ let model_test ?id ~name ~grid ~max_t ~max_len () =
   QCheck.Test.make ~count:200 ~name
     (QCheck.make ~print:(fun ops -> String.concat "; " (List.map show_op ops))
        (gen_ops ?id ~max_t ~max_len ()))
-    (fun ops ->
-      let saved = !Metrics.bucket_cycles in
-      Metrics.bucket_cycles := grid;
-      Fun.protect
-        ~finally:(fun () -> Metrics.bucket_cycles := saved)
-        (fun () -> agrees (run_ops ops)))
+    (fun ops -> agrees (run_ops ~grid ops))
 
 let qcheck_model_default_grid =
   model_test ~name:"table = Map model (default grid)" ~grid:65536

@@ -84,6 +84,34 @@ let test_exception_aggregation () =
            (fun i -> contains (Printf.sprintf "job %d" i))
            [ 3; 5; 6 ])
 
+(* An observed job that raises uninstalls its sinks: the next job on
+   the same domain, and the caller's domain after the run, find none,
+   and the job's exception reaches [Pool.run]'s caller. *)
+let test_observed_failure_leaves_no_sink () =
+  let installed () =
+    ( Ssync_trace.Trace.current () <> None,
+      Ssync_metrics.Metrics.current () <> None )
+  in
+  let next = ref (true, true) in
+  let got =
+    try
+      ignore
+        (Pool.run ~jobs:1
+           [|
+             (fun () ->
+               ignore
+                 (Section.observe ~trace:true ~metrics:true
+                    (fun () -> raise (Boom 0))
+                    ()));
+             (fun () -> next := installed ());
+           |]);
+      None
+    with Boom i -> Some i
+  in
+  check_bool "the job's exception reaches the caller" true (got = Some 0);
+  check_bool "no sink in the next job" true (!next = (false, false));
+  check_bool "no sink after the run" true (installed () = (false, false))
+
 let test_invalid_jobs () =
   check_bool "jobs = 0 rejected" true
     (try
@@ -276,4 +304,6 @@ let suite =
       test_two_domains_match_serial;
     Alcotest.test_case "bench output byte-identical across domains" `Slow
       test_byte_identical_output;
+    Alcotest.test_case "pool: a failed observed job leaves no sink" `Quick
+      test_observed_failure_leaves_no_sink;
   ]

@@ -321,13 +321,36 @@ let test_profile_invariants () =
    min/max acquisitions are its per-thread op counts' (one acquisition
    per op). *)
 let test_profile_fairness () =
+  let lock trs = Hashtbl.find (Profile.of_traces trs).Profile.locks "TICKET" in
+  let fair trs = Profile.fairness (lock trs) in
+  let min_max counts =
+    match List.filter (fun c -> c >= 0) (Array.to_list counts) with
+    | [] -> None
+    | c :: cs -> Some (List.fold_left min c cs, List.fold_left max c cs)
+  in
   let r, tr = with_trace (traced_workload ~threads:3) in
-  let lp = Hashtbl.find (Profile.of_traces [ tr ]).Profile.locks "TICKET" in
-  let ops = Array.to_list r.Harness.ops in
   Alcotest.(check (option (pair int int)))
-    "fair min/max = min/max of Harness ops"
-    (Some (List.fold_left min max_int ops, List.fold_left max 0 ops))
-    (Profile.fairness lp)
+    "fair min/max = min/max of Harness ops" (min_max r.Harness.ops)
+    (fair [ tr ]);
+  let _, tr2 = with_trace (traced_workload ~threads:2) in
+  let _, tr8 = with_trace (traced_workload ~threads:8) in
+  let ratio trs =
+    match fair trs with
+    | Some (mn, mx) -> float_of_int mn /. float_of_int mx
+    | None -> nan
+  in
+  let worst = if ratio [ tr8 ] < ratio [ tr2 ] then tr8 else tr2 in
+  Alcotest.(check (option (pair int int)))
+    "two jobs: the least fair job's min/max" (fair [ worst ])
+    (fair [ tr2; tr8 ]);
+  let b2 = (lock [ tr2 ]).Profile.by_tid in
+  let merged =
+    Array.mapi
+      (fun tid c -> c + if tid < Array.length b2 then Int.max 0 b2.(tid) else 0)
+      (lock [ tr8 ]).Profile.by_tid
+  in
+  check_bool "merging counts by tid would answer otherwise" true
+    (min_max merged <> fair [ tr2; tr8 ])
 
 (* A ring far smaller than the run: [Profile] and [Invariant] read
    exactly the retained window, which replayed into a ring that holds
@@ -665,11 +688,17 @@ let test_chrome_schema () =
 (* Four independent lock sims fanned through the pool: the export must
    be byte-identical however many domains executed the jobs. *)
 let pool_export ~jobs =
-  Trace.requested := true;
-  let thunks = Array.init 4 (fun _ () -> ignore (traced_workload ())) in
+  let thunks =
+    Array.init 4 (fun _ ->
+        Ssync_bench.Section.observe ~trace:true (fun () ->
+            ignore (traced_workload ())))
+  in
   let results = Pool.run ~jobs thunks in
-  Trace.requested := false;
-  let traces = Pool.traces results in
+  let traces =
+    List.filter_map
+      (fun (o, _) -> o.Ssync_bench.Section.trace)
+      (Array.to_list results)
+  in
   check_int "every job traced" 4 (List.length traces);
   Chrome.export_string
     (List.mapi (fun i tr -> (Printf.sprintf "job/%d" i, tr)) traces)
