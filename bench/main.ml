@@ -642,6 +642,12 @@ let () =
     List.iter
       (fun (name, s) ->
         let n = Array.length s.Section.jobs in
+        if s.Section.host_timed then begin
+          let g0 = Unix.gettimeofday () in
+          Gc.full_major ();
+          Printf.eprintf "(%s: full major collection first, %.3fs)\n%!" name
+            (Unix.gettimeofday () -. g0)
+        end;
         let r0 = Unix.gettimeofday () in
         s.Section.render ();
         let render_s = Unix.gettimeofday () -. r0 in
@@ -661,7 +667,10 @@ let () =
     export ~trace_file:!trace_file ~metrics_file:!metrics_file observed;
     let total_wall = Unix.gettimeofday () -. t0 in
     (* stderr, so stdout stays byte-identical across runs and --jobs *)
-    Printf.eprintf "\n(total wall time: %.1fs, %d jobs)\n" total_wall !jobs;
+    let p = (Ssync_engine.Pool.total_stats results).Ssync_engine.Pool.perf in
+    Printf.eprintf
+      "\n(total wall time: %.1fs, %d jobs; %d of %d resumptions queued)\n"
+      total_wall !jobs p.Ssync_engine.Sim.queued p.Ssync_engine.Sim.events;
     if json then
       write_perf_json ~quick ~jobs:!jobs ~total_wall
         (List.rev !perfs)

@@ -69,9 +69,11 @@ let benchmark ~quick =
 (* Render-only section: Bechamel measures host wall-clock, which is
    nondeterministic by nature, so this section runs serially on the
    main domain and is excluded from the byte-identity guarantee the
-   simulator sections carry. *)
+   simulator sections carry.  Bechamel stabilizes the GC before every
+   test, so its first stabilization would sweep whatever the job phase
+   left: the section is host-timed, and the driver collects first. *)
 let run ~quick =
-  Section.serial @@ fun () ->
+  Section.host_timed @@ fun () ->
   Printf.printf
     "\n==== Native microbenchmarks (Bechamel, uncontended, host CPU) ====\n%!";
   let results = benchmark ~quick in

@@ -14,11 +14,15 @@
 
    Sections with no simulations (static tables, host-CPU Bechamel runs
    whose wall-clock numbers are inherently nondeterministic) use
-   [serial]: an empty job list and a render that does all the work. *)
+   [serial]: an empty job list and a render that does all the work.  A
+   section that times the host itself is [host_timed]: the driver runs
+   a full major collection before its timer starts, so the garbage the
+   job phase left is not charged to it. *)
 
 type t = {
   jobs : (unit -> unit) array;
   render : unit -> unit;
+  host_timed : bool;
 }
 
 module Trace = Ssync_trace.Trace
@@ -49,8 +53,9 @@ let observe ?(trace = false) ?(metrics = false) ?capacity ?grid
       let value = job () in
       { value; trace; metrics })
 
-let make ~jobs render = { jobs; render }
-let serial render = { jobs = [||]; render }
+let make ~jobs render = { jobs; render; host_timed = false }
+let serial render = { jobs = [||]; render; host_timed = false }
+let host_timed render = { jobs = [||]; render; host_timed = true }
 
 (* [sweep items run] describes one job per item: job [i] stores
    [run item_i].  Returns the jobs and an accessor for slot [i]; the

@@ -2,33 +2,52 @@
    order so simulation runs are deterministic and FIFO-fair.
 
    The store is a 4-ary implicit min-heap whose arrays hold only ints:
-   each entry's time, tie-break (push seq) and slot.  Half the levels of
-   a binary heap, and the four children of a node sit in consecutive
-   array slots, so a sift-down touches two cache lines per level
-   instead of four scattered words.  The sifts hold the entry being
-   placed aside and move each displaced entry into the hole it leaves,
-   three int stores per level and no write barrier.  An event's
-   closure (and an ordered queue's node) stays put in a slot table,
-   written once at push; free slots are a stack, so a thread that
-   re-queues its own runner gets back the slot it just freed, still
-   holding that runner, and the write is skipped.  (A calendar-style
-   near-future lane was tried here and reverted: at the queue sizes the
-   simulator actually runs — tens of events — sift paths are 2–3
-   levels, and the lane's binary search per push plus two-lane head
-   comparison per pop cost more than they saved.)
+   each entry's key and slot.  The key packs the time above the
+   tie-break (push seq), [time lsl seq_bits lor seq], so one int compare
+   orders two entries.  Half the levels of a binary heap, and the four
+   children of a node sit in consecutive array slots, so a sift-down
+   reads four consecutive keys per level and picks the least with sign
+   masks rather than data-dependent branches; the key array is padded
+   with [max_int] past the last entry, so it reads all four without a
+   bounds test.  The sifts hold the entry being placed aside and move
+   each displaced entry into the hole it leaves, two int stores per
+   level and no write barrier.  An event's closure (and an
+   ordered queue's node) stays put in a slot table, written once at
+   push; free slots are a stack, so a thread that re-queues its own
+   runner gets back the slot it just freed, still holding that runner,
+   and the write is skipped.  (A calendar-style near-future lane was
+   tried here and reverted: at the queue sizes the simulator actually
+   runs — tens of events — sift paths are 2–3 levels, and the lane's
+   binary search per push plus two-lane head comparison per pop cost
+   more than they saved.)
+
+   The key's layout bounds two things, both checked: a time lies in
+   [0, max_time] (2^41 - 1 cycles; the whole bench suite and perf's
+   workloads push at most about 1.5e7), or the push raises
+   [Invalid_argument]; and the seq field holds [seq_mask + 1] values
+   (2^20), so the push counter is renumbered in order ([relabel]) once
+   per 2^20 pushes, which raises if 2^20 events are queued.
 
    The heap is popped through a caller-owned [popped] cell, so the
    simulator's main loop moves millions of events without allocating:
    no event records, no [Some] wrappers.  The earliest queued time is
    cached in [next_t] and maintained by push/pop — the engine consults
    the queue head once per resumption to decide direct-running, which
-   must cost one field read, not a heap inspection.
+   must cost one field read, not a heap inspection.  A thread that
+   suspends on its own step is pushed and the next event popped in one
+   call, [push_pop_into]: one sift-down from the root instead of a
+   sift-up and a full sift-down.  A PC-sampling profile of one seed-1
+   pass put the heap at 24.5% of [sparse_locks]' samples and 19.8% of
+   [hot_lock]'s ([sift_down] alone 17.3% and 11.0%), where 93% of
+   [sparse_locks]' 7.6M resumptions per pass pop the queue, at a mean
+   depth of 33.
 
    An [ordered] queue replaces the insertion counter by ancestry nodes
    (see [precedes]).  The simulator uses one when waiters park exactly
    under faults: their elided polls never enter the queue, yet an event
    standing in for one must sort among same-time events where the
-   polled event would have. *)
+   polled event would have.  Its keys carry the time only, and the
+   sifts break equal keys by [precedes]. *)
 
 (* {2 Ancestry nodes}
 
@@ -177,20 +196,35 @@ let precedes_cursor ra0 ca0 ja0 rb0 cb0 jb0 =
 let precedes a b =
   a != b && precedes_cursor a a.n_chain (idx a) b b.n_chain (idx b)
 
+(* {2 The heap}
+
+   An entry's key packs its time above its tie-break,
+   [time lsl seq_bits lor seq], so int order on keys is (time, seq)
+   order and a sift compares one int per entry.  An unordered queue's
+   seq is its push counter, renumbered by [relabel] before it would
+   overflow the field, so its keys are distinct; an ordered queue
+   leaves the field 0 and breaks equal keys by [precedes].  Times take
+   the bits above, up to [max_time]: keys then stay below [max_int],
+   which pads the key array past the last entry. *)
+let seq_bits = 20
+let seq_mask = (1 lsl seq_bits) - 1
+let time_bits = 61 - seq_bits
+let max_time = (1 lsl time_bits) - 1
+
 type t = {
-  (* the heap, in heap order over [0, size): each event's time, its
-     tie-break (push seq; unused by ordered queues) and its slot *)
-  mutable times : int array;
-  mutable seqs : int array;
+  mutable keys : int array;
+      (* over [0, size): the heap's keys, in heap order; over
+         [size, capacity + 3): [max_int], so a sift reads all four
+         children of a node without a bounds test *)
   mutable slots : int array;
-      (* over [size, capacity): the free slots, the next one to take
-         first *)
+      (* over [0, size): each entry's slot; over [size, capacity): the
+         free slots, the next one to take first *)
   mutable runs : (unit -> unit) array;
       (* by slot; a free slot keeps its last closure *)
   mutable nodes : node array;  (* by slot; ordered queues only *)
   mutable size : int;
   mutable next_seq : int;
-  mutable next_t : int; (* cached [times.(0)]; [max_int] when empty *)
+  mutable next_t : int; (* the head's time; [max_int] when empty *)
   ordered : bool;
   mutable cur : node;  (* the running node (initially a fresh root) *)
   mutable cur_pushes : int;  (* its pushes so far, reserved ones included *)
@@ -215,15 +249,15 @@ let make_popped () = { p_time = 0; p_run = no_run; p_node = nil }
 
 (* The initial capacity.  A simulation usually queues about one event
    per thread, and [grow] doubles the arrays for more.  A new queue's
-   four arrays allocate 4 x 49 words: the peak RSS of a workload of many
-   short simulations (perf's [observed]) follows the GC's phase, and
-   moves with any change in that figure. *)
-let capacity = 48
+   three arrays allocate 68 + 2 x 65 words, about the 4 x 49 of the
+   four-array heap before it: the peak RSS of a workload of many short
+   simulations (perf's [observed]) follows the GC's phase, and moves
+   with any change in that figure. *)
+let capacity = 64
 
 let create ?(ordered = false) () =
   {
-    times = Array.make capacity 0;
-    seqs = Array.make capacity 0;
+    keys = Array.make (capacity + 3) max_int;
     slots = Array.init capacity Fun.id;
     runs = Array.make capacity no_run;
     nodes = (if ordered then Array.make capacity nil else [||]);
@@ -249,87 +283,108 @@ let child t ~time =
   { n_time = time; n_seq = seq; n_parent = t.cur; n_rank = -1;
     n_chain = no_chain; n_later = nil }
 
-(* Settle the event (time, seq, slot) at hole [i] or above it, moving
-   each ancestor it pops before one level down.  On an unordered queue
-   only a push lifts, and its seq is larger than every queued one, so
-   times alone decide. *)
-let sift_up t i time seq slot =
-  let times = t.times and seqs = t.seqs and slots = t.slots in
+(* Settle the entry (key, slot) at hole [i] or above it, moving each
+   ancestor it pops before one level down.  Keys are distinct on an
+   unordered queue, so only an ordered one reaches [precedes]. *)
+let sift_up t i key slot =
+  let keys = t.keys and slots = t.slots in
   let i = ref i and go = ref true in
   while !go && !i > 0 do
     let p = (!i - 1) lsr 2 in
-    let tp = times.(p) in
+    let kp = Array.unsafe_get keys p in
     if
-      tp > time
-      || (tp = time && t.ordered && precedes t.nodes.(slot) t.nodes.(slots.(p)))
+      kp > key
+      || kp = key
+         && precedes t.nodes.(slot) t.nodes.(Array.unsafe_get slots p)
     then begin
-      times.(!i) <- tp;
-      seqs.(!i) <- seqs.(p);
-      slots.(!i) <- slots.(p);
+      Array.unsafe_set keys !i kp;
+      Array.unsafe_set slots !i (Array.unsafe_get slots p);
       i := p
     end
     else go := false
   done;
-  times.(!i) <- time;
-  seqs.(!i) <- seq;
-  slots.(!i) <- slot
+  Array.unsafe_set keys !i key;
+  Array.unsafe_set slots !i slot
 
-(* Settle the event (time, seq, slot) at hole [i] or below it: while
-   the earliest of the event and the hole's children is a child, that
-   child moves up into the hole.  The event is the first candidate, and
-   each child in array order replaces the candidate it pops before, so
-   on an ordered queue the result depends only on these [precedes]
-   answers, even for two nodes it leaves unordered. *)
-let sift_down t i time seq slot =
-  let times = t.times and seqs = t.seqs and slots = t.slots and n = t.size in
+(* An ordered queue's choice at one level of a sift-down, when the
+   least key [mk] of the children from [c], first held by child [m], is
+   at most the key of the entry being placed (key, slot): the entry a
+   scan in array order keeps when each child replaces the candidate it
+   pops before; -1 for the placed entry.  Only entries with the least
+   key can win, and among them [precedes] decides, so the result
+   depends only on those answers, even for two nodes it leaves
+   unordered. *)
+let[@inline never] ordered_pick t c mk m key slot =
+  let keys = t.keys and slots = t.slots and nodes = t.nodes in
+  let w = ref (if mk = key then -1 else m) in
+  let ws = ref (if mk = key then slot else slots.(m)) in
+  for j = (if mk = key then c else m + 1) to c + 3 do
+    if keys.(j) = mk && precedes nodes.(slots.(j)) nodes.(!ws) then begin
+      w := j;
+      ws := slots.(j)
+    end
+  done;
+  !w
+
+(* Settle the entry (key, slot) at hole [i] or below it: while the
+   least of its children's keys is below its own, that child moves up
+   into the hole.  The least of four keys and its index come from sign
+   masks ([d asr 62] is -1 when [d < 0], else 0; keys are non-negative,
+   so a difference never overflows), not from data-dependent branches:
+   the only branch per level is the loop's exit.  Equal keys go to the
+   first in array order, and the padding past the last entry
+   ([max_int]) never wins.  [sift_down] inlines this once per queue
+   mode, so the unordered loop makes no call and keeps its state in
+   registers. *)
+let[@inline] sift_down_in t ~ordered i key slot =
+  let keys = t.keys and slots = t.slots and n = t.size in
   let i = ref i and go = ref true in
   while !go do
-    let first = (4 * !i) + 1 in
-    if first >= n then go := false
+    let c = (4 * !i) + 1 in
+    if c >= n then go := false
     else begin
-      let m = ref (-1) and tm = ref time and qm = ref seq and sm = ref slot in
-      for c = first to Int.min (first + 3) (n - 1) do
-        let tc = times.(c) in
-        if
-          tc < !tm
-          || tc = !tm
-             &&
-             if t.ordered then precedes t.nodes.(slots.(c)) t.nodes.(!sm)
-             else seqs.(c) < !qm
-        then begin
-          m := c;
-          tm := tc;
-          qm := seqs.(c);
-          sm := slots.(c)
-        end
-      done;
-      if !m < 0 then go := false
+      let k0 = Array.unsafe_get keys c and k1 = Array.unsafe_get keys (c + 1) in
+      let k2 = Array.unsafe_get keys (c + 2)
+      and k3 = Array.unsafe_get keys (c + 3) in
+      let d01 = k1 - k0 and d23 = k3 - k2 in
+      let m01 = d01 asr 62 and m23 = d23 asr 62 in
+      let ka = k0 + (d01 land m01) and kb = k2 + (d23 land m23) in
+      let dab = kb - ka in
+      let mab = dab asr 62 in
+      let mk = ka + (dab land mab) in
+      let ia = m01 land 1 and ib = 2 + (m23 land 1) in
+      let m = c + ia + ((ib - ia) land mab) in
+      let m =
+        if ordered && mk <= key then ordered_pick t c mk m key slot
+        else if mk < key then m
+        else -1
+      in
+      if m < 0 then go := false
       else begin
-        times.(!i) <- !tm;
-        seqs.(!i) <- !qm;
-        slots.(!i) <- !sm;
-        i := !m
+        Array.unsafe_set keys !i mk;
+        Array.unsafe_set slots !i (Array.unsafe_get slots m);
+        i := m
       end
     end
   done;
-  times.(!i) <- time;
-  seqs.(!i) <- seq;
-  slots.(!i) <- slot
+  Array.unsafe_set keys !i key;
+  Array.unsafe_set slots !i slot
+
+let sift_down t i key slot =
+  if t.ordered then sift_down_in t ~ordered:true i key slot
+  else sift_down_in t ~ordered:false i key slot
 
 (* Double the capacity of a full queue; the new slots join the free
    stack. *)
 let grow t =
-  let cap = Array.length t.times in
-  let times = Array.make (2 * cap) 0
-  and seqs = Array.make (2 * cap) 0
+  let cap = Array.length t.slots in
+  let keys = Array.make ((2 * cap) + 3) max_int
   and slots = Array.init (2 * cap) Fun.id
   and runs = Array.make (2 * cap) no_run in
-  Array.blit t.times 0 times 0 cap;
-  Array.blit t.seqs 0 seqs 0 cap;
+  Array.blit t.keys 0 keys 0 cap;
   Array.blit t.slots 0 slots 0 cap;
   Array.blit t.runs 0 runs 0 cap;
-  t.times <- times;
-  t.seqs <- seqs;
+  t.keys <- keys;
   t.slots <- slots;
   t.runs <- runs;
   if t.ordered then begin
@@ -338,48 +393,77 @@ let grow t =
     t.nodes <- nodes
   end
 
-(* Queue [run] at [time] with tie-break [seq] and, on an ordered queue,
-   node [n], in the free slot on top.  A popped slot keeps its closure,
-   and a thread that re-queues its own runner gets back the slot it
-   just freed, so the closure write is mostly skipped. *)
-let insert t ~time ~seq run n =
+(* Renumber the queued seqs 0, 1, ... in their order, so the push
+   counter restarts below the field's limit.  Every two entries keep
+   their order, so the heap stays valid.  Once per [seq_mask + 1]
+   pushes; with that many events queued no renumbering fits. *)
+let[@inline never] relabel t =
+  let n = t.size and keys = t.keys in
+  if n > seq_mask then invalid_arg "Event_queue.push: too many events queued";
+  let by_seq =
+    Array.init n (fun i -> ((keys.(i) land seq_mask) lsl seq_bits) lor i)
+  in
+  Array.sort Int.compare by_seq;
+  Array.iteri
+    (fun r e ->
+      let i = e land seq_mask in
+      keys.(i) <- keys.(i) land lnot seq_mask lor r)
+    by_seq;
+  t.next_seq <- n
+
+(* Raise unless [0 <= time <= max_time]; [fn] names the caller. *)
+let[@inline] check_time fn time =
+  if time lsr time_bits <> 0 then
+    invalid_arg ("Event_queue." ^ fn ^ ": time outside [0, max_time]")
+
+(* The key of an unordered push at [time]: it takes the next seq. *)
+let next_key t time =
+  if t.next_seq > seq_mask then relabel t;
+  let seq = t.next_seq in
+  t.next_seq <- seq + 1;
+  (time lsl seq_bits) lor seq
+
+(* Queue [run] under [key] and, on an ordered queue, node [n], in the
+   free slot on top.  A popped slot keeps its closure, and a thread
+   that re-queues its own runner gets back the slot it just freed, so
+   the closure write is mostly skipped. *)
+let insert t key run n =
   let i = t.size in
-  if i = Array.length t.times then grow t;
+  if i = Array.length t.slots then grow t;
   let slot = t.slots.(i) in
   if t.runs.(slot) != run then t.runs.(slot) <- run;
   if t.ordered then t.nodes.(slot) <- n;
+  let time = key lsr seq_bits in
   if time < t.next_t then t.next_t <- time;
   t.size <- i + 1;
-  sift_up t i time seq slot
+  sift_up t i key slot
 
 let push t ~time run =
-  if time < 0 then invalid_arg "Event_queue.push: negative time";
-  let seq = t.next_seq in
-  t.next_seq <- seq + 1;
-  insert t ~time ~seq run nil
+  check_time "push" time;
+  insert t (next_key t time) run nil
 
 (* Push [run] at [n.n_time] on an ordered queue, sorted among same-time
    events by node [n] (see [precedes]). *)
 let push_node t n run =
-  if n.n_time < 0 then invalid_arg "Event_queue.push_node: negative time";
-  insert t ~time:n.n_time ~seq:0 run n
+  check_time "push_node" n.n_time;
+  insert t (n.n_time lsl seq_bits) run n
 
 (* Take heap entry [i], assuming i < size: its slot goes back on the
    free stack, and the last entry fills the hole and sifts down; then
    whatever is left at [i] sifts up, as the last entry may pop before
    the removed one's ancestors. *)
 let remove_at t i =
+  let keys = t.keys and slots = t.slots in
   let last = t.size - 1 in
-  let slot = t.slots.(i) in
+  let slot = slots.(i) and key = keys.(last) and moved = slots.(last) in
   t.size <- last;
+  keys.(last) <- max_int;
+  slots.(last) <- slot;
   if i < last then begin
-    let time = t.times.(last) and seq = t.seqs.(last) in
-    let moved = t.slots.(last) in
-    t.slots.(last) <- slot;
-    sift_down t i time seq moved;
-    if i > 0 then sift_up t i t.times.(i) t.seqs.(i) t.slots.(i)
+    sift_down t i key moved;
+    if i > 0 then sift_up t i keys.(i) slots.(i)
   end;
-  t.next_t <- (if last > 0 then t.times.(0) else max_int)
+  t.next_t <- (if last > 0 then keys.(0) lsr seq_bits else max_int)
 
 (* Withdraw a queued event of an ordered queue by its node; no-op when
    it is not queued.  A linear scan: the queue holds about one event
@@ -395,11 +479,40 @@ let pop_into t (p : popped) =
   if t.size = 0 then false
   else begin
     let slot = t.slots.(0) in
-    p.p_time <- t.times.(0);
+    p.p_time <- t.next_t;
     p.p_run <- t.runs.(slot);
     if t.ordered then p.p_node <- t.nodes.(slot);
     remove_at t 0;
     true
+  end
+
+(* [push t ~time run] then [pop_into t p] on an unordered queue, in one
+   sift instead of a sift-up and a sift-down.  An event earlier than
+   the head runs at once: pushed, its seq would be the largest queued,
+   so it would pop first exactly when its time is earlier.  Otherwise
+   the head pops and the event takes its place at the root and sifts
+   down.  It takes the free slot [push] would and the head's slot goes
+   back on the free stack, as [pop_into] would put it, so the slot
+   table evolves as under the two calls. *)
+let push_pop_into t ~time run (p : popped) =
+  check_time "push_pop_into" time;
+  if t.ordered then invalid_arg "Event_queue.push_pop_into: ordered queue";
+  if time < t.next_t then begin
+    p.p_time <- time;
+    p.p_run <- run
+  end
+  else begin
+    let key = next_key t time in
+    let i = t.size in
+    if i = Array.length t.slots then grow t;
+    let slots = t.slots and runs = t.runs in
+    let slot = Array.unsafe_get slots i and head = Array.unsafe_get slots 0 in
+    if Array.unsafe_get runs slot != run then runs.(slot) <- run;
+    p.p_time <- t.next_t;
+    p.p_run <- Array.unsafe_get runs head;
+    Array.unsafe_set slots i head;
+    sift_down t 0 key slot;
+    t.next_t <- Array.unsafe_get t.keys 0 lsr seq_bits
   end
 
 (* Non-allocating variant for the simulator's hot path: one field read. *)

@@ -65,11 +65,12 @@ module Metrics = Ssync_metrics.Metrics
 
 (* Per-thread bookkeeping for faults and the watchdog.  [pend_ik] holds
    the thread's suspended continuation between its suspension and the
-   event that resumes it, and [no_k] when none is pending; [run_ik], a
-   closure allocated once per thread, continues it, so every
-   resumption — a step's completion or a wake — schedules that one
-   runner instead of allocating a fresh closure.  A coroutine has at
-   most one pending resumption, so one slot suffices. *)
+   event that resumes it, while [pend] is set; [run_ik], a closure
+   allocated once per thread, continues it, so every resumption — a
+   step's completion or a wake — schedules that one runner instead of
+   allocating a fresh closure.  A coroutine has at most one pending
+   resumption, so one slot suffices.  [pend] is a bool, not a sentinel
+   continuation, so clearing it needs no write barrier. *)
 type thread_state = {
   sim : t;
   me : thread_state option;
@@ -83,6 +84,7 @@ type thread_state = {
   mutable finished : bool;
   mutable crashed : bool;
   mutable pend_ik : (int, unit) Effect.Deep.continuation;
+  mutable pend : bool;
   mutable pend_iv : int;
   mutable pend_at : int;
       (* when [E_suspend] resumes the thread: the completion time of
@@ -120,6 +122,7 @@ and exact = {
    executing domain. *)
 and counters = {
   mutable c_events : int;
+  mutable c_queued : int;
   mutable c_parks : int;
   mutable c_wakeups : int;
   mutable c_elided : int;
@@ -135,6 +138,13 @@ and t = {
   mutable now : int; (* the virtual clock *)
   mutable fuel : int; (* consecutive direct-run steps since last pop *)
   mutable events : int; (* logical resumptions: pops + direct-runs *)
+  mutable queued : int; (* pops *)
+  mutable stash_at : int;
+  mutable stash_tid : int;
+      (* the completion of the running thread's own step, left at
+         [stash_at] for the run loop to push and pop in one sift; -1
+         when none *)
+  mutable runners : (unit -> unit) array; (* each thread's [run_ik], by tid *)
   mutable live : int;
   mutable parks : int;
   mutable wakeups : int;
@@ -180,6 +190,7 @@ let counters_key : counters Domain.DLS.key =
   Domain.DLS.new_key (fun () ->
       {
         c_events = 0;
+        c_queued = 0;
         c_parks = 0;
         c_wakeups = 0;
         c_elided = 0;
@@ -213,9 +224,9 @@ type _ Effect.t += E_suspend : int Effect.t
 
 exception Simulation_runaway of int
 
-(* "No continuation pending": one captured from a fiber that is never
-   resumed, compared with [==].  A [pend_ik] of type [option] would box
-   a [Some] at every suspension. *)
+(* A continuation captured from a fiber that is never resumed: what
+   [pend_ik] holds before the thread first suspends.  A [pend_ik] of
+   type [option] would box a [Some] at every suspension. *)
 let no_k : (int, unit) Effect.Deep.continuation =
   let k : (int, unit) Effect.Deep.continuation option ref = ref None in
   Effect.Deep.match_with
@@ -249,6 +260,10 @@ let create ?(faults = Fault.none) ?(parking = true) platform =
     now = 0;
     fuel = 0;
     events = 0;
+    queued = 0;
+    stash_at = -1;
+    stash_tid = 0;
+    runners = [||];
     live = 0;
     parks = 0;
     wakeups = 0;
@@ -364,27 +379,18 @@ let enter t st =
   let c = t.cell in
   if c.cur != st.me then c.cur <- st.me
 
-(* Schedule [f] at [at] on [st]'s behalf — unless the thread's crash
-   time falls first, in which case [f] is dropped and the crash is
-   booked at the crash time itself (so it is recorded even when the
-   never-to-happen step would fall past the [until] backstop).  A
-   crash-stopped thread is simply never resumed: no unwinding, no
-   cleanup — whatever it holds stays held, which is what crash-stop
-   means. *)
-let crash_sched t st ~at f =
-  if st.crash_at >= 0 && (not st.crashed) && at >= st.crash_at then
-    sched t ~at:(Int.max t.now st.crash_at) (fun () ->
-        if not st.crashed then begin
-          st.crashed <- true;
-          t.crashed_tids <- st.tid :: t.crashed_tids;
-          t.live <- t.live - 1;
-          m_trans t st ~at:t.now m_dead;
-          trace_fault t st Trace.Crash 0
-        end)
-  else
-    sched t ~at (fun () ->
-        st.last_progress <- t.now;
-        f ())
+(* [st] crash-stops at [at]: it is simply never resumed — no
+   unwinding, no cleanup; whatever it holds stays held, which is what
+   crash-stop means. *)
+let crash_stop t st ~at =
+  sched t ~at (fun () ->
+      if not st.crashed then begin
+        st.crashed <- true;
+        t.crashed_tids <- st.tid :: t.crashed_tids;
+        t.live <- t.live - 1;
+        m_trans t st ~at:t.now m_dead;
+        trace_fault t st Trace.Crash 0
+      end)
 
 (* Direct-run: the completion of a thread's own step may skip the event
    queue entirely — the thread simply carries on — when nothing can
@@ -430,12 +436,28 @@ let try_direct t st ~at =
 
 (* Resume the suspended [st] at [at] through its runner, which updates
    [last_progress] itself: a step's queued completion, a fault-free
-   park's replay, a barrier release and an [unpark] all take this path,
-   wrapped in a fresh closure only when the crash path demands it.  An
+   park's replay, a barrier release and an [unpark] all take this path.
+   When the thread's crash time falls first, the crash is queued
+   instead, at the crash time itself, so it is recorded even when the
+   never-to-happen resumption would fall past the [until] backstop.  An
    exact park's wakes push the same runner at their ancestry nodes. *)
 let wake t st ~at =
-  if st.crash_at >= 0 then crash_sched t st ~at st.run_ik
+  if st.crash_at >= 0 && (not st.crashed) && at >= st.crash_at then
+    crash_stop t st ~at:(Int.max t.now st.crash_at)
   else sched t ~at st.run_ik
+
+(* The completion at [at] of the running thread's own step, which could
+   not direct-run.  A thread that cannot crash, on an unordered queue,
+   leaves it in the stash: the run loop pushes it and pops the next
+   event in one sift ([Event_queue.push_pop_into]) as soon as the
+   thread's fiber returns to it, which it does next.  The stash holds
+   ints only, so it costs no write barrier. *)
+let queue_step t st ~at =
+  if t.exact || st.crash_at >= 0 then wake t st ~at
+  else begin
+    t.stash_at <- at;
+    t.stash_tid <- st.tid
+  end
 
 (* ------------------------------------------------------------------ *)
 (* A thread's own operations: plain calls on its stack.  The thread comes
@@ -877,16 +899,16 @@ let spawn t ~core body =
       finished = false;
       crashed = false;
       pend_ik = no_k;
+      pend = false;
       pend_iv = 0;
       pend_at = 0;
       run_ik =
         (fun () ->
           st.last_progress <- t.now;
-          let k = st.pend_ik in
-          if k != no_k then begin
-            st.pend_ik <- no_k;
+          if st.pend then begin
+            st.pend <- false;
             enter t st;
-            Effect.Deep.continue k st.pend_iv
+            Effect.Deep.continue st.pend_ik st.pend_iv
           end);
       spin_addr = -1;
       replay =
@@ -900,6 +922,12 @@ let spawn t ~core body =
   in
   if t.exact then st.xp <- make_exact t st;
   Hashtbl.replace t.tstates tid st;
+  if tid = Array.length t.runners then begin
+    let runners = Array.make (Int.max 8 (2 * tid)) ignore in
+    Array.blit t.runners 0 runners 0 tid;
+    t.runners <- runners
+  end;
+  t.runners.(tid) <- st.run_ik;
   (match t.trace with
   | Some tr -> Trace.thread tr ~ts:t.now ~tid ~core
   | None -> ());
@@ -910,7 +938,8 @@ let spawn t ~core body =
     Some
       (fun (k : (int, unit) continuation) ->
         st.pend_ik <- k;
-        if st.pend_at >= 0 then wake t st ~at:st.pend_at)
+        st.pend <- true;
+        if st.pend_at >= 0 then queue_step t st ~at:st.pend_at)
   in
   let handler : (unit, unit) handler =
     {
@@ -1007,13 +1036,24 @@ let settle_backstop t ~until =
     t.tstates
 
 (* The event loop of one run: pop and run events until the queue drains
-   or passes [until]; returns how many events the backstop dropped. *)
+   or passes [until]; returns how many events the backstop dropped.  A
+   step the last event left in the stash is pushed by the pop that
+   takes the next event. *)
 let drain t ~until ~max_events ~ev_base =
   let dropped = ref 0 in
   let p = t.popped in
   let continue_run = ref true in
   while !continue_run do
-    if not (Event_queue.pop_into t.q p) then continue_run := false
+    let at = t.stash_at in
+    let got =
+      if at >= 0 then begin
+        t.stash_at <- -1;
+        Event_queue.push_pop_into t.q ~time:at t.runners.(t.stash_tid) p;
+        true
+      end
+      else Event_queue.pop_into t.q p
+    in
+    if not got then continue_run := false
     else if p.Event_queue.p_time > until then begin
       (* the popped event plus everything still queued is discarded *)
       dropped := 1 + Event_queue.length t.q;
@@ -1021,6 +1061,7 @@ let drain t ~until ~max_events ~ev_base =
     end
     else begin
       t.events <- t.events + 1;
+      t.queued <- t.queued + 1;
       if t.events - ev_base > max_events then
         raise (Simulation_runaway (t.events - ev_base));
       t.fuel <- 0;
@@ -1035,6 +1076,7 @@ let run_health ?(until = max_int) ?(max_events = 200_000_000) t =
   let start_now = t.now in
   let start_elided = (Memory.stats t.mem).Stats.elided_probes in
   let ev_base = t.events in
+  let queued_base = t.queued in
   let parks_base = t.parks in
   let wakeups_base = t.wakeups in
   t.run_until <- until;
@@ -1061,6 +1103,7 @@ let run_health ?(until = max_int) ?(max_events = 200_000_000) t =
       (fun _ st -> if st.m_state < m_dead then m_trans t st ~at:t.now st.m_state)
       t.tstates;
   t.cum.c_events <- t.cum.c_events + (t.events - ev_base);
+  t.cum.c_queued <- t.cum.c_queued + (t.queued - queued_base);
   t.cum.c_parks <- t.cum.c_parks + (t.parks - parks_base);
   t.cum.c_wakeups <- t.cum.c_wakeups + (t.wakeups - wakeups_base);
   t.cum.c_sim_cycles <- t.cum.c_sim_cycles + (t.now - start_now);
@@ -1095,6 +1138,7 @@ let run ?until ?max_events t = fst (run_health ?until ?max_events t)
 
 type perf = {
   events : int; (* logical resumptions: event pops + direct-run continues *)
+  queued : int; (* of which event pops *)
   parks : int; (* threads parked event-driven *)
   wakeups : int;
       (* parked threads woken by a real access, or at the step an
@@ -1109,6 +1153,7 @@ type perf = {
 let perf (t : t) =
   {
     events = t.events;
+    queued = t.queued;
     parks = t.parks;
     wakeups = t.wakeups;
     elided_probes = (Memory.stats t.mem).Stats.elided_probes;
@@ -1123,6 +1168,7 @@ let cumulative_perf () =
   let c = counters () in
   {
     events = c.c_events;
+    queued = c.c_queued;
     parks = c.c_parks;
     wakeups = c.c_wakeups;
     elided_probes = c.c_elided;
@@ -1134,6 +1180,7 @@ let cumulative_perf () =
 let perf_zero =
   {
     events = 0;
+    queued = 0;
     parks = 0;
     wakeups = 0;
     elided_probes = 0;
@@ -1144,6 +1191,7 @@ let perf_zero =
 let perf_map2 f a b =
   {
     events = f a.events b.events;
+    queued = f a.queued b.queued;
     parks = f a.parks b.parks;
     wakeups = f a.wakeups b.wakeups;
     elided_probes = f a.elided_probes b.elided_probes;

@@ -103,6 +103,10 @@ type perf = {
       (** logical thread resumptions: event-queue pops plus direct-run
           continues.  Counting both makes the metric independent of
           which path each resumption took. *)
+  queued : int;
+      (** the resumptions among [events] popped from the event queue;
+          [events - queued] direct-ran.  Host cost, not a simulated
+          result: it stays out of the benchmark's counter baseline. *)
   parks : int;  (** threads parked event-driven *)
   wakeups : int;
       (** parked threads woken by a real access, or at the step an

@@ -645,9 +645,9 @@ let test_alloc_allocation_free () =
   check_int "lines" 1_000 (Memory.n_lines m)
 
 (* Pop + push at a steady depth, 1 and 16 events and 200 (past the
-   initial capacity, grown during the unmeasured fill); an ordered queue
-   pushes prebuilt nodes, same-time ones included, so its sifts call
-   [precedes]. *)
+   initial capacity, grown during the unmeasured fill), as two calls and
+   as one [push_pop_into]; an ordered queue pushes prebuilt nodes,
+   same-time ones included, so its sifts call [precedes]. *)
 let test_event_queue_allocation_free () =
   let module Q = Ssync_engine.Event_queue in
   List.iter
@@ -665,6 +665,15 @@ let test_event_queue_allocation_free () =
       in
       check_int
         (Printf.sprintf "push + pop at depth %d: minor words" depth)
+        0 words;
+      let words =
+        minor_words_during (fun () ->
+            for i = 1 to n_guard do
+              Q.push_pop_into q ~time:(p.Q.p_time + 1 + (i land 15)) p.Q.p_run p
+            done)
+      in
+      check_int
+        (Printf.sprintf "push_pop_into at depth %d: minor words" depth)
         0 words;
       let q = Q.create ~ordered:true () in
       let nodes =

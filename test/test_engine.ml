@@ -461,6 +461,37 @@ let test_queued_step_allocation () =
         (words <= 2 * steps))
     [ 2; 32 ]
 
+(* [queued] counts the resumptions popped from the queue; the rest of
+   [events] direct-ran.  Two threads pausing the same span tie the head
+   at every step, so every resumption is queued.  One thread alone is
+   queued at its start and then once per 1,001 steps: the fuel bound
+   lets 1,000 steps in a row direct-run.  Both splits hold across the
+   domain's cumulative counters too. *)
+let test_queued_split () =
+  let run threads n =
+    let sim = Sim.create Platform.opteron in
+    for core = 0 to threads - 1 do
+      Sim.spawn sim ~core (fun () ->
+          for _ = 1 to n do
+            Sim.pause 10
+          done)
+    done;
+    let before = Sim.cumulative_perf () in
+    ignore (Sim.run sim);
+    (Sim.perf sim, Sim.perf_diff (Sim.cumulative_perf ()) before)
+  in
+  let p, d = run 2 500 in
+  check_int "2 threads: events" (2 * 501) p.Sim.events;
+  check_int "2 threads: every resumption queued" p.Sim.events p.Sim.queued;
+  check_int "2 threads: cumulative" p.Sim.queued d.Sim.queued;
+  let n = 5_005 in
+  let p, d = run 1 n in
+  check_int "1 thread: events" (1 + n) p.Sim.events;
+  check_int "1 thread: queued at the start and the fuel bound"
+    (1 + (n / 1_001))
+    p.Sim.queued;
+  check_int "1 thread: cumulative" p.Sim.queued d.Sim.queued
+
 (* The spin primitives pause [poll] before every probe, the first one
    included, since callers probe before they call: on a cached word
    already unequal to [while_] (a 3-cycle Opteron hit), [~poll:100]
@@ -666,4 +697,6 @@ let suite =
       test_spin_pauses_first;
     Alcotest.test_case "simulate disposes on every exit" `Quick
       test_simulate_disposes;
+    Alcotest.test_case "queued counts the pops, not the direct-runs" `Quick
+      test_queued_split;
   ]

@@ -1,9 +1,12 @@
-(* Property tests of the event queue (a 4-ary min-heap of int arrays
+(* Property tests of the event queue (a 4-ary min-heap of int keys
    over a closure slot table) against reference models: sorted lists
    keyed by (time, insertion seq), and for an ordered queue by (time,
    [precedes]).  The models are the contract the simulator depends on:
-   the global pop order, an ordered queue's [remove] by node, and
-   [next_time] agreeing with the model's head. *)
+   the global pop order, [push_pop_into] acting as a push then a pop,
+   an ordered queue's [remove] by node, and [next_time] agreeing with
+   the model's head.  The key's limits are checked too: a seq counter
+   that wraps keeps same-time order, and a time past [max_time]
+   raises. *)
 
 open Ssync_engine
 
@@ -39,17 +42,24 @@ module Model = struct
 end
 
 (* A script step: [Push dt] pushes at [last popped time + dt] (the dt
-   spread mixes immediate completions with far-future schedules);
-   [Pop] pops one event from both and compares. *)
-type step = Push of int | Pop
+   spread mixes same-time events, immediate completions and far-future
+   schedules); [Pop] pops one event from both and compares;
+   [Push_pop dt] pushes at [last + dt] and pops in one call on the
+   queue, and as a push then a pop on the model. *)
+type step = Push of int | Pop | Push_pop of int
+
+let gen_dt =
+  QCheck.Gen.(
+    frequency [ (2, return 0); (2, int_range 0 3); (3, int_range 0 5000) ])
 
 let gen_script =
   QCheck.Gen.(
     list_size (int_range 0 600)
       (frequency
          [
-           (3, map (fun dt -> Push dt) (int_range 0 5000));
+           (3, map (fun dt -> Push dt) gen_dt);
            (2, return Pop);
+           (2, map (fun dt -> Push_pop dt) gen_dt);
          ]))
 
 let arb_script =
@@ -57,7 +67,10 @@ let arb_script =
     ~print:(fun s ->
       String.concat ";"
         (List.map
-           (function Push dt -> Printf.sprintf "P%d" dt | Pop -> "pop")
+           (function
+             | Push dt -> Printf.sprintf "P%d" dt
+             | Pop -> "pop"
+             | Push_pop dt -> Printf.sprintf "PP%d" dt)
            s))
 
 let run_script script =
@@ -69,15 +82,29 @@ let run_script script =
   let next_id = ref 0 in
   let last = ref 0 in
   let ok = ref true in
+  let event dt =
+    let time = !last + dt and id = !next_id in
+    incr next_id;
+    Model.push m ~time id;
+    (time, fun () -> popped_q := id :: !popped_q)
+  in
   List.iter
     (fun step ->
       match step with
       | Push dt ->
-          let time = !last + dt in
-          let id = !next_id in
-          incr next_id;
-          Event_queue.push q ~time (fun () -> popped_q := id :: !popped_q);
-          Model.push m ~time id
+          let time, run = event dt in
+          Event_queue.push q ~time run
+      | Push_pop dt -> (
+          let time, run = event dt in
+          Event_queue.push_pop_into q ~time run p;
+          match Model.pop m with
+          | None -> ok := false
+          | Some (mt, _, mid) ->
+              if p.Event_queue.p_time <> mt then ok := false;
+              p.Event_queue.p_run ();
+              popped_m := mid :: !popped_m;
+              last := mt;
+              if Event_queue.next_time q <> Model.next_time m then ok := false)
       | Pop -> (
           if Event_queue.next_time q <> Model.next_time m then ok := false;
           let got = Event_queue.pop_into q p in
@@ -113,6 +140,75 @@ let qcheck_vs_model =
   QCheck.Test.make ~count:400
     ~name:"event queue = sorted-list model (order, ties, next_time)"
     arb_script run_script
+
+(* The seq counter wraps after [seq_mask + 1] pushes, and [relabel]
+   renumbers the queued events in order.  Sixteen events stay queued
+   while [push_pop_into] and push-then-pop steps cycle them through the
+   wrap twice at times [t, t+2]: every step ties with queued events,
+   and each pop must match the model, whose seqs never wrap. *)
+let test_seq_wrap () =
+  let q = Event_queue.create () and p = Event_queue.make_popped () in
+  let m = Model.create () in
+  let ran = ref (-1) in
+  let push ~time id =
+    Event_queue.push q ~time (fun () -> ran := id);
+    Model.push m ~time id
+  in
+  for id = 0 to 15 do
+    push ~time:(id / 4) id
+  done;
+  let steps = (2 * (Event_queue.seq_mask + 1)) + 1_000 in
+  let bad = ref 0 and last = ref 0 in
+  for id = 16 to steps + 15 do
+    let time = !last + (id mod 3) in
+    let run () = ran := id in
+    if id land 1 = 0 then Event_queue.push_pop_into q ~time run p
+    else begin
+      Event_queue.push q ~time run;
+      ignore (Event_queue.pop_into q p)
+    end;
+    Model.push m ~time id;
+    (match Model.pop m with
+    | Some (mt, _, mid) ->
+        p.Event_queue.p_run ();
+        if p.Event_queue.p_time <> mt || !ran <> mid then incr bad;
+        last := mt
+    | None -> incr bad);
+    if Event_queue.next_time q <> Model.next_time m then incr bad
+  done;
+  check_int "pops unlike the model" 0 !bad;
+  check_bool "the counter was renumbered" true
+    (q.Event_queue.next_seq <= Event_queue.seq_mask);
+  check_int "still queued" 16 (Event_queue.length q)
+
+(* Times run from 0 to [max_time]; a push outside that range raises,
+   on every push path, and leaves the queue as it was. *)
+let test_time_bound () =
+  let q = Event_queue.create () and p = Event_queue.make_popped () in
+  let top = Event_queue.max_time in
+  let raises name f =
+    Alcotest.check_raises name
+      (Invalid_argument
+         (Printf.sprintf "Event_queue.%s: time outside [0, max_time]" name))
+      f
+  in
+  raises "push" (fun () -> Event_queue.push q ~time:(top + 1) ignore);
+  raises "push" (fun () -> Event_queue.push q ~time:(-1) ignore);
+  raises "push" (fun () -> Event_queue.push q ~time:max_int ignore);
+  raises "push_pop_into" (fun () ->
+      Event_queue.push_pop_into q ~time:(top + 1) ignore p);
+  let o = Event_queue.create ~ordered:true () in
+  raises "push_node" (fun () ->
+      Event_queue.push_node o (Event_queue.child o ~time:(top + 1)) ignore);
+  check_int "nothing queued" 0 (Event_queue.length q + Event_queue.length o);
+  Event_queue.push q ~time:top ignore;
+  Event_queue.push q ~time:0 ignore;
+  Event_queue.push_pop_into q ~time:top ignore p;
+  check_int "the earlier pops" 0 p.Event_queue.p_time;
+  check_int "next is the bound" top (Event_queue.next_time q);
+  ignore (Event_queue.pop_into q p);
+  check_int "popped at the bound" top p.Event_queue.p_time;
+  check_int "one left" 1 (Event_queue.length q)
 
 (* Same-time pushes must pop in insertion order: a long run of
    identical timestamps stresses the tie-break through several heap
@@ -260,4 +356,6 @@ let suite =
     Alcotest.test_case "same-time FIFO order" `Quick test_tie_order;
     Alcotest.test_case "push behind the base pops first" `Quick
       test_regressing_push;
+    Alcotest.test_case "seq counter wraps in order" `Quick test_seq_wrap;
+    Alcotest.test_case "times past max_time raise" `Quick test_time_bound;
   ]

@@ -157,9 +157,10 @@ let test_job_stats_captured () =
 
 (* ----------------------- perf arithmetic --------------------------- *)
 
-let perf_of (a, b, c, d, e, f) =
+let perf_of (a, q, b, c, d, e, f) =
   {
     Sim.events = a;
+    queued = q;
     parks = b;
     wakeups = c;
     elided_probes = d;
@@ -168,8 +169,8 @@ let perf_of (a, b, c, d, e, f) =
   }
 
 let test_perf_arithmetic () =
-  let a = perf_of (10, 2, 3, 40, 5_000, 77)
-  and b = perf_of (7, 1, 1, 13, 900, 11) in
+  let a = perf_of (10, 6, 2, 3, 40, 5_000, 77)
+  and b = perf_of (7, 4, 1, 1, 13, 900, 11) in
   check_bool "zero is add-neutral" true (Sim.perf_add a Sim.perf_zero = a);
   check_bool "diff of self is zero" true (Sim.perf_diff a a = Sim.perf_zero);
   check_bool "add/diff round-trip" true
