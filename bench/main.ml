@@ -484,9 +484,9 @@ let export ~trace_file ~metrics_file observed =
    renders, and print the contention/coherence report.  Every table is
    explicitly sorted, so the report is byte-identical at any --jobs
    count.  The closing reconciliation compares the trace aggregates
-   (which survive ring wrap-around) against the engine's own cumulative
-   counters; any drift means an instrumentation hook went missing, so
-   it exits non-zero. *)
+   (which survive ring wrap-around) against the engine counters booked
+   for the jobs; any drift means an instrumentation hook went missing,
+   so it exits non-zero. *)
 let run_profile ~quick ~jobs ~trace_file ~metrics_file names =
   let module Trace = Ssync_trace.Trace in
   let module Profile = Ssync_trace.Profile in
@@ -575,37 +575,31 @@ let () =
     | a :: rest -> a :: strip_jobs rest
   in
   let args = strip_jobs args in
-  let trace_file = ref None in
-  let rec strip_trace = function
-    | [] -> []
-    | "--trace" :: f :: rest when f <> "--trace" ->
-        trace_file := Some f;
-        strip_trace rest
-    | [ "--trace" ] | "--trace" :: _ ->
-        Printf.eprintf "--trace: missing output file\n";
-        exit 2
-    | a :: rest -> a :: strip_trace rest
+  (* [flag FILE]: the file is the next argument, which is no flag *)
+  let strip_file flag args =
+    let file = ref None in
+    let rec strip = function
+      | [] -> []
+      | a :: f :: rest
+        when a = flag && not (String.starts_with ~prefix:"--" f) ->
+          file := Some f;
+          strip rest
+      | a :: _ when a = flag ->
+          Printf.eprintf "%s: missing output file\n" flag;
+          exit 2
+      | a :: rest -> a :: strip rest
+    in
+    let args = strip args in
+    (!file, args)
   in
-  let args = strip_trace args in
-  let metrics_file = ref None in
-  let rec strip_metrics = function
-    | [] -> []
-    | "--metrics" :: f :: rest when f <> "--metrics" ->
-        metrics_file := Some f;
-        strip_metrics rest
-    | [ "--metrics" ] | "--metrics" :: _ ->
-        Printf.eprintf "--metrics: missing output file\n";
-        exit 2
-    | a :: rest -> a :: strip_metrics rest
-  in
-  let args = strip_metrics args in
+  let trace_file, args = strip_file "--trace" args in
+  let metrics_file, args = strip_file "--metrics" args in
   let args =
     List.filter (fun a -> a <> "--quick" && a <> "--json") args
   in
   (match args with
   | "profile" :: names ->
-      run_profile ~quick ~jobs:!jobs ~trace_file:!trace_file
-        ~metrics_file:!metrics_file names;
+      run_profile ~quick ~jobs:!jobs ~trace_file ~metrics_file names;
       exit 0
   | "chaos" :: rest ->
       Chaos.run ~quick ~jobs:!jobs rest;
@@ -634,8 +628,8 @@ let () =
     (* Fan every job of the planned sections across the pool, then
        render in declaration order. *)
     let results, observed =
-      run_planned ~jobs:!jobs ~trace:(!trace_file <> None)
-        ~metrics:(!metrics_file <> None) planned
+      run_planned ~jobs:!jobs ~trace:(trace_file <> None)
+        ~metrics:(metrics_file <> None) planned
     in
     let perfs = ref [] in
     let start = ref 0 in
@@ -664,7 +658,7 @@ let () =
           }
           :: !perfs)
       planned;
-    export ~trace_file:!trace_file ~metrics_file:!metrics_file observed;
+    export ~trace_file ~metrics_file observed;
     let total_wall = Unix.gettimeofday () -. t0 in
     (* stderr, so stdout stays byte-identical across runs and --jobs *)
     let p = (Ssync_engine.Pool.total_stats results).Ssync_engine.Pool.perf in

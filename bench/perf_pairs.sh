@@ -15,10 +15,10 @@
 # Pace.kernel mod 64.  perf/ rescales host times by that kernel's speed,
 # so a layout difference moves every reading a few percent; the script
 # warns when they differ.  It prints the same for the engine's hot
-# functions (Memory.access_lat_in and access_lat_inner, Sim.mem_op,
-# Event_queue.push and pop_into, Cost_model.op_latency, fill_path and
-# resource_hold), which move with any size change in the modules linked
-# ahead of them, and warns when any of those differ.
+# functions (Memory.access_lat_in, Sim.mem_op, Event_queue.push and
+# pop_into, Cost_model.op_latency, fill_path and resource_hold), which
+# move with any size change in the modules linked ahead of them, and
+# warns when any of those differ.
 #
 # Finally runs N pairs of the BENCHMARK.json command (--seconds from its
 # run_seconds) on WORKLOAD at SEED, alternating which tree goes first,
@@ -97,7 +97,7 @@ pk=$(mod64 "$parent" Pace.kernel); ck=$(mod64 "$change" Pace.kernel)
 echo "layout  Pace.kernel mod 64: parent $pk, change $ck"
 echo "layout  curry/apply arities only in parent: ${op:-none}; only in change: ${oc:-none}"
 hot_moved=
-for f in Memory.access_lat_in Memory.access_lat_inner Sim.mem_op \
+for f in Memory.access_lat_in Sim.mem_op \
          Event_queue.push Event_queue.pop_into Cost_model.op_latency \
          Cost_model.fill_path Cost_model.resource_hold; do
   ph=$(mod64 "$parent" "$f"); ch=$(mod64 "$change" "$f")

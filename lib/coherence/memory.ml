@@ -210,7 +210,7 @@ type t = {
   scratch : Cost_model.view;    (* reused for every op_latency call *)
   path : int array;             (* reused resource-path scratch *)
   mutable last_result : int;
-      (* result value of the most recent [access_lat] — an out-parameter
+      (* result value of the most recent access — an out-parameter
          that spares the engine's hot path one tuple allocation per
          memory operation *)
   stats : Stats.t;
@@ -326,8 +326,9 @@ let dispose t =
       }
       :: !pool
 
-let platform t = t.platform
 let stats t = t.stats
+let trace t = t.trace
+let metrics t = t.macc
 let n_lines t = t.n_lines
 let line_words t = t.platform.Platform.topo.Topology.line_words
 
@@ -865,8 +866,8 @@ let[@inline] sample_sharers t m ls b li ~upto =
    the line exclusively and reserves it, or — under another core's
    reservation — degrades to a directed read snoop.  The operands are
    required labels: optional ones would box a [Some] per call on the
-   engine's per-operation path (the [access_lat] wrapper offers them
-   optional for casual callers).
+   engine's per-operation path ([access] offers them optional for
+   casual callers).
 
    A local hit ([short_hit]) on a line no spinner is parked on takes a
    short path, metrics on or off: it queues behind nothing, crosses no
@@ -1093,16 +1094,20 @@ let access_lat_in t ~core ~now (op : Arch.memop) (a : addr)
     latency
   end
 
-let access_lat ?(operand = 0) ?(operand2 = 0) ?(fetch = false) t ~core ~now op
-    a =
-  access_lat_in t ~core ~now op a ~operand ~operand2 ~fetch
-
 let last_result t = t.last_result
 
-let access ?operand ?operand2 ?fetch t ~core ~now (op : Arch.memop) (a : addr)
-    : int * int =
-  let latency = access_lat ?operand ?operand2 ?fetch t ~core ~now op a in
-  (latency, last_result t)
+(* The options are matched, not defaulted: a defaulted [access] would
+   split into a wrapper that inlines into every caller, [perf/]'s among
+   them, and move its pace kernel (DESIGN.md, "Observability"). *)
+let access ?operand ?operand2 ?fetch t ~core ~now (op : Arch.memop)
+    (a : addr) : int * int =
+  let int = function Some v -> v | None -> 0 in
+  let fetch = match fetch with Some f -> f | None -> false in
+  let latency =
+    access_lat_in t ~core ~now op a ~operand:(int operand)
+      ~operand2:(int operand2) ~fetch
+  in
+  (latency, t.last_result)
 
 (* Expected latency of [op] issued by [core] right now, without doing
    it (tests). *)

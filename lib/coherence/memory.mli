@@ -99,12 +99,19 @@ val no_tie : int -> bool
 type t
 
 val create : Platform.t -> t
-(** A memory with no lines.  It caches the domain's [Trace] and
+(** A memory with no lines.  It reads the domain's [Trace] and
     [Metrics] sinks, if installed, and starts a new epoch on each, so
     successive memories of one job land on disjoint segments of its
-    timeline; every sample it takes goes straight into the sink. *)
+    timeline; every sample it takes goes straight into the sink.  It is
+    the one reader of the sinks: the engine, the locks and the channels
+    built on a memory take them from {!trace} and {!metrics}. *)
 
-val platform : t -> Platform.t
+val trace : t -> Ssync_trace.Trace.t option
+(** The trace sink {!create} found, if any. *)
+
+val metrics : t -> Ssync_metrics.Metrics.t option
+(** The metrics sink {!create} found, if any, its epoch already
+    started. *)
 
 val stats : t -> Stats.t
 (** Running access statistics of this memory. *)
@@ -128,7 +135,8 @@ val release_pool : unit -> unit
 val access_lat_in :
   t -> core:int -> now:int -> Arch.memop -> addr ->
   operand:int -> operand2:int -> fetch:bool -> int
-(** {!access_lat} with every operand explicit: the engine's
+(** {!access} with every operand explicit, returning only the latency
+    and leaving the result value in {!last_result}: the engine's
     per-operation path, which allocates nothing (optional arguments
     would box a [Some] per call).  A local hit on a line without
     parked waiters — a load by a core holding the line, or a store or
@@ -205,16 +213,8 @@ val access :
     single-writer update.  A real access additionally settles and
     revalidates the line's parked waiters. *)
 
-val access_lat :
-  ?operand:int -> ?operand2:int -> ?fetch:bool -> t -> core:int -> now:int ->
-  Arch.memop -> addr -> int
-(** Exactly {!access}, but returns only the latency and leaves the
-    result value in {!last_result} — the engine's per-operation hot
-    path, which would otherwise allocate one [(latency, result)] tuple
-    per simulated memory access. *)
-
 val last_result : t -> int
-(** Result value of the most recent {!access_lat} on this memory. *)
+(** Result value of the most recent access on this memory. *)
 
 val waiter_count : t -> addr -> int
 (** Number of spinners currently parked on the line (tests/metrics). *)

@@ -42,13 +42,6 @@ let none =
 
 let is_none s = s == none || s = none
 
-(* Spin waits may park under any spec without crashes: jitter is drawn
-   per memory operation and preemption per scheduling point, inert
-   probes included, from the thread's own stream, which a parked waiter
-   can draw ahead and skip exactly (see [Sim]).  Crash specs keep
-   literal polling. *)
-let parkable s = s.crashes = []
-
 let preemption ?(seed = 1) ?(cycles = (2_000, 20_000)) prob =
   if prob < 0. || prob > 1. then invalid_arg "Fault.preemption: prob in [0,1]";
   { none with seed; preempt_prob = prob; preempt_cycles = cycles }

@@ -29,15 +29,6 @@ val none : spec
 
 val is_none : spec -> bool
 
-val parkable : spec -> bool
-(** A spec under which spin waits park event-driven and stay exact: any
-    spec without crashes.  Every memory operation draws its jitter and
-    every scheduling point its preemption from the thread's own stream,
-    inert spin probes included, so a parked waiter draws its elided
-    polls' faults ahead and skips them exactly.  Crash specs keep
-    literal polling; parkers ({!Sim.park}) poll under every spec that
-    injects anything. *)
-
 val preemption : ?seed:int -> ?cycles:int * int -> float -> spec
 (** [preemption prob] preempts at each scheduling point with
     probability [prob] for a duration drawn from [cycles]. *)

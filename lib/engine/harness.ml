@@ -12,11 +12,11 @@
    counters.  Callers that care must check [completed_all].
 
    [simulate] and [run] are pure functions of their arguments: every
-   invocation builds its own [Sim.t]/[Memory.t], draws from its own
-   seeded RNG, and the engine's perf counters are domain-local — so
-   concurrent runs on different domains (see [Pool]) compute exactly
-   what serial runs would, and [result] is a plain value safe to ship
-   across domains. *)
+   invocation builds its own [Sim.t]/[Memory.t] and draws from its own
+   seeded RNG, and the one ambient total [simulate] books each finished
+   simulation's counters into is domain-local — so concurrent runs on
+   different domains (see [Pool]) compute exactly what serial runs
+   would, and [result] is a plain value safe to ship across domains. *)
 
 open Ssync_platform
 open Ssync_coherence
@@ -60,10 +60,19 @@ let spawn_order ~threads =
     order;
   order
 
+(* The engine counters ([Sim.perf]) of every simulation the domain has
+   finished, summed.  [Pool] attributes a job's counters by the
+   difference around it, in the domain that runs the job. *)
+let booked_key : Sim.perf ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref Sim.perf_zero)
+
+let booked () = !(Domain.DLS.get booked_key)
+
 (* The one lifecycle of every simulation: [build sim mem] allocates and
    spawns, and returns the closure that reads the result; [simulate]
-   runs the simulation (to [until], if given) in between and hands that
-   closure the run's health.  The memory is disposed on every exit, an
+   runs the simulation (to [until], if given) in between, books its
+   counters and hands that closure the run's health.  A build or run
+   that raises books nothing.  The memory is disposed on every exit, an
    exception included, so the closure reads it before that or not at
    all. *)
 let simulate ?faults ?parking ?until platform
@@ -75,6 +84,8 @@ let simulate ?faults ?parking ?until platform
     (fun () ->
       let result = build sim mem in
       let _, health = Sim.run_health ?until sim in
+      let total = Domain.DLS.get booked_key in
+      total := Sim.perf_add !total (Sim.perf sim);
       result health)
 
 (* [body shared mem ~tid ~deadline] runs inside a simulated thread and

@@ -2,12 +2,13 @@
    across cores.
 
    Jobs are pure thunks: each one builds its own [Sim.t] (simulations
-   share no mutable state — the engine's counters are domain-local and
-   everything else hangs off the per-run [Sim.t]/[Memory.t]), so any
-   assignment of jobs to domains computes the same values.  [run]
-   therefore returns results indexed by submission order no matter
-   which domain ran what, which is what lets the benchmark driver
-   render tables byte-identically at any [--jobs] count.
+   share no mutable state — the counter total [Harness.simulate] books
+   into is domain-local and everything else hangs off the per-run
+   [Sim.t]/[Memory.t]), so any assignment of jobs to domains computes
+   the same values.  [run] therefore returns results indexed by
+   submission order no matter which domain ran what, which is what lets
+   the benchmark driver render tables byte-identically at any [--jobs]
+   count.
 
    Scheduling is a single atomic work counter: domains pull the next
    unclaimed job index until none remain.  That gives dynamic load
@@ -15,11 +16,12 @@
    sections) without any ordering hazard, because ordering lives in the
    results array, not in execution time.
 
-   Each job's engine-counter delta ([Sim.perf]) and wall time are
-   captured inside the domain that executed it; callers sum the per-job
-   stats into per-section totals instead of reading a global.  A job
-   that wants a trace or metrics sink installs it itself, in the
-   domain that runs it, and returns it with its value.
+   Each job's engine counters — the [Sim.perf] of every simulation it
+   ran through [Harness.simulate] — and wall time are captured inside
+   the domain that executed it; callers sum the per-job stats into
+   per-section totals instead of reading a global.  A job that wants a
+   trace or metrics sink installs it itself, in the domain that runs
+   it, and returns it with its value.
 
    Jobs recycle their memories' arrays through the executing domain's
    pool ([Memory.dispose]); [run] empties the calling domain's pool
@@ -52,10 +54,10 @@ let default_jobs () = Domain.recommended_domain_count ()
 
 (* Run [thunks.(i)] capturing its result, engine-counter delta and wall
    time.  Must execute in the domain that owns the slot's work so the
-   domain-local counters attribute correctly. *)
+   domain-local total ([Harness.booked]) attributes correctly. *)
 let exec_one (thunks : (unit -> 'a) array) (results : 'a outcome array)
     (stats : stats array) i =
-  let before = Sim.cumulative_perf () in
+  let before = Harness.booked () in
   let t0 = Unix.gettimeofday () in
   (results.(i) <-
     (match thunks.(i) () with
@@ -63,7 +65,7 @@ let exec_one (thunks : (unit -> 'a) array) (results : 'a outcome array)
     | exception e -> Error_r e));
   let wall_ns = int_of_float ((Unix.gettimeofday () -. t0) *. 1e9) in
   stats.(i) <-
-    { wall_ns; perf = Sim.perf_diff (Sim.cumulative_perf ()) before }
+    { wall_ns; perf = Sim.perf_diff (Harness.booked ()) before }
 
 let finish (results : 'a outcome array) (stats : stats array) :
     ('a * stats) array =

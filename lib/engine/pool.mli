@@ -4,9 +4,10 @@
     across up to [jobs] domains (the calling domain included) and
     returns results in submission order, so downstream rendering is
     byte-identical whatever the parallelism.  Each result carries the
-    wall time and the engine-counter delta ({!Sim.perf}) measured
-    inside the domain that executed the job — the counters are
-    domain-local, so concurrent jobs never race on them. *)
+    wall time and the engine counters ({!Sim.perf}) of the simulations
+    the job ran through [Harness.simulate], measured inside the domain
+    that executed the job — the total they are booked into is
+    domain-local, so concurrent jobs never race on it. *)
 
 type stats = {
   wall_ns : int;  (** wall-clock spent executing the job *)

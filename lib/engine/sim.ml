@@ -115,21 +115,6 @@ and exact = {
   x_replay : int -> unit;
 }
 
-(* Cumulative engine counters for the benchmark harness's perf report.
-   Domain-local: each domain accumulates the simulations it ran itself,
-   so concurrent sims never race on the totals and a parallel harness
-   can attribute counters per job by snapshotting around it in the
-   executing domain. *)
-and counters = {
-  mutable c_events : int;
-  mutable c_queued : int;
-  mutable c_parks : int;
-  mutable c_wakeups : int;
-  mutable c_elided : int;
-  mutable c_link_queued : int;
-  mutable c_sim_cycles : int;
-}
-
 and t = {
   platform : Platform.t;
   mem : Memory.t;
@@ -144,7 +129,8 @@ and t = {
       (* the completion of the running thread's own step, left at
          [stash_at] for the run loop to push and pop in one sift; -1
          when none *)
-  mutable runners : (unit -> unit) array; (* each thread's [run_ik], by tid *)
+  mutable threads : thread_state array;
+      (* by tid; cells from [spawned] on are unused *)
   mutable live : int;
   mutable parks : int;
   mutable wakeups : int;
@@ -153,26 +139,13 @@ and t = {
   mutable spawned : int;
   faults : Fault.spec;
   faults_active : bool;
-  parking : bool; (* event-driven waiter wakeup enabled? *)
-  spins_park : bool; (* [parking] and no crash spec: spin waits park *)
-  exact : bool;
-      (* spin waits park exactly under fault draws: the queue orders
-         same-time events by ancestry ([Event_queue.precedes]) and a
-         parked waiter draws its elided polls' faults ahead *)
-  tstates : (int, thread_state) Hashtbl.t;
+  mode : mode;
   mutable crashed_tids : int list; (* reversed *)
-  cum : counters; (* the creating domain's cumulative totals *)
-  mutable booked_lq : int;
-      (* [Stats.link_queued_cycles] already booked into
-         [cum.c_link_queued]: each run books the delta since the
-         previous one, so accesses made between runs (workload setup)
-         are booked once, by the next run *)
   mutable run_until : int; (* current run's [until] backstop *)
   trace : Trace.t option;
-      (* the domain's trace sink, cached at creation time (zero
-         overhead when off: one option match per hook site) *)
-  macc : Metrics.t option;
-      (* the domain's metrics sink, cached likewise *)
+      (* the memory's trace sink (zero overhead when off: one option
+         match per hook site) *)
+  macc : Metrics.t option; (* the memory's metrics sink *)
   mutable cell : cell;
       (* the running domain's current-thread cell, captured at run
          start so the queue's runners need no domain-local lookup *)
@@ -186,19 +159,12 @@ and t = {
    stays reachable from the domain. *)
 and cell = { mutable cur : thread_state option }
 
-let counters_key : counters Domain.DLS.key =
-  Domain.DLS.new_key (fun () ->
-      {
-        c_events = 0;
-        c_queued = 0;
-        c_parks = 0;
-        c_wakeups = 0;
-        c_elided = 0;
-        c_link_queued = 0;
-        c_sim_cycles = 0;
-      })
+(* How waits wait, fixed at creation: [Polled] (parking off, or a crash
+   spec) pauses and probes literally; [Exact] (fault draws) parks spin
+   waits exactly, on an ancestry-ordered queue, while parkers poll;
+   [Parked] parks both. *)
+and mode = Polled | Parked | Exact
 
-let counters () = Domain.DLS.get counters_key
 let cell_key : cell Domain.DLS.key = Domain.DLS.new_key (fun () -> { cur = None })
 
 (* A barrier's waiters are suspended threads, latest arrival first. *)
@@ -247,15 +213,16 @@ let no_k : (int, unit) Effect.Deep.continuation =
 let create ?(faults = Fault.none) ?(parking = true) platform =
   let faults = Fault.validate faults in
   let mem = Memory.create platform in
-  let exact =
-    parking && Fault.parkable faults
-    && (faults.Fault.preempt_prob > 0. || faults.Fault.jitter_prob > 0.)
+  let mode =
+    if (not parking) || faults.Fault.crashes <> [] then Polled
+    else if faults.Fault.preempt_prob > 0. || faults.Fault.jitter_prob > 0.
+    then Exact
+    else Parked
   in
-  let q = Event_queue.create ~ordered:exact () in
   {
     platform;
     mem;
-    q;
+    q = Event_queue.create ~ordered:(mode == Exact) ();
     popped = Event_queue.make_popped ();
     now = 0;
     fuel = 0;
@@ -263,7 +230,7 @@ let create ?(faults = Fault.none) ?(parking = true) platform =
     queued = 0;
     stash_at = -1;
     stash_tid = 0;
-    runners = [||];
+    threads = [||];
     live = 0;
     parks = 0;
     wakeups = 0;
@@ -272,29 +239,15 @@ let create ?(faults = Fault.none) ?(parking = true) platform =
     spawned = 0;
     faults;
     faults_active = not (Fault.is_none faults);
-    parking;
-    spins_park = parking && Fault.parkable faults;
-    exact;
-    tstates = Hashtbl.create 64;
+    mode;
     crashed_tids = [];
-    cum = counters ();
-    booked_lq = 0;
     run_until = max_int;
-    trace = Trace.current ();
-    macc = Metrics.current ();
+    trace = Memory.trace mem;
+    macc = Memory.metrics mem;
     cell = Domain.DLS.get cell_key;
   }
 
 let memory t = t.mem
-let platform t = t.platform
-
-(* Spin waits park unless a crash spec is active (crash specs poll).
-   Without fault draws no probe consumes one, so parking needs no
-   look-ahead; under jitter or preemption a parked waiter draws its
-   elided polls' faults ahead ([exact_park]).  Parkers and the NIC
-   channel's grid shortcut poll literally under every fault spec
-   ([parker_driven]). *)
-let parker_driven t = t.spins_park && not t.exact
 
 (* ---------------------- engine-side metrics ------------------------ *)
 
@@ -332,7 +285,8 @@ let[@inline never] sched_exact t ~at run =
   Event_queue.push_node t.q (Event_queue.child t.q ~time:at) run
 
 let[@inline] sched t ~at run =
-  if t.exact then sched_exact t ~at run else Event_queue.push t.q ~time:at run
+  if t.mode == Exact then sched_exact t ~at run
+  else Event_queue.push t.q ~time:at run
 
 (* ------------------------------------------------------------------ *)
 (* Fault hooks. *)
@@ -430,7 +384,7 @@ let try_direct t st ~at =
        t.events <- t.events + 1;
        t.now <- at;
        st.last_progress <- at;
-       if t.exact then direct_exact t ~at;
+       if t.mode == Exact then direct_exact t ~at;
        true
      end
 
@@ -453,7 +407,7 @@ let wake t st ~at =
    thread's fiber returns to it, which it does next.  The stash holds
    ints only, so it costs no write barrier. *)
 let queue_step t st ~at =
-  if t.exact || st.crash_at >= 0 then wake t st ~at
+  if t.mode == Exact || st.crash_at >= 0 then wake t st ~at
   else begin
     t.stash_at <- at;
     t.stash_tid <- st.tid
@@ -557,7 +511,7 @@ let pause cycles =
 let now () = (current ()).sim.now
 let self_core () = (current ()).core
 let self_tid () = (current ()).tid
-let event_driven_waits () = parker_driven (current ()).sim
+let event_driven_waits () = (current ()).sim.mode == Parked
 
 (* Cost-free oracle: robust locks model the OS's exact knowledge of
    which threads died (robust-futex EOWNERDEAD bookkeeping), so the
@@ -566,9 +520,10 @@ let event_driven_waits () = parker_driven (current ()).sim
    crash event itself has fired yet. *)
 let tid_crashed qtid =
   let t = (current ()).sim in
-  match Hashtbl.find_opt t.tstates qtid with
-  | Some qst -> qst.crashed || (qst.crash_at >= 0 && t.now >= qst.crash_at)
-  | None -> false
+  qtid >= 0 && qtid < t.spawned
+  &&
+  let qst = t.threads.(qtid) in
+  qst.crashed || (qst.crash_at >= 0 && t.now >= qst.crash_at)
 
 (* Park and wake bookkeeping of a wait: counters, run-state gauges and
    trace records.  [a] is the polled word, -1 for a parker; a woken
@@ -768,9 +723,9 @@ let rec exact_wait t st op a ~operand ~operand2 ~while_ ~poll =
    on the line until the probe must run for real.  Returns at the
    probe's issue time. *)
 let wait t st op a ~operand ~operand2 ~while_ ~poll =
-  if t.exact then exact_wait t st op a ~operand ~operand2 ~while_ ~poll
+  if t.mode == Exact then exact_wait t st op a ~operand ~operand2 ~while_ ~poll
   else if
-    t.spins_park
+    t.mode == Parked
     && Memory.try_park_in t.mem ~core:st.core ~now:t.now op a ~operand
          ~operand2 ~while_ ~poll ~replay:st.replay
   then begin
@@ -850,7 +805,7 @@ let park pk ~poll =
   if poll <= 0 then invalid_arg "Sim.park: poll must be positive";
   let st = current () in
   let t = st.sim in
-  if parker_driven t then begin
+  if t.mode == Parked then begin
     (match pk.seat with
     | Some _ -> invalid_arg "Sim.park: parker already occupied"
     | None -> ());
@@ -920,14 +875,13 @@ let spawn t ~core body =
       xp = no_exact;
     }
   in
-  if t.exact then st.xp <- make_exact t st;
-  Hashtbl.replace t.tstates tid st;
-  if tid = Array.length t.runners then begin
-    let runners = Array.make (Int.max 8 (2 * tid)) ignore in
-    Array.blit t.runners 0 runners 0 tid;
-    t.runners <- runners
+  if t.mode == Exact then st.xp <- make_exact t st;
+  if tid = Array.length t.threads then begin
+    let threads = Array.make (Int.max 8 (2 * tid)) st in
+    Array.blit t.threads 0 threads 0 tid;
+    t.threads <- threads
   end;
-  t.runners.(tid) <- st.run_ik;
+  t.threads.(tid) <- st;
   (match t.trace with
   | Some tr -> Trace.thread tr ~ts:t.now ~tid ~core
   | None -> ());
@@ -982,19 +936,21 @@ let verdict_to_string = function
       Printf.sprintf "stalled (tid %d on core %d, last progress at %d)" tid
         core last_progress
 
+let iter_threads t f =
+  for tid = 0 to t.spawned - 1 do
+    f t.threads.(tid)
+  done
+
 (* The live thread that has gone the longest without progress — the
    watchdog's culprit.  Ties break toward the lowest tid so the verdict
    is deterministic. *)
 let most_stalled t =
   let best = ref None in
-  for tid = 0 to t.spawned - 1 do
-    match Hashtbl.find_opt t.tstates tid with
-    | Some st when (not st.finished) && not st.crashed -> (
+  iter_threads t (fun st ->
+      if (not st.finished) && not st.crashed then
         match !best with
         | Some b when b.last_progress <= st.last_progress -> ()
-        | _ -> best := Some st)
-    | _ -> ()
-  done;
+        | _ -> best := Some st);
   !best
 
 (* Run the simulation until no events remain.  [until] stops the run at
@@ -1015,8 +971,7 @@ let most_stalled t =
    first step past [until] at the latest, and no wake replays past
    that stop.) *)
 let settle_backstop t ~until =
-  Hashtbl.iter
-    (fun _ st ->
+  iter_threads t (fun st ->
       let x = st.xp in
       if x.x_parked then begin
         let w = x.x_w in
@@ -1033,7 +988,6 @@ let settle_backstop t ~until =
           if last > t.now then t.now <- last
         end
       end)
-    t.tstates
 
 (* The event loop of one run: pop and run events until the queue drains
    or passes [until]; returns how many events the backstop dropped.  A
@@ -1048,7 +1002,7 @@ let drain t ~until ~max_events ~ev_base =
     let got =
       if at >= 0 then begin
         t.stash_at <- -1;
-        Event_queue.push_pop_into t.q ~time:at t.runners.(t.stash_tid) p;
+        Event_queue.push_pop_into t.q ~time:at t.threads.(t.stash_tid).run_ik p;
         true
       end
       else Event_queue.pop_into t.q p
@@ -1066,19 +1020,15 @@ let drain t ~until ~max_events ~ev_base =
         raise (Simulation_runaway (t.events - ev_base));
       t.fuel <- 0;
       t.now <- p.Event_queue.p_time;
-      if t.exact then Event_queue.ran t.q p.Event_queue.p_node ~rank:t.events;
+      if t.mode == Exact then
+        Event_queue.ran t.q p.Event_queue.p_node ~rank:t.events;
       p.Event_queue.p_run ()
     end
   done;
   !dropped
 
 let run_health ?(until = max_int) ?(max_events = 200_000_000) t =
-  let start_now = t.now in
-  let start_elided = (Memory.stats t.mem).Stats.elided_probes in
   let ev_base = t.events in
-  let queued_base = t.queued in
-  let parks_base = t.parks in
-  let wakeups_base = t.wakeups in
   t.run_until <- until;
   (* the threads run with the domain's cell pointing at them; on the way
      out, normal or not, it gets back what it held before the run *)
@@ -1095,24 +1045,12 @@ let run_health ?(until = max_int) ?(max_events = 200_000_000) t =
         cell.cur <- outer;
         Printexc.raise_with_backtrace e bt
   in
-  if t.exact && until < max_int then settle_backstop t ~until;
+  if t.mode == Exact && until < max_int then settle_backstop t ~until;
   (* close the open run-state spans so the thread gauges cover the
      whole run, whichever state each thread ends it in *)
   if t.macc <> None then
-    Hashtbl.iter
-      (fun _ st -> if st.m_state < m_dead then m_trans t st ~at:t.now st.m_state)
-      t.tstates;
-  t.cum.c_events <- t.cum.c_events + (t.events - ev_base);
-  t.cum.c_queued <- t.cum.c_queued + (t.queued - queued_base);
-  t.cum.c_parks <- t.cum.c_parks + (t.parks - parks_base);
-  t.cum.c_wakeups <- t.cum.c_wakeups + (t.wakeups - wakeups_base);
-  t.cum.c_sim_cycles <- t.cum.c_sim_cycles + (t.now - start_now);
-  t.cum.c_elided <-
-    t.cum.c_elided
-    + ((Memory.stats t.mem).Stats.elided_probes - start_elided);
-  let lq = (Memory.stats t.mem).Stats.link_queued_cycles in
-  t.cum.c_link_queued <- t.cum.c_link_queued + (lq - t.booked_lq);
-  t.booked_lq <- lq;
+    iter_threads t (fun st ->
+        if st.m_state < m_dead then m_trans t st ~at:t.now st.m_state);
   let verdict =
     if t.live <= 0 then Completed
     else
@@ -1159,21 +1097,6 @@ let perf (t : t) =
     elided_probes = (Memory.stats t.mem).Stats.elided_probes;
     link_queued_cycles = (Memory.stats t.mem).Stats.link_queued_cycles;
     sim_cycles = t.now;
-  }
-
-(* Totals across every simulation run by the *calling domain* (the
-   benchmark harness samples deltas around each job in the domain that
-   executes it, then sums per-job deltas). *)
-let cumulative_perf () =
-  let c = counters () in
-  {
-    events = c.c_events;
-    queued = c.c_queued;
-    parks = c.c_parks;
-    wakeups = c.c_wakeups;
-    elided_probes = c.c_elided;
-    link_queued_cycles = c.c_link_queued;
-    sim_cycles = c.c_sim_cycles;
   }
 
 (* Pure arithmetic on perf records, for aggregating per-job deltas. *)

@@ -24,19 +24,22 @@
     preemption, latency jitter, crash-stop threads) and always tracks
     per-thread progress, so {!run_health} reports a structured verdict
     — finished versus stalled/deadlocked — instead of silently
-    dropping the tail of a pathological schedule.  Spin waits stay
-    event-driven and exact under jitter and preemption: every memory
-    operation draws its jitter and every scheduling point its
-    preemption, inert probes included; a parked waiter draws its elided
-    polls' faults ahead from its own stream, wakes at the first poll
-    whose draws fire, and every event standing in for an elided one
-    sorts among same-time events where the polled one would.
-    Crash-stop specs keep literal pause/probe stepping.
+    dropping the tail of a pathological schedule.
+
+    {!create} fixes one of three wait modes.  {e Polled} (parking off,
+    or a crash-stop spec): every wait pauses and probes literally.
+    {e Exact} (a positive jitter or preemption probability): spin
+    waits park, a parked waiter draws its elided polls' faults ahead
+    from its own stream and wakes at the first poll whose draws fire,
+    and every event standing in for an elided one sorts among
+    same-time events where the polled one would; parkers poll.
+    {e Parked} (otherwise): spin waits and parkers park.
 
     The engine is serial: one event queue, one virtual clock, one
     memory.  Parallelism comes from running many independent
     simulations at once ([Pool]), not from splitting one simulation
-    across domains. *)
+    across domains.  The counters ({!perf}) live in [t] alone, and the
+    trace and metrics sinks are the memory's. *)
 
 type t
 
@@ -49,13 +52,11 @@ val create :
     consumes no random draws — fault-free runs are bit-identical to the
     engine without the fault layer.  [parking] (default [true])
     enables event-driven waiter wakeup; [false] makes every wait poll
-    literally, the reference parked runs are checked against.  Spin
-    waits stay parked and exact under jitter and preemption specs and
-    poll while crash-stop faults are active (see {!Fault.parkable}).
-    Raises [Invalid_argument] on a malformed spec. *)
+    literally, the reference parked runs are checked against.  The
+    two fix the wait mode (see the module header).  Raises
+    [Invalid_argument] on a malformed spec. *)
 
 val memory : t -> Ssync_coherence.Memory.t
-val platform : t -> Ssync_platform.Platform.t
 
 val spawn : t -> core:int -> (unit -> unit) -> unit
 (** [spawn t ~core body] schedules a simulated thread pinned to [core].
@@ -90,7 +91,7 @@ val run_health : ?until:int -> ?max_events:int -> t -> int * health
     With event-driven waiting, a deadlocked run (e.g. parked spinners
     whose wakeup will never come) drains the queue and reports
     [Stalled] with [dropped_events = 0] rather than polling until the
-    backstop. *)
+    backstop.  The run's counters stay in [t] ({!perf}). *)
 
 val run : ?until:int -> ?max_events:int -> t -> int
 (** [run t] is [fst (run_health t)] — the original interface, for
@@ -121,15 +122,11 @@ type perf = {
 }
 
 val perf : t -> perf
-(** Counters for this simulation (cumulative over its [run_health]
-    calls). *)
-
-val cumulative_perf : unit -> perf
-(** Totals across every simulation created and run by the calling
-    domain (the counters are domain-local, so concurrent simulations in
-    other domains never race on them).  The benchmark harness samples
-    deltas around each job inside the domain that executes it and sums
-    the per-job deltas into per-section totals. *)
+(** Counters for this simulation, cumulative over its [run_health]
+    calls: the simulation's own fields and its memory's statistics, the
+    only copy of each.  [Harness.simulate] adds them to the domain's
+    total once the run returns, and [Pool] attributes a job the
+    difference of that total around it. *)
 
 val perf_zero : perf
 val perf_add : perf -> perf -> perf
@@ -228,9 +225,10 @@ val await : barrier -> unit
     cannot see (e.g. the Tilera's hardware message queues).  The waiter
     declares its poll period; {!unpark} wakes it at the first poll-grid
     point after the state change — exactly when the literal poll loop
-    would have noticed.  Under fault injection (jitter, preemption or
-    crash specs) or with parking disabled, {!park} degrades to one
-    [pause poll] quantum and the caller's loop re-checks. *)
+    would have noticed.  Outside the parked wait mode (a positive
+    jitter or preemption probability, a crash spec, or parking
+    disabled), {!park} degrades to one [pause poll] quantum and the
+    caller's loop re-checks. *)
 
 type parker
 
@@ -246,9 +244,10 @@ val unpark : parker -> unit
     caller. *)
 
 val event_driven_waits : unit -> bool
-(** Whether event-driven waiting is active in the enclosing simulation
-    for parkers (parking enabled, no faults injected) — lets wait loops
-    choose between grid-arithmetic shortcuts and literal polling. *)
+(** Whether the enclosing simulation is in the parked wait mode, where
+    parkers park (parking enabled, no crash spec, no positive fault
+    probability) — lets wait loops choose between grid-arithmetic
+    shortcuts and literal polling. *)
 
 val tid_crashed : int -> bool
 (** Has thread [tid] crash-stopped?  True from the moment virtual time

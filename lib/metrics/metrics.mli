@@ -9,8 +9,8 @@
     byte-identical at any [--jobs] (per-job sinks, fresh per job).
 
     The discipline mirrors [Trace]: a job that wants samples installs
-    a sink in the domain that runs it; instrumentation sites cache the
-    sink at creation, add every sample to it as they take it, and pay
+    a sink in the domain that runs it; instrumentation sites hold the
+    sink their memory read at creation, add every sample as taken, and pay
     one option check when metrics are off; probes are time-free, so
     sampled runs replay the identical virtual-time schedule. *)
 

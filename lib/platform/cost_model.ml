@@ -42,8 +42,8 @@ let n_holders v = Coreset.cardinal v.sharers + if v.owner < 0 then 0 else 1
 let holds v core = v.owner = core || Coreset.mem v.sharers core
 
 (* Cycles of a load served from the requester's own L1.  The one copy of
-   these constants: the per-platform models, [op_latency]'s local-load
-   branch and [Memory]'s short path for load hits all return this. *)
+   these constants: [op_latency]'s local-load branch and [Memory]'s
+   short path for load hits both return this. *)
 let load_hit_latency (t : Topology.t) =
   match t.id with
   | Arch.Opteron | Arch.Opteron2 | Arch.Niagara -> 3
@@ -210,21 +210,18 @@ let opteron_latency (t : Topology.t) (op : Arch.memop) ~requester v =
   let class_of_source = source_class t ~requester v in
   match op with
   | Arch.Load ->
-      if holds v requester then load_hit_latency t
-      else
-        opteron_row4 class_of_source
-          (match v.state with
-          | Arch.Modified -> o_load_modified
-          | Arch.Owned -> o_load_owned
-          | Arch.Exclusive -> o_load_exclusive
-          | Arch.Shared -> o_load_shared
-          | Arch.Invalid -> o_fill)
-        + dir_pen
+      opteron_row4 class_of_source
+        (match v.state with
+        | Arch.Modified -> o_load_modified
+        | Arch.Owned -> o_load_owned
+        | Arch.Exclusive -> o_load_exclusive
+        | Arch.Shared -> o_load_shared
+        | Arch.Invalid -> o_fill)
+      + dir_pen
   | Arch.Store -> (
       match v.state with
       | Arch.Modified | Arch.Exclusive ->
-          if v.owner = requester then 3
-          else opteron_row4 class_of_source o_store_me + dir_pen
+          opteron_row4 class_of_source o_store_me + dir_pen
       | Arch.Owned | Arch.Shared ->
           (* Invalidation broadcast; grows slightly with the sharer count
              (storing on a line shared by all 48 cores costs 296). *)
@@ -239,8 +236,7 @@ let opteron_latency (t : Topology.t) (op : Arch.memop) ~requester v =
   | Arch.Cas | Arch.Fai | Arch.Tas | Arch.Swap -> (
       match v.state with
       | Arch.Modified | Arch.Exclusive ->
-          if v.owner = requester then 20
-          else opteron_row4 class_of_source o_atomic_me + dir_pen
+          opteron_row4 class_of_source o_atomic_me + dir_pen
       | Arch.Owned | Arch.Shared ->
           opteron_row4
             (invalidation_class t ~requester v class_of_source)
@@ -290,29 +286,24 @@ let xeon_latency (t : Topology.t) (op : Arch.memop) ~requester v =
   in
   match op with
   | Arch.Load -> (
-      if holds v requester then load_hit_latency t
-      else
-        match v.state with
-        | Arch.Modified ->
-            if v.llc_dirty && rank_of_class class_of_source <= 1 then
-              x_load_modified_llc_hit
-            else xeon_row3 class_of_source x_load_modified
-        | Arch.Exclusive -> xeon_row3 class_of_source x_load_exclusive
-        | Arch.Shared | Arch.Owned -> xeon_row3 class_of_source x_load_shared
-        | Arch.Invalid -> xeon_row3 class_of_source x_fill)
-  | Arch.Store -> (
       match v.state with
       | Arch.Modified ->
-          if v.owner = requester then 5 else xeon_row3 class_of_source x_store_modified
-      | Arch.Exclusive ->
-          if v.owner = requester then 5 else xeon_row3 class_of_source x_store_exclusive
+          if v.llc_dirty && rank_of_class class_of_source <= 1 then
+            x_load_modified_llc_hit
+          else xeon_row3 class_of_source x_load_modified
+      | Arch.Exclusive -> xeon_row3 class_of_source x_load_exclusive
+      | Arch.Shared | Arch.Owned -> xeon_row3 class_of_source x_load_shared
+      | Arch.Invalid -> xeon_row3 class_of_source x_fill)
+  | Arch.Store -> (
+      match v.state with
+      | Arch.Modified -> xeon_row3 class_of_source x_store_modified
+      | Arch.Exclusive -> xeon_row3 class_of_source x_store_exclusive
       | Arch.Shared | Arch.Owned ->
           xeon_row3 (invalidation_class t ~requester v class_of_source) x_store_shared + invalidation_growth
       | Arch.Invalid -> xeon_row3 class_of_source x_fill + 10)
   | Arch.Cas | Arch.Fai | Arch.Tas | Arch.Swap -> (
       match v.state with
-      | Arch.Modified | Arch.Exclusive ->
-          if v.owner = requester then 20 else xeon_row3 class_of_source x_atomic_me
+      | Arch.Modified | Arch.Exclusive -> xeon_row3 class_of_source x_atomic_me
       | Arch.Shared | Arch.Owned ->
           xeon_row3 (invalidation_class t ~requester v class_of_source) x_atomic_shared + invalidation_growth
       | Arch.Invalid -> xeon_row3 class_of_source x_fill + 25)
@@ -343,8 +334,7 @@ let niagara_class (t : Topology.t) ~requester v : Arch.distance =
 let niagara_latency (t : Topology.t) (op : Arch.memop) ~requester v =
   match op with
   | Arch.Load ->
-      if holds v requester then load_hit_latency t
-      else if uncached v || v.state = Arch.Invalid then 176
+      if uncached v || v.state = Arch.Invalid then 176
       else niagara_pair (niagara_class t ~requester v) nia_load
   | Arch.Store -> 24
   | Arch.Cas | Arch.Fai | Arch.Tas | Arch.Swap -> (
@@ -392,16 +382,14 @@ let tilera_latency (t : Topology.t) (op : Arch.memop) ~requester v =
   let inval_growth = 3 * Int.max 0 (Coreset.cardinal v.sharers - 1) in
   match op with
   | Arch.Load ->
-      if holds v requester then load_hit_latency t
-      else if uncached v || v.state = Arch.Invalid then
+      if uncached v || v.state = Arch.Invalid then
         if h = 0 then 108 else tilera_scale ~at1:118 ~at10:162 h
       else if h = 0 then 11 (* own L2 slice is the home *)
       else tilera_scale ~at1:45 ~at10:65 h
   | Arch.Store -> (
       match v.state with
       | Arch.Modified | Arch.Exclusive ->
-          if v.owner = requester then 11
-          else if h = 0 then 20
+          if h = 0 then 20
           else tilera_scale ~at1:57 ~at10:77 h
       | Arch.Shared | Arch.Owned ->
           (if h = 0 then 49 else tilera_scale ~at1:86 ~at10:106 h)
@@ -454,9 +442,7 @@ let scaled_small big_latency (t : Topology.t) ratio op ~requester v =
     let snode = if s >= 0 then t.core_node.(s) else v.home in
     t.hops_tab.((t.core_node.(requester) * t.n_nodes) + snode) > 0
   in
-  let local_hit = holds v requester && op = Arch.Load in
-  if cross && not local_hit then
-    int_of_float (Float.round (float_of_int intra *. ratio))
+  if cross then int_of_float (Float.round (float_of_int intra *. ratio))
   else intra
 
 let opteron2_latency (t : Topology.t) op ~requester v =
@@ -471,18 +457,18 @@ let xeon2_latency (t : Topology.t) op ~requester v =
 
 let op_latency (t : Topology.t) (op : Arch.memop) ~requester (v : view) : int =
   Topology.check t requester;
-  (* Local-service fast paths.  A load hit is [load_hit_latency]; each
-     store/atomic constant mirrors the corresponding early case of the
-     model functions above (and, for the small two-socket platforms, of
-     [scaled_small], whose cross-socket ratio never applies when the
-     requester itself is the data source): the general dispatch below
-     would return exactly the same number, but only after the work the
-     platform functions do before they look at the operation
-     ([opteron_directory_penalty] and [source_class] on the Opteron,
-     [source_class] and a sharer count on the Xeon, the home-hop and
-     sharer counts on the Tilera) —
-     work the simulator's hot path, where most accesses are cache
-     hits, would pay on every access. *)
+  (* Local service, answered here and only here: a load by a holder is
+     [load_hit_latency], a store by the Modified/Exclusive owner and an
+     x86 atomic by that owner cost the constants below.  The platform
+     functions above, reached only through this dispatch, never see
+     these cases ([scaled_small] keeps whether the requester holds the
+     line, so neither do the two-socket platforms).  Answering them
+     first skips the work the platform functions do before they look
+     at the operation ([opteron_directory_penalty] and [source_class]
+     on the Opteron, [source_class] and a sharer count on the Xeon, the
+     home-hop and sharer counts on the Tilera) — work the simulator's
+     hot path, where most accesses are cache hits, would pay on every
+     access. *)
   match op with
   | Arch.Load when holds v requester -> load_hit_latency t
   | Arch.Store

@@ -71,9 +71,8 @@ let ticket_backoff_base (p : Platform.t) =
 (* Wrap a lock with trace instrumentation: wait/acquire/release events
    timed from inside the acquiring thread, with each acquisition's
    handoff classified by the distance from the previous holder's core
-   (the profiler's Table 2 mirror).  Only built when a trace sink is
-   installed at creation time, so untraced runs never see the
-   indirection.  The extra [Sim.now]/[Sim.self_core] calls are pure
+   (the profiler's Table 2 mirror).  Only built when the lock's memory
+   has a trace sink, so untraced runs never see the indirection.  The extra [Sim.now]/[Sim.self_core] calls are pure
    effects that advance no virtual time and consume no draws, so a
    traced run's timestamps are identical to an untraced one. *)
 let instrumented tr (platform : Platform.t) ~n_threads (l : Lock_type.t) :
@@ -191,6 +190,6 @@ let create ?(home_core = 0) mem (platform : Platform.t) ~n_threads algo :
     | Hclh -> Hierarchical.hclh mem platform ~home_core ~n_threads ~place
     | Hticket -> Hierarchical.hticket mem platform ~home_core ~n_threads ~place
   in
-  match Ssync_trace.Trace.current () with
+  match Ssync_coherence.Memory.trace mem with
   | None -> lock
   | Some tr -> instrumented tr platform ~n_threads lock

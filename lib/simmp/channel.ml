@@ -39,7 +39,7 @@ type t = {
       (* per-message software overhead (flag checks, fences, buffer
          management), calibrated per platform against Figure 9 *)
   trace : (Trace.t * int) option;
-      (* trace sink + this channel's registered id, cached at creation *)
+      (* the memory's trace sink + this channel's registered id *)
 }
 
 (* The T2's fences/atomics make its libssmp path comparatively heavy
@@ -80,7 +80,7 @@ let create ?(prefetchw = false) ?(use_hw = true) mem (platform : Platform.t)
     | Coherence _ -> platform_sw_pause platform ~sender_core ~receiver_core
   in
   let trace =
-    match Trace.current () with
+    match Memory.trace mem with
     | None -> None
     | Some tr ->
         let kind =

@@ -8,12 +8,13 @@
     ints in one flat ring that consumers read in place (see "The
     ring's ints" below).
 
-    The contract is zero overhead when off: producers cache
-    {!current} at creation time ([Sim.create] / [Memory.create] /
-    [Simlock.create] / [Channel.create]), so with no trace installed
-    the instrumentation costs one [option] match per hook site and the
-    lock wrappers are never even built.  Install a sink with {!start}
-    before creating the simulation.  When on, producers write through
+    The contract is zero overhead when off: [Memory.create] reads
+    {!current} once per simulation, and every other producer
+    ([Sim.create], [Simlock.create], [Channel.create]) takes the sink
+    from its memory, so with no trace installed the instrumentation
+    costs one [option] match per hook site and the lock wrappers are
+    never even built.  Install a sink with {!start} before creating the
+    memory.  When on, producers write through
     the per-kind emitters ({!xfer}, {!acq}, ...), which store ints into
     a flat ring and allocate nothing.
 

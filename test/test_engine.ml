@@ -349,28 +349,30 @@ let two_phase () =
           finals.(i) <- Sim.load a)
     done
   in
-  let before = Sim.cumulative_perf () in
   wave 150;
   let t1, h1 = Sim.run_health sim in
   let p1 = Sim.perf sim in
   wave 100;
   let t2, h2 = Sim.run_health sim in
   let p2 = Sim.perf sim in
-  let delta = Sim.perf_diff (Sim.cumulative_perf ()) before in
-  ((t1, h1, t2, h2), Array.to_list finals, p1, p2, delta)
+  ((t1, h1, t2, h2), Array.to_list finals, p1, p2)
 
+(* Each of a wave's 4 threads is resumed once at its start, once per
+   load, store, fai and pause, and once for its final load. *)
 let test_two_phase_run () =
-  let times, finals, p1, p2, delta = two_phase () in
-  let times', finals', _, p2', _ = two_phase () in
+  let times, finals, p1, p2 = two_phase () in
+  let times', finals', _, p2' = two_phase () in
   let t1, _, t2, _ = times in
+  let steps iters = 4 * (2 + (4 * iters)) in
   check_bool "second run advances the clock" true (t2 > t1);
   check_bool "deterministic: times and verdicts" true (times = times');
   check_bool "deterministic: final values" true (finals = finals');
   check_bool "deterministic: perf" true (p2 = p2');
-  check_bool "perf grows across the two calls" true
-    (p2.Sim.events > p1.Sim.events && p2.Sim.sim_cycles > p1.Sim.sim_cycles);
-  check_bool "perf is cumulative: equals the domain-counter delta" true
-    (p2 = delta)
+  check_int "first run: every step counted" (steps 150) p1.Sim.events;
+  check_int "perf is cumulative: both runs' steps" (steps 150 + steps 100)
+    p2.Sim.events;
+  check_int "perf is cumulative: the final clock" t2 p2.Sim.sim_cycles;
+  check_int "first run: its clock" t1 p1.Sim.sim_cycles
 
 let test_fault_spec_validation () =
   let fails f = try ignore (f ()); false with Invalid_argument _ -> true in
@@ -465,32 +467,35 @@ let test_queued_step_allocation () =
    [events] direct-ran.  Two threads pausing the same span tie the head
    at every step, so every resumption is queued.  One thread alone is
    queued at its start and then once per 1,001 steps: the fuel bound
-   lets 1,000 steps in a row direct-run.  Both splits hold across the
-   domain's cumulative counters too. *)
+   lets 1,000 steps in a row direct-run.  Run as a pool job through
+   [Harness.simulate], the job's booked counters carry the split. *)
 let test_queued_split () =
   let run threads n =
-    let sim = Sim.create Platform.opteron in
-    for core = 0 to threads - 1 do
-      Sim.spawn sim ~core (fun () ->
-          for _ = 1 to n do
-            Sim.pause 10
-          done)
-    done;
-    let before = Sim.cumulative_perf () in
-    ignore (Sim.run sim);
-    (Sim.perf sim, Sim.perf_diff (Sim.cumulative_perf ()) before)
+    let job () =
+      Harness.simulate Platform.opteron (fun sim _ ->
+          for core = 0 to threads - 1 do
+            Sim.spawn sim ~core (fun () ->
+                for _ = 1 to n do
+                  Sim.pause 10
+                done)
+          done;
+          fun _ -> Sim.perf sim)
+    in
+    match Pool.run ~jobs:1 [| job |] with
+    | [| (p, s) |] -> (p, s.Pool.perf)
+    | _ -> assert false
   in
   let p, d = run 2 500 in
   check_int "2 threads: events" (2 * 501) p.Sim.events;
   check_int "2 threads: every resumption queued" p.Sim.events p.Sim.queued;
-  check_int "2 threads: cumulative" p.Sim.queued d.Sim.queued;
+  check_int "2 threads: the job's counters" p.Sim.queued d.Sim.queued;
   let n = 5_005 in
   let p, d = run 1 n in
   check_int "1 thread: events" (1 + n) p.Sim.events;
   check_int "1 thread: queued at the start and the fuel bound"
     (1 + (n / 1_001))
     p.Sim.queued;
-  check_int "1 thread: cumulative" p.Sim.queued d.Sim.queued
+  check_int "1 thread: the job's counters" p.Sim.queued d.Sim.queued
 
 (* The spin primitives pause [poll] before every probe, the first one
    included, since callers probe before they call: on a cached word
@@ -650,6 +655,37 @@ let qcheck_no_lost_updates =
       ignore (Sim.run sim);
       Memory.peek mem a = threads * iters)
 
+(* One wait mode per spec: parkers park ([event_driven_waits]) only in
+   the parked mode; spin waits park there and in the exact mode (a
+   positive fault probability), and poll under a crash spec or with
+   parking off.  Thread 1 spins on a word thread 0 sets 5,000 cycles
+   in; the crash spec names a thread that is never spawned. *)
+let test_wait_modes () =
+  let row name ?(parking = true) faults ~event_driven ~parks =
+    let sim = Sim.create ~faults ~parking Platform.opteron in
+    let a = Memory.alloc (Sim.memory sim) in
+    let seen = ref [] in
+    for core = 0 to 1 do
+      Sim.spawn sim ~core (fun () ->
+          seen := Sim.event_driven_waits () :: !seen;
+          if core = 0 then begin
+            Sim.pause 5_000;
+            Sim.store a 1
+          end
+          else ignore (Sim.spin_load a ~while_:0 ~poll:20))
+    done;
+    ignore (Sim.run sim);
+    check_bool (name ^ ": event_driven_waits") true
+      (!seen = [ event_driven; event_driven ]);
+    check_bool (name ^ ": spin waits park") parks ((Sim.perf sim).Sim.parks > 0)
+  in
+  row "Fault.none" Fault.none ~event_driven:true ~parks:true;
+  row "preemption 1e-3" (Fault.preemption 1e-3) ~event_driven:false ~parks:true;
+  row "preemption 0." (Fault.preemption 0.) ~event_driven:true ~parks:true;
+  row "crash spec" (Fault.crash_stop [ (5, 1_000) ]) ~event_driven:false
+    ~parks:false;
+  row "parking off" ~parking:false Fault.none ~event_driven:false ~parks:false
+
 let suite =
   [
     Alcotest.test_case "event queue orders by time" `Quick
@@ -699,4 +735,5 @@ let suite =
       test_simulate_disposes;
     Alcotest.test_case "queued counts the pops, not the direct-runs" `Quick
       test_queued_split;
+    Alcotest.test_case "wait mode: one per spec" `Quick test_wait_modes;
   ]

@@ -177,14 +177,14 @@ let test_perf_arithmetic () =
     (Sim.perf_diff (Sim.perf_add a b) b = a);
   check_bool "add commutes" true (Sim.perf_add a b = Sim.perf_add b a)
 
-(* [cumulative_perf] deltas around a run must equal the run's own
+(* A job that runs one simulation is booked exactly that run's own
    [perf] — the invariant the pool's per-job capture relies on. *)
 let test_cumulative_matches_per_run () =
-  let before = Sim.cumulative_perf () in
-  let r = sim_workload () in
-  let delta = Sim.perf_diff (Sim.cumulative_perf ()) before in
-  check_bool "cumulative delta equals the run's perf" true
-    (r.Harness.perf = delta)
+  match Pool.run ~jobs:1 [| (fun () -> sim_workload ()) |] with
+  | [| (r, s) |] ->
+      check_bool "the job's counters equal the run's perf" true
+        (r.Harness.perf = s.Pool.perf)
+  | _ -> assert false
 
 (* The pool's summed per-job counters are independent of the domain
    count: the --jobs invariant at the stats level. *)
@@ -285,6 +285,59 @@ let test_byte_identical_output () =
   check_int "elided probes" perf1.Sim.elided_probes perf4.Sim.elided_probes;
   check_int "sim cycles" perf1.Sim.sim_cycles perf4.Sim.sim_cycles
 
+(* A job's counters sum the [Harness.simulate] calls it made, an
+   exactly parked one (under preemption) included; a bare
+   [Sim.create]/[Sim.run] books nothing. *)
+let test_job_books_its_simulations () =
+  let bare = ref Sim.perf_zero in
+  let job () =
+    let a = sim_workload () in
+    let b =
+      sim_workload ~faults:(Fault.preemption ~seed:3 ~cycles:(500, 2_000) 1e-3) ()
+    in
+    let sim = Sim.create Platform.xeon in
+    Sim.spawn sim ~core:0 (fun () -> Sim.pause 100);
+    ignore (Sim.run sim);
+    bare := Sim.perf sim;
+    Memory.dispose (Sim.memory sim);
+    Sim.perf_add a.Harness.perf b.Harness.perf
+  in
+  match Pool.run ~jobs:1 [| job |] with
+  | [| (sum, s) |] ->
+      check_bool "the bare run counted its events" true
+        (!bare.Sim.events > 0);
+      check_bool "the job's counters are the two harness runs'" true
+        (s.Pool.perf = sum)
+  | _ -> assert false
+
+(* A build or a run that raises books nothing, though the run had
+   advanced its simulation's counters. *)
+let test_raising_simulation_books_nothing () =
+  let ran = ref None in
+  let job () =
+    (try
+       Harness.simulate Platform.xeon (fun sim _ ->
+           Sim.spawn sim ~core:0 (fun () -> Sim.pause 100);
+           raise (Boom 0))
+     with Boom _ -> ());
+    try
+      Harness.simulate Platform.xeon (fun sim _ ->
+          ran := Some sim;
+          Sim.spawn sim ~core:0 (fun () ->
+              Sim.pause 100;
+              raise (Boom 1));
+          fun _ -> ())
+    with Boom _ -> ()
+  in
+  match Pool.run ~jobs:1 [| job |] with
+  | [| ((), s) |] ->
+      check_bool "the raising run counted its events" true
+        (match !ran with
+        | Some sim -> (Sim.perf sim).Sim.events > 0
+        | None -> false);
+      check_bool "the job booked nothing" true (s.Pool.perf = Sim.perf_zero)
+  | _ -> assert false
+
 let suite =
   [
     Alcotest.test_case "pool: inline order" `Quick test_order_inline;
@@ -307,4 +360,8 @@ let suite =
       test_byte_identical_output;
     Alcotest.test_case "pool: a failed observed job leaves no sink" `Quick
       test_observed_failure_leaves_no_sink;
+    Alcotest.test_case "pool: a job books its harness simulations" `Quick
+      test_job_books_its_simulations;
+    Alcotest.test_case "pool: a raising build or run books nothing" `Quick
+      test_raising_simulation_books_nothing;
   ]
