@@ -15,7 +15,7 @@
    queued-cycle samples must equal [Sim.perf.link_queued_cycles]
    (which sums [Stats.link_queued_cycles]) and the park/wake counters
    must equal [Sim.perf.parks]/[wakeups] exactly.  Exits 1 on any
-   drift. *)
+   drift, or when a job ends with a stalled thread. *)
 
 open Ssync_platform
 module Memory = Ssync_coherence.Memory
@@ -24,6 +24,8 @@ module Harness = Ssync_engine.Harness
 module Pool = Ssync_engine.Pool
 module Metrics = Ssync_metrics.Metrics
 module Heatmap = Ssync_report.Heatmap
+module Simlock = Ssync_simlocks.Simlock
+module Lock_type = Ssync_simlocks.Lock_type
 
 (* The workload: thread [t] alternates increments of word [t] and word
    [t + threads/2 mod threads], every word homed on the last core's
@@ -32,7 +34,13 @@ module Heatmap = Ssync_report.Heatmap
    distinct — so the transfers pipeline into the home directory and
    the links toward it until the finite bandwidth itself queues.  The
    rest of the fabric stays visibly idle for contrast.  A private
-   local word is touched in between. *)
+   local word is touched in between.  Every 16th iteration the two
+   threads of a pair also take their MCS lock, homed with the hot
+   words: the later one spins on its queue node and parks, so the
+   "threads parked" strip and the park/wake reconciliation below see
+   the engine's park hooks, while a lock per pair keeps the pressure
+   on the interconnect (one lock for all threads convoys them).  Each
+   acquisition is released, so no thread waits past the deadline. *)
 let job (p : Platform.t) ~duration =
   let threads = Platform.n_cores p in
   Harness.run p ~threads ~duration
@@ -45,16 +53,26 @@ let job (p : Platform.t) ~duration =
         Array.init threads (fun t ->
             Memory.alloc ~home_core:(Platform.place p t) mem)
       in
-      (hot, locals))
-    ~body:(fun (hot, locals) _mem ~tid ~deadline ->
+      let locks =
+        Array.init (threads / 2) (fun _ ->
+            Simlock.create ~home_core:(threads - 1) mem p ~n_threads:threads
+              Simlock.Mcs)
+      in
+      (hot, locals, locks))
+    ~body:(fun (hot, locals, locks) _mem ~tid ~deadline ->
       let own = hot.(tid)
       and far = hot.((tid + (Array.length hot / 2)) mod Array.length hot)
-      and mine = locals.(tid) in
+      and mine = locals.(tid)
+      and lock = locks.(tid mod Array.length locks) in
       let n = ref 0 in
       while Sim.now () < deadline do
         ignore (Sim.fai own);
         ignore (Sim.fai far);
         ignore (Sim.load mine);
+        if !n land 15 = 15 then begin
+          lock.Lock_type.acquire ~tid;
+          lock.Lock_type.release ~tid
+        end;
         incr n
       done;
       !n)
@@ -248,4 +266,13 @@ let run ~quick ~jobs () =
     p.Sim.link_queued_cycles;
   check "parks" (tot Metrics.k_parks) p.Sim.parks;
   check "wakeups" (tot Metrics.k_wakes) p.Sim.wakeups;
+  (* the lock waits must not strand a thread *)
+  List.iteri
+    (fun i (q : Platform.t) ->
+      match (fst results.(i)).Section.value.Harness.health.Sim.verdict with
+      | Sim.Completed -> ()
+      | v ->
+          Printf.printf "%s: %s\n" q.Platform.name (Sim.verdict_to_string v);
+          ok := false)
+    platforms;
   if not !ok then exit 1

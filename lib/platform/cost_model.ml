@@ -1,13 +1,14 @@
-(* Per-platform cache-coherence cost models.
+(* Per-platform cache-coherence cost models: protocol logic only.
 
    The *logic* (who supplies the data, when a broadcast happens, what is
    local) follows each platform's protocol as described in the paper's
-   sections 3 and 5; the *constants* are calibrated against the paper's
-   Table 2/3 measurements (see Latencies).  The model generalizes the
-   tables: it covers local hits, requester-held upgrades, atomic
-   operations on states the paper does not report, sharer-count effects
-   on invalidations, and the Opteron's remote-directory penalty
-   (section 5.2).
+   sections 3 and 5.  Every latency it returns is read from [Latencies]:
+   a cell of the paper's Table 2 or 3, or a number of the overlay kept
+   beside them, plus the growth and interpolation terms defined here
+   (sharer-count effects on invalidations, the Opteron's remote-directory
+   penalty of section 5.2, the Tilera's hop interpolation).  Which cell
+   serves a case the paper does not report is one of
+   [Latencies.overlay]'s rows.
 
    Everything [op_latency] and [fill_path] reach runs once per simulated
    access, so it allocates nothing and makes no C call: owners are ints,
@@ -41,14 +42,10 @@ let uncached v = v.owner < 0 && Coreset.is_empty v.sharers
 let n_holders v = Coreset.cardinal v.sharers + if v.owner < 0 then 0 else 1
 let holds v core = v.owner = core || Coreset.mem v.sharers core
 
-(* Cycles of a load served from the requester's own L1.  The one copy of
-   these constants: [op_latency]'s local-load branch and [Memory]'s
-   short path for load hits both return this. *)
-let load_hit_latency (t : Topology.t) =
-  match t.id with
-  | Arch.Opteron | Arch.Opteron2 | Arch.Niagara -> 3
-  | Arch.Xeon | Arch.Xeon2 -> 5
-  | Arch.Tilera -> 2
+(* Cycles of a load served from the requester's own L1 (Table 3):
+   [op_latency]'s local-load branch and [Memory]'s short path for load
+   hits both return this. *)
+let load_hit_latency (t : Topology.t) = Latencies.l1.(Latencies.table3_col t.id)
 
 (* Distance class between two *nodes* of a topology. *)
 let node_class (t : Topology.t) n1 n2 : Arch.distance =
@@ -154,15 +151,6 @@ let invalidation_class (t : Topology.t) ~requester v (base : Arch.distance) :
    - when the home (directory) node is remote to both requester and
      owner, latency grows with the distance to the directory. *)
 
-let opteron_row4 (d : Arch.distance) (v : int array) =
-  match d with
-  | Same_die -> v.(0)
-  | Same_mcm -> v.(1)
-  | One_hop -> v.(2)
-  | Two_hops -> v.(3)
-  | Same_core -> v.(0)
-  | Max_hops -> v.(3)
-
 (* Does any core of bitset word [w] (cores from [base]) live on [node]? *)
 let rec word_has_node (t : Topology.t) node w base =
   w <> 0
@@ -190,141 +178,82 @@ let opteron_directory_penalty (t : Topology.t) ~requester v =
   if home_involved then 0
   else 30 * Int.max 1 t.hops_tab.((rnode * t.n_nodes) + home)
 
-(* Latency rows hoisted to toplevel: building a [| ... |] literal (or a
-   [row] partial application) inside the function would allocate on
-   every access, and op_latency is the simulator's innermost hot
-   call. *)
-let o_load_modified = [| 81; 161; 172; 252 |]
-let o_load_owned = [| 83; 163; 175; 254 |]
-let o_load_exclusive = [| 83; 163; 175; 253 |]
-let o_load_shared = [| 83; 164; 176; 254 |]
-let o_fill = [| 136; 237; 247; 327 |]
-let o_store_me = [| 83; 172; 191; 273 |]
-let o_store_owned = [| 244; 255; 286; 291 |]
-let o_store_shared = [| 246; 255; 286; 296 |]
-let o_atomic_me = [| 110; 197; 216; 296 |]
-let o_atomic_shared = [| 272; 283; 312; 332 |]
+(* An invalidation broadcast grows slightly with the copy count: storing
+   on a line shared by all 48 cores costs 296. *)
+let opteron_invalidation_growth v = n_holders v / 12 * 10
 
 let opteron_latency (t : Topology.t) (op : Arch.memop) ~requester v =
   let dir_pen = opteron_directory_penalty t ~requester v in
   let class_of_source = source_class t ~requester v in
-  match op with
-  | Arch.Load ->
-      opteron_row4 class_of_source
-        (match v.state with
-        | Arch.Modified -> o_load_modified
-        | Arch.Owned -> o_load_owned
-        | Arch.Exclusive -> o_load_exclusive
-        | Arch.Shared -> o_load_shared
-        | Arch.Invalid -> o_fill)
+  let c = Latencies.opteron_col class_of_source in
+  match (op, v.state) with
+  | (Arch.Load, st) ->
+      (match st with
+      | Arch.Modified -> Latencies.opteron_load_m
+      | Arch.Owned -> Latencies.opteron_load_o
+      | Arch.Exclusive -> Latencies.opteron_load_e
+      | Arch.Shared -> Latencies.opteron_load_s
+      | Arch.Invalid -> Latencies.opteron_load_i).(c)
       + dir_pen
-  | Arch.Store -> (
-      match v.state with
-      | Arch.Modified | Arch.Exclusive ->
-          opteron_row4 class_of_source o_store_me + dir_pen
-      | Arch.Owned | Arch.Shared ->
-          (* Invalidation broadcast; grows slightly with the sharer count
-             (storing on a line shared by all 48 cores costs 296). *)
-          opteron_row4
-            (invalidation_class t ~requester v class_of_source)
-            (match v.state with
-            | Arch.Owned -> o_store_owned
-            | _ -> o_store_shared)
-          + (n_holders v / 12 * 10)
-          + dir_pen
-      | Arch.Invalid -> opteron_row4 class_of_source o_fill + 10 + dir_pen)
-  | Arch.Cas | Arch.Fai | Arch.Tas | Arch.Swap -> (
-      match v.state with
-      | Arch.Modified | Arch.Exclusive ->
-          opteron_row4 class_of_source o_atomic_me + dir_pen
-      | Arch.Owned | Arch.Shared ->
-          opteron_row4
-            (invalidation_class t ~requester v class_of_source)
-            o_atomic_shared
-          + (n_holders v / 12 * 10)
-          + dir_pen
-      | Arch.Invalid -> opteron_row4 class_of_source o_fill + 30 + dir_pen)
+  | (Arch.Store, (Arch.Modified | Arch.Exclusive)) ->
+      Latencies.opteron_store_m.(c) + dir_pen
+  | (_, (Arch.Modified | Arch.Exclusive)) -> Latencies.opteron_atomic_m.(c) + dir_pen
+  | (_, ((Arch.Owned | Arch.Shared) as st)) ->
+      (* the invalidation broadcast reaches every holder *)
+      let ci = invalidation_class t ~requester v class_of_source in
+      (match (op, st) with
+      | (Arch.Store, Arch.Owned) -> Latencies.opteron_store_o
+      | (Arch.Store, _) -> Latencies.opteron_store_s
+      | _ -> Latencies.opteron_atomic_s).(Latencies.opteron_col ci)
+      + opteron_invalidation_growth v + dir_pen
+  | (Arch.Store, Arch.Invalid) ->
+      Latencies.opteron_load_i.(c) + Latencies.opteron_store_fill_extra + dir_pen
+  | (_, Arch.Invalid) ->
+      Latencies.opteron_load_i.(c) + Latencies.opteron_atomic_fill_extra + dir_pen
 
 (* -------------------------------------------------------------- *)
 (* Xeon: MESI with closest-sharer sourcing, inclusive LLC.  The hardware
    runs MESIF; as in the paper, its F state is folded into Shared, and a
    Shared line is sourced from the closest sharer ([source_core]).
    Within a socket the LLC tracks sharers and serves Shared loads
-   directly (44 cycles); across sockets snoop requests are broadcast.
+   directly; across sockets snoop requests are broadcast.
    Operations touching only cores of one socket complete locally
    (section 5.2). *)
 
-let xeon_row3 (d : Arch.distance) (v : int array) =
-  match d with
-  | Same_die | Same_core | Same_mcm -> v.(0)
-  | One_hop -> v.(1)
-  | Two_hops | Max_hops -> v.(2)
-
-let x_load_modified = [| 109; 289; 400 |]
-
-(* Same-die fetch of a Modified line whose data already drained to the
-   inclusive LLC through the owner's store buffer: served as an LLC hit
-   plus the back-invalidate of the owner's L1/L2 copy, not the full
-   directory-mediated owner round trip.  (The Table 2 calibration path
-   dirties lines with ordinary fenced stores, which never set
-   [llc_dirty], so the 109-cycle cell above is untouched.) *)
-let x_load_modified_llc_hit = 83
-let x_load_exclusive = [| 92; 273; 383 |]
-let x_load_shared = [| 44; 223; 334 |]
-let x_fill = [| 355; 492; 601 |]
-let x_store_modified = [| 115; 320; 431 |]
-let x_store_exclusive = [| 115; 315; 425 |]
-let x_store_shared = [| 116; 318; 428 |]
-let x_atomic_me = [| 120; 324; 430 |]
-let x_atomic_shared = [| 113; 312; 423 |]
+(* Storing on a line shared by all 80 cores costs 445. *)
+let xeon_invalidation_growth v = Coreset.cardinal v.sharers / 5
 
 let xeon_latency (t : Topology.t) (op : Arch.memop) ~requester v =
   let class_of_source = source_class t ~requester v in
-  let invalidation_growth =
-    (* storing on a line shared by all 80 cores costs 445 *)
-    Coreset.cardinal v.sharers / 5
-  in
-  match op with
-  | Arch.Load -> (
-      match v.state with
-      | Arch.Modified ->
-          if v.llc_dirty && rank_of_class class_of_source <= 1 then
-            x_load_modified_llc_hit
-          else xeon_row3 class_of_source x_load_modified
-      | Arch.Exclusive -> xeon_row3 class_of_source x_load_exclusive
-      | Arch.Shared | Arch.Owned -> xeon_row3 class_of_source x_load_shared
-      | Arch.Invalid -> xeon_row3 class_of_source x_fill)
-  | Arch.Store -> (
-      match v.state with
-      | Arch.Modified -> xeon_row3 class_of_source x_store_modified
-      | Arch.Exclusive -> xeon_row3 class_of_source x_store_exclusive
-      | Arch.Shared | Arch.Owned ->
-          xeon_row3 (invalidation_class t ~requester v class_of_source) x_store_shared + invalidation_growth
-      | Arch.Invalid -> xeon_row3 class_of_source x_fill + 10)
-  | Arch.Cas | Arch.Fai | Arch.Tas | Arch.Swap -> (
-      match v.state with
-      | Arch.Modified | Arch.Exclusive -> xeon_row3 class_of_source x_atomic_me
-      | Arch.Shared | Arch.Owned ->
-          xeon_row3 (invalidation_class t ~requester v class_of_source) x_atomic_shared + invalidation_growth
-      | Arch.Invalid -> xeon_row3 class_of_source x_fill + 25)
+  let c = Latencies.xeon_col class_of_source in
+  match (op, v.state) with
+  | (Arch.Load, Arch.Modified) ->
+      (* the dirty data already drained to the inclusive LLC *)
+      if v.llc_dirty && rank_of_class class_of_source <= 1 then
+        Latencies.xeon_llc_dirty_load
+      else Latencies.xeon_load_m.(c)
+  | (Arch.Load, Arch.Exclusive) -> Latencies.xeon_load_e.(c)
+  | (Arch.Load, (Arch.Shared | Arch.Owned)) -> Latencies.xeon_load_s.(c)
+  | (Arch.Store, Arch.Modified) -> Latencies.xeon_store_m.(c)
+  | (Arch.Store, Arch.Exclusive) -> Latencies.xeon_store_e.(c)
+  | (_, (Arch.Modified | Arch.Exclusive)) -> Latencies.xeon_atomic_m.(c)
+  | (_, (Arch.Shared | Arch.Owned)) ->
+      let ci = invalidation_class t ~requester v class_of_source in
+      (if op = Arch.Store then Latencies.xeon_store_s
+       else Latencies.xeon_atomic_s).(Latencies.xeon_col ci)
+      + xeon_invalidation_growth v
+  | (Arch.Load, Arch.Invalid) -> Latencies.xeon_load_i.(c)
+  | (Arch.Store, Arch.Invalid) ->
+      Latencies.xeon_load_i.(c) + Latencies.xeon_store_fill_extra
+  | (_, Arch.Invalid) -> Latencies.xeon_load_i.(c) + Latencies.xeon_atomic_fill_extra
 
 (* -------------------------------------------------------------- *)
 (* Niagara: uniform crossbar to a shared, duplicate-tag LLC.  Loads hit
-   the shared L1 (3) when the previous holder is a context of the same
-   physical core, the LLC (24) otherwise; stores are write-through and
-   always cost the LLC; latencies do not depend on the sharer count.
-   SPARC has no FAI/SWAP instruction: both are CAS-based and slower,
-   while the hardware TAS is notably fast (section 5.4). *)
-
-let niagara_pair (d : Arch.distance) (a, b) =
-  match d with Same_core -> a | _ -> b
-
-(* Atomic-operation rows hoisted like the x86 arrays above. *)
-let nia_load = (3, 24)
-let nia_cas = ((71, 66), (76, 66))
-let nia_fai = ((108, 99), (99, 99))
-let nia_tas = ((64, 55), (67, 55))
-let nia_swap = ((95, 90), (93, 90))
+   the shared L1 when the previous holder is a context of the same
+   physical core, the LLC otherwise; stores are write-through and always
+   cost the LLC, fills the RAM; latencies do not depend on the sharer
+   count.  SPARC has no FAI/SWAP instruction: both are CAS-based and
+   slower, while the hardware TAS is notably fast (section 5.4). *)
 
 (* Same physical core as the data source, or across the crossbar. *)
 let niagara_class (t : Topology.t) ~requester v : Arch.distance =
@@ -332,26 +261,25 @@ let niagara_class (t : Topology.t) ~requester v : Arch.distance =
   if s >= 0 then class_to_core t ~requester s else Same_die
 
 let niagara_latency (t : Topology.t) (op : Arch.memop) ~requester v =
-  match op with
-  | Arch.Load ->
-      if uncached v || v.state = Arch.Invalid then 176
-      else niagara_pair (niagara_class t ~requester v) nia_load
-  | Arch.Store -> 24
-  | Arch.Cas | Arch.Fai | Arch.Tas | Arch.Swap -> (
-      let m_row, s_row =
+  let col3 = Latencies.table3_col Arch.Niagara in
+  match (op, v.state) with
+  | (Arch.Load, _) when uncached v || v.state = Arch.Invalid ->
+      Latencies.ram.(col3)
+  | (Arch.Load, _) ->
+      Latencies.niagara_load.(Latencies.niagara_col (niagara_class t ~requester v))
+  | (Arch.Store, _) -> Latencies.llc.(col3)
+  | (_, Arch.Invalid) -> Latencies.ram.(col3) + Latencies.niagara_atomic_fill_extra
+  | (_, st) ->
+      let m = st = Arch.Modified || st = Arch.Exclusive in
+      let row =
         match op with
-        | Arch.Cas -> nia_cas
-        | Arch.Fai -> nia_fai
-        | Arch.Tas -> nia_tas
-        | Arch.Swap -> nia_swap
+        | Arch.Cas -> if m then Latencies.niagara_cas_m else Latencies.niagara_cas_s
+        | Arch.Fai -> if m then Latencies.niagara_fai_m else Latencies.niagara_fai_s
+        | Arch.Tas -> if m then Latencies.niagara_tas_m else Latencies.niagara_tas_s
+        | Arch.Swap -> if m then Latencies.niagara_swap_m else Latencies.niagara_swap_s
         | Arch.Load | Arch.Store -> assert false
       in
-      match v.state with
-      | Arch.Invalid -> 176 + 20
-      | Arch.Modified | Arch.Exclusive | Arch.Owned ->
-          niagara_pair (niagara_class t ~requester v) m_row
-      | Arch.Shared ->
-          niagara_pair (niagara_class t ~requester v) s_row)
+      row.(Latencies.niagara_col (niagara_class t ~requester v))
 
 (* -------------------------------------------------------------- *)
 (* Tilera: distributed directory; each line has a home tile whose L2
@@ -372,52 +300,54 @@ let tilera_scale ~at1 ~at10 h =
   let x = (9 * at1) + ((at10 - at1) * (h - 1)) in
   ((2 * x) + 9) / 18
 
-let til_cas = ((77, 98), (124, 142))
-let til_fai = ((51, 71), (82, 102))
-let til_tas = ((70, 89), (121, 141))
-let til_swap = ((63, 84), (95, 115))
+(* A Tilera row's latency [h] >= 1 mesh hops from the home tile. *)
+let tilera_at (row : int array) h =
+  tilera_scale
+    ~at1:row.(Latencies.tilera_col Arch.One_hop)
+    ~at10:row.(Latencies.tilera_col Arch.Max_hops)
+    h
+
+(* An atomic issued on the line's home tile: 2/3 of the one-hop cell. *)
+let tilera_home_atomic (row : int array) =
+  row.(Latencies.tilera_col Arch.One_hop) * 2 / 3
+
+let tilera_invalidation_growth v = 3 * Int.max 0 (Coreset.cardinal v.sharers - 1)
+
+let tilera_fill h =
+  if h = 0 then Latencies.tilera_home_fill else tilera_at Latencies.tilera_load_i h
 
 let tilera_latency (t : Topology.t) (op : Arch.memop) ~requester v =
   let h = tilera_home_hops t ~requester v in
-  let inval_growth = 3 * Int.max 0 (Coreset.cardinal v.sharers - 1) in
-  match op with
-  | Arch.Load ->
-      if uncached v || v.state = Arch.Invalid then
-        if h = 0 then 108 else tilera_scale ~at1:118 ~at10:162 h
-      else if h = 0 then 11 (* own L2 slice is the home *)
-      else tilera_scale ~at1:45 ~at10:65 h
-  | Arch.Store -> (
-      match v.state with
-      | Arch.Modified | Arch.Exclusive ->
-          if h = 0 then 20
-          else tilera_scale ~at1:57 ~at10:77 h
-      | Arch.Shared | Arch.Owned ->
-          (if h = 0 then 49 else tilera_scale ~at1:86 ~at10:106 h)
-          + inval_growth
-      | Arch.Invalid ->
-          (if h = 0 then 108 else tilera_scale ~at1:118 ~at10:162 h) + 10)
-  | Arch.Cas | Arch.Fai | Arch.Tas | Arch.Swap -> (
-      let (m1, m10), (s1, s10) =
+  match (op, v.state) with
+  | (Arch.Load, _) when uncached v || v.state = Arch.Invalid -> tilera_fill h
+  | (Arch.Load, _) ->
+      if h = 0 then Latencies.l2.(Latencies.table3_col Arch.Tilera)
+      else tilera_at Latencies.tilera_load h
+  | (Arch.Store, (Arch.Modified | Arch.Exclusive)) ->
+      if h = 0 then Latencies.tilera_home_store else tilera_at Latencies.tilera_store h
+  | (Arch.Store, (Arch.Shared | Arch.Owned)) ->
+      (if h = 0 then Latencies.tilera_home_store_shared
+       else tilera_at Latencies.tilera_store_s h)
+      + tilera_invalidation_growth v
+  | (Arch.Store, Arch.Invalid) -> tilera_fill h + Latencies.tilera_store_fill_extra
+  | (_, Arch.Invalid) -> tilera_fill h + Latencies.tilera_atomic_fill_extra
+  | (_, st) ->
+      let m = st = Arch.Modified || st = Arch.Exclusive in
+      let row =
         match op with
-        | Arch.Cas -> til_cas
-        | Arch.Fai -> til_fai
-        | Arch.Tas -> til_tas
-        | Arch.Swap -> til_swap
+        | Arch.Cas -> if m then Latencies.tilera_cas_m else Latencies.tilera_cas_s
+        | Arch.Fai -> if m then Latencies.tilera_fai_m else Latencies.tilera_fai_s
+        | Arch.Tas -> if m then Latencies.tilera_tas_m else Latencies.tilera_tas_s
+        | Arch.Swap -> if m then Latencies.tilera_swap_m else Latencies.tilera_swap_s
         | Arch.Load | Arch.Store -> assert false
       in
-      match v.state with
-      | Arch.Invalid ->
-          (if h = 0 then 108 else tilera_scale ~at1:118 ~at10:162 h) + 20
-      | Arch.Modified | Arch.Exclusive ->
-          if h = 0 then (m1 * 2 / 3) else tilera_scale ~at1:m1 ~at10:m10 h
-      | Arch.Shared | Arch.Owned ->
-          (if h = 0 then (s1 * 2 / 3) else tilera_scale ~at1:s1 ~at10:s10 h)
-          + inval_growth)
+      (if h = 0 then tilera_home_atomic row else tilera_at row h)
+      + if m then 0 else tilera_invalidation_growth v
 
 (* -------------------------------------------------------------- *)
 (* Small-scale multi-sockets (section 8): intra-socket behaviour equals
    the large machine's; cross-socket latency is the intra-socket one
-   scaled by the measured ratio (1.6x Opteron2, 2.7x Xeon2). *)
+   scaled by the paper's measured cross/intra ratio. *)
 
 let scaled_small big_latency (t : Topology.t) ratio op ~requester v =
   (* Remap the view onto two same-socket cores (0 and 1) of the large
@@ -445,55 +375,50 @@ let scaled_small big_latency (t : Topology.t) ratio op ~requester v =
   if cross then int_of_float (Float.round (float_of_int intra *. ratio))
   else intra
 
-let opteron2_latency (t : Topology.t) op ~requester v =
-  let big = opteron_latency (Topology.of_platform Arch.Opteron) in
-  scaled_small big t 1.6 op ~requester v
-
-let xeon2_latency (t : Topology.t) op ~requester v =
-  let big = xeon_latency (Topology.of_platform Arch.Xeon) in
-  scaled_small big t 2.7 op ~requester v
-
 (* -------------------------------------------------------------- *)
 
 let op_latency (t : Topology.t) (op : Arch.memop) ~requester (v : view) : int =
   Topology.check t requester;
   (* Local service, answered here and only here: a load by a holder is
-     [load_hit_latency], a store by the Modified/Exclusive owner and an
-     x86 atomic by that owner cost the constants below.  The platform
-     functions above, reached only through this dispatch, never see
-     these cases ([scaled_small] keeps whether the requester holds the
-     line, so neither do the two-socket platforms).  Answering them
-     first skips the work the platform functions do before they look
-     at the operation ([opteron_directory_penalty] and [source_class]
-     on the Opteron, [source_class] and a sharer count on the Xeon, the
-     home-hop and sharer counts on the Tilera) — work the simulator's
-     hot path, where most accesses are cache hits, would pay on every
-     access. *)
+     [load_hit_latency], a store by the Modified/Exclusive owner costs
+     the Table 3 level it writes, and an x86 atomic by that owner the
+     overlay's cell.  The platform functions above, reached only
+     through this dispatch, never see these cases ([scaled_small] keeps
+     whether the requester holds the line, so neither do the two-socket
+     platforms).  Answering them first skips the work the platform
+     functions do before they look at the operation
+     ([opteron_directory_penalty] and [source_class] on the Opteron,
+     [source_class] on the Xeon, the home-hop count on the Tilera) —
+     work the simulator's hot path, where most accesses are cache hits,
+     would pay on every access. *)
   match op with
   | Arch.Load when holds v requester -> load_hit_latency t
   | Arch.Store
     when v.owner = requester
          && (v.state = Arch.Modified || v.state = Arch.Exclusive) -> (
       match t.id with
-      | Arch.Opteron | Arch.Opteron2 -> 3
-      | Arch.Xeon | Arch.Xeon2 -> 5
-      | Arch.Niagara -> 24
-      | Arch.Tilera -> 11)
+      | Arch.Opteron | Arch.Opteron2 | Arch.Xeon | Arch.Xeon2 -> Latencies.l1
+      | Arch.Niagara -> Latencies.llc
+      | Arch.Tilera -> Latencies.l2).(Latencies.table3_col t.id)
   | (Arch.Cas | Arch.Fai | Arch.Tas | Arch.Swap)
     when v.owner = requester
          && (v.state = Arch.Modified || v.state = Arch.Exclusive)
          && (match t.id with
             | Arch.Opteron | Arch.Opteron2 | Arch.Xeon | Arch.Xeon2 -> true
             | Arch.Niagara | Arch.Tilera -> false) ->
-      20
+      Latencies.x86_owner_atomic
   | _ -> (
       match t.id with
       | Arch.Opteron -> opteron_latency t op ~requester v
       | Arch.Xeon -> xeon_latency t op ~requester v
       | Arch.Niagara -> niagara_latency t op ~requester v
       | Arch.Tilera -> tilera_latency t op ~requester v
-      | Arch.Opteron2 -> opteron2_latency t op ~requester v
-      | Arch.Xeon2 -> xeon2_latency t op ~requester v)
+      | Arch.Opteron2 ->
+          scaled_small (opteron_latency Topology.opteron) t
+            Latencies.opteron2_cross_intra op ~requester v
+      | Arch.Xeon2 ->
+          scaled_small (xeon_latency Topology.xeon) t Latencies.xeon2_cross_intra
+            op ~requester v)
 
 (* How long the line (or its directory entry / home-tile slot) stays
    busy serving this operation.  A transfer has two phases: a

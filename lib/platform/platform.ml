@@ -5,9 +5,6 @@ type t = {
   id : Arch.platform_id;
   name : string;
   topo : Topology.t;
-  local : Arch.cache_level -> int option;
-      (* Table 3: local cache / memory latencies; coherence costs come
-         from [Cost_model] applied to [topo] *)
   hw_mp_latency : (int -> int -> int) option;
       (* Tilera only: hardware message-passing one-way latency between
          two cores (Figure 9: ~61 cycles, nearly distance-insensitive) *)
@@ -21,7 +18,6 @@ let make id =
     id;
     name = topo.Topology.name;
     topo;
-    local = Latencies.table3 id;
     hw_mp_latency =
       (match id with
       | Arch.Tilera -> Some (tilera_hw_mp topo)

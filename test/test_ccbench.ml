@@ -7,36 +7,59 @@ open Ssync_ccbench
 
 let check_bool = Alcotest.(check bool)
 
-(* ccbench's measured Table 2 must match the paper within tolerance for
-   every reported cell (this exercises force_state + access, unlike the
-   cost-model unit test). *)
+(* ccbench's measured Table 2 (force_state + access, unlike the
+   cost-model unit test) equals every one of the paper's 189 cells,
+   except 12 departures, each accounted for: the Opteron store on an
+   Exclusive line reads the store-on-Modified row (an overlay row), and
+   the Tilera's Shared stores and atomics pay
+   [Cost_model.tilera_invalidation_growth] for ccbench's second
+   sharer. *)
 let test_ccbench_table2 () =
+  let departures = ref [] and reported = ref 0 in
+  let line pid op st d paper measured =
+    Printf.sprintf "%s %s on %s at %s: paper %d, ccbench %d"
+      (Arch.platform_name pid) (Arch.memop_name op) (Arch.cstate_name st)
+      (Arch.distance_name d) paper measured
+  in
   List.iter
     (fun pid ->
-      let cells = Ccbench.table2 pid in
-      check_bool
-        (Printf.sprintf "%s has cells" (Arch.platform_name pid))
-        true
-        (List.length cells > 15);
       List.iter
         (fun (c : Ccbench.cell) ->
           match c.Ccbench.paper with
           | None -> ()
-          | Some expected ->
-              let actual = c.Ccbench.measured in
-              let ok =
-                Float.abs (float_of_int (actual - expected))
-                <= Float.max 4. (0.15 *. float_of_int expected)
-              in
-              if not ok then
-                Alcotest.failf "%s %s on %s at %s: paper %d, ccbench %d"
-                  (Arch.platform_name pid)
-                  (Arch.memop_name c.Ccbench.op)
-                  (Arch.cstate_name c.Ccbench.state)
-                  (Arch.distance_name c.Ccbench.distance)
-                  expected actual)
-        cells)
-    Arch.paper_platform_ids
+          | Some paper ->
+              incr reported;
+              if c.Ccbench.measured <> paper then
+                departures :=
+                  line pid c.Ccbench.op c.Ccbench.state c.Ccbench.distance paper
+                    c.Ccbench.measured
+                  :: !departures)
+        (Ccbench.table2 pid))
+    Arch.paper_platform_ids;
+  Alcotest.(check int) "cells the paper reports" 189 !reported;
+  let expect pid op st d measured =
+    line pid op st d (Option.get (Latencies.table2 pid op st d)) measured
+  in
+  let opteron_e d =
+    expect Arch.Opteron Arch.Store Arch.Exclusive d
+      Latencies.opteron_store_m.(Latencies.opteron_col d)
+  in
+  let two_sharers : Cost_model.view =
+    { state = Arch.Shared; owner = -1; sharers = Coreset.of_list [ 0; 1 ];
+      home = 0; llc_dirty = false }
+  in
+  let tilera_s op d =
+    expect Arch.Tilera op Arch.Shared d
+      (Option.get (Latencies.table2 Arch.Tilera op Arch.Shared d)
+      + Cost_model.tilera_invalidation_growth two_sharers)
+  in
+  Alcotest.(check (list string))
+    "departures, each accounted for"
+    ([ opteron_e Arch.Same_mcm; opteron_e Arch.Two_hops ]
+    @ List.concat_map
+        (fun op -> [ tilera_s op Arch.One_hop; tilera_s op Arch.Max_hops ])
+        [ Arch.Store; Arch.Cas; Arch.Fai; Arch.Tas; Arch.Swap ])
+    (List.rev !departures)
 
 let test_opteron_worst_case_directory () =
   let lat = Ccbench.opteron_remote_directory_load () in
