@@ -18,26 +18,6 @@ let hr title = Printf.printf "\n==== %s ====\n%!" title
 
 (* ---------------- backoff-base sensitivity (ticket) ---------------- *)
 
-let ticket_latency_with_base pid ~base ~threads ~duration =
-  let p = Platform.get pid in
-  let _, mean =
-    Harness.run_latency p ~threads ~duration
-      ~setup:(fun mem ->
-        Spinlocks.ticket ~backoff_base:base mem ~home_core:0 ~n_threads:threads)
-      ~body:(fun lock _mem ~tid ~deadline ->
-        let n = ref 0 and cy = ref 0 in
-        while Sim.now () < deadline do
-          let t0 = Sim.now () in
-          lock.Lock_type.acquire ~tid;
-          lock.Lock_type.release ~tid;
-          cy := !cy + (Sim.now () - t0);
-          Sim.pause 200;
-          incr n
-        done;
-        (!n, !cy))
-  in
-  mean
-
 let backoff_bases = [ 0; 50; 200; 600; 1500; 4000; 12000 ]
 
 let backoff_jobs ~duration =
@@ -47,7 +27,10 @@ let backoff_jobs ~duration =
        Arch.paper_platform_ids)
     (fun (pid, base) ->
       let threads = min 24 (Platform.n_cores (Platform.get pid)) in
-      ticket_latency_with_base pid ~base ~threads ~duration)
+      Ssync_ccbench.Lock_bench.acquire_latency ~duration (Platform.get pid)
+        ~threads (fun mem ->
+          Spinlocks.ticket ~backoff_base:base mem ~home_core:0
+            ~n_threads:threads))
 
 let backoff_render got () =
   hr
@@ -74,6 +57,20 @@ let backoff_render got () =
 
 (* ------------------- cohort max_pass sensitivity ------------------- *)
 
+(* The critical section of the max_pass and placement ablations: until
+   [deadline], acquire, 40 cycles inside, release, 80 outside; returns
+   the acquisitions. *)
+let critical_sections (lock : Lock_type.t) ~tid ~deadline =
+  let n = ref 0 in
+  while Sim.now () < deadline do
+    lock.Lock_type.acquire ~tid;
+    Sim.pause 40;
+    lock.Lock_type.release ~tid;
+    Sim.pause 80;
+    incr n
+  done;
+  !n
+
 let hticket_throughput_with_pass pid ~max_pass ~threads ~duration =
   let p = Platform.get pid in
   let r =
@@ -81,16 +78,7 @@ let hticket_throughput_with_pass pid ~max_pass ~threads ~duration =
       ~setup:(fun mem ->
         Hierarchical.hticket ~max_pass mem p ~home_core:0 ~n_threads:threads
           ~place:(Platform.place p))
-      ~body:(fun lock _mem ~tid ~deadline ->
-        let n = ref 0 in
-        while Sim.now () < deadline do
-          lock.Lock_type.acquire ~tid;
-          Sim.pause 40;
-          lock.Lock_type.release ~tid;
-          Sim.pause 80;
-          incr n
-        done;
-        !n)
+      ~body:(fun lock _mem -> critical_sections lock)
   in
   r.Harness.mops
 
@@ -152,16 +140,8 @@ let placement_throughput pid ~threads ~scattered ~duration =
       for tid = 0 to threads - 1 do
         Sim.spawn sim ~core:(place tid) (fun () ->
             Sim.await b;
-            let deadline = Sim.now () + duration in
-            let n = ref 0 in
-            while Sim.now () < deadline do
-              lock.Lock_type.acquire ~tid;
-              Sim.pause 40;
-              lock.Lock_type.release ~tid;
-              Sim.pause 80;
-              incr n
-            done;
-            ops.(tid) <- !n)
+            ops.(tid) <-
+              critical_sections lock ~tid ~deadline:(Sim.now () + duration))
       done;
       fun _ ->
         Platform.mops p ~ops:(Array.fold_left ( + ) 0 ops) ~cycles:duration)
@@ -209,7 +189,9 @@ let occupancy_jobs () =
   Section.sweep
     [ (1, 150_000); (24, 300_000) ]
     (fun (threads, duration) ->
-      ticket_latency_with_base Arch.Opteron ~base:0 ~threads ~duration)
+      Ssync_ccbench.Lock_bench.acquire_latency ~duration Platform.opteron
+        ~threads (fun mem ->
+          Spinlocks.ticket ~backoff_base:0 mem ~home_core:0 ~n_threads:threads))
 
 let occupancy_render got () =
   hr "Ablation: the contention mechanism (reload-storm serialization)";

@@ -276,29 +276,49 @@ let fig6 () =
 
 (* --------------------------- Figure 8 ----------------------------- *)
 
+(* Figures 8 and 11 sample each platform at four thread counts, one
+   thread first, and run every lock at each. *)
+let thread_samples pid =
+  match pid with
+  | Arch.Opteron -> [ 1; 6; 18; 36 ]
+  | Arch.Xeon -> [ 1; 10; 18; 36 ]
+  | _ -> [ 1; 8; 18; 36 ]
+
+(* Their plan: for each of [outer] (a lock count, a table config) and
+   each paper platform, one block of (lock, threads) jobs, lock-major. *)
+let best_lock_plan outer =
+  List.concat_map
+    (fun o ->
+      List.concat_map
+        (fun pid ->
+          List.concat_map
+            (fun algo ->
+              List.map (fun n -> (o, pid, algo, n)) (thread_samples pid))
+            (Ssync_simlocks.Simlock.algos_for (Platform.get pid)))
+        paper_platforms)
+    outer
+
+(* Read [pid]'s next block from [next] and give, per thread sample, the
+   threads with [Lock_bench.best_lock]'s (lock, Mops, scalability). *)
+let best_lock_rows pid next =
+  let samples = thread_samples pid in
+  let runs =
+    List.map
+      (fun algo -> (algo, Array.of_list (List.map (fun _ -> next ()) samples)))
+      (Ssync_simlocks.Simlock.algos_for (Platform.get pid))
+  in
+  List.mapi
+    (fun i threads -> (threads, Ssync_ccbench.Lock_bench.best_lock runs i))
+    samples
+
 let fig8 ?(duration = 200_000) () =
-  let thread_samples pid =
-    match pid with
-    | Arch.Opteron -> [ 1; 6; 18; 36 ]
-    | Arch.Xeon -> [ 1; 10; 18; 36 ]
-    | Arch.Niagara -> [ 1; 8; 18; 36 ]
-    | Arch.Tilera -> [ 1; 8; 18; 36 ]
-    | _ -> [ 1 ]
-  in
   let lock_counts = [ 4; 16; 32; 128 ] in
-  let combos =
-    List.concat_map
-      (fun n_locks ->
-        List.concat_map
-          (fun pid ->
-            List.map (fun threads -> (n_locks, pid, threads))
-              (thread_samples pid))
-          paper_platforms)
-      lock_counts
-  in
   let jobs, got =
-    Section.sweep combos (fun (n_locks, pid, threads) ->
-        Ssync_ccbench.Lock_bench.best_of ~duration pid ~threads ~n_locks)
+    Section.sweep (best_lock_plan lock_counts)
+      (fun (n_locks, pid, algo, threads) ->
+        (Ssync_ccbench.Lock_bench.throughput ~duration pid algo ~threads
+           ~n_locks)
+          .Ssync_engine.Harness.mops)
   in
   Section.make ~jobs (fun () ->
       hr
@@ -316,19 +336,16 @@ let fig8 ?(duration = 200_000) () =
           List.iter
             (fun pid ->
               List.iter
-                (fun threads ->
-                  let b = next () in
+                (fun (threads, (algo, mops, x)) ->
                   Table.add_row t
                     [
                       Arch.platform_name pid;
                       string_of_int threads;
-                      Printf.sprintf "%.1f" b.Ssync_ccbench.Lock_bench.mops;
-                      Printf.sprintf "%.1fx : %s"
-                        b.Ssync_ccbench.Lock_bench.scalability
-                        (Ssync_simlocks.Simlock.name
-                           b.Ssync_ccbench.Lock_bench.algo);
+                      Printf.sprintf "%.1f" mops;
+                      Printf.sprintf "%.1fx : %s" x
+                        (Ssync_simlocks.Simlock.name algo);
                     ])
-                (thread_samples pid))
+                (best_lock_rows pid next))
             paper_platforms;
           Table.print t)
         lock_counts)

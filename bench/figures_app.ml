@@ -108,62 +108,37 @@ let ssht_mp_throughput pid ~threads ~n_buckets ~capacity ~duration : float =
           Platform.mops p ~ops:(Array.fold_left ( + ) 0 ops) ~cycles:duration)
 
 let fig11 ?(duration = 150_000) () =
-  let thread_samples pid =
-    match pid with
-    | Arch.Opteron -> [ 1; 6; 18; 36 ]
-    | Arch.Xeon -> [ 1; 10; 18; 36 ]
-    | _ -> [ 1; 8; 18; 36 ]
-  in
   let configs = [ (512, 12); (512, 48); (12, 12); (12, 48) ] in
   (* One job per (config, platform, lock algo, thread count) plus one
      per (config, platform, thread count) for the message-passing
-     variant.  The serial code also ran each 1-thread point a second
-     time to find the single-thread best; the runs are deterministic,
-     so the planned version reuses the 1-thread slots instead. *)
-  let lock_combos =
-    List.concat_map
-      (fun cfg ->
-        List.concat_map
-          (fun pid ->
-            let algos =
-              Ssync_simlocks.Simlock.algos_for (Platform.get pid)
-            in
-            List.concat_map
-              (fun algo ->
-                List.map (fun n -> (cfg, pid, algo, n)) (thread_samples pid))
-              algos)
-          Arch.paper_platform_ids)
-      configs
-  in
+     variant; the best-lock column reads the 1-thread slots for the
+     single-thread best. *)
   let mp_combos =
     List.concat_map
       (fun cfg ->
         List.concat_map
-          (fun pid -> List.map (fun n -> (cfg, pid, n)) (thread_samples pid))
+          (fun pid ->
+            List.map (fun n -> (cfg, pid, n)) (Figures.thread_samples pid))
           Arch.paper_platform_ids)
       configs
   in
   let lock_jobs, got_lock =
-    Section.sweep lock_combos (fun ((n_buckets, capacity), pid, algo, n) ->
+    Section.sweep (Figures.best_lock_plan configs)
+      (fun ((n_buckets, capacity), pid, algo, n) ->
         ssht_lock_throughput pid algo ~threads:n ~n_buckets ~capacity ~duration)
   in
   let mp_jobs, got_mp =
     Section.sweep mp_combos (fun ((n_buckets, capacity), pid, n) ->
         ssht_mp_throughput pid ~threads:n ~n_buckets ~capacity ~duration)
   in
-  let lock_index = Hashtbl.create 512 and mp_index = Hashtbl.create 128 in
-  List.iteri (fun i c -> Hashtbl.replace lock_index c i) lock_combos;
-  List.iteri (fun i c -> Hashtbl.replace mp_index c i) mp_combos;
-  let lock_at cfg pid algo n =
-    got_lock (Hashtbl.find lock_index (cfg, pid, algo, n))
-  in
-  let mp_at cfg pid n = got_mp (Hashtbl.find mp_index (cfg, pid, n)) in
   Section.make ~jobs:(Array.append lock_jobs mp_jobs) (fun () ->
       hr
         "Figure 11: ssht throughput (Mops/s); \"X : Y\" = scalability : best \
          lock; mp = message-passing version";
+      let next_lock = Section.cursor got_lock in
+      let next_mp = Section.cursor got_mp in
       List.iter
-        (fun ((n_buckets, capacity) as cfg) ->
+        (fun (n_buckets, capacity) ->
           Printf.printf "\n-- %d buckets, %d entries/bucket --\n" n_buckets
             capacity;
           let t =
@@ -174,34 +149,18 @@ let fig11 ?(duration = 150_000) () =
           in
           List.iter
             (fun pid ->
-              let p = Platform.get pid in
-              let algos = Ssync_simlocks.Simlock.algos_for p in
-              let single =
-                List.fold_left
-                  (fun acc a -> Float.max acc (lock_at cfg pid a 1))
-                  0. algos
-              in
               List.iter
-                (fun threads ->
-                  let best_algo, best =
-                    List.fold_left
-                      (fun (ba, bm) a ->
-                        let m = lock_at cfg pid a threads in
-                        if m > bm then (a, m) else (ba, bm))
-                      (List.hd algos, -1.) algos
-                  in
-                  let mp = mp_at cfg pid threads in
+                (fun (threads, (algo, best, x)) ->
                   Table.add_row t
                     [
                       Arch.platform_name pid;
                       string_of_int threads;
                       Printf.sprintf "%.1f" best;
-                      Printf.sprintf "%.1fx : %s"
-                        (if single > 0. then best /. single else 0.)
-                        (Ssync_simlocks.Simlock.name best_algo);
-                      Printf.sprintf "%.1f" mp;
+                      Printf.sprintf "%.1fx : %s" x
+                        (Ssync_simlocks.Simlock.name algo);
+                      Printf.sprintf "%.1f" (next_mp ());
                     ])
-                (thread_samples pid))
+                (Figures.best_lock_rows pid next_lock))
             Arch.paper_platform_ids;
           Table.print t)
         configs)

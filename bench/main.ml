@@ -449,6 +449,13 @@ let sinks observed =
     (fun (l, o) -> Option.map (fun m -> (l, m)) o.Section.metrics)
     observed
 
+(* The stderr trailers' "N jobs on D domains": the planned jobs and the
+   --jobs domain count. *)
+let jobs_on_domains results ~jobs =
+  let plural n = if n = 1 then "" else "s" in
+  let n = Array.length results in
+  Printf.sprintf "%d job%s on %d domain%s" n (plural n) jobs (plural jobs)
+
 (* --trace: the merged Chrome trace of every observed job, one process
    per label; with --metrics, the sampled timelines ride along as
    Perfetto counter tracks under each job's process.  All chatter goes
@@ -523,8 +530,8 @@ let run_profile ~quick ~jobs ~trace_file ~metrics_file names =
       (Profile.interconnect_table prof);
   section "Run summary" (Profile.summary_table prof);
   export ~trace_file ~metrics_file observed;
-  Printf.eprintf "\n(profile wall time: %.1fs, %d jobs)\n"
-    (Unix.gettimeofday () -. t0) jobs;
+  Printf.eprintf "\n(profile wall time: %.1fs, %s)\n"
+    (Unix.gettimeofday () -. t0) (jobs_on_domains results ~jobs);
   let p = (Ssync_engine.Pool.total_stats results).Ssync_engine.Pool.perf in
   let ok = ref true in
   let check name traced engine =
@@ -663,8 +670,9 @@ let () =
     (* stderr, so stdout stays byte-identical across runs and --jobs *)
     let p = (Ssync_engine.Pool.total_stats results).Ssync_engine.Pool.perf in
     Printf.eprintf
-      "\n(total wall time: %.1fs, %d jobs; %d of %d resumptions queued)\n"
-      total_wall !jobs p.Ssync_engine.Sim.queued p.Ssync_engine.Sim.events;
+      "\n(total wall time: %.1fs, %s; %d of %d resumptions queued)\n"
+      total_wall (jobs_on_domains results ~jobs:!jobs)
+      p.Ssync_engine.Sim.queued p.Ssync_engine.Sim.events;
     if json then
       write_perf_json ~quick ~jobs:!jobs ~total_wall
         (List.rev !perfs)

@@ -46,38 +46,22 @@ let throughput ?faults ?(duration = 400_000) pid algo ~threads ~n_locks :
       done;
       !n)
 
-(* Best algorithm at a configuration: (name, Mops, scalability vs the
-   best single-thread run of the same workload) — the "X : Y" labels of
-   Figures 8 and 11. *)
-type best = { algo : Simlock.algo; mops : float; scalability : float }
-
-let best_of ?duration pid ~threads ~n_locks : best =
-  let p = Platform.get pid in
-  let algos = Simlock.algos_for p in
-  let results =
-    List.map
-      (fun a ->
-        (a, (throughput ?duration pid a ~threads ~n_locks).Harness.mops))
-      algos
+(* The "X : Y" column of Figures 8 and 11.  [runs] pairs each lock with
+   its throughput at each of a platform's thread samples, one thread
+   first.  At sample [i]: the best lock (the earliest on a tie), its
+   throughput, and its scalability over the best single-thread run (0
+   when no single-thread run is positive). *)
+let best_lock (runs : (Simlock.algo * float array) list) i =
+  let single = List.fold_left (fun acc (_, m) -> Float.max acc m.(0)) 0. runs in
+  let algo, mops =
+    match runs with
+    | [] -> invalid_arg "Lock_bench.best_lock: no lock"
+    | (a, m) :: rest ->
+        List.fold_left
+          (fun (ba, bm) (a, m) -> if m.(i) > bm then (a, m.(i)) else (ba, bm))
+          (a, m.(i)) rest
   in
-  let best_algo, best_mops =
-    List.fold_left
-      (fun (ba, bm) (a, m) -> if m > bm then (a, m) else (ba, bm))
-      (List.hd results) (List.tl results)
-  in
-  let single =
-    List.fold_left
-      (fun acc a ->
-        Float.max acc
-          (throughput ?duration pid a ~threads:1 ~n_locks)
-            .Harness.mops)
-      0. algos
-  in
-  {
-    algo = best_algo;
-    mops = best_mops;
-    scalability = (if single > 0. then best_mops /. single else 0.);
-  }
+  (algo, mops, if single > 0. then mops /. single else 0.)
 
 (* ------------------------------------------------------------------ *)
 (* Figure 6: uncontested lock acquisition latency depending on the
@@ -142,14 +126,13 @@ let single_thread_latency pid algo : float =
       fun _ -> float_of_int !total /. float_of_int rounds)
 
 (* ------------------------------------------------------------------ *)
-(* Figure 3: mean acquire+release latency of the three ticket-lock
-   variants on the Opteron as the thread count grows. *)
-let figure3_latency ?(duration = 500_000) variant ~threads : float =
-  let p = Platform.opteron in
+(* Figure 3's loop: the mean acquire+release latency of the lock
+   [make_lock mem] builds, taken in turn by [threads] threads that pause
+   200 cycles after each release.  The backoff and occupancy ablations
+   run it with other locks and platforms. *)
+let acquire_latency ?(duration = 500_000) p ~threads make_lock : float =
   let _, mean =
-    Harness.run_latency p ~threads ~duration
-      ~setup:(fun mem ->
-        Simlock.create ~home_core:0 mem p ~n_threads:threads variant)
+    Harness.run_latency p ~threads ~duration ~setup:make_lock
       ~body:(fun lock _mem ~tid ~deadline ->
         let n = ref 0 and cy = ref 0 in
         while Sim.now () < deadline do
@@ -163,3 +146,10 @@ let figure3_latency ?(duration = 500_000) variant ~threads : float =
         (!n, !cy))
   in
   mean
+
+(* Figure 3: the three ticket-lock variants on the Opteron as the
+   thread count grows. *)
+let figure3_latency ?duration variant ~threads : float =
+  let p = Platform.opteron in
+  acquire_latency ?duration p ~threads (fun mem ->
+      Simlock.create ~home_core:0 mem p ~n_threads:threads variant)

@@ -289,7 +289,9 @@ let create platform =
     word2line;
     n_words = 0;
     rbusy = Array.make n_res 0;
-    hit_lat = Cost_model.load_hit_latency topo;
+    (* a call, not an inline copy: an edit to the callee then leaves
+       this function's size, and the access path's alignment, alone *)
+    hit_lat = (Cost_model.load_hit_latency [@inlined never]) topo;
     scratch =
       { Cost_model.state = Arch.Invalid; owner = -1;
         sharers = Coreset.create (); home = 0; llc_dirty = false };
@@ -1033,9 +1035,7 @@ let access_lat_in t ~core ~now (op : Arch.memop) (a : addr)
       ls.(b + f_busy) <- Int.max busy_until nb;
       for i = 0 to npath - 1 do
         let r = t.path.(i) in
-        let held =
-          start + Cost_model.resource_hold topo cost_op ~latency:service r
-        in
+        let held = start + Cost_model.resource_hold topo cost_op r in
         let prev = t.rbusy.(r) in
         if held > prev then begin
           (match t.macc with

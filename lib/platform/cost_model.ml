@@ -590,18 +590,17 @@ let fill_path (t : Topology.t) ~requester (v : view) (path : int array) : int =
 (* How long one message holds a home directory: a lookup/update slot in
    the probe filter (Opteron), LLC slice home agent (Xeon) or home
    tile's slice controller (Tilera). *)
-let dir_hold (t : Topology.t) (_op : Arch.memop) : int =
+let dir_hold (t : Topology.t) : int =
   match t.id with
   | Arch.Niagara -> 0
   | Arch.Opteron | Arch.Opteron2 | Arch.Xeon | Arch.Xeon2 | Arch.Tilera -> 1
 
-(* How long one message holds each link it crosses.  Exclusive
-   transfers (stores, atomics) carry the full line payload plus the
-   invalidation/ack traffic, so they occupy the path for a large
-   fraction of their service latency; read transfers pipeline their
-   data return harder.  The floor is the link's per-message
-   serialization cost (header + payload flits). *)
-let link_hold (t : Topology.t) (op : Arch.memop) ~latency:_ : int =
+(* How long one message holds each link it crosses: the link's
+   per-message serialization time (header + payload flits), constant per
+   op class, whatever the transfer's latency.  Exclusive transfers
+   (stores, atomics) carry the full line payload plus the
+   invalidation/ack traffic, so they hold a link longer than reads. *)
+let link_hold (t : Topology.t) (op : Arch.memop) : int =
   match t.id with
   | Arch.Niagara -> 0
   | Arch.Opteron | Arch.Opteron2 -> (
@@ -620,5 +619,5 @@ let link_hold (t : Topology.t) (op : Arch.memop) ~latency:_ : int =
       | Arch.Load -> 2
       | Arch.Store | Arch.Cas | Arch.Fai | Arch.Tas | Arch.Swap -> 3)
 
-let resource_hold (t : Topology.t) (op : Arch.memop) ~latency r : int =
-  if r < t.n_nodes then dir_hold t op else link_hold t op ~latency
+let resource_hold (t : Topology.t) (op : Arch.memop) r : int =
+  if r < t.n_nodes then dir_hold t else link_hold t op

@@ -845,9 +845,7 @@ let access_lat_in t ~core ~now (op : Arch.memop) (a : addr)
       l.busy_until <- Int.max l.busy_until nb;
       for i = 0 to npath - 1 do
         let r = t.path.(i) in
-        let held =
-          start + Cost_model.resource_hold topo cost_op ~latency:service r
-        in
+        let held = start + Cost_model.resource_hold topo cost_op r in
         let prev = t.rbusy.(r) in
         if held > prev then begin
           (match t.macc with

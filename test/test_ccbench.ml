@@ -205,10 +205,38 @@ let test_figure7_simple_locks_win_low_contention () =
     true
     (ticket >= 0.9 *. mcs)
 
-let test_best_of_returns_positive () =
-  let b = Lock_bench.best_of ~duration:150_000 Arch.Xeon ~threads:10 ~n_locks:16 in
-  check_bool "positive throughput" true (b.Lock_bench.mops > 0.);
-  check_bool "positive scalability" true (b.Lock_bench.scalability > 0.)
+(* Figures 8 and 11's best-lock fold: at each thread sample the earliest
+   of the best locks wins, its scalability is over the best
+   single-thread run, and reads 0 when no single-thread run is
+   positive. *)
+let test_best_lock_fold () =
+  let open Ssync_simlocks.Simlock in
+  let check what (ea, em, ex) (a, m, x) =
+    Alcotest.(check (triple string (float 0.) (float 0.)))
+      what (name ea, em, ex) (name a, m, x)
+  in
+  let runs =
+    [ (Tas, [| 2.; 6. |]); (Mcs, [| 4.; 6. |]); (Ticket, [| 4.; 5. |]) ]
+  in
+  check "1-thread row: the best single-thread lock at 1.0x" (Mcs, 4., 1.)
+    (Lock_bench.best_lock runs 0);
+  check "a tie goes to the earliest lock" (Tas, 6., 1.5)
+    (Lock_bench.best_lock runs 1);
+  check "no positive single-thread run: scalability 0" (Mcs, 5., 0.)
+    (Lock_bench.best_lock [ (Tas, [| 0.; 3. |]); (Mcs, [| 0.; 5. |]) ] 1)
+
+(* fig8 runs each (lock count, platform, lock, threads) simulation once:
+   512 jobs of one simulation, no two alike, quick (60k cycles) or
+   full. *)
+let test_fig8_plan () =
+  let open Ssync_bench in
+  let jobs s = Array.length s.Section.jobs in
+  Alcotest.(check int) "quick fig8 jobs" 512
+    (jobs (Figures.fig8 ~duration:60_000 ()));
+  Alcotest.(check int) "full fig8 jobs" 512 (jobs (Figures.fig8 ()));
+  Alcotest.(check int) "distinct simulations" 512
+    (List.length
+       (List.sort_uniq compare (Figures.best_lock_plan [ 4; 16; 32; 128 ])))
 
 let test_client_server_positive () =
   let t =
@@ -235,7 +263,9 @@ let suite =
       test_figure5_queue_locks_win_extreme;
     Alcotest.test_case "Figure 7: simple locks win low contention" `Slow
       test_figure7_simple_locks_win_low_contention;
-    Alcotest.test_case "best_of sane" `Slow test_best_of_returns_positive;
+    Alcotest.test_case "best-lock fold" `Quick test_best_lock_fold;
     Alcotest.test_case "client-server throughput positive" `Quick
       test_client_server_positive;
+    Alcotest.test_case "fig8 plans each simulation once" `Quick
+      test_fig8_plan;
   ]

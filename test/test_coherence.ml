@@ -528,6 +528,87 @@ let qcheck_flat_table_oracle =
       R.dispose r;
       ok)
 
+(* -------------------------- time shift --------------------------- *)
+
+(* A metamorphic relation: the model reads time only through the gaps
+   between accesses, never through its absolute value.  A random program
+   of every access kind (posted stores, prefetchw probes and fetching
+   CAS included) on padded and packed lines runs on a fresh memory, and
+   again on another started [delta] cycles later: every access returns
+   the same latency and result, and the statistics, words and line
+   states, owners and sharers agree at the end. *)
+let qcheck_time_shift =
+  let gen =
+    QCheck.Gen.(
+      let* pid = oneofl Arch.all_platform_ids in
+      let* delta = int_range 1 1_000_000 in
+      let* steps =
+        list_size (int_range 1 100)
+          (let* ci = int_range 0 3 in
+           let* opcode = int_range 0 11 in
+           let* wi = int_range 0 5 in
+           let* x = int_range 0 3 in
+           let* dt = int_range 0 200 in
+           return (ci, opcode, wi, x, dt))
+      in
+      return (pid, delta, steps))
+  in
+  QCheck.Test.make ~count:300 ~name:"time shift: same latencies and states"
+    (QCheck.make gen) (fun (pid, delta, steps) ->
+      let p = Platform.get pid in
+      let n = Platform.n_cores p in
+      let cores = [| 0; 1; n / 2; n - 1 |] in
+      let fresh () =
+        let m = Memory.create p in
+        (* three padded words homed mid-machine and three on one line *)
+        let padded = Memory.alloc_n ~home_core:(n / 2) m 3 in
+        let packed = Memory.alloc_packed m 3 in
+        (m, [| padded; padded + 1; padded + 2; packed; packed + 1; packed + 2 |])
+      in
+      let m0, addrs = fresh () in
+      let m1, _ = fresh () in
+      let now = ref 0 in
+      let step (ci, opcode, wi, x, dt) =
+        now := !now + dt;
+        let core = cores.(ci) and a = addrs.(wi) in
+        let access op ~operand ~operand2 ~fetch =
+          let at m now =
+            let lat =
+              Memory.access_lat_in m ~core ~now op a ~operand ~operand2 ~fetch
+            in
+            (lat, Memory.last_result m)
+          in
+          at m0 !now = at m1 (!now + delta)
+        in
+        match opcode with
+        | 0 | 1 -> access Arch.Load ~operand:0 ~operand2:0 ~fetch:false
+        | 2 -> access Arch.Store ~operand:x ~operand2:0 ~fetch:false
+        | 3 -> access Arch.Store ~operand:x ~operand2:1 ~fetch:false
+        | 4 ->
+            access Arch.Cas ~operand:(Memory.peek m0 a) ~operand2:x ~fetch:false
+        | 5 -> access Arch.Cas ~operand:x ~operand2:(x + 1) ~fetch:false
+        | 6 -> access Arch.Cas ~operand:x ~operand2:(x + 1) ~fetch:true
+        | 7 -> access Arch.Fai ~operand:1 ~operand2:0 ~fetch:false
+        | 8 -> access Arch.Fai ~operand:0 ~operand2:0 ~fetch:false
+        | 9 -> access Arch.Fai ~operand:1 ~operand2:1 ~fetch:false
+        | 10 -> access Arch.Tas ~operand:0 ~operand2:0 ~fetch:false
+        | _ -> access Arch.Swap ~operand:x ~operand2:0 ~fetch:false
+      in
+      let line m a =
+        let l = Memory.line m a in
+        ( Memory.peek m a,
+          (l.Memory.state, l.Memory.owner, Coreset.elements l.Memory.sharers),
+          (l.Memory.pfw_owner, l.Memory.cas_pending, l.Memory.llc_dirty) )
+      in
+      let ok =
+        List.for_all step steps
+        && Memory.stats m0 = Memory.stats m1
+        && Array.for_all (fun a -> line m0 a = line m1 a) addrs
+      in
+      Memory.dispose m0;
+      Memory.dispose m1;
+      ok)
+
 (* ------------------------- allocation guard ---------------------- *)
 
 (* The per-access path allocates nothing: no [Some] owners, no cost-model
@@ -745,4 +826,5 @@ let suite =
       test_alloc_allocation_free;
     Alcotest.test_case "force_state rejects second = holder" `Quick
       test_force_state_second_is_holder;
+    QCheck_alcotest.to_alcotest qcheck_time_shift;
   ]

@@ -113,23 +113,9 @@ let test_memory_rejects_bad_addr () =
 (* ----------------------- ablation knobs --------------------------- *)
 
 let contended_ticket_latency ~base ~threads =
-  let p = Platform.opteron in
-  let _, mean =
-    Harness.run_latency p ~threads ~duration:200_000
-      ~setup:(fun mem -> Spinlocks.ticket ~backoff_base:base mem ~home_core:0 ~n_threads:threads)
-      ~body:(fun lock _mem ~tid ~deadline ->
-        let n = ref 0 and cy = ref 0 in
-        while Sim.now () < deadline do
-          let t0 = Sim.now () in
-          lock.Lock_type.acquire ~tid;
-          lock.Lock_type.release ~tid;
-          cy := !cy + (Sim.now () - t0);
-          Sim.pause 200;
-          incr n
-        done;
-        (!n, !cy))
-  in
-  mean
+  Ssync_ccbench.Lock_bench.acquire_latency ~duration:200_000 Platform.opteron
+    ~threads (fun mem ->
+      Spinlocks.ticket ~backoff_base:base mem ~home_core:0 ~n_threads:threads)
 
 let test_backoff_sweet_spot () =
   (* no backoff and absurd backoff must both lose against the tuned one *)
@@ -145,24 +131,8 @@ let test_backoff_sweet_spot () =
 
 let test_max_pass_monotone_region () =
   let tput max_pass =
-    let p = Platform.xeon in
-    let r =
-      Harness.run p ~threads:20 ~duration:200_000
-        ~setup:(fun mem ->
-          Hierarchical.hticket ~max_pass mem p ~home_core:0 ~n_threads:20
-            ~place:(Platform.place p))
-        ~body:(fun lock _mem ~tid ~deadline ->
-          let n = ref 0 in
-          while Sim.now () < deadline do
-            lock.Lock_type.acquire ~tid;
-            Sim.pause 40;
-            lock.Lock_type.release ~tid;
-            Sim.pause 80;
-            incr n
-          done;
-          !n)
-    in
-    r.Harness.mops
+    Ssync_bench.Ablations.hticket_throughput_with_pass Arch.Xeon ~max_pass
+      ~threads:20 ~duration:200_000
   in
   let p1 = tput 1 and p64 = tput 64 in
   check_bool
